@@ -13,7 +13,6 @@ every operation is a pure function of its inputs.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -167,6 +166,18 @@ class Supernumber:
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "_terms", canonical)
 
+    @classmethod
+    def _canonical(cls, context: AlgebraContext, terms: dict[int, complex]) -> "Supernumber":
+        """Wrap a term map that is already canonical, without copying or checking it.
+
+        The caller guarantees ascending int keys within the context's width and
+        complex values, none of them zero.
+        """
+        z = object.__new__(cls)
+        object.__setattr__(z, "context", context)
+        object.__setattr__(z, "_terms", terms)
+        return z
+
     def __setattr__(self, name, value):  # immutable by construction
         raise AttributeError("Supernumber is immutable")
 
@@ -186,7 +197,7 @@ class Supernumber:
     def soul(self) -> "Supernumber":
         """The number minus its body."""
         rest = {k: v for k, v in self._terms.items() if k}
-        return Supernumber(self.context, rest)
+        return Supernumber._canonical(self.context, rest)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -221,7 +232,7 @@ class Supernumber:
         return NotImplemented
 
     def __neg__(self):
-        return Supernumber(self.context, {k: -v for k, v in self._terms.items()})
+        return Supernumber._canonical(self.context, {k: -v for k, v in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Supernumber):
@@ -310,10 +321,11 @@ _FAST_PATH_MAX_GENERATORS = 16
 def mul(z: Supernumber, w: Supernumber) -> Supernumber:
     """Noncommutative product ``zw = sum z_a w_b i_a i_b``.
 
-    Contributions to each output index accumulate in ascending (a, b) order,
-    matching the dense oracle's double loop exactly.  Dense operands take a
-    vectorized path engineered to reproduce the scalar loop bit for bit
-    (split real/imaginary products, order-preserving unbuffered accumulation).
+    Only disjoint pairs (a & b == 0) contribute; each product is negated when
+    merge_swap_count(a, b) is odd.  Contributions to each output index
+    accumulate in ascending (a, b) order, matching the dense oracle's double
+    loop exactly.  Dense operands take a vectorized path that reproduces the
+    scalar loop bit for bit.
     """
     context = _require_same_context(z, w)
     wterms = w._terms
@@ -321,7 +333,7 @@ def mul(z: Supernumber, w: Supernumber) -> Supernumber:
         context.generators <= _FAST_PATH_MAX_GENERATORS
         and len(z._terms) * len(wterms) >= _FAST_PATH_MIN_PAIRS
     ):
-        return Supernumber(context, _mul_vectorized(context, z._terms, wterms))
+        return Supernumber._canonical(context, _mul_vectorized(context, z._terms, wterms))
     acc: dict[int, complex] = {}
     for a, za in z._terms.items():
         for b, wb in wterms.items():
@@ -335,10 +347,6 @@ def mul(z: Supernumber, w: Supernumber) -> Supernumber:
     return Supernumber(context, acc)
 
 
-_SIGN_TABLE_BITS = 10
-_SIGN_TABLE = None
-
-
 def _popcount_array(values):
     """SWAR popcount on a uint64 array (numpy-version independent)."""
     import numpy as np
@@ -350,54 +358,43 @@ def _popcount_array(values):
     return ((v * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
 
 
-def _sign_table():
-    """Parity of merge_swap_count for all key pairs below 2**_SIGN_TABLE_BITS."""
-    global _SIGN_TABLE
-    if _SIGN_TABLE is None:
-        import numpy as np
-
-        size = 1 << _SIGN_TABLE_BITS
-        keys = np.arange(size, dtype=np.int64)
-        parity = np.zeros((size, size), dtype=np.int64)
-        for bit in range(_SIGN_TABLE_BITS):
-            has_b = (keys[None, :] >> bit) & 1
-            parity += has_b * _popcount_array(keys[:, None] >> (bit + 1))
-        _SIGN_TABLE = (parity & 1).astype(bool)
-    return _SIGN_TABLE
-
-
 def _mul_vectorized(context: AlgebraContext, zterms, wterms) -> dict[int, complex]:
+    """Canonical term map of the product, computed on the disjoint key pairs only."""
     import numpy as np
 
     ka = np.fromiter(zterms.keys(), dtype=np.int64, count=len(zterms))
     kb = np.fromiter(wterms.keys(), dtype=np.int64, count=len(wterms))
     va = np.fromiter(zterms.values(), dtype=complex, count=len(zterms))
     vb = np.fromiter(wterms.values(), dtype=complex, count=len(wterms))
-    grid_a = ka[:, None]
-    grid_b = kb[None, :]
-    keep = (grid_a & grid_b) == 0
-    if context.generators <= _SIGN_TABLE_BITS:
-        negate = _sign_table()[grid_a, grid_b]
-    else:
-        parity = np.zeros(keep.shape, dtype=np.int64)
-        for bit in range(context.generators):
-            has_b = (grid_b >> bit) & 1
-            parity += has_b * _popcount_array(grid_a >> (bit + 1))
-        negate = (parity & 1).astype(bool)
+    # row-major, so the pairs come in the ascending (a, b) order of the scalar loop
+    ia, ib = np.divmod(np.flatnonzero((ka[:, None] & kb[None, :]) == 0), len(kb))
+    # Bit k of prefix_xor(b) << 1 is the parity of b's bits below k, so the
+    # parity of merge_swap_count(a, b) is that of popcount(a & (prefix_xor(b) << 1)).
+    prefix = kb.copy()
+    shift = 1
+    while shift < context.generators:
+        prefix ^= prefix << shift
+        shift <<= 1
+    a, b = ka[ia], kb[ib]
+    negate = (_popcount_array(a & (prefix << 1)[ib]) & 1).astype(bool)
     # split components so each multiply/add rounds exactly like the scalar loop
-    re = va.real[:, None] * vb.real[None, :] - va.imag[:, None] * vb.imag[None, :]
-    im = va.real[:, None] * vb.imag[None, :] + va.imag[:, None] * vb.real[None, :]
-    re = np.where(negate, -re, re)
-    im = np.where(negate, -im, im)
-    gamma = (grid_a | grid_b).ravel()
-    mask = keep.ravel()
-    gamma = gamma[mask]
+    ar, ai, br, bi = va.real[ia], va.imag[ia], vb.real[ib], vb.imag[ib]
+    re = ar * br - ai * bi
+    im = ar * bi + ai * br
+    np.negative(re, out=re, where=negate)
+    np.negative(im, out=im, where=negate)
+    gamma = a | b
     size = 1 << context.generators
-    # bincount accumulates sequentially per bucket, identically to the loop
-    buf_re = np.bincount(gamma, weights=re.ravel()[mask], minlength=size)
-    buf_im = np.bincount(gamma, weights=im.ravel()[mask], minlength=size)
+    # bincount accumulates sequentially per bucket, identically to the loop;
+    # this order is load-bearing for bit-exactness with the dense oracle
+    buf_re = np.bincount(gamma, weights=re, minlength=size)
+    buf_im = np.bincount(gamma, weights=im, minlength=size)
     hit = np.flatnonzero((buf_re != 0.0) | (buf_im != 0.0))
-    return {int(g): complex(buf_re[g], buf_im[g]) for g in hit}
+    # fill the parts separately: re + 1j*im would turn a -0.0 real part into +0.0
+    values = np.empty(len(hit), dtype=complex)
+    values.real = buf_re[hit]
+    values.imag = buf_im[hit]
+    return dict(zip(hit.tolist(), values.tolist()))
 
 
 def dagger(z: Supernumber) -> Supernumber:
@@ -406,7 +403,7 @@ def dagger(z: Supernumber) -> Supernumber:
     Involutive antiautomorphism: (z†)† = z and (zw)† = w† z†.
     """
     out = {k: (v.conjugate() if dagger_sign(k) > 0 else -v.conjugate()) for k, v in z._terms.items()}
-    return Supernumber(z.context, out)
+    return Supernumber._canonical(z.context, out)
 
 
 def norm1(z: Supernumber) -> float:
@@ -519,7 +516,3 @@ def analytic_apply(f: Callable[[complex, int], complex], z: Supernumber) -> Supe
         acc = acc + power * (f(body, n) / math.factorial(n))
     return acc
 
-
-def exp_oracle(z0: complex, n: int) -> complex:
-    """Derivative oracle of the exponential (all derivatives equal exp)."""
-    return cmath.exp(z0)

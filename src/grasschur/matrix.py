@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraContext, Supernumber, classify, dagger, invert, kth_root, linear_combine, mul
+from .algebra import AlgebraContext, Supernumber, dagger, invert, kth_root, linear_combine, mul
 from .errors import BodySingular, ContextMismatch, NotRegular, NotSuperpositive, ShapeMismatch
 
 _ADJOINT_TOL = 1e-12  # relative entrywise self-adjointness tolerance
@@ -279,12 +279,12 @@ def mat_invert(m: SuperMatrix) -> SuperMatrix:
     if svals[-1] <= context.tol_body * max(1.0, svals[0]):
         raise BodySingular(f"smallest body singular value {svals[-1]:.3e}")
     body_inv = SuperMatrix.from_body(context, np.linalg.inv(body))
-    b = mat_mul(body_inv, m.soul())
+    minus_b = -mat_mul(body_inv, m.soul())
     n = m.rows
     acc = SuperMatrix.identity(context, n)
     power = SuperMatrix.identity(context, n)
     for _ in range(context.generators):
-        power = mat_mul(power, -b)
+        power = mat_mul(power, minus_b)
         if power.is_zero():
             break
         acc = acc + power
@@ -377,7 +377,3 @@ def quadratic_form(m: SuperMatrix, c: SuperMatrix) -> Supernumber:
     """c*Mc for a column c."""
     return mat_mul(mat_mul(adjoint(c), m), c)[0, 0]
 
-
-def matrix_classify_entrywise(m: SuperMatrix):
-    """Entrywise classifications; convenience for inspection and the CLI."""
-    return [[classify(e) for e in row] for row in m.entries()]

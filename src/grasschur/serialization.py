@@ -9,6 +9,7 @@ specs and interpolation data wrap that term format.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 from .algebra import AlgebraContext, Supernumber, grade, index_from_generators, index_to_generators
@@ -49,7 +50,11 @@ def supernumber_from_obj(obj: Any, context: AlgebraContext) -> Supernumber:
         key = index_from_generators(idx)
         if key in raw:
             raise SerializationError(f"duplicate term at idx {idx}")
-        raw[key] = complex(float(term["re"]), float(term["im"]))
+        parts = (term["re"], term["im"])
+        # bool is not a JSON number; NaN fails the comparison; huge ints overflow float
+        if any(type(x) not in (int, float) or not abs(x) <= sys.float_info.max for x in parts):
+            raise SerializationError(f"re and im at idx {idx} must be finite numbers")
+        raw[key] = complex(float(parts[0]), float(parts[1]))
     return Supernumber(context, raw)
 
 
@@ -170,10 +175,12 @@ def interpolation_data_from_obj(obj: Any, context: AlgebraContext):
         values = obj["values"]
     except (KeyError, TypeError) as exc:
         raise SerializationError("interpolation data needs nodes and values") from exc
-    return InterpolationData(
-        tuple(supernumber_from_obj(z, context) for z in nodes),
-        tuple(supernumber_from_obj(s, context) for s in values),
-    )
+    nodes = tuple(supernumber_from_obj(z, context) for z in nodes)
+    values = tuple(supernumber_from_obj(s, context) for s in values)
+    try:
+        return InterpolationData(nodes, values)
+    except ValueError as exc:
+        raise SerializationError(str(exc)) from exc
 
 
 def config_to_obj(context: AlgebraContext) -> dict:

@@ -8,6 +8,7 @@ import pytest
 
 from grasschur import (
     AlgebraContext,
+    Supernumber,
     analytic_apply,
     basis_mul,
     classify,
@@ -129,6 +130,33 @@ class TestMul:
             assert dist(mul(u, z), mul(z, u)) <= 1e-12 * max(1.0, u.norm1() * z.norm1())
 
 
+def scalar_product(zterms, wterms):
+    """Canonical term map of zw by the scalar double loop, the kernel's reference."""
+    acc = {}
+    for a, za in zterms.items():
+        for b, wb in wterms.items():
+            if a & b:
+                continue
+            t = za * wb
+            if merge_swap_count(a, b) & 1:
+                t = -t
+            acc[a | b] = acc.get(a | b, 0j) + t
+    return {k: v for k, v in sorted(acc.items()) if v != 0}
+
+
+def dense_terms(rng, gens, count):
+    """``count`` distinct keys below 2**gens with random coefficients, some parts -0.0."""
+    keys = sorted(rng.choice(1 << gens, size=count, replace=False).tolist())
+    parts = rng.normal(size=(count, 2))
+    parts[rng.random(parts.shape) < 0.1] = -0.0
+    return {k: complex(re, im) for k, (re, im) in zip(keys, parts) if complex(re, im) != 0}
+
+
+def bitwise(terms):
+    """Keys and coefficients as text: distinguishes -0.0 from 0.0, unlike ==."""
+    return repr(list(terms.items()))
+
+
 class TestMulFastPath:
     @pytest.mark.parametrize("gens", [8, 12, 16])
     def test_vectorized_path_matches_scalar_loop(self, gens, rng):
@@ -139,16 +167,71 @@ class TestMulFastPath:
             z = random_supernumber(c, rng, terms=16, max_grade=gens)
             w = random_supernumber(c, rng, terms=16, max_grade=gens)
             fast = _mul_vectorized(c, z.terms, w.terms)
-            slow = {}
-            for a, za in z.terms.items():
-                for b, wb in w.terms.items():
-                    if a & b:
-                        continue
-                    t = za * wb
-                    if merge_swap_count(a, b) & 1:
-                        t = -t
-                    slow[a | b] = slow.get(a | b, 0j) + t
-            assert fast == {k: v for k, v in sorted(slow.items()) if v != 0}
+            assert fast == scalar_product(z.terms, w.terms)
+
+    def test_sign_parity_exhaustive_n8(self):
+        # one left key against every right key: each disjoint b lands on its own a | b
+        from grasschur.algebra import _mul_vectorized
+
+        c = AlgebraContext(generators=8)
+        every = {b: 1 + 0j for b in range(256)}
+        for a in range(256):
+            expected = {a | b: (-1 if merge_swap_count(a, b) & 1 else 1) + 0j
+                        for b in range(256) if not a & b}
+            assert _mul_vectorized(c, {a: 1 + 0j}, every) == dict(sorted(expected.items()))
+
+    def test_sign_parity_random_n16(self, rng):
+        from grasschur.algebra import _mul_vectorized
+
+        c = AlgebraContext(generators=16)
+        for a in rng.integers(0, 1 << 16, size=200).tolist():
+            right = sorted({b & ~a for b in rng.integers(0, 1 << 16, size=64).tolist()})
+            expected = {a | b: (-1 if merge_swap_count(a, b) & 1 else 1) + 0j for b in right}
+            assert _mul_vectorized(c, {a: 1 + 0j}, {b: 1 + 0j for b in right}) == expected
+
+    def test_filled_operands_bitwise_n8(self, rng):
+        from grasschur.algebra import _mul_vectorized
+
+        c = AlgebraContext(generators=8)
+        for _ in range(3):
+            z, w = dense_terms(rng, 8, 255), dense_terms(rng, 8, 255)
+            assert bitwise(_mul_vectorized(c, z, w)) == bitwise(scalar_product(z, w))
+
+    @pytest.mark.parametrize("left,right", [(1, 256), (256, 1)])
+    def test_lopsided_operands_bitwise(self, left, right, rng):
+        from grasschur.algebra import _mul_vectorized
+
+        c = AlgebraContext(generators=8)
+        for _ in range(20):
+            z, w = dense_terms(rng, 8, left), dense_terms(rng, 8, right)
+            assert bitwise(_mul_vectorized(c, z, w)) == bitwise(scalar_product(z, w))
+
+    @pytest.mark.parametrize("gens", [10, 12, 16])
+    def test_wide_contexts_bitwise(self, gens, rng):
+        from grasschur.algebra import _mul_vectorized
+
+        c = AlgebraContext(generators=gens)
+        for _ in range(10):
+            z, w = dense_terms(rng, gens, 96), dense_terms(rng, gens, 96)
+            assert bitwise(_mul_vectorized(c, z, w)) == bitwise(scalar_product(z, w))
+
+    def test_kernel_results_are_canonical(self, ctx, rng):
+        z = Supernumber(ctx, dense_terms(rng, 8, 255))
+        w = Supernumber(ctx, dense_terms(rng, 8, 200))
+        for out in (mul(z, w), -z, z.soul, dagger(z)):
+            terms = out.terms
+            assert list(terms) == sorted(terms)
+            assert all(type(k) is int for k in terms)
+            assert all(type(v) is complex and v != 0 for v in terms.values())
+            public = Supernumber(ctx, terms)
+            assert out == public and hash(out) == hash(public)
+            assert bitwise(out.terms) == bitwise(public.terms)
+
+    def test_exact_cancellation_leaves_no_zero_terms(self, rng):
+        # an odd element squares to zero: the (a, b) and (b, a) products cancel exactly
+        c = AlgebraContext(generators=16)
+        theta = Supernumber(c, {1 << k: complex(*rng.normal(size=2)) for k in range(16)})
+        assert mul(theta, theta).terms == {}
 
 
 class TestDagger:

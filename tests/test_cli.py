@@ -93,6 +93,14 @@ class TestAlgebraCommands:
         assert main(["algebra", "classify", "--in", z_file, "--config", str(config),
                      "--generators", "8", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("bad", ["NaN", '"abc"'])
+    def test_malformed_coefficient_exit_code(self, bad, tmp_path, capsys):
+        infile = tmp_path / "z.json"
+        infile.write_text(f'[{{"idx": [], "re": {bad}, "im": 0.0}}]')
+        assert main(["algebra", "invert", "--in", str(infile)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[serialization-error]")
+
 
 class TestToeplitzCommand:
     def test_extend_and_verify(self, ctx, tmp_path):
@@ -143,6 +151,14 @@ class TestNPCommand:
         got = run_twice(
             lambda out: ["np", "solve", "--data", data_file, "--seed", "7", "--out", out], tmp_path)
         assert max(got["node_residuals"]) <= 1e-8
+
+    def test_count_mismatch_exit_code(self, ctx, tmp_path, capsys):
+        nodes = [supernumber_to_obj(ctx.scalar(0.2)), supernumber_to_obj(ctx.scalar(-0.3j))]
+        data = write(tmp_path / "d.json",
+                     {"nodes": nodes, "values": [supernumber_to_obj(ctx.scalar(0.1))]})
+        assert main(["np", "solve", "--data", data]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[serialization-error]")
 
 
 class TestSchurCommand:

@@ -55,6 +55,14 @@ class TestSupernumber:
         with pytest.raises(SerializationError):
             supernumber_from_obj([{"idx": [5], "re": 1.0, "im": 0.0}], ctx4)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 10**400,
+                                     True, None, "1.0", [1.0]])
+    def test_rejects_non_finite_or_non_numeric(self, ctx, bad):
+        for part in ("re", "im"):
+            term = {"idx": [1], "re": 1.0, "im": 0.0, part: bad}
+            with pytest.raises(SerializationError):
+                supernumber_from_obj([term], ctx)
+
     def test_json_round_trip_bytes(self, ctx, rng):
         z = random_supernumber(ctx, rng)
         text = dumps(supernumber_to_obj(z))
