@@ -106,7 +106,7 @@ class AlgebraContext:
     def __post_init__(self):
         if not 1 <= self.generators <= 64:
             raise ValueError(f"generator count must be in 1..64, got {self.generators}")
-        if self.tol_body <= 0 or self.tol_eq <= 0:
+        if not (self.tol_body > 0 and self.tol_eq > 0):  # NaN fails too
             raise ValueError("tolerances must be positive")
         if self.max_series_degree < 0:
             raise ValueError("max_series_degree must be nonnegative")
@@ -315,7 +315,7 @@ def linear_combine(pairs: Iterable[tuple[complex, Supernumber]]) -> Supernumber:
 
 
 _FAST_PATH_MIN_PAIRS = 192
-_FAST_PATH_MAX_GENERATORS = 16
+_FAST_PATH_MAX_GENERATORS = 16  # widest context whose output slots are dense buckets
 
 
 def mul(z: Supernumber, w: Supernumber) -> Supernumber:
@@ -324,15 +324,13 @@ def mul(z: Supernumber, w: Supernumber) -> Supernumber:
     Only disjoint pairs (a & b == 0) contribute; each product is negated when
     merge_swap_count(a, b) is odd.  Contributions to each output index
     accumulate in ascending (a, b) order, matching the dense oracle's double
-    loop exactly.  Dense operands take a vectorized path that reproduces the
-    scalar loop bit for bit.
+    loop exactly.  Products of at least ``_FAST_PATH_MIN_PAIRS`` term pairs
+    take the numpy kernel at every generator count; it reproduces the scalar
+    loop bit for bit.
     """
     context = _require_same_context(z, w)
     wterms = w._terms
-    if (
-        context.generators <= _FAST_PATH_MAX_GENERATORS
-        and len(z._terms) * len(wterms) >= _FAST_PATH_MIN_PAIRS
-    ):
+    if len(z._terms) * len(wterms) >= _FAST_PATH_MIN_PAIRS:
         return Supernumber._canonical(context, _mul_vectorized(context, z._terms, wterms))
     acc: dict[int, complex] = {}
     for a, za in z._terms.items():
@@ -347,54 +345,84 @@ def mul(z: Supernumber, w: Supernumber) -> Supernumber:
     return Supernumber(context, acc)
 
 
-def _popcount_array(values):
-    """SWAR popcount on a uint64 array (numpy-version independent)."""
-    import numpy as np
-
-    v = values.astype(np.uint64)
-    v = v - ((v >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    v = (v & np.uint64(0x3333333333333333)) + ((v >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    v = (v + (v >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return ((v * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
-
-
 def _mul_vectorized(context: AlgebraContext, zterms, wterms) -> dict[int, complex]:
-    """Canonical term map of the product, computed on the disjoint key pairs only."""
+    """Canonical term map of the product, computed on the disjoint key pairs only.
+
+    One kernel for every generator count from 1 to 64: keys are held as uint64,
+    so generator 64 fits.  Signs come from an XOR fold of the merge parity, and
+    each pair's product lands in an output slot: a dense bucket per key below
+    2**N for N <= _FAST_PATH_MAX_GENERATORS, one slot per distinct output key
+    beyond.  Either way the slots are summed in ascending (a, b) order, as the
+    scalar loop in ``mul`` sums them, so the result is bit-identical to it.
+    """
     import numpy as np
 
-    ka = np.fromiter(zterms.keys(), dtype=np.int64, count=len(zterms))
-    kb = np.fromiter(wterms.keys(), dtype=np.int64, count=len(wterms))
+    ka = np.fromiter(zterms.keys(), dtype=np.uint64, count=len(zterms))
+    kb = np.fromiter(wterms.keys(), dtype=np.uint64, count=len(wterms))
     va = np.fromiter(zterms.values(), dtype=complex, count=len(zterms))
     vb = np.fromiter(wterms.values(), dtype=complex, count=len(wterms))
-    # row-major, so the pairs come in the ascending (a, b) order of the scalar loop
-    ia, ib = np.divmod(np.flatnonzero((ka[:, None] & kb[None, :]) == 0), len(kb))
+    # The disjoint-pair mask is built a band of rows at a time, each band's
+    # uint64 intermediate no larger than one dense bucket array.  Bands and the
+    # row-major flatnonzero keep the pairs in the ascending (a, b) order of the
+    # scalar loop.
+    band = max(1, (1 << _FAST_PATH_MAX_GENERATORS) // len(kb))
+    flat = np.concatenate([
+        np.flatnonzero(np.bitwise_and.outer(ka[lo:lo + band], kb) == 0) + lo * len(kb)
+        for lo in range(0, len(ka), band)
+    ])
+    ia, ib = np.divmod(flat, len(kb))
+    del flat
     # Bit k of prefix_xor(b) << 1 is the parity of b's bits below k, so the
     # parity of merge_swap_count(a, b) is that of popcount(a & (prefix_xor(b) << 1)).
+    # That parity is the low bit left by XOR-folding the word with the prefix
+    # loop's shifts in reverse.
     prefix = kb.copy()
     shift = 1
     while shift < context.generators:
         prefix ^= prefix << shift
         shift <<= 1
-    a, b = ka[ia], kb[ib]
-    negate = (_popcount_array(a & (prefix << 1)[ib]) & 1).astype(bool)
+    gamma = ka[ia]  # a for now; a | b below
+    fold = (prefix << 1)[ib]
+    fold &= gamma
+    while shift > 1:
+        shift >>= 1
+        fold ^= fold >> shift
+    fold &= 1
+    negate = fold.astype(bool)
+    del fold
+    gamma |= kb[ib]
     # split components so each multiply/add rounds exactly like the scalar loop
-    ar, ai, br, bi = va.real[ia], va.imag[ia], vb.real[ib], vb.imag[ib]
-    re = ar * br - ai * bi
-    im = ar * bi + ai * br
+    ar, ai = va.real[ia], va.imag[ia]
+    br, bi = vb.real[ib], vb.imag[ib]
+    del ia, ib
+    re = ar * br
+    re -= ai * bi
+    im = ar * bi
+    im += ai * br
+    del ar, ai, br, bi
     np.negative(re, out=re, where=negate)
     np.negative(im, out=im, where=negate)
-    gamma = a | b
-    size = 1 << context.generators
+    del negate
     # bincount accumulates sequentially per bucket, identically to the loop;
-    # this order is load-bearing for bit-exactness with the dense oracle
-    buf_re = np.bincount(gamma, weights=re, minlength=size)
-    buf_im = np.bincount(gamma, weights=im, minlength=size)
+    # this order is load-bearing for bit-exactness with the dense oracle, so
+    # no pairwise-summing reduction (np.add.reduceat, np.sum) may replace it.
+    # Up to _FAST_PATH_MAX_GENERATORS the slots are every key below 2**N;
+    # beyond, they are the distinct output keys, sorted by np.unique.
+    dense = context.generators <= _FAST_PATH_MAX_GENERATORS
+    if dense:
+        slot, size = gamma.view(np.int64), 1 << context.generators
+    else:
+        keys, slot = np.unique(gamma, return_inverse=True)
+        size = len(keys)
+    del gamma
+    buf_re = np.bincount(slot, weights=re, minlength=size)
+    buf_im = np.bincount(slot, weights=im, minlength=size)
     hit = np.flatnonzero((buf_re != 0.0) | (buf_im != 0.0))
     # fill the parts separately: re + 1j*im would turn a -0.0 real part into +0.0
     values = np.empty(len(hit), dtype=complex)
     values.real = buf_re[hit]
     values.imag = buf_im[hit]
-    return dict(zip(hit.tolist(), values.tolist()))
+    return dict(zip((hit if dense else keys[hit]).tolist(), values.tolist()))
 
 
 def dagger(z: Supernumber) -> Supernumber:

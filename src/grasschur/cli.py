@@ -44,7 +44,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _context(args) -> AlgebraContext:
     base = {"generators": 8, "degree": 32, "tol_body": 1e-10, "tol_eq": 1e-9}
     if args.config is not None:
-        base.update(json.loads(args.config.read_text()))
+        config = _load(args.config)
+        if not isinstance(config, dict):
+            raise SerializationError(f"config {args.config} must hold an object")
+        base.update(config)
     if args.generators is not None:
         base["generators"] = args.generators
     if args.degree is not None:

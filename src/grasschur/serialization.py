@@ -70,9 +70,10 @@ def matrix_from_obj(obj: Any, context: AlgebraContext) -> SuperMatrix:
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
         entries = obj["entries"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SerializationError("a matrix needs rows, cols and entries") from exc
-    if len(entries) != rows or any(len(r) != cols for r in entries):
+    if (not isinstance(entries, list) or len(entries) != rows
+            or any(not isinstance(r, list) or len(r) != cols for r in entries)):
         raise SerializationError("entry grid does not match the declared shape")
     return SuperMatrix.from_rows(
         [[supernumber_from_obj(e, context) for e in row] for row in entries]
@@ -175,6 +176,8 @@ def interpolation_data_from_obj(obj: Any, context: AlgebraContext):
         values = obj["values"]
     except (KeyError, TypeError) as exc:
         raise SerializationError("interpolation data needs nodes and values") from exc
+    if not isinstance(nodes, list) or not isinstance(values, list):
+        raise SerializationError("interpolation nodes and values must be lists")
     nodes = tuple(supernumber_from_obj(z, context) for z in nodes)
     values = tuple(supernumber_from_obj(s, context) for s in values)
     try:
@@ -202,5 +205,5 @@ def config_from_obj(obj: Any) -> AlgebraContext:
             tol_eq=float(obj.get("tol_eq", 1e-9)),
             max_series_degree=int(obj.get("degree", 32)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SerializationError(str(exc)) from exc

@@ -152,6 +152,19 @@ def dense_terms(rng, gens, count):
     return {k: complex(re, im) for k, (re, im) in zip(keys, parts) if complex(re, im) != 0}
 
 
+def wide_terms(rng, gens, count, max_grade=4):
+    """``count`` distinct keys of grade <= max_grade, every fourth one holding the
+    last generator (so bit 63 at N=64); random coefficients, some parts -0.0."""
+    keys = set()
+    while len(keys) < count:
+        picked = rng.choice(gens - 1, size=rng.integers(0, max_grade), replace=False)
+        key = sum(1 << int(g) for g in picked)
+        keys.add(key | (1 << (gens - 1)) if len(keys) % 4 == 0 else key)
+    parts = rng.normal(size=(count, 2))
+    parts[rng.random(parts.shape) < 0.1] = -0.0
+    return {k: complex(re, im) for k, (re, im) in zip(sorted(keys), parts) if complex(re, im) != 0}
+
+
 def bitwise(terms):
     """Keys and coefficients as text: distinguishes -0.0 from 0.0, unlike ==."""
     return repr(list(terms.items()))
@@ -232,6 +245,73 @@ class TestMulFastPath:
         c = AlgebraContext(generators=16)
         theta = Supernumber(c, {1 << k: complex(*rng.normal(size=2)) for k in range(16)})
         assert mul(theta, theta).terms == {}
+
+    @pytest.mark.parametrize("gens", [17, 32, 63, 64])
+    def test_contexts_above_16_bitwise(self, gens, rng):
+        from grasschur.algebra import _mul_vectorized
+
+        c = AlgebraContext(generators=gens)
+        for _ in range(10):
+            z, w = wide_terms(rng, gens, 96), wide_terms(rng, gens, 96)
+            assert max(z) >> (gens - 1) and max(w) >> (gens - 1)
+            assert bitwise(_mul_vectorized(c, z, w)) == bitwise(scalar_product(z, w))
+
+    @pytest.mark.parametrize("gens,count,max_grade", [(12, 512, 12), (64, 320, 4)])
+    def test_products_of_several_bands_bitwise(self, gens, count, max_grade, rng):
+        # over 2**16 key pairs: the disjoint pairs are gathered a band of rows at a time
+        from grasschur.algebra import _mul_vectorized
+
+        c = AlgebraContext(generators=gens)
+        for _ in range(2):
+            z, w = (wide_terms(rng, gens, count, max_grade) for _ in range(2))
+            assert len(z) * len(w) > 1 << 16
+            assert bitwise(_mul_vectorized(c, z, w)) == bitwise(scalar_product(z, w))
+
+    @pytest.mark.parametrize("left,right", [(1, 256), (256, 1)])
+    def test_lopsided_operands_bitwise_n64(self, left, right, rng):
+        from grasschur.algebra import _mul_vectorized
+
+        c = AlgebraContext(generators=64)
+        for _ in range(20):
+            z, w = wide_terms(rng, 64, left), wide_terms(rng, 64, right)
+            assert bitwise(_mul_vectorized(c, z, w)) == bitwise(scalar_product(z, w))
+
+    def test_signed_zero_parts_bitwise_n64(self, rng):
+        from grasschur.algebra import _mul_vectorized
+
+        c = AlgebraContext(generators=64)
+        signs = [(-0.0, 1.0), (1.0, -0.0), (-1.0, -0.0), (-0.0, -1.0)]
+        z = {k: complex(*signs[i % 4]) for i, k in enumerate(sorted(wide_terms(rng, 64, 24)))}
+        w = {k: complex(*signs[i % 3]) for i, k in enumerate(sorted(wide_terms(rng, 64, 24)))}
+        assert bitwise(_mul_vectorized(c, z, w)) == bitwise(scalar_product(z, w))
+
+    def test_sign_parity_random_n64(self, rng):
+        from grasschur.algebra import _mul_vectorized
+
+        c = AlgebraContext(generators=64)
+        for a in rng.integers(0, 1 << 64, size=200, dtype=np.uint64).tolist():
+            right = sorted({b & ~a for b in
+                            rng.integers(0, 1 << 64, size=64, dtype=np.uint64).tolist()})
+            expected = {a | b: (-1 if merge_swap_count(a, b) & 1 else 1) + 0j for b in right}
+            assert _mul_vectorized(c, {a: 1 + 0j}, {b: 1 + 0j for b in right}) == expected
+
+    def test_exact_cancellation_leaves_no_zero_terms_n64(self, rng):
+        c = AlgebraContext(generators=64)
+        theta = Supernumber(c, {1 << k: complex(*rng.normal(size=2)) for k in range(64)})
+        assert mul(theta, theta).terms == {}
+
+    def test_kernel_results_are_canonical_n64(self, rng):
+        c = AlgebraContext(generators=64)
+        z, w = Supernumber(c, wide_terms(rng, 64, 48)), Supernumber(c, wide_terms(rng, 64, 40))
+        out = mul(z, w)
+        terms = out.terms
+        assert len(z.terms) * len(w.terms) >= 192 and max(terms) >> 63
+        assert list(terms) == sorted(terms)
+        assert all(type(k) is int for k in terms)
+        assert all(type(v) is complex and v != 0 for v in terms.values())
+        public = Supernumber(c, terms)
+        assert out == public and hash(out) == hash(public)
+        assert bitwise(out.terms) == bitwise(public.terms)
 
 
 class TestDagger:

@@ -101,6 +101,17 @@ class TestAlgebraCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error[serialization-error]")
 
+    @pytest.mark.parametrize("text", ['[{"generators": 4}]', '{"generators": 4',
+                                      '{"generators": [4]}', '{"generators": 1e400}',
+                                      '{"tol_body": NaN}'])
+    def test_malformed_config_exit_code(self, text, ctx, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        z_file = write(tmp_path / "z.json", supernumber_to_obj(ctx.scalar(2.0)))
+        assert main(["algebra", "classify", "--in", z_file, "--config", str(config)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[serialization-error]")
+
 
 class TestToeplitzCommand:
     def test_extend_and_verify(self, ctx, tmp_path):
@@ -160,6 +171,13 @@ class TestNPCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error[serialization-error]")
 
+    def test_nodes_not_a_list_exit_code(self, ctx, tmp_path, capsys):
+        data = write(tmp_path / "d.json",
+                     {"nodes": 5, "values": [supernumber_to_obj(ctx.scalar(0.1))]})
+        assert main(["np", "solve", "--data", data]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[serialization-error]")
+
 
 class TestSchurCommand:
     def test_run_chain_matches_oracle(self, ctx, tmp_path):
@@ -212,3 +230,16 @@ class TestThetaCommand:
             tmp_path)
         assert got["theta"]["degree"] == 32
         assert got["P"]["rows"] == 1
+
+    @pytest.mark.parametrize("rows,entries",
+                             [("abc", [[[]]]), (float("inf"), [[[]]]), (1, 5), (1, [5])])
+    def test_malformed_matrix_exit_code(self, rows, entries, ctx, tmp_path, capsys):
+        from grasschur import SuperMatrix
+
+        c_file = tmp_path / "c.json"
+        c_file.write_text(json.dumps({"rows": rows, "cols": 1, "entries": entries}))  # inf allowed
+        a_file = write(tmp_path / "a.json", matrix_to_obj(SuperMatrix.from_body(ctx, [[0.4]])))
+        j_file = write(tmp_path / "j.json", matrix_to_obj(SuperMatrix.from_body(ctx, [[1.0]])))
+        assert main(["theta", "build", "--C", str(c_file), "--A", a_file, "--J", j_file]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[serialization-error]")
