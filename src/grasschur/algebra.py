@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .errors import BodyZero, BranchCut, ContextMismatch
+from .errors import BodyZero, BranchCut, ContextMismatch, DomainViolation
 
 # A multi-index is an int bit set over generator slots 1..64.
 MultiIndex = int
@@ -106,8 +106,8 @@ class AlgebraContext:
     def __post_init__(self):
         if not 1 <= self.generators <= 64:
             raise ValueError(f"generator count must be in 1..64, got {self.generators}")
-        if not (self.tol_body > 0 and self.tol_eq > 0):  # NaN fails too
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.tol_body < math.inf and 0 < self.tol_eq < math.inf):  # NaN fails too
+            raise ValueError("tolerances must be positive and finite")
         if self.max_series_degree < 0:
             raise ValueError("max_series_degree must be nonnegative")
 
@@ -501,10 +501,11 @@ def kth_root(z: Supernumber, k: int) -> Supernumber:
     """Principal k-th root: w with w**k = z, via the binomial series in z_S/z_B.
 
     Only the principal branch is offered; a body on the negative real axis
-    raises BranchCut.  A superpositive input yields a superreal root.
+    raises BranchCut, and a root order below 2 DomainViolation.  A
+    superpositive input yields a superreal root.
     """
     if not isinstance(k, int) or k < 2:
-        raise ValueError(f"root order must be an integer >= 2, got {k}")
+        raise DomainViolation(f"root order must be an integer >= 2, got {k}")
     context = z.context
     body = z.body
     if abs(body) <= context.tol_body:

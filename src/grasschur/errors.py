@@ -37,7 +37,8 @@ class BranchCut(GrasschurError):
 
 
 class DomainViolation(GrasschurError):
-    """A derivative oracle refused the requested expansion point."""
+    """An argument lies outside a function's domain: a root order below 2, or
+    an expansion point a derivative oracle refused."""
 
     code = "domain-violation"
 

@@ -291,6 +291,45 @@ def mat_invert(m: SuperMatrix) -> SuperMatrix:
     return mat_mul(acc, body_inv)
 
 
+def sandwich_solve(l: SuperMatrix, q: SuperMatrix, r: SuperMatrix) -> SuperMatrix:
+    """The X with X - L X R = Q (that is, sum_n L^n Q R^n when it converges).
+
+    Complex matrices commute with every generator, so the body map
+    X -> X - L_B X R_B acts on each monomial's coefficients as one complex
+    system K = I - L_B ⊗ R_Bᵀ (row-major vec).  The remainder
+    T(X) = L_S X R + L_B X R_S raises the grade, so
+    X = sum_k (K⁻¹T)^k K⁻¹Q ends after at most N soul steps, as in
+    mat_invert.  Requires K invertible (smallest singular value above
+    tol_body), else BodySingular.
+    """
+    if l.rows != l.cols or r.rows != r.cols or q.shape != (l.rows, r.rows):
+        raise ShapeMismatch(f"cannot solve X - LXR = Q for L {l.shape}, Q {q.shape}, R {r.shape}")
+    context = q.context
+    rows, cols = q.shape
+    l_body = l.body()
+    k = np.eye(rows * cols) - np.kron(l_body, r.body().T)
+    svals = np.linalg.svd(k, compute_uv=False)
+    if svals[-1] <= context.tol_body * max(1.0, svals[0]):
+        raise BodySingular(f"smallest singular value of I - L_B ⊗ R_Bᵀ is {svals[-1]:.3e}")
+    k_inv = np.linalg.inv(k)
+
+    def body_solve(y: SuperMatrix) -> SuperMatrix:
+        flat = [e for row in y.entries() for e in row]
+        return SuperMatrix([[linear_combine(zip(k_inv[i * cols + j], flat)) for j in range(cols)]
+                            for i in range(rows)])
+
+    l_b = SuperMatrix.from_body(context, l_body)
+    l_s, r_s = l.soul(), r.soul()
+    term = body_solve(q)
+    total = term
+    for _ in range(context.generators):
+        term = body_solve(mat_mul(l_s, mat_mul(term, r)) + mat_mul(l_b, mat_mul(term, r_s)))
+        if term.is_zero():
+            break
+        total = total + term
+    return total
+
+
 @dataclass(frozen=True)
 class PositivityReport:
     """Outcome of a super-positivity test with the failing condition recorded."""

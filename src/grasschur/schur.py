@@ -32,8 +32,16 @@ from .errors import (
     SteinViolated,
     StepSingular,
 )
-from .matrix import SuperMatrix, adjoint, is_supernonnegative, is_superpositive, mat_invert, mat_mul
-from .realization import Realization, _check_signature
+from .matrix import (
+    SuperMatrix,
+    adjoint,
+    is_supernonnegative,
+    is_superpositive,
+    mat_invert,
+    mat_mul,
+    sandwich_solve,
+)
+from .realization import Realization, _check_signature, to_series
 from .series import SeriesMatrix, backward_shift, evaluate, star_inverse, star_mul
 
 _SELFADJOINT_TOL = 1e-12
@@ -44,36 +52,16 @@ _SELFADJOINT_TOL = 1e-12
 # ---------------------------------------------------------------------------
 
 
-def geometric_sandwich_sum(x: Supernumber, u, y: Supernumber, *, tol: float | None = None,
-                           max_terms: int = 5000):
-    """sum_n x^n u y^n for a supernumber or supermatrix middle factor.
+def geometric_sandwich_sum(x: Supernumber, u: Supernumber, y: Supernumber) -> Supernumber:
+    """sum_n x^n u y^n, solved exactly as the X with X - x X y = u.
 
-    Converges when |x_B||y_B| < 1 (soul corrections are polynomial-in-n times
-    geometric); iteration stops once several consecutive terms fall below the
-    tolerance envelope.
+    Converges when |x_B||y_B| < 1, else NotConvergent.
     """
-    context = x.context
-    tol = context.tol_eq * 1e-2 if tol is None else tol
     ratio = abs(x.body) * abs(y.body)
     if ratio >= 1.0:
         raise NotConvergent(f"|x_B||y_B| = {ratio:.6f} >= 1")
-    stop = tol * (1.0 - ratio)
-    term = u
-    total = u
-    quiet = 0
-    for _ in range(max_terms):
-        if isinstance(term, SuperMatrix):
-            term = term.scale_left(x).scale_right(y)
-        else:
-            term = mul(mul(x, term), y)
-        total = total + term
-        if term.norm1() <= stop:
-            quiet += 1
-            if quiet >= 3:
-                return total
-        else:
-            quiet = 0
-    raise NotConvergent(f"geometric sum did not settle in {max_terms} terms")
+    return sandwich_solve(SuperMatrix.from_scalar(x), SuperMatrix.from_scalar(u),
+                          SuperMatrix.from_scalar(y))[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -137,25 +125,18 @@ def kyp_check(r: Realization, h: SuperMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def stein_solve(c: SuperMatrix, a: SuperMatrix, j: SuperMatrix, *, max_iterations: int = 5000) -> SuperMatrix:
-    """Fixed point of P = C*JC + A*PA (needs body spectral radius of A below 1).
+def stein_solve(c: SuperMatrix, a: SuperMatrix, j: SuperMatrix) -> SuperMatrix:
+    """The P with P - A*PA = C*JC, that is P = sum_n (A*)^n C*JC A^n.
 
-    The returned P is self-adjoint with Stein residual below tol_eq.
+    Solved exactly by sandwich_solve: a body solve plus at most N soul steps,
+    with no truncation.  Needs the body spectral radius of A below 1, else
+    NotConvergent.
     """
     context = a.context
     radius = float(np.abs(np.linalg.eigvals(a.body())).max()) if a.rows else 0.0
     if radius >= 1.0 - context.tol_body:
         raise NotConvergent(f"body spectral radius {radius:.6f} not below 1")
-    cjc = mat_mul(adjoint(c), mat_mul(j, c))
-    p = cjc
-    # iterate well below tol_eq: downstream identities divide by P
-    tol = 2.5e-4 * context.tol_eq * max(1.0, cjc.norm1())
-    for _ in range(max_iterations):
-        p_next = cjc + mat_mul(adjoint(a), mat_mul(p, a))
-        if (p_next - p).norm1() <= tol:
-            return p_next
-        p = p_next
-    raise NotConvergent("Stein fixed point did not converge")
+    return sandwich_solve(adjoint(a), mat_mul(adjoint(c), mat_mul(j, c)), a)
 
 
 def stein_residual(p: SuperMatrix, c: SuperMatrix, a: SuperMatrix, j: SuperMatrix) -> float:
@@ -178,12 +159,7 @@ class ThetaFunction:
 
     def normalization(self) -> SuperMatrix:
         """K = P^{-1} (I-A)^{-*} C* J (the constant right factor of Theta)."""
-        context = self.context
-        eye = SuperMatrix.identity(context, self.a.rows)
-        return mat_mul(
-            mat_invert(self.p),
-            mat_mul(mat_invert(adjoint(eye - self.a)), mat_mul(adjoint(self.c), self.j)),
-        )
+        return _normalization(self.c, self.a, self.p, self.j)
 
     def eval_at(self, z: Supernumber) -> SuperMatrix:
         """Exact rational value at a central (even) argument."""
@@ -226,25 +202,23 @@ def build_theta(
     residual = stein_residual(p, c, a, j)
     if residual > context.tol_eq * max(1.0, p.norm1()):
         raise SteinViolated(f"Stein residual {residual:.3e}")
-    theta = ThetaFunction(series=_theta_series(c, a, p, j, degree), c=c, a=a, p=p, j=j)
+    series = to_series(_theta_realization(c, a, _normalization(c, a, p, j)), degree)
+    theta = ThetaFunction(series=series, c=c, a=a, p=p, j=j)
     if verify_samples:
         _verify_kernel_identity(theta, verify_samples, rng)
     return theta
 
 
-def _theta_series(c, a, p, j, degree):
+def _normalization(c: SuperMatrix, a: SuperMatrix, p: SuperMatrix, j: SuperMatrix) -> SuperMatrix:
+    eye = SuperMatrix.identity(c.context, a.rows)
+    return mat_mul(mat_invert(p), mat_mul(mat_invert(adjoint(eye - a)), mat_mul(adjoint(c), j)))
+
+
+def _theta_realization(c: SuperMatrix, a: SuperMatrix, k: SuperMatrix) -> Realization:
     context = c.context
-    degree = context.max_series_degree if degree is None else degree
     eye_q = SuperMatrix.identity(context, a.rows)
-    k = mat_mul(mat_invert(p), mat_mul(mat_invert(adjoint(eye_q - a)), mat_mul(adjoint(c), j)))
     eye_p = SuperMatrix.identity(context, c.rows)
-    coeffs = [eye_p - mat_mul(c, k)]
-    step = mat_mul(eye_q - a, k)
-    power = step  # A^{n-1} (I-A) K, accumulated
-    for n in range(1, degree + 1):
-        coeffs.append(mat_mul(c, power))
-        power = mat_mul(a, power)
-    return SeriesMatrix(tuple(coeffs), exact=False)
+    return Realization(a=a, b=mat_mul(eye_q - a, k), c=c, d=eye_p - mat_mul(c, k))
 
 
 def theta_realization(theta: ThetaFunction) -> Realization:
@@ -252,16 +226,7 @@ def theta_realization(theta: ThetaFunction) -> Realization:
 
     Matches the series coefficient by coefficient: Theta_n = C A^{n-1} (I-A) K.
     """
-    context = theta.context
-    k = theta.normalization()
-    eye_q = SuperMatrix.identity(context, theta.a.rows)
-    eye_p = SuperMatrix.identity(context, theta.series.shape[0])
-    return Realization(
-        a=theta.a,
-        b=mat_mul(eye_q - theta.a, k),
-        c=theta.c,
-        d=eye_p - mat_mul(theta.c, k),
-    )
+    return _theta_realization(theta.c, theta.a, theta.normalization())
 
 
 def kernel_identity_residual(theta: ThetaFunction, z: Supernumber, w: Supernumber) -> float:
@@ -341,33 +306,26 @@ class InterpolationData:
 
 
 def pick_matrix(data: InterpolationData) -> SuperMatrix:
-    """P_jk = sum_n z_j^n (1 - s_j s_k†) (z_k†)^n, cross-checked against Stein.
+    """P_jk = sum_n z_j^n (1 - s_j s_k†) (z_k†)^n, with a Stein-residual certificate.
 
-    The direct series and the Stein fixed point are two independent routes to
-    the same matrix; disagreement raises SteinViolated.
+    P is the exact stein_solve solution of P - A*PA = C*JC for the data's
+    state matrix A, output matrix C and signature J; a Stein residual above
+    tol_eq (relative to P) raises SteinViolated.
     """
-    context = data.context
-    n = data.size
-    entries = []
-    for jj in range(n):
-        row = []
-        for kk in range(n):
-            u = context.one() - mul(data.values[jj], dagger(data.values[kk]))
-            row.append(geometric_sandwich_sum(data.nodes[jj], u, dagger(data.nodes[kk])))
-        entries.append(row)
-    direct = SuperMatrix.from_rows(entries)
-    via_stein = stein_solve(data.output_matrix(), data.state_matrix(), data.signature())
-    gap = (direct - via_stein).norm1()
-    if gap > context.tol_eq * max(1.0, direct.norm1()):
-        raise SteinViolated(f"pick matrix routes disagree by {gap:.3e}")
-    return direct
+    c, a, j = data.output_matrix(), data.state_matrix(), data.signature()
+    p = stein_solve(c, a, j)
+    residual = stein_residual(p, c, a, j)
+    if residual > data.context.tol_eq * max(1.0, p.norm1()):
+        raise SteinViolated(f"Stein residual {residual:.3e}")
+    return p
 
 
 def np_node_residuals(data: InterpolationData, theta: ThetaFunction) -> list[float]:
     """Residual norms of (1, -s_k) ⋆ Theta(z) at z = z_k, one per node.
 
-    Evaluated through convergent row sums (the k-th Pick row), so the check is
-    truncation-free.
+    The k-th Pick row is rebuilt from the data, entry by entry, through exact
+    geometric_sandwich_sum solves, so the check is truncation-free and does
+    not reuse theta's P.
     """
     context = data.context
     k = theta.normalization()
@@ -615,34 +573,9 @@ class BlaschkeFactor:
         return mul(invert(self.p), mul(invert(dagger(one - self.a)), dagger(self.c)))
 
     def eval_at(self, z: Supernumber) -> Supernumber:
-        """Convergent evaluation (needs |z_B||a_B| < 1): 1 - (1-z) sum z^n c a^n k."""
-        context = self.context
-        k = self._tail_factor()
-        # terms t_n = z^n (c a^n k): iterate both powers explicitly
-        tol = context.tol_eq * 1e-3
-        ratio = abs(z.body) * abs(self.a.body)
-        if ratio >= 1.0:
-            raise NotConvergent(f"|z_B||a_B| = {ratio:.6f} >= 1")
-        stop = tol * (1.0 - ratio)
-        zpow = context.one()
-        apow = context.one()
-        total = mul(self.c, k)
-        quiet = 0
-        for _ in range(5000):
-            zpow = mul(zpow, z)
-            apow = mul(apow, self.a)
-            term = mul(zpow, mul(self.c, mul(apow, k)))
-            total = total + term
-            if term.norm1() <= stop:
-                quiet += 1
-                if quiet >= 3:
-                    break
-            else:
-                quiet = 0
-        else:
-            raise NotConvergent("Blaschke evaluation did not settle")
-        one = context.one()
-        return one - total + mul(z, total)
+        """Exact evaluation (needs |z_B||a_B| < 1): 1 - (1-z) sum z^n c a^n k."""
+        total = mul(geometric_sandwich_sum(z, self.c, self.a), self._tail_factor())
+        return self.context.one() - total + mul(z, total)
 
     def zero_residual(self) -> float:
         """|b_a(omega)| as a 1-norm; the defining vanishing property."""
@@ -771,42 +704,17 @@ def h_theta_kernel(theta: ThetaFunction, w: Supernumber, xi: SuperMatrix,
                    degree: int | None = None) -> SeriesMatrix:
     """K_{H(Theta)}(., w) xi via the resolvent form of the kernel identity.
 
-    Coefficient n is C A^n P^{-1} V with V = sum_m (A*)^m C* (w†)^m xi.
+    Coefficient n is C A^n P^{-1} V with V = sum_m (A*)^m C* (w†)^m xi = Y xi,
+    where Y - A* Y (w† I) = C* is solved exactly by sandwich_solve.
     """
-    context = theta.context
-    degree = context.max_series_degree if degree is None else degree
-    cstar = adjoint(theta.c)
-    astar = adjoint(theta.a)
-    wd = dagger(w)
     ratio = abs(w.body) * float(np.abs(np.linalg.eigvals(theta.a.body())).max())
     if ratio >= 1.0:
         raise NotConvergent("the kernel sum needs |w_B| rho(A_B) < 1")
-    stop = context.tol_eq * 1e-3 * (1.0 - ratio)
-    v = mat_mul(cstar, xi)
-    term = v
-    astar_pow = astar
-    wd_pow = wd
-    quiet = 0
-    for _ in range(5000):
-        term = mat_mul(astar_pow, mat_mul(cstar, xi.scale_left(wd_pow)))
-        v = v + term
-        astar_pow = mat_mul(astar_pow, astar)
-        wd_pow = mul(wd_pow, wd)
-        if term.norm1() <= stop:
-            quiet += 1
-            if quiet >= 3:
-                break
-        else:
-            quiet = 0
-    else:
-        raise NotConvergent("kernel sum did not settle")
-    pinv_v = mat_mul(mat_invert(theta.p), v)
-    coeffs = []
-    state = pinv_v
-    for n in range(degree + 1):
-        coeffs.append(mat_mul(theta.c, state))
-        state = mat_mul(theta.a, state)
-    return SeriesMatrix(tuple(coeffs), exact=False)
+    wd = SuperMatrix.diagonal([dagger(w)] * theta.c.rows)
+    y = sandwich_solve(adjoint(theta.a), adjoint(theta.c), wd)
+    pinv_v = mat_mul(mat_invert(theta.p), mat_mul(y, xi))
+    return to_series(Realization(theta.a, mat_mul(theta.a, pinv_v), theta.c, mat_mul(theta.c, pinv_v)),
+                     degree)
 
 
 def kernel_decomposition_residual(theta: ThetaFunction, w: Supernumber, xi: SuperMatrix,
@@ -850,18 +758,11 @@ def module_interpolate(c: SuperMatrix, a: SuperMatrix, x: SuperMatrix,
     P solves P - A*PA = C*C; the particular solution is
     F_min = sum z^n C A^n P^{-1} X and the homogeneous freedom is Theta ⋆ h.
     """
-    context = c.context
-    degree = context.max_series_degree if degree is None else degree
-    eye_p = SuperMatrix.identity(context, c.rows)
+    eye_p = SuperMatrix.identity(c.context, c.rows)
     p = stein_solve(c, a, eye_p)
     theta = build_theta(c, a, p, eye_p, degree, verify_samples=0)
     pinv_x = mat_mul(mat_invert(p), x)
-    coeffs = []
-    state = pinv_x
-    for _ in range(degree + 1):
-        coeffs.append(mat_mul(c, state))
-        state = mat_mul(a, state)
-    minimal = SeriesMatrix(tuple(coeffs), exact=False)
+    minimal = to_series(Realization(a, mat_mul(a, pinv_x), c, mat_mul(c, pinv_x)), degree)
     series = minimal if h is None else minimal + star_mul(theta.series, h)
     return ModuleInterpolation(series=series, minimal=minimal, theta=theta)
 

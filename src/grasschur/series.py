@@ -198,15 +198,6 @@ def star_mul(f: SeriesMatrix, g: SeriesMatrix) -> SeriesMatrix:
     return SeriesMatrix(tuple(out), exact=exact)
 
 
-def star_mul_right(f: SeriesMatrix, g: SeriesMatrix) -> SeriesMatrix:
-    """Cauchy product for right-sided series (powers right of coefficients).
-
-    The coefficient recurrence is the same convolution sum_u f_u g_{n-u};
-    only evaluation places the powers on the other side (evaluate_right).
-    """
-    return star_mul(f, g)
-
-
 def star_inverse(f: SeriesMatrix) -> SeriesMatrix:
     """Two-sided star inverse; needs an invertible constant term.
 
@@ -233,14 +224,11 @@ def star_inverse(f: SeriesMatrix) -> SeriesMatrix:
     return SeriesMatrix(tuple(out), exact=False)
 
 
-def resolvent(a: SuperMatrix, degree: int | None = None, side: str = "left") -> SeriesMatrix:
+def resolvent(a: SuperMatrix, degree: int | None = None) -> SeriesMatrix:
     """(I - zA)^{-star} = sum_n z^n A^n through the requested degree.
 
-    The coefficient sequence is the same for the left and right conventions;
-    ``side`` only documents the intended evaluation.
+    The coefficient sequence is the same for the left and right conventions.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     if a.rows != a.cols:
         raise ShapeMismatch("resolvent needs a square matrix")
     context = a.context

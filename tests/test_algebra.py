@@ -165,9 +165,21 @@ def wide_terms(rng, gens, count, max_grade=4):
     return {k: complex(re, im) for k, (re, im) in zip(sorted(keys), parts) if complex(re, im) != 0}
 
 
-def bitwise(terms):
-    """Keys and coefficients as text: distinguishes -0.0 from 0.0, unlike ==."""
-    return repr(list(terms.items()))
+def assert_bitwise_equal(got, want):
+    """Exact equality of two term maps: the same keys in the same order, and the
+    same ``repr`` for every coefficient, so -0.0 differs from 0.0 (unlike ==).
+
+    Reports the first difference instead of leaving pytest to diff the maps,
+    which takes minutes on large products.
+    """
+    if list(got) != list(want):
+        missing = sorted(set(want) - set(got))[:3]
+        extra = sorted(set(got) - set(want))[:3]
+        pytest.fail(f"key lists differ ({len(got)} against {len(want)} keys): "
+                    f"missing {missing}, extra {extra}")
+    for key, value in got.items():
+        if repr(value) != repr(want[key]):
+            pytest.fail(f"key {key}: {value!r} != {want[key]!r}")
 
 
 class TestMulFastPath:
@@ -208,7 +220,7 @@ class TestMulFastPath:
         c = AlgebraContext(generators=8)
         for _ in range(3):
             z, w = dense_terms(rng, 8, 255), dense_terms(rng, 8, 255)
-            assert bitwise(_mul_vectorized(c, z, w)) == bitwise(scalar_product(z, w))
+            assert_bitwise_equal(_mul_vectorized(c, z, w), scalar_product(z, w))
 
     @pytest.mark.parametrize("left,right", [(1, 256), (256, 1)])
     def test_lopsided_operands_bitwise(self, left, right, rng):
@@ -217,7 +229,7 @@ class TestMulFastPath:
         c = AlgebraContext(generators=8)
         for _ in range(20):
             z, w = dense_terms(rng, 8, left), dense_terms(rng, 8, right)
-            assert bitwise(_mul_vectorized(c, z, w)) == bitwise(scalar_product(z, w))
+            assert_bitwise_equal(_mul_vectorized(c, z, w), scalar_product(z, w))
 
     @pytest.mark.parametrize("gens", [10, 12, 16])
     def test_wide_contexts_bitwise(self, gens, rng):
@@ -226,7 +238,7 @@ class TestMulFastPath:
         c = AlgebraContext(generators=gens)
         for _ in range(10):
             z, w = dense_terms(rng, gens, 96), dense_terms(rng, gens, 96)
-            assert bitwise(_mul_vectorized(c, z, w)) == bitwise(scalar_product(z, w))
+            assert_bitwise_equal(_mul_vectorized(c, z, w), scalar_product(z, w))
 
     def test_kernel_results_are_canonical(self, ctx, rng):
         z = Supernumber(ctx, dense_terms(rng, 8, 255))
@@ -238,7 +250,7 @@ class TestMulFastPath:
             assert all(type(v) is complex and v != 0 for v in terms.values())
             public = Supernumber(ctx, terms)
             assert out == public and hash(out) == hash(public)
-            assert bitwise(out.terms) == bitwise(public.terms)
+            assert_bitwise_equal(out.terms, public.terms)
 
     def test_exact_cancellation_leaves_no_zero_terms(self, rng):
         # an odd element squares to zero: the (a, b) and (b, a) products cancel exactly
@@ -254,7 +266,7 @@ class TestMulFastPath:
         for _ in range(10):
             z, w = wide_terms(rng, gens, 96), wide_terms(rng, gens, 96)
             assert max(z) >> (gens - 1) and max(w) >> (gens - 1)
-            assert bitwise(_mul_vectorized(c, z, w)) == bitwise(scalar_product(z, w))
+            assert_bitwise_equal(_mul_vectorized(c, z, w), scalar_product(z, w))
 
     @pytest.mark.parametrize("gens,count,max_grade", [(12, 512, 12), (64, 320, 4)])
     def test_products_of_several_bands_bitwise(self, gens, count, max_grade, rng):
@@ -265,7 +277,7 @@ class TestMulFastPath:
         for _ in range(2):
             z, w = (wide_terms(rng, gens, count, max_grade) for _ in range(2))
             assert len(z) * len(w) > 1 << 16
-            assert bitwise(_mul_vectorized(c, z, w)) == bitwise(scalar_product(z, w))
+            assert_bitwise_equal(_mul_vectorized(c, z, w), scalar_product(z, w))
 
     @pytest.mark.parametrize("left,right", [(1, 256), (256, 1)])
     def test_lopsided_operands_bitwise_n64(self, left, right, rng):
@@ -274,7 +286,7 @@ class TestMulFastPath:
         c = AlgebraContext(generators=64)
         for _ in range(20):
             z, w = wide_terms(rng, 64, left), wide_terms(rng, 64, right)
-            assert bitwise(_mul_vectorized(c, z, w)) == bitwise(scalar_product(z, w))
+            assert_bitwise_equal(_mul_vectorized(c, z, w), scalar_product(z, w))
 
     def test_signed_zero_parts_bitwise_n64(self, rng):
         from grasschur.algebra import _mul_vectorized
@@ -283,7 +295,7 @@ class TestMulFastPath:
         signs = [(-0.0, 1.0), (1.0, -0.0), (-1.0, -0.0), (-0.0, -1.0)]
         z = {k: complex(*signs[i % 4]) for i, k in enumerate(sorted(wide_terms(rng, 64, 24)))}
         w = {k: complex(*signs[i % 3]) for i, k in enumerate(sorted(wide_terms(rng, 64, 24)))}
-        assert bitwise(_mul_vectorized(c, z, w)) == bitwise(scalar_product(z, w))
+        assert_bitwise_equal(_mul_vectorized(c, z, w), scalar_product(z, w))
 
     def test_sign_parity_random_n64(self, rng):
         from grasschur.algebra import _mul_vectorized
@@ -311,7 +323,7 @@ class TestMulFastPath:
         assert all(type(v) is complex and v != 0 for v in terms.values())
         public = Supernumber(c, terms)
         assert out == public and hash(out) == hash(public)
-        assert bitwise(out.terms) == bitwise(public.terms)
+        assert_bitwise_equal(out.terms, public.terms)
 
 
 class TestDagger:

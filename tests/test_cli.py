@@ -103,7 +103,7 @@ class TestAlgebraCommands:
 
     @pytest.mark.parametrize("text", ['[{"generators": 4}]', '{"generators": 4',
                                       '{"generators": [4]}', '{"generators": 1e400}',
-                                      '{"tol_body": NaN}'])
+                                      '{"tol_body": NaN}', '{"tol_eq": 1e400}'])
     def test_malformed_config_exit_code(self, text, ctx, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(text)
@@ -111,6 +111,20 @@ class TestAlgebraCommands:
         assert main(["algebra", "classify", "--in", z_file, "--config", str(config)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error[serialization-error]")
+
+    @pytest.mark.parametrize("flag", ["--tol-eq", "--tol-body"])
+    def test_infinite_tolerance_flag_exit_code(self, flag, ctx, tmp_path, capsys):
+        z_file = write(tmp_path / "z.json", supernumber_to_obj(ctx.scalar(2.0)))
+        assert main(["algebra", "classify", "--in", z_file, flag, "inf"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[serialization-error]")
+
+    @pytest.mark.parametrize("k", ["1", "0", "-3"])
+    def test_sqrt_order_below_two_exit_code(self, k, ctx, tmp_path, capsys):
+        z_file = write(tmp_path / "z.json", supernumber_to_obj(ctx.scalar(2.0)))
+        assert main(["algebra", "sqrt", "--in", z_file, "--k", k]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[domain-violation]")
 
 
 class TestToeplitzCommand:

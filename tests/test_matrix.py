@@ -18,6 +18,7 @@ from grasschur import (
     quadratic_form,
 )
 from grasschur.errors import BodySingular, NotRegular, NotSuperpositive, ShapeMismatch
+from grasschur.matrix import sandwich_solve
 from grasschur.sampling import (
     random_soul,
     random_supermatrix,
@@ -149,6 +150,34 @@ class TestInvert:
         m = SuperMatrix.from_body(ctx, np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(BodySingular):
             mat_invert(m)
+
+
+class TestSandwichSolve:
+    def test_matches_term_by_term_sum_non_square(self, ctx, rng):
+        for _ in range(3):
+            l = SuperMatrix.from_body(ctx, 0.3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))))
+            l = l + random_supermatrix(ctx, rng, 2, 2, body=0.0, scale=0.2, terms=3)
+            r = SuperMatrix.from_body(ctx, 0.3 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))))
+            r = r + random_supermatrix(ctx, rng, 3, 3, body=0.0, scale=0.2, terms=3)
+            q = random_supermatrix(ctx, rng, 2, 3, terms=3)
+            x = sandwich_solve(l, q, r)
+            total, term = q, q
+            for _ in range(150):
+                term = mat_mul(l, mat_mul(term, r))
+                total = total + term
+            assert residual(x, total) <= 1e-12 * max(1.0, x.norm1())
+            assert residual(x - mat_mul(l, mat_mul(x, r)), q) <= 1e-13 * max(1.0, x.norm1())
+
+    def test_eigenvalue_product_one_is_body_singular(self, ctx):
+        l = SuperMatrix.diagonal([ctx.scalar(2.0) + ctx.generator(1), ctx.scalar(0.3)])
+        r = SuperMatrix.from_scalar(ctx.scalar(0.5))
+        with pytest.raises(BodySingular):
+            sandwich_solve(l, SuperMatrix.column([ctx.one(), ctx.one()]), r)
+
+    def test_shape_mismatch(self, ctx):
+        eye = SuperMatrix.identity(ctx, 2)
+        with pytest.raises(ShapeMismatch):
+            sandwich_solve(eye, SuperMatrix.zeros(ctx, 3, 2), eye)
 
 
 class TestPositivity:

@@ -8,6 +8,7 @@ from grasschur.errors import (
     HNotNegative,
     IsotropyViolated,
     NodeOutsideSuperdisk,
+    NotConvergent,
     NotUnimodular,
     RhoNotContractive,
     SteinViolated,
@@ -163,6 +164,16 @@ class TestStein:
         assert stein_residual(p, c, a, j) <= 1e-9 * max(1.0, p.norm1())
         assert (p - adjoint(p)).norm1() <= 1e-10 * max(1.0, p.norm1())
 
+    def test_spectral_radius_near_one_is_exact(self, ctx, rng):
+        c, a, p, j = random_stein_data(ctx, rng, spectral=0.99)
+        assert stein_residual(p, c, a, j) <= 1e-14 * p.norm1()
+
+    def test_spectral_radius_one_not_convergent(self, ctx, rng):
+        c = random_supermatrix(ctx, rng, 2, 2, terms=2)
+        a = SuperMatrix.diagonal([ctx.scalar(1.0) + ctx.generator(1), ctx.scalar(0.3)])
+        with pytest.raises(NotConvergent):
+            stein_solve(c, a, SuperMatrix.identity(ctx, 2))
+
 
 class TestBuildTheta:
     def test_zero_c_gives_identity(self, ctx):
@@ -219,6 +230,16 @@ class TestPickMatrix:
         p = pick_matrix(data)
         res = stein_residual(p, data.output_matrix(), data.state_matrix(), data.signature())
         assert res <= 1e-8 * max(1.0, p.norm1())
+
+    def test_equals_entrywise_sandwich_sums(self, ctx, rng):
+        data = make_np_data(ctx, rng, 3, souls=True)
+        p = pick_matrix(data)
+        entrywise = SuperMatrix.from_rows([
+            [geometric_sandwich_sum(zj, ctx.one() - mul(sj, dagger(sk)), dagger(zk))
+             for zk, sk in zip(data.nodes, data.values)]
+            for zj, sj in zip(data.nodes, data.values)
+        ])
+        assert (p - entrywise).norm1() <= 1e-12 * max(1.0, p.norm1())
 
     def test_node_outside_superdisk(self, ctx):
         with pytest.raises(NodeOutsideSuperdisk):
@@ -434,6 +455,13 @@ class TestBlaschke:
             expected = (1 - a_val) * (lam - a_val) / ((1 - lam * a_val) * (1 - a_val))
             assert got == pytest.approx(expected, abs=1e-9)
 
+    def test_eval_outside_convergence_disk(self, ctx, rng):
+        a = ctx.scalar(0.5) + random_soul(ctx, rng, terms=2, scale=0.1)
+        p = ctx.scalar(1.5)
+        b = blaschke_factor(a, kth_root(p - mul(dagger(a), mul(p, a)), 2), p, degree=4)
+        with pytest.raises(NotConvergent):
+            b.eval_at(ctx.scalar(2.0) + ctx.generator(1))
+
     def test_zero_residual_with_souls(self, ctx, rng):
         for _ in range(10):
             a = ctx.scalar(complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.4, 0.4)))
@@ -555,6 +583,17 @@ class TestKernels:
         w = random_even_unit(ctx, rng, body_modulus=0.3, soul_scale=0.05)
         xi = SuperMatrix.from_scalar(ctx.one())
         assert kernel_decomposition_residual(theta, w, xi, through=6) <= 1e-8
+
+    def test_h_theta_kernel_outside_convergence_disk(self, ctx):
+        a = ctx.scalar(0.4)
+        p = ctx.scalar(1.0)
+        theta = build_theta(
+            SuperMatrix.from_scalar(kth_root(p - mul(dagger(a), mul(p, a)), 2)),
+            SuperMatrix.from_scalar(a), SuperMatrix.from_scalar(p), SuperMatrix.identity(ctx, 1),
+            degree=4, verify_samples=0)
+        xi = SuperMatrix.from_scalar(ctx.one())
+        with pytest.raises(NotConvergent):
+            h_theta_kernel(theta, ctx.scalar(2.5) + ctx.generator(1), xi)
 
 
 class TestModuleInterpolation:

@@ -19,7 +19,6 @@ from grasschur.series import (
     resolvent,
     star_inverse,
     star_mul,
-    star_mul_right,
     weak_plus_invertibility,
     wiener_invert,
     wiener_is_invertible,
@@ -77,11 +76,6 @@ class TestStarMul:
         lhs = star_mul(star_mul(f, g), h)
         rhs = star_mul(f, star_mul(g, h))
         assert series_dist(lhs, rhs) <= 1e-10 * f.norm1() * g.norm1() * h.norm1()
-
-    def test_right_product_same_coefficients(self, ctx, rng):
-        f = random_series(ctx, rng, 1, 1, 4)
-        g = random_series(ctx, rng, 1, 1, 4)
-        assert series_dist(star_mul_right(f, g), star_mul(f, g)) == 0
 
     def test_even_coefficients_make_sides_agree_on_eval(self, ctx, rng):
         f = random_series(ctx, rng, 1, 1, 4, parity="even")
@@ -184,15 +178,6 @@ class TestEvaluate:
             evaluate(f, ctx.scalar(0.9), strict=True)
         exact = scalar_series(ctx, [1.0, 2.0], exact=True)
         assert evaluate(exact, ctx.scalar(0.9), strict=True)[0, 0].body == pytest.approx(2.8)
-
-    def test_resolvent_side_validation(self, ctx):
-        from grasschur import SuperMatrix as SM
-
-        with pytest.raises(ValueError):
-            resolvent(SM.zeros(ctx, 2, 2), degree=2, side="middle")
-        left = resolvent(SM.from_body(ctx, [[0.5]]), degree=3, side="left")
-        right = resolvent(SM.from_body(ctx, [[0.5]]), degree=3, side="right")
-        assert series_dist(left, right) == 0
 
 
 class TestHermitianForm:
