@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraContext, Supernumber, dagger, invert, kth_root, linear_combine, mul
+from .algebra import AlgebraContext, Supernumber, basis_mul, dagger, invert, kth_root, linear_combine, mul
 from .errors import BodySingular, ContextMismatch, NotRegular, NotSuperpositive, ShapeMismatch
 
 _ADJOINT_TOL = 1e-12  # relative entrywise self-adjointness tolerance
@@ -210,6 +210,22 @@ def mat_mul(m: SuperMatrix, l: SuperMatrix) -> SuperMatrix:
             row.append(linear_combine(products))
         rows.append(row)
     return SuperMatrix(rows)
+
+
+def _stacked_mul(x: dict[int, np.ndarray], y: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """Grassmann product of two {monomial key: stack of matrices} maps.
+
+    One batched np.matmul per disjoint key pair, signed by basis_mul.  Keys no
+    pair reaches are absent, so powers of an all-soul factor empty within N steps.
+    """
+    out: dict[int, np.ndarray] = {}
+    for a, xa in x.items():
+        for b, yb in y.items():
+            if not a & b:
+                sign, key = basis_mul(a, b)
+                term = sign * np.matmul(xa, yb)
+                out[key] = out[key] + term if key in out else term
+    return out
 
 
 @dataclass(frozen=True)

@@ -129,14 +129,16 @@ def stein_solve(c: SuperMatrix, a: SuperMatrix, j: SuperMatrix) -> SuperMatrix:
     """The P with P - A*PA = C*JC, that is P = sum_n (A*)^n C*JC A^n.
 
     Solved exactly by sandwich_solve: a body solve plus at most N soul steps,
-    with no truncation.  Needs the body spectral radius of A below 1, else
-    NotConvergent.
+    with no truncation, returned as ½(X + X*): the exact P is self-adjoint and
+    the Stein map commutes with the adjoint, so this can only shrink the
+    residual.  Needs the body spectral radius of A below 1, else NotConvergent.
     """
     context = a.context
     radius = float(np.abs(np.linalg.eigvals(a.body())).max()) if a.rows else 0.0
     if radius >= 1.0 - context.tol_body:
         raise NotConvergent(f"body spectral radius {radius:.6f} not below 1")
-    return sandwich_solve(adjoint(a), mat_mul(adjoint(c), mat_mul(j, c)), a)
+    x = sandwich_solve(adjoint(a), mat_mul(adjoint(c), mat_mul(j, c)), a)
+    return (x + adjoint(x)) * 0.5
 
 
 def stein_residual(p: SuperMatrix, c: SuperMatrix, a: SuperMatrix, j: SuperMatrix) -> float:
@@ -394,11 +396,11 @@ def np_solve(data: InterpolationData, sigma: SeriesMatrix | None = None, degree:
         sigma = SeriesMatrix.zero(context, 1, 1)
     if not is_schur_grassmann(sigma):
         raise GrasschurError("sigma is not a Schur-Grassmann function")
-    p = pick_matrix(data)
+    c, a, j = data.output_matrix(), data.state_matrix(), data.signature()
+    p = stein_solve(c, a, j)  # the Pick matrix; build_theta certifies its Stein residual
     if not is_superpositive(p):
         raise SteinViolated("Pick matrix is not superpositive")
-    theta = build_theta(data.output_matrix(), data.state_matrix(), p, data.signature(),
-                        degree, rng=rng)
+    theta = build_theta(c, a, p, j, degree, rng=rng)
     series = lft_apply(theta, sigma)
     residuals = tuple(
         (evaluate(series, z) - SuperMatrix.from_scalar(s)).norm1()

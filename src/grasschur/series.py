@@ -24,7 +24,7 @@ from .errors import (
     TailTooLarge,
     WindowTooSmall,
 )
-from .matrix import SuperMatrix, adjoint, mat_invert, mat_mul
+from .matrix import SuperMatrix, _stacked_mul, adjoint, mat_invert, mat_mul
 
 
 @dataclass(frozen=True)
@@ -378,17 +378,6 @@ class LaurentSeries:
     def constant(cls, value: SuperMatrix) -> "LaurentSeries":
         return cls(0, {0: value}, shape=value.shape)
 
-    def body_series(self) -> "LaurentSeries":
-        ctx = self.context
-        return LaurentSeries(
-            self.window,
-            {n: SuperMatrix.from_body(ctx, c.body()) for n, c in self.coeffs.items()},
-            shape=self.shape,
-        )
-
-    def soul_series(self) -> "LaurentSeries":
-        return LaurentSeries(self.window, {n: c.soul() for n, c in self.coeffs.items()}, shape=self.shape)
-
 
 def laurent_star_mul(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
     """Exact convolution of finitely supported Laurent series (windows add)."""
@@ -413,14 +402,17 @@ def project_minus(f: LaurentSeries) -> LaurentSeries:
     return LaurentSeries(f.window, {n: c for n, c in f.coeffs.items() if n <= 0}, shape=f.shape)
 
 
-def _body_on_circle(f: LaurentSeries, points: int) -> np.ndarray:
-    """Stack of body values f_B(e^{it_j}) on the uniform grid, shape (points, p, p)."""
-    p = f.shape[0]
-    t = 2.0 * np.pi * np.arange(points) / points
-    values = np.zeros((points, p, p), dtype=complex)
-    for n, c in f.coeffs.items():
-        values += np.exp(1j * n * t)[:, None, None] * c.body()[None, :, :]
-    return values
+def _on_circle(f: LaurentSeries, points: int) -> dict[int, np.ndarray]:
+    """f(e^{2πij/points}) as {monomial key: (points, p, q) stack}, always with key 0 (the body)."""
+    powers = sorted(f.coeffs)
+    coeffs = {0: np.zeros((len(powers), *f.shape), dtype=complex)}
+    for slot, n in enumerate(powers):
+        for i, row in enumerate(f.coeffs[n].entries()):
+            for j, entry in enumerate(row):
+                for key, value in entry.terms.items():
+                    coeffs.setdefault(key, np.zeros_like(coeffs[0]))[slot, i, j] = value
+    phases = np.exp(2j * np.pi * np.outer(np.arange(points) / points, powers))
+    return {key: np.tensordot(phases, c, axes=1) for key, c in coeffs.items()}
 
 
 def wiener_is_invertible(f: LaurentSeries, grid_points: int | None = None) -> bool:
@@ -432,21 +424,20 @@ def wiener_is_invertible(f: LaurentSeries, grid_points: int | None = None) -> bo
     if f.shape[0] != f.shape[1]:
         raise ShapeMismatch("invertibility needs square coefficients")
     points = grid_points or max(256, 16 * (2 * f.window + 1))
-    dets = np.linalg.det(_body_on_circle(f, points))
+    dets = np.linalg.det(_on_circle(f, points)[0])
     return bool(np.abs(dets).min() > f.context.tol_body)
 
 
-def wiener_invert(
-    f: LaurentSeries,
-    grid_points: int | None = None,
-    max_grid: int = 1 << 16,
-) -> LaurentSeries:
-    """Inverse in the Wiener-Grassmann algebra.
+def wiener_invert(f: LaurentSeries, grid_points: int | None = None,
+                  max_grid: int = 1 << 16) -> LaurentSeries:
+    """Inverse in the Wiener-Grassmann algebra, pointwise on the circle.
 
-    Body inverse by circle sampling + inverse FFT (grid doubled until the
-    computed Fourier coefficients stabilize below tol_eq/100), then the soul
-    correction (1 + f_B⁻¹ f_S)^{-star} f_B⁻¹ whose Neumann series terminates
-    by nilpotency.
+    A point e^{it} is a scalar, so F(e^{it})⁻¹ is the inverse's value there: a
+    body inverse plus the soul series sum_k (-B⁻¹S)^k B⁻¹ (F = B + S), which
+    ends by nilpotency within N steps, on one grid stack per monomial; then
+    one FFT per monomial.  The grid doubles until every kept (power, monomial)
+    coefficient (largest entry above tol_eq·1e-5) moves by at most tol_eq/100
+    and no new one is kept.
     """
     if not wiener_is_invertible(f, grid_points):
         raise NotInvertible("body determinant vanishes on the circle")
@@ -454,50 +445,41 @@ def wiener_invert(
     tol = context.tol_eq * 1e-2
     points = grid_points or max(64, 8 * (2 * f.window + 1))
     previous = None
-    body_inv_coeffs = None
     while points <= max_grid:
-        values = _body_on_circle(f, points)
-        inverses = np.linalg.inv(values)
-        # g_n = (1/M) sum_j B(t_j)^{-1} e^{-i n t_j}: numpy's forward FFT over M
-        spectrum = np.fft.fft(inverses, axis=0) / points
-        half = points // 2
-        coeffs = {}
-        for n in range(-half, half):
-            block = spectrum[n % points]
-            if np.abs(block).max() > tol * 1e-3:
-                coeffs[n] = block
-        if previous is not None and set(coeffs) <= set(previous):
-            drift = max(
-                (np.abs(coeffs[n] - previous[n]).max() for n in coeffs),
-                default=0.0,
-            )
-            if drift <= tol:
-                body_inv_coeffs = coeffs
+        values = _on_circle(f, points)
+        power = total = {0: np.linalg.inv(values.pop(0))}
+        step = _stacked_mul({0: -total[0]}, values)  # -B⁻¹S, all soul
+        for _ in range(context.generators):
+            power = _stacked_mul(step, power)
+            if not power:
                 break
-        previous = coeffs
+            total = {key: total.get(key, 0) + power.get(key, 0) for key in total | power}
+        keys = sorted(total)  # f's monomials fix them, so every grid has the same
+        half = points // 2
+        powers = np.arange(-half, half)
+        # g_n = (1/M) sum_j F(t_j)^{-1} e^{-i n t_j}: numpy's forward FFT over M
+        spectrum = np.fft.fft(np.stack([total[key] for key in keys]), axis=1)[:, powers % points] / points
+        kept = np.abs(spectrum).max(axis=(2, 3)) > tol * 1e-3
+        if previous is not None:
+            old_spectrum, old_kept = previous
+            lo = half - old_kept.shape[1] // 2
+            hi = lo + old_kept.shape[1]
+            inner = kept[:, lo:hi]
+            drift = np.abs(spectrum[:, lo:hi] - old_spectrum).max(axis=(2, 3))[inner].max(initial=0.0)
+            if drift <= tol and not (kept[:, :lo].any() or kept[:, hi:].any() or (inner & ~old_kept).any()):
+                break
+        previous = spectrum, kept
         points *= 2
-    if body_inv_coeffs is None:
-        raise WindowTooSmall("body-inverse Fourier coefficients do not stabilize")
-    window = max((abs(n) for n in body_inv_coeffs), default=0)
-    body_inv = LaurentSeries(
-        max(window, f.window),
-        {n: SuperMatrix.from_body(context, c) for n, c in body_inv_coeffs.items()},
-        shape=f.shape,
-    )
-    soul = f.soul_series()
-    if not soul.coeffs:
-        return body_inv
-    u = laurent_star_mul(body_inv, soul)  # all-soul coefficients, nilpotent
-    result = body_inv
-    power = LaurentSeries.constant(SuperMatrix.identity(context, f.shape[0]))
-    for k in range(1, context.generators + 1):
-        power = laurent_star_mul(power, u)
-        if all(c.is_zero() for c in power.coeffs.values()):
-            break
-        term = laurent_star_mul(power, body_inv)
-        sign = -1.0 if k % 2 else 1.0
-        result = result + LaurentSeries(term.window, {n: c * sign for n, c in term.coeffs.items()}, shape=term.shape)
-    return result
+    else:
+        raise WindowTooSmall("Fourier coefficients of the inverse do not stabilize")
+    out = {}
+    for col in np.flatnonzero(kept.any(axis=0)):
+        rows = np.flatnonzero(kept[:, col])
+        monomials = [keys[r] for r in rows]
+        entries = spectrum[rows, col].transpose(1, 2, 0).tolist()  # p x q lists over monomials
+        out[int(powers[col])] = SuperMatrix(
+            [[Supernumber(context, dict(zip(monomials, e))) for e in row] for row in entries])
+    return LaurentSeries(max([f.window, *map(abs, out)]), out, shape=f.shape)
 
 
 def weak_plus_invertibility(f: SeriesMatrix, radial_points: int = 24, angular_points: int | None = None) -> bool:

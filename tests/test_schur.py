@@ -168,6 +168,16 @@ class TestStein:
         c, a, p, j = random_stein_data(ctx, rng, spectral=0.99)
         assert stein_residual(p, c, a, j) <= 1e-14 * p.norm1()
 
+    def test_self_adjoint_near_unit_radius(self, ctx):
+        # non-normal A_B at rho = 0.9999: the unsymmetrized body solve left
+        # P - P* above build_theta's 1e-12 gate on several of these inputs
+        rng = np.random.default_rng(7)
+        for _ in range(8):
+            c, a, p, j = random_stein_data(ctx, rng, spectral=0.9999)
+            build_theta(c, a, p, j, degree=4, verify_samples=0)
+            assert (p - adjoint(p)).norm1() == 0.0
+            assert stein_residual(p, c, a, j) <= 1e-12 * p.norm1()
+
     def test_spectral_radius_one_not_convergent(self, ctx, rng):
         c = random_supermatrix(ctx, rng, 2, 2, terms=2)
         a = SuperMatrix.diagonal([ctx.scalar(1.0) + ctx.generator(1), ctx.scalar(0.3)])

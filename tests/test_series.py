@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from grasschur import SuperMatrix, classify, dagger, invert, mul
-from grasschur.errors import ConstantTermSingular, NotInvertible, ShapeMismatch
+from grasschur.errors import ConstantTermSingular, NotInvertible, ShapeMismatch, WindowTooSmall
 from grasschur.sampling import random_soul, random_supermatrix, random_supernumber
 from grasschur.series import (
     LaurentSeries,
@@ -311,6 +311,43 @@ class TestWiener:
     def test_not_invertible_raises(self, ctx):
         with pytest.raises(NotInvertible):
             wiener_invert(self.make_scalar(ctx, {0: -1.0, 1: 1.0}))
+
+    def test_grade_four_souls_residual_over_inner_band(self, ctx, rng):
+        # N = 8 with grade-4 souls: the pointwise soul series takes several steps
+        eye = SuperMatrix.identity(ctx, 2)
+        f = LaurentSeries(2, {
+            -2: random_supermatrix(ctx, rng, 2, 2, scale=0.05, terms=4, max_grade=4),
+            -1: random_supermatrix(ctx, rng, 2, 2, scale=0.2, terms=4, max_grade=4),
+            0: eye * 2 + random_supermatrix(ctx, rng, 2, 2, scale=0.3, body=0.0, terms=4, max_grade=4),
+            1: random_supermatrix(ctx, rng, 2, 2, scale=0.2, terms=4, max_grade=4),
+        })
+        assert max(c[i, j].max_grade() for c in f.coeffs.values() for i in range(2) for j in range(2)) == 4
+        g = wiener_invert(f)
+        assert max(g.coefficient(0)[i, j].max_grade() for i in range(2) for j in range(2)) >= 8
+        residual = laurent_star_mul(f, g) - LaurentSeries.constant(eye)
+        band = g.window - f.window
+        assert band >= 8
+        inside = [c.norm1() for n, c in residual.coeffs.items() if abs(n) <= band]
+        assert max(inside, default=0.0) <= 1e-9
+
+    def test_window_too_small(self, ctx):
+        # the coefficients 0.999^n need far more than 1024 grid points to settle
+        f = self.make_scalar(ctx, {0: 1.0, 1: -0.999})
+        assert wiener_is_invertible(f)
+        with pytest.raises(WindowTooSmall):
+            wiener_invert(f, max_grid=1024)
+
+    def test_grid_points_do_not_change_the_inverse(self, ctx4, rng):
+        ctx = ctx4
+        f = LaurentSeries(1, {
+            -1: random_supermatrix(ctx, rng, 2, 2, scale=0.2, terms=3, max_grade=2),
+            0: SuperMatrix.identity(ctx, 2) * 2 + random_supermatrix(
+                ctx, rng, 2, 2, scale=0.3, body=0.0, terms=3, max_grade=2),
+            1: random_supermatrix(ctx, rng, 2, 2, scale=0.2, terms=3, max_grade=2),
+        })
+        g = wiener_invert(f)
+        h = wiener_invert(f, grid_points=200)
+        assert (g - h).norm1() <= 1e-12
 
 
 class TestWeakInvertibility:
