@@ -13,9 +13,10 @@ every operation is a pure function of its inputs.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import BodyZero, BranchCut, ContextMismatch, DomainViolation
 
@@ -477,24 +478,32 @@ def classify(z: Supernumber) -> Classification:
     )
 
 
+def _soul_series(u: Supernumber, coeffs: Iterator[complex]) -> Supernumber:
+    """sum_n c_n u^n for a soul u, with c_0, c_1, ... drawn from ``coeffs``.
+
+    A coefficient is drawn only for a nonzero power, so the sum stops where
+    u^n = 0: by nilpotency within N + 1 terms.
+    """
+    context = u.context
+    acc = context.scalar(next(coeffs))
+    power = context.one()
+    for _ in range(context.generators):
+        power = mul(power, u)
+        if power.is_zero():
+            break
+        acc = linear_combine([(1.0, acc), (next(coeffs), power)])
+    return acc
+
+
 def invert(z: Supernumber) -> Supernumber:
     """Inverse z⁻¹ = z_B⁻¹ sum_k (-z_S/z_B)^k; exists iff the body is nonzero.
 
     The sum terminates because the soul is nilpotent of index <= N+1.
     """
-    context = z.context
     body = z.body
-    if abs(body) <= context.tol_body:
+    if abs(body) <= z.context.tol_body:
         raise BodyZero(f"body modulus {abs(body):.3e} is below tol_body")
-    s = z.soul * (-1.0 / body)
-    acc = context.one()
-    power = context.one()
-    for _ in range(context.generators):
-        power = mul(power, s)
-        if power.is_zero():
-            break
-        acc = acc + power
-    return acc * (1.0 / body)
+    return _soul_series(z.soul * (-1.0 / body), itertools.repeat(1.0)) * (1.0 / body)
 
 
 def kth_root(z: Supernumber, k: int) -> Supernumber:
@@ -506,25 +515,15 @@ def kth_root(z: Supernumber, k: int) -> Supernumber:
     """
     if not isinstance(k, int) or k < 2:
         raise DomainViolation(f"root order must be an integer >= 2, got {k}")
-    context = z.context
     body = z.body
-    if abs(body) <= context.tol_body:
+    if abs(body) <= z.context.tol_body:
         raise BodyZero(f"body modulus {abs(body):.3e} is below tol_body")
     if body.imag == 0.0 and body.real < 0.0:
         raise BranchCut("body lies on the negative real axis")
-    root_body = body ** (1.0 / k)
-    u = z.soul * (1.0 / body)
-    acc = context.one()
-    power = context.one()
-    coeff = 1.0
-    exponent = 1.0 / k
-    for n in range(context.generators):
-        coeff *= (exponent - n) / (n + 1)
-        power = mul(power, u)
-        if power.is_zero():
-            break
-        acc = acc + power * coeff
-    return acc * root_body
+    # binomial coefficients of the exponent 1/k: c_{n+1} = c_n (1/k - n) / (n + 1)
+    binomial = itertools.accumulate(itertools.count(), lambda c, n: c * ((1.0 / k - n) / (n + 1)),
+                                    initial=1.0)
+    return _soul_series(z.soul * (1.0 / body), binomial) * body ** (1.0 / k)
 
 
 def analytic_apply(f: Callable[[complex, int], complex], z: Supernumber) -> Supernumber:
@@ -534,14 +533,6 @@ def analytic_apply(f: Callable[[complex, int], complex], z: Supernumber) -> Supe
     function at z0, and should raise DomainViolation for points outside the
     analyticity domain.
     """
-    context = z.context
     body = z.body
-    acc = context.scalar(f(body, 0))
-    power = context.one()
-    for n in range(1, context.generators + 1):
-        power = mul(power, z.soul)
-        if power.is_zero():
-            break
-        acc = acc + power * (f(body, n) / math.factorial(n))
-    return acc
-
+    coeffs = itertools.chain([f(body, 0)], (f(body, n) / math.factorial(n) for n in itertools.count(1)))
+    return _soul_series(z.soul, coeffs)

@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import AlgebraContext, Supernumber, basis_mul, dagger, invert, kth_root, linear_combine, mul
 from .errors import BodySingular, ContextMismatch, NotRegular, NotSuperpositive, ShapeMismatch
 
-_ADJOINT_TOL = 1e-12  # relative entrywise self-adjointness tolerance
+_ADJOINT_TOL = 1e-12  # relative 1-norm tolerance of M* = M (and of J J = I for signatures)
 
 
 class SuperMatrix:
@@ -359,11 +359,22 @@ class PositivityReport:
         return self.ok
 
 
+def _self_adjoint(m: SuperMatrix) -> tuple[bool, float]:
+    """Whether M* = M to _ADJOINT_TOL relative to max(1, ||M||_1), and ||M - M*||_1."""
+    defect = (m - adjoint(m)).norm1()
+    return defect <= _ADJOINT_TOL * max(1.0, m.norm1()), defect
+
+
+def _body_spectral_radius(m: SuperMatrix) -> float:
+    """Largest eigenvalue modulus of the body of a square matrix."""
+    return float(np.abs(np.linalg.eigvals(m.body())).max())
+
+
 def _positivity(m: SuperMatrix, strict: bool) -> PositivityReport:
     if m.rows != m.cols:
         raise ShapeMismatch("positivity needs a square matrix")
-    defect = (m - adjoint(m)).norm1()
-    if defect > _ADJOINT_TOL * max(1.0, m.norm1()):
+    self_adjoint, defect = _self_adjoint(m)
+    if not self_adjoint:
         return PositivityReport(False, "not self-adjoint", defect, None)
     body = m.body()
     hermitian = 0.5 * (body + body.conj().T)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .algebra import AlgebraContext, Supernumber, dagger, invert
 from .errors import DSingular, JInvalid, ShapeMismatch
-from .matrix import SuperMatrix, adjoint, mat_invert, mat_mul
+from .matrix import _ADJOINT_TOL, SuperMatrix, _self_adjoint, adjoint, mat_invert, mat_mul
 from .series import SeriesMatrix
 
 _COMPOSE_MODES = ("product", "sum", "concat_rows", "concat_cols")
@@ -173,6 +173,12 @@ def polynomial_realization(coefficients: list[SuperMatrix]) -> Realization:
     return total
 
 
+def _body_rank(body: np.ndarray, context: AlgebraContext) -> int:
+    """Count of singular values above tol_body·max(1, σ_max)."""
+    svals = np.linalg.svd(body, compute_uv=False)
+    return int((svals > context.tol_body * max(1.0, float(svals[0]))).sum())
+
+
 def is_observable(c: SuperMatrix, a: SuperMatrix) -> bool:
     """Full column rank of the stacked body observability matrix."""
     if a.rows != a.cols or c.cols != a.rows:
@@ -184,27 +190,14 @@ def is_observable(c: SuperMatrix, a: SuperMatrix) -> bool:
     for _ in range(n):
         blocks.append(cb @ power)
         power = power @ ab
-    stacked = np.vstack(blocks)
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    tol = a.context.tol_body * max(1.0, float(svals[0]) if len(svals) else 0.0)
-    return bool((svals > tol).sum() == n)
+    return _body_rank(np.vstack(blocks), a.context) == n
 
 
 def is_controllable(a: SuperMatrix, b: SuperMatrix) -> bool:
-    """Full row rank of the body controllability matrix [B, AB, ..., A^{n-1}B]."""
+    """Full row rank of [B, AB, ..., A^{n-1}B]: observability of the adjoint pair (B*, A*)."""
     if a.rows != a.cols or b.rows != a.rows:
         raise ShapeMismatch("need A n x n and B n x q")
-    n = a.rows
-    ab, bb = a.body(), b.body()
-    blocks = []
-    power = np.eye(n, dtype=complex)
-    for _ in range(n):
-        blocks.append(power @ bb)
-        power = ab @ power
-    stacked = np.hstack(blocks)
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    tol = a.context.tol_body * max(1.0, float(svals[0]) if len(svals) else 0.0)
-    return bool((svals > tol).sum() == n)
+    return is_observable(adjoint(b), adjoint(a))
 
 
 def is_minimal(r: Realization) -> bool:
@@ -229,20 +222,14 @@ def backward_shift_span_dimension(f: SeriesMatrix, n_max: int) -> int:
                 f.coeffs[n + m].body()[:, j] for m in range(rows)
             ])
             columns.append(col)
-    stacked = np.stack(columns, axis=1)
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    if len(svals) == 0:
-        return 0
-    tol = f.context.tol_body * max(1.0, float(svals[0]))
-    return int((svals > tol).sum())
+    return _body_rank(np.stack(columns, axis=1), f.context)
 
 
 def _check_signature(j: SuperMatrix) -> None:
-    tol = 1e-12 * max(1.0, j.norm1())
-    if (j - adjoint(j)).norm1() > tol:
+    if not _self_adjoint(j)[0]:
         raise JInvalid("J is not self-adjoint")
     eye = SuperMatrix.identity(j.context, j.rows)
-    if (mat_mul(j, j) - eye).norm1() > tol:
+    if (mat_mul(j, j) - eye).norm1() > _ADJOINT_TOL * max(1.0, j.norm1()):
         raise JInvalid("J*J != I")
 
 

@@ -21,6 +21,8 @@ import numpy as np
 
 from .algebra import AlgebraContext, Supernumber, classify, dagger, invert, mul
 from .errors import (
+    BodySingular,
+    ConstantTermSingular,
     DenominatorSingular,
     GrasschurError,
     HNotNegative,
@@ -34,6 +36,8 @@ from .errors import (
 )
 from .matrix import (
     SuperMatrix,
+    _body_spectral_radius,
+    _self_adjoint,
     adjoint,
     is_supernonnegative,
     is_superpositive,
@@ -43,8 +47,6 @@ from .matrix import (
 )
 from .realization import Realization, _check_signature, to_series
 from .series import SeriesMatrix, backward_shift, evaluate, star_inverse, star_mul
-
-_SELFADJOINT_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +104,7 @@ def kyp_check(r: Realization, h: SuperMatrix) -> bool:
     diag(-H, I) - M* diag(-H, I) M ⪰ 0 for M = [[A,B],[C,D]]
     (matrix ordering taken form-wise, i.e. is_supernonnegative).
     """
-    if (h - adjoint(h)).norm1() > _SELFADJOINT_TOL * max(1.0, h.norm1()):
+    if not _self_adjoint(h)[0]:
         raise HNotNegative("H is not self-adjoint")
     if not is_superpositive(-h):
         raise HNotNegative("-H is not superpositive")
@@ -134,7 +136,7 @@ def stein_solve(c: SuperMatrix, a: SuperMatrix, j: SuperMatrix) -> SuperMatrix:
     residual.  Needs the body spectral radius of A below 1, else NotConvergent.
     """
     context = a.context
-    radius = float(np.abs(np.linalg.eigvals(a.body())).max()) if a.rows else 0.0
+    radius = _body_spectral_radius(a)
     if radius >= 1.0 - context.tol_body:
         raise NotConvergent(f"body spectral radius {radius:.6f} not below 1")
     x = sandwich_solve(adjoint(a), mat_mul(adjoint(c), mat_mul(j, c)), a)
@@ -147,13 +149,14 @@ def stein_residual(p: SuperMatrix, c: SuperMatrix, a: SuperMatrix, j: SuperMatri
 
 @dataclass(frozen=True)
 class ThetaFunction:
-    """Theta series plus its generating data (C, A, P, J)."""
+    """Theta series plus its generating data (C, A, P, J) and normalization K."""
 
     series: SeriesMatrix
     c: SuperMatrix
     a: SuperMatrix
     p: SuperMatrix
     j: SuperMatrix
+    k: SuperMatrix
 
     @property
     def context(self) -> AlgebraContext:
@@ -161,7 +164,7 @@ class ThetaFunction:
 
     def normalization(self) -> SuperMatrix:
         """K = P^{-1} (I-A)^{-*} C* J (the constant right factor of Theta)."""
-        return _normalization(self.c, self.a, self.p, self.j)
+        return self.k
 
     def eval_at(self, z: Supernumber) -> SuperMatrix:
         """Exact rational value at a central (even) argument."""
@@ -194,26 +197,21 @@ def build_theta(
     """
     context = c.context
     _check_signature(j)
-    if (p - adjoint(p)).norm1() > _SELFADJOINT_TOL * max(1.0, p.norm1()):
+    if not _self_adjoint(p)[0]:
         raise SteinViolated("P is not self-adjoint")
-    eye_q = SuperMatrix.identity(context, a.rows)
-    body = (eye_q - a).body()
-    svals = np.linalg.svd(body, compute_uv=False)
-    if svals[-1] <= context.tol_body * max(1.0, svals[0]):
-        raise ISubASingular("(I - A) has a singular body")
+    try:
+        i_sub_a_inv = mat_invert(adjoint(SuperMatrix.identity(context, a.rows) - a))
+    except BodySingular as exc:
+        raise ISubASingular("(I - A) has a singular body") from exc
     residual = stein_residual(p, c, a, j)
     if residual > context.tol_eq * max(1.0, p.norm1()):
         raise SteinViolated(f"Stein residual {residual:.3e}")
-    series = to_series(_theta_realization(c, a, _normalization(c, a, p, j)), degree)
-    theta = ThetaFunction(series=series, c=c, a=a, p=p, j=j)
+    k = mat_mul(mat_invert(p), mat_mul(i_sub_a_inv, mat_mul(adjoint(c), j)))
+    series = to_series(_theta_realization(c, a, k), degree)
+    theta = ThetaFunction(series=series, c=c, a=a, p=p, j=j, k=k)
     if verify_samples:
         _verify_kernel_identity(theta, verify_samples, rng)
     return theta
-
-
-def _normalization(c: SuperMatrix, a: SuperMatrix, p: SuperMatrix, j: SuperMatrix) -> SuperMatrix:
-    eye = SuperMatrix.identity(c.context, a.rows)
-    return mat_mul(mat_invert(p), mat_mul(mat_invert(adjoint(eye - a)), mat_mul(adjoint(c), j)))
 
 
 def _theta_realization(c: SuperMatrix, a: SuperMatrix, k: SuperMatrix) -> Realization:
@@ -250,7 +248,7 @@ def _verify_kernel_identity(theta: ThetaFunction, samples: int, rng) -> None:
 
     context = theta.context
     rng = np.random.default_rng(0) if rng is None else rng
-    spectral = float(np.abs(np.linalg.eigvals(theta.a.body())).max()) if theta.a.rows else 0.0
+    spectral = _body_spectral_radius(theta.a)
     radius = 0.5 * min(1.0, 1.0 / max(spectral, 0.5))
     for _ in range(samples):
         z = random_even_unit(context, rng, body_modulus=radius * rng.uniform(0.3, 1.0), soul_scale=0.05)
@@ -366,12 +364,11 @@ def lft_apply(theta, sigma: SeriesMatrix) -> SeriesMatrix:
     c = block.block(p, p + q, 0, p)
     d = block.block(p, p + q, p, p + q)
     numerator = star_mul(a, sigma) + b
-    denominator = star_mul(c, sigma) + d
-    body = denominator.coeffs[0].body()
-    svals = np.linalg.svd(body, compute_uv=False)
-    if svals[-1] <= sigma.context.tol_body * max(1.0, svals[0]):
-        raise DenominatorSingular("c ⋆ sigma + d has a singular constant-term body")
-    return star_mul(numerator, star_inverse(denominator))
+    try:
+        denominator_inv = star_inverse(star_mul(c, sigma) + d)
+    except ConstantTermSingular as exc:
+        raise DenominatorSingular("c ⋆ sigma + d has a singular constant-term body") from exc
+    return star_mul(numerator, denominator_inv)
 
 
 @dataclass(frozen=True)
@@ -709,7 +706,7 @@ def h_theta_kernel(theta: ThetaFunction, w: Supernumber, xi: SuperMatrix,
     Coefficient n is C A^n P^{-1} V with V = sum_m (A*)^m C* (w†)^m xi = Y xi,
     where Y - A* Y (w† I) = C* is solved exactly by sandwich_solve.
     """
-    ratio = abs(w.body) * float(np.abs(np.linalg.eigvals(theta.a.body())).max())
+    ratio = abs(w.body) * _body_spectral_radius(theta.a)
     if ratio >= 1.0:
         raise NotConvergent("the kernel sum needs |w_B| rho(A_B) < 1")
     wd = SuperMatrix.diagonal([dagger(w)] * theta.c.rows)

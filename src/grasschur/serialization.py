@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from typing import Any
 
 from .algebra import AlgebraContext, Supernumber, grade, index_from_generators, index_to_generators
@@ -18,6 +19,15 @@ from .matrix import SuperMatrix
 from .realization import Realization
 from .series import LaurentSeries, SeriesMatrix
 from .toeplitz import ToeplitzSpec
+
+
+@contextmanager
+def _malformed(message: str):
+    """Report a missing key, or a field value of the wrong type or size, as SerializationError."""
+    try:
+        yield
+    except (KeyError, AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise SerializationError(message) from exc
 
 
 def dumps(obj: Any) -> str:
@@ -67,12 +77,10 @@ def matrix_to_obj(m: SuperMatrix) -> dict:
 
 
 def matrix_from_obj(obj: Any, context: AlgebraContext) -> SuperMatrix:
-    try:
+    with _malformed("a matrix needs rows, cols and entries"):
         rows, cols = int(obj["rows"]), int(obj["cols"])
         entries = obj["entries"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SerializationError("a matrix needs rows, cols and entries") from exc
-    if (not isinstance(entries, list) or len(entries) != rows
+    if (rows < 1 or cols < 1 or not isinstance(entries, list) or len(entries) != rows
             or any(not isinstance(r, list) or len(r) != cols for r in entries)):
         raise SerializationError("entry grid does not match the declared shape")
     return SuperMatrix.from_rows(
@@ -89,14 +97,14 @@ def series_to_obj(f: SeriesMatrix) -> dict:
 
 
 def series_from_obj(obj: Any, context: AlgebraContext) -> SeriesMatrix:
-    try:
+    with _malformed("a series needs degree and coeffs"):
         degree = int(obj["degree"])
         coeffs = obj["coeffs"]
-    except (KeyError, TypeError) as exc:
-        raise SerializationError("a series needs degree and coeffs") from exc
-    if len(coeffs) != degree + 1:
+    if not isinstance(coeffs, list) or len(coeffs) != degree + 1:
         raise SerializationError("coefficient count does not match the degree")
-    exact = bool(obj.get("exact", False))
+    exact = obj.get("exact", False)
+    if not isinstance(exact, bool):
+        raise SerializationError("exact must be true or false")
     try:
         return SeriesMatrix(tuple(matrix_from_obj(c, context) for c in coeffs), exact=exact)
     except ValueError as exc:
@@ -111,20 +119,11 @@ def laurent_to_obj(f: LaurentSeries) -> dict:
 
 
 def laurent_from_obj(obj: Any, context: AlgebraContext) -> LaurentSeries:
-    try:
+    with _malformed("a Laurent series needs window and coeffs keyed by power"):
         window = int(obj["window"])
-        coeffs = obj["coeffs"]
-    except (KeyError, TypeError) as exc:
-        raise SerializationError("a Laurent series needs window and coeffs") from exc
-    parsed = {}
-    for key, value in coeffs.items():
-        try:
-            n = int(key)
-        except ValueError as exc:
-            raise SerializationError(f"bad power {key!r}") from exc
-        parsed[n] = matrix_from_obj(value, context)
+        powers = {int(key): value for key, value in obj["coeffs"].items()}
     try:
-        return LaurentSeries(window, parsed)
+        return LaurentSeries(window, {n: matrix_from_obj(value, context) for n, value in powers.items()})
     except ValueError as exc:
         raise SerializationError(str(exc)) from exc
 
@@ -135,15 +134,13 @@ def realization_to_obj(r: Realization) -> dict:
 
 
 def realization_from_obj(obj: Any, context: AlgebraContext) -> Realization:
-    try:
+    with _malformed("a realization needs blocks A, B, C and D"):
         return Realization(
             a=matrix_from_obj(obj["A"], context),
             b=matrix_from_obj(obj["B"], context),
             c=matrix_from_obj(obj["C"], context),
             d=matrix_from_obj(obj["D"], context),
         )
-    except KeyError as exc:
-        raise SerializationError("a realization needs blocks A, B, C and D") from exc
 
 
 def toeplitz_spec_to_obj(spec: ToeplitzSpec) -> dict:
@@ -151,10 +148,9 @@ def toeplitz_spec_to_obj(spec: ToeplitzSpec) -> dict:
 
 
 def toeplitz_spec_from_obj(obj: Any, context: AlgebraContext) -> ToeplitzSpec:
-    try:
-        symbols = obj["symbols"]
-    except (KeyError, TypeError) as exc:
-        raise SerializationError("a Toeplitz spec needs a symbols list") from exc
+    symbols = obj.get("symbols") if isinstance(obj, dict) else None
+    if not isinstance(symbols, list):
+        raise SerializationError("a Toeplitz spec needs a symbols list")
     try:
         return ToeplitzSpec(tuple(supernumber_from_obj(z, context) for z in symbols))
     except ValueError as exc:
@@ -171,11 +167,9 @@ def interpolation_data_to_obj(data) -> dict:
 def interpolation_data_from_obj(obj: Any, context: AlgebraContext):
     from .schur import InterpolationData
 
-    try:
+    with _malformed("interpolation data needs nodes and values"):
         nodes = obj["nodes"]
         values = obj["values"]
-    except (KeyError, TypeError) as exc:
-        raise SerializationError("interpolation data needs nodes and values") from exc
     if not isinstance(nodes, list) or not isinstance(values, list):
         raise SerializationError("interpolation nodes and values must be lists")
     nodes = tuple(supernumber_from_obj(z, context) for z in nodes)

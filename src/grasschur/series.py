@@ -17,6 +17,7 @@ import numpy as np
 
 from .algebra import AlgebraContext, Supernumber, mul
 from .errors import (
+    BodySingular,
     ConstantTermSingular,
     ContextMismatch,
     NotInvertible,
@@ -208,7 +209,7 @@ def star_inverse(f: SeriesMatrix) -> SeriesMatrix:
     context = f.context
     try:
         g0 = mat_invert(f.coeffs[0])
-    except Exception as exc:
+    except BodySingular as exc:
         raise ConstantTermSingular(str(exc)) from exc
     if f.exact and f.degree == 0:
         return SeriesMatrix((g0,), exact=True)
@@ -254,40 +255,34 @@ def evaluation_tail_bound(f: SeriesMatrix, z0: Supernumber) -> float:
     return last * q ** (f.degree + 1) / (1.0 - q)
 
 
+def _evaluate(f: SeriesMatrix, z0: Supernumber, strict: bool, scale) -> SuperMatrix:
+    """sum_n scale(f_n, z0^n), stopping at the first vanishing power of z0."""
+    if strict:
+        bound = evaluation_tail_bound(f, z0)
+        if bound > f.context.tol_eq:
+            raise TailTooLarge(f"tail estimate {bound:.3e} exceeds tol_eq")
+    acc = f.coeffs[0]
+    zpow = z0.context.one()
+    for n in range(1, len(f.coeffs)):
+        zpow = mul(zpow, z0)
+        if zpow.is_zero():
+            break
+        acc = acc + scale(f.coeffs[n], zpow)
+    return acc
+
+
 def evaluate(f: SeriesMatrix, z0: Supernumber, strict: bool = False) -> SuperMatrix:
     """Left evaluation sum_n z0^n f_n.
 
     With ``strict`` the geometric tail estimate must stay below tol_eq, else
     TailTooLarge.
     """
-    if strict:
-        bound = evaluation_tail_bound(f, z0)
-        if bound > f.context.tol_eq:
-            raise TailTooLarge(f"tail estimate {bound:.3e} exceeds tol_eq")
-    acc = f.coeffs[0]
-    zpow = z0.context.one()
-    for n in range(1, len(f.coeffs)):
-        zpow = mul(zpow, z0)
-        if zpow.is_zero():
-            break
-        acc = acc + f.coeffs[n].scale_left(zpow)
-    return acc
+    return _evaluate(f, z0, strict, SuperMatrix.scale_left)
 
 
 def evaluate_right(f: SeriesMatrix, z0: Supernumber, strict: bool = False) -> SuperMatrix:
-    """Right evaluation sum_n f_n z0^n (for right-sided series)."""
-    if strict:
-        bound = evaluation_tail_bound(f, z0)
-        if bound > f.context.tol_eq:
-            raise TailTooLarge(f"tail estimate {bound:.3e} exceeds tol_eq")
-    acc = f.coeffs[0]
-    zpow = z0.context.one()
-    for n in range(1, len(f.coeffs)):
-        zpow = mul(zpow, z0)
-        if zpow.is_zero():
-            break
-        acc = acc + f.coeffs[n].scale_right(zpow)
-    return acc
+    """Right evaluation sum_n f_n z0^n (for right-sided series); ``strict`` as in evaluate."""
+    return _evaluate(f, z0, strict, SuperMatrix.scale_right)
 
 
 def hermitian_form(f: SeriesMatrix, g: SeriesMatrix) -> SuperMatrix:

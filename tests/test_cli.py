@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from grasschur import AlgebraContext, mul
+from grasschur import AlgebraContext, SuperMatrix, mul
 from grasschur.cli import main
 from grasschur.sampling import random_soul, random_supernumber
+from grasschur.series import SeriesMatrix
 from grasschur.serialization import (
     dumps,
     interpolation_data_to_obj,
@@ -163,6 +164,37 @@ class TestToeplitzCommand:
         assert main(["toeplitz", "extend", "--spec", spec_file, "--eta", eta_file]) == 2
 
 
+class TestMalformedInputs:
+    """Malformed fields that once escaped as tracebacks, or were accepted silently."""
+
+    def test_toeplitz_symbols_not_a_list(self, ctx, tmp_path, capsys):
+        spec_file = write(tmp_path / "spec.json", {"symbols": 5})
+        eta_file = write(tmp_path / "eta.json", supernumber_to_obj(ctx.zero()))
+        assert main(["toeplitz", "extend", "--spec", spec_file, "--eta", eta_file]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[serialization-error]")
+
+    @pytest.mark.parametrize("field,text", [("degree", '"abc"'), ("degree", "1e400"),
+                                            ("coeffs", "5"), ("exact", '"yes"')])
+    @pytest.mark.parametrize("command", ["np", "schur"])
+    def test_malformed_series_field(self, command, field, text, ctx, tmp_path, capsys):
+        series = series_to_obj(SeriesMatrix.from_coeffs([SuperMatrix.from_body(ctx, [[0.1]])]))
+        series[field] = "__FIELD__"
+        series_file = tmp_path / "s.json"
+        series_file.write_text(json.dumps(series).replace('"__FIELD__"', text))
+        if command == "np":
+            from grasschur.schur import InterpolationData
+
+            data = InterpolationData((ctx.scalar(0.2),), (ctx.scalar(0.3),))
+            data_file = write(tmp_path / "d.json", interpolation_data_to_obj(data))
+            argv = ["np", "solve", "--data", data_file, "--sigma", str(series_file)]
+        else:
+            argv = ["schur", "run", "--series", str(series_file), "--max-steps", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[serialization-error]")
+
+
 class TestNPCommand:
     def test_solve_residuals(self, ctx, tmp_path):
         from grasschur.schur import InterpolationData
@@ -245,8 +277,19 @@ class TestThetaCommand:
         assert got["theta"]["degree"] == 32
         assert got["P"]["rows"] == 1
 
+    def test_singular_i_sub_a_exit_code(self, ctx, tmp_path, capsys):
+        c_file = write(tmp_path / "c.json", matrix_to_obj(SuperMatrix.from_body(ctx, [[1.0], [1.0]])))
+        a_file = write(tmp_path / "a.json", matrix_to_obj(SuperMatrix.identity(ctx, 1)))
+        p_file = write(tmp_path / "p.json", matrix_to_obj(SuperMatrix.identity(ctx, 1)))
+        j_file = write(tmp_path / "j.json",
+                       matrix_to_obj(SuperMatrix.from_body(ctx, np.diag([1.0, -1.0]))))
+        assert main(["theta", "build", "--C", c_file, "--A", a_file, "--J", j_file,
+                     "--P", p_file]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[i-sub-a-singular]")
+
     @pytest.mark.parametrize("rows,entries",
-                             [("abc", [[[]]]), (float("inf"), [[[]]]), (1, 5), (1, [5])])
+                             [("abc", [[[]]]), (float("inf"), [[[]]]), (1, 5), (1, [5]), (0, [])])
     def test_malformed_matrix_exit_code(self, rows, entries, ctx, tmp_path, capsys):
         from grasschur import SuperMatrix
 

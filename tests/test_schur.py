@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
-from grasschur import SuperMatrix, adjoint, classify, dagger, invert, kth_root, mat_mul, mul
+from grasschur import SuperMatrix, adjoint, classify, dagger, invert, kth_root, mat_invert, mat_mul, mul
 from grasschur.errors import (
     GrasschurError,
     HNotNegative,
+    ISubASingular,
     IsotropyViolated,
     NodeOutsideSuperdisk,
     NotConvergent,
@@ -210,6 +211,22 @@ class TestBuildTheta:
         bad = p + SuperMatrix.identity(ctx, p.rows)
         with pytest.raises(SteinViolated):
             build_theta(c, a, bad, j)
+
+    def test_singular_i_sub_a_rejected(self, ctx):
+        # A = I makes I - A vanish; the data are otherwise valid (P - A*PA = C*JC = 0)
+        c = SuperMatrix.from_body(ctx, [[1.0], [1.0]])
+        a = SuperMatrix.identity(ctx, 1)
+        j = SuperMatrix.from_body(ctx, np.diag([1.0, -1.0]))
+        with pytest.raises(ISubASingular):
+            build_theta(c, a, SuperMatrix.identity(ctx, 1), j)
+
+    def test_normalization_is_the_series_k(self, ctx, rng):
+        c, a, p, j = random_stein_data(ctx, rng)
+        theta = build_theta(c, a, p, j, degree=4, verify_samples=0)
+        eye = SuperMatrix.identity(ctx, a.rows)
+        k = mat_mul(mat_invert(p), mat_mul(mat_invert(adjoint(eye - a)), mat_mul(adjoint(c), j)))
+        assert theta.normalization() == k
+        assert theta.series.coeffs[0] == SuperMatrix.identity(ctx, c.rows) - mat_mul(c, k)
 
     def test_series_matches_rational_evaluation(self, ctx, rng):
         c, a, p, j = random_stein_data(ctx, rng)

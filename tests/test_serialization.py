@@ -91,6 +91,13 @@ class TestContainers:
         back = laurent_from_obj(laurent_to_obj(f), ctx)
         assert back.coeffs == f.coeffs and back.window == f.window
 
+    @pytest.mark.parametrize("field,value", [("coeffs", [1]), ("window", "x"), ("window", 1e400)])
+    def test_laurent_malformed_field(self, field, value, ctx):
+        obj = laurent_to_obj(LaurentSeries.constant(SuperMatrix.identity(ctx, 1)))
+        obj[field] = value
+        with pytest.raises(SerializationError):
+            laurent_from_obj(obj, ctx)
+
     def test_realization_round_trip(self, ctx, rng):
         r = Realization(
             a=random_supermatrix(ctx, rng, 2, 2),

@@ -158,3 +158,39 @@ class TestVerify:
             one_minus = ctx.one() - zz
             assert classify(one_minus).is_superpositive
             assert a.norm1() == pytest.approx((1 + lam) / 2)
+
+
+def schur_complement_verdict(spec):
+    """Reference route: T_{N-1} superpositive and r_0 - b* T_{N-1}⁻¹ b a positive supernumber."""
+    from grasschur.matrix import adjoint, is_superpositive, mat_invert, mat_mul
+
+    if spec.order == 0:
+        return classify(spec.r[0]).is_superpositive
+    leading = assemble(ToeplitzSpec(spec.r[:-1]))
+    if not is_superpositive(leading):
+        return False
+    b = SuperMatrix.column(list(spec.r[:0:-1]))
+    xi_sq = spec.r[0] - mat_mul(mat_mul(adjoint(b), mat_invert(leading)), b)[0, 0]
+    return classify(xi_sq).is_superpositive
+
+
+class TestVerifyAgainstSchurComplement:
+    @pytest.mark.parametrize("generators", [8, 64])
+    def test_random_specs_agree(self, generators):
+        from grasschur import AlgebraContext
+
+        ctx = AlgebraContext(generators=generators)
+        rng = np.random.default_rng(generators)
+        verdicts = []
+        for _ in range(120):
+            spec = random_superpositive_spec(ctx, rng, int(rng.integers(1, 4)))
+            # push one symbol by a random amount: small pushes stay inside, large leave
+            m = int(rng.integers(1, spec.order + 1))
+            push = ctx.scalar(complex(*rng.normal(size=2)) * rng.uniform(0, 0.8))
+            symbols = list(spec.r)
+            symbols[m] = symbols[m] + push + random_soul(ctx, rng, terms=2, scale=0.1)
+            spec = ToeplitzSpec(tuple(symbols))
+            verdict = verify_extension(spec)
+            assert verdict == schur_complement_verdict(spec)
+            verdicts.append(verdict)
+        assert any(verdicts) and not all(verdicts)
