@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
+import numpy as np
+
 from .errors import BodyZero, BranchCut, ContextMismatch, DomainViolation
 
 # A multi-index is an int bit set over generator slots 1..64.
@@ -316,7 +318,8 @@ def linear_combine(pairs: Iterable[tuple[complex, Supernumber]]) -> Supernumber:
 
 
 _FAST_PATH_MIN_PAIRS = 192
-_FAST_PATH_MAX_GENERATORS = 16  # widest context whose output slots are dense buckets
+_MASK_BAND = 1 << 16  # entries of the disjoint-pair mask built at once
+_DENSE_SLOTS = 1 << 12  # output numbers (2**N keys x coefficient size) held as dense buckets
 
 
 def mul(z: Supernumber, w: Supernumber) -> Supernumber:
@@ -346,27 +349,15 @@ def mul(z: Supernumber, w: Supernumber) -> Supernumber:
     return Supernumber(context, acc)
 
 
-def _mul_vectorized(context: AlgebraContext, zterms, wterms) -> dict[int, complex]:
-    """Canonical term map of the product, computed on the disjoint key pairs only.
-
-    One kernel for every generator count from 1 to 64: keys are held as uint64,
-    so generator 64 fits.  Signs come from an XOR fold of the merge parity, and
-    each pair's product lands in an output slot: a dense bucket per key below
-    2**N for N <= _FAST_PATH_MAX_GENERATORS, one slot per distinct output key
-    beyond.  Either way the slots are summed in ascending (a, b) order, as the
-    scalar loop in ``mul`` sums them, so the result is bit-identical to it.
+def _disjoint_pairs(generators: int, ka, kb):
+    """Index arrays of the disjoint pairs (a, b) of two nonempty ascending uint64
+    key arrays, in ascending (a, b) order, with each pair's sign flag
+    (merge_swap_count(a, b) odd) and product key a | b.
     """
-    import numpy as np
-
-    ka = np.fromiter(zterms.keys(), dtype=np.uint64, count=len(zterms))
-    kb = np.fromiter(wterms.keys(), dtype=np.uint64, count=len(wterms))
-    va = np.fromiter(zterms.values(), dtype=complex, count=len(zterms))
-    vb = np.fromiter(wterms.values(), dtype=complex, count=len(wterms))
-    # The disjoint-pair mask is built a band of rows at a time, each band's
-    # uint64 intermediate no larger than one dense bucket array.  Bands and the
-    # row-major flatnonzero keep the pairs in the ascending (a, b) order of the
-    # scalar loop.
-    band = max(1, (1 << _FAST_PATH_MAX_GENERATORS) // len(kb))
+    # The disjoint-pair mask is built a band of rows at a time, so its uint64
+    # intermediate stays small.  Bands and the row-major flatnonzero keep the
+    # pairs in ascending (a, b) order.
+    band = max(1, _MASK_BAND // len(kb))
     flat = np.concatenate([
         np.flatnonzero(np.bitwise_and.outer(ka[lo:lo + band], kb) == 0) + lo * len(kb)
         for lo in range(0, len(ka), band)
@@ -379,7 +370,7 @@ def _mul_vectorized(context: AlgebraContext, zterms, wterms) -> dict[int, comple
     # loop's shifts in reverse.
     prefix = kb.copy()
     shift = 1
-    while shift < context.generators:
+    while shift < generators:
         prefix ^= prefix << shift
         shift <<= 1
     gamma = ka[ia]  # a for now; a | b below
@@ -389,41 +380,61 @@ def _mul_vectorized(context: AlgebraContext, zterms, wterms) -> dict[int, comple
         shift >>= 1
         fold ^= fold >> shift
     fold &= 1
-    negate = fold.astype(bool)
-    del fold
     gamma |= kb[ib]
-    # split components so each multiply/add rounds exactly like the scalar loop
-    ar, ai = va.real[ia], va.imag[ia]
-    br, bi = vb.real[ib], vb.imag[ib]
-    del ia, ib
-    re = ar * br
-    re -= ai * bi
-    im = ar * bi
-    im += ai * br
-    del ar, ai, br, bi
-    np.negative(re, out=re, where=negate)
-    np.negative(im, out=im, where=negate)
-    del negate
-    # bincount accumulates sequentially per bucket, identically to the loop;
-    # this order is load-bearing for bit-exactness with the dense oracle, so
-    # no pairwise-summing reduction (np.add.reduceat, np.sum) may replace it.
-    # Up to _FAST_PATH_MAX_GENERATORS the slots are every key below 2**N;
-    # beyond, they are the distinct output keys, sorted by np.unique.
-    dense = context.generators <= _FAST_PATH_MAX_GENERATORS
-    if dense:
-        slot, size = gamma.view(np.int64), 1 << context.generators
+    return ia, ib, fold.astype(bool), gamma
+
+
+def _cmul(x, y):
+    """x * y, broadcast, each part rounded as in Python's complex product
+    (numpy's complex multiply may differ in the last bit)."""
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _pair_product(generators: int, ka, x, kb, y, op):
+    """Keys and coefficients of (Σ x_a i_a)(Σ y_b i_b) = Σ ±op(x_a, y_b) i_{a|b}, no zero slot kept.
+
+    ``ka`` and ``kb`` are ascending uint64 key arrays, ``x`` and ``y`` hold one
+    coefficient (a number or an array) per key, and ``op`` multiplies them
+    batched over a leading pair axis.  The pairs of each product key are summed
+    by bincount in ascending (a, b) order, as ``mul``'s scalar loop sums them,
+    so with ``_cmul`` on numbers the result is bit-identical to that loop; no
+    pairwise-summing reduction (np.add.reduceat, np.sum) may replace it.
+    """
+    if not (len(ka) and len(kb)):
+        return np.zeros(0, dtype=np.uint64), op(x[:0], y[:0])
+    ia, ib, negate, gamma = _disjoint_pairs(generators, ka, kb)
+    # the sign rides on the gather: rows len(ka).. of the doubled x are negated
+    terms = op(np.concatenate((x, -x))[ia + len(ka) * negate], y[ib])
+    width = math.prod(terms.shape[1:])
+    if width << generators <= _DENSE_SLOTS:  # a bucket per key below 2**N
+        keys, slot = np.arange(1 << generators, dtype=np.uint64), gamma.view(np.int64)
     else:
         keys, slot = np.unique(gamma, return_inverse=True)
-        size = len(keys)
-    del gamma
-    buf_re = np.bincount(slot, weights=re, minlength=size)
-    buf_im = np.bincount(slot, weights=im, minlength=size)
-    hit = np.flatnonzero((buf_re != 0.0) | (buf_im != 0.0))
+    flat = (slot[:, None] * width + np.arange(width)).ravel()
+    out = np.empty((len(keys), *terms.shape[1:]), dtype=complex)
     # fill the parts separately: re + 1j*im would turn a -0.0 real part into +0.0
-    values = np.empty(len(hit), dtype=complex)
-    values.real = buf_re[hit]
-    values.imag = buf_im[hit]
-    return dict(zip((hit if dense else keys[hit]).tolist(), values.tolist()))
+    out.real.flat = np.bincount(flat, weights=terms.real.ravel(), minlength=out.size)
+    out.imag.flat = np.bincount(flat, weights=terms.imag.ravel(), minlength=out.size)
+    hit = out.any(axis=tuple(range(1, out.ndim)))
+    return keys[hit], out[hit]
+
+
+def _mul_vectorized(context: AlgebraContext, zterms, wterms) -> dict[int, complex]:
+    """Canonical term map of the product, computed on the disjoint key pairs only.
+
+    One kernel for every generator count from 1 to 64: keys are held as uint64,
+    so generator 64 fits.  It is bit-identical to the scalar loop in ``mul``.
+    """
+    keys, values = _pair_product(
+        context.generators,
+        np.fromiter(zterms.keys(), dtype=np.uint64, count=len(zterms)),
+        np.fromiter(zterms.values(), dtype=complex, count=len(zterms)),
+        np.fromiter(wterms.keys(), dtype=np.uint64, count=len(wterms)),
+        np.fromiter(wterms.values(), dtype=complex, count=len(wterms)), _cmul)
+    return dict(zip(keys.tolist(), values.tolist()))
 
 
 def dagger(z: Supernumber) -> Supernumber:

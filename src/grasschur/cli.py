@@ -8,6 +8,7 @@ and seed produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -135,6 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one parser per process: building one takes milliseconds
+
+
 def _run_algebra(args, context) -> None:
     z = ser.supernumber_from_obj(_load(args.infile), context)
     if args.verb == "invert":
@@ -230,9 +234,8 @@ def _run_theta(args, context) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,11 +1,11 @@
 """Supermatrix algebra: adjoint, product, LDU and LL* factorizations, inversion,
 and super-positivity.
 
-Matrices are dense grids of supernumbers sharing one context.  The body of a
-matrix is the complex matrix of entry bodies; taking bodies is a ring morphism,
-and a matrix is invertible exactly when its body is.  Positivity is decided by
-the body criterion (self-adjoint + body PSD/PD) and can be sampled against the
-quadratic-form definition.
+A matrix is stored as Σ_α M_α i_α: ascending uint64 monomial keys and one
+complex (keys, rows, cols) stack with no all-zero slot.  Its body is M_0;
+taking bodies is a ring morphism, and a matrix is invertible exactly when its
+body is.  Positivity is decided by the body criterion (self-adjoint + body
+PSD/PD) and can be sampled against the quadratic-form definition.
 """
 from __future__ import annotations
 
@@ -14,35 +14,33 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraContext, Supernumber, basis_mul, dagger, invert, kth_root, linear_combine, mul
+from .algebra import (AlgebraContext, Supernumber, _cmul, _pair_product, _require_same_context, dagger_sign,
+                      invert, kth_root, linear_combine, mul)
 from .errors import BodySingular, ContextMismatch, NotRegular, NotSuperpositive, ShapeMismatch
 
 _ADJOINT_TOL = 1e-12  # relative 1-norm tolerance of M* = M (and of J J = I for signatures)
 
 
 class SuperMatrix:
-    """Dense p x q matrix with supernumber entries, immutable."""
+    """Dense p x q matrix with supernumber entries, immutable: ``stack[s]`` is the
+    coefficient matrix of monomial ``keys[s]``; the arrays become read-only."""
 
-    __slots__ = ("context", "rows", "cols", "_entries")
+    __slots__ = ("context", "rows", "cols", "keys", "stack")
 
-    def __init__(self, entries: Sequence[Sequence[Supernumber]]):
-        rows = len(entries)
-        if rows == 0 or len(entries[0]) == 0:
-            raise ValueError("matrices must have at least one row and column")
-        cols = len(entries[0])
-        context = entries[0][0].context
-        grid = []
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for e in row:
-                if e.context != context:
-                    raise ContextMismatch("matrix entries use different algebra contexts")
-            grid.append(tuple(row))
+    def __init__(self, context: AlgebraContext, keys, stack):
+        keys = np.asarray(keys, dtype=np.uint64)
+        stack = np.asarray(stack, dtype=complex)
+        if stack.ndim != 3 or 0 in stack.shape[1:] or len(keys) != len(stack):
+            raise ValueError("a matrix needs one (rows, cols) coefficient matrix per key, rows, cols >= 1")
+        kept = stack.any(axis=(1, 2))
+        if not kept.all():
+            keys, stack = keys[kept], stack[kept]
+        keys.flags.writeable = stack.flags.writeable = False
         object.__setattr__(self, "context", context)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_entries", tuple(grid))
+        object.__setattr__(self, "rows", stack.shape[1])
+        object.__setattr__(self, "cols", stack.shape[2])
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "stack", stack)
 
     def __setattr__(self, name, value):
         raise AttributeError("SuperMatrix is immutable")
@@ -51,13 +49,27 @@ class SuperMatrix:
 
     @classmethod
     def from_rows(cls, entries: Sequence[Sequence[Supernumber]]) -> "SuperMatrix":
-        return cls(entries)
+        """The matrix of a grid of supernumbers sharing one context."""
+        rows = len(entries)
+        if rows == 0 or len(entries[0]) == 0:
+            raise ValueError("matrices must have at least one row and column")
+        cols = len(entries[0])
+        context = entries[0][0].context
+        if any(len(row) != cols for row in entries):
+            raise ValueError("ragged rows")
+        if any(e.context != context for row in entries for e in row):
+            raise ContextMismatch("matrix entries use different algebra contexts")
+        keys = sorted({key for row in entries for e in row for key in e._terms})
+        slot = {key: s for s, key in enumerate(keys)}
+        stack = np.zeros((len(keys), rows, cols), dtype=complex)
+        for i, row in enumerate(entries):
+            for j, e in enumerate(row):
+                stack[[slot[key] for key in e._terms], i, j] = list(e._terms.values())
+        return cls(context, keys, stack)
 
     @classmethod
     def from_body(cls, context: AlgebraContext, body) -> "SuperMatrix":
-        array = np.atleast_2d(np.asarray(body, dtype=complex))
-        return cls([[context.scalar(array[i, j]) for j in range(array.shape[1])]
-                    for i in range(array.shape[0])])
+        return cls(context, [0], np.atleast_2d(np.array(body, dtype=complex))[None])
 
     @classmethod
     def identity(cls, context: AlgebraContext, n: int) -> "SuperMatrix":
@@ -65,39 +77,34 @@ class SuperMatrix:
 
     @classmethod
     def zeros(cls, context: AlgebraContext, rows: int, cols: int) -> "SuperMatrix":
-        zero = context.zero()
-        return cls([[zero] * cols for _ in range(rows)])
+        return cls(context, [], np.zeros((0, rows, cols)))
 
     @classmethod
     def from_scalar(cls, value: Supernumber) -> "SuperMatrix":
-        return cls([[value]])
+        return cls.from_rows([[value]])
 
     @classmethod
     def diagonal(cls, entries: Sequence[Supernumber]) -> "SuperMatrix":
-        context = entries[0].context
-        zero = context.zero()
+        zero = entries[0].context.zero()
         n = len(entries)
-        return cls([[entries[i] if i == j else zero for j in range(n)] for i in range(n)])
+        return cls.from_rows([[entries[i] if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
     def column(cls, entries: Sequence[Supernumber]) -> "SuperMatrix":
-        return cls([[e] for e in entries])
+        return cls.from_rows([[e] for e in entries])
 
     @classmethod
     def row(cls, entries: Sequence[Supernumber]) -> "SuperMatrix":
-        return cls([list(entries)])
+        return cls.from_rows([list(entries)])
 
     @classmethod
     def block(cls, blocks: Sequence[Sequence["SuperMatrix"]]) -> "SuperMatrix":
-        grid: list[list[Supernumber]] = []
         for block_row in blocks:
-            height = block_row[0].rows
-            for b in block_row:
-                if b.rows != height:
-                    raise ShapeMismatch("block heights differ within a block row")
-            for i in range(height):
-                grid.append([e for b in block_row for e in b._entries[i]])
-        return cls(grid)
+            if any(b.rows != block_row[0].rows for b in block_row):
+                raise ShapeMismatch("block heights differ within a block row")
+        keys = np.unique(np.concatenate([b.keys for block_row in blocks for b in block_row]))
+        rows = [np.concatenate([_spread(keys, b.keys, b.stack) for b in row], axis=2) for row in blocks]
+        return cls(blocks[0][0].context, keys, np.concatenate(rows, axis=1))
 
     # -- views -----------------------------------------------------------
 
@@ -107,71 +114,60 @@ class SuperMatrix:
 
     def __getitem__(self, key) -> Supernumber:
         i, j = key
-        return self._entries[i][j]
+        values = self.stack[:, i, j].tolist()
+        return Supernumber._canonical(self.context, {k: v for k, v in zip(self.keys.tolist(), values) if v})
 
     def entries(self) -> tuple[tuple[Supernumber, ...], ...]:
-        return self._entries
+        return tuple(tuple(self[i, j] for j in range(self.cols)) for i in range(self.rows))
 
     def body(self) -> np.ndarray:
-        return np.array([[e.body for e in row] for row in self._entries], dtype=complex)
+        if len(self.keys) and self.keys[0] == 0:
+            return self.stack[0].copy()
+        return np.zeros(self.shape, dtype=complex)
 
     def soul(self) -> "SuperMatrix":
-        return SuperMatrix([[e.soul for e in row] for row in self._entries])
+        start = int(len(self.keys) > 0 and self.keys[0] == 0)
+        return SuperMatrix(self.context, self.keys[start:], self.stack[start:])
 
     def norm1(self) -> float:
-        return sum(e.norm1() for row in self._entries for e in row)
+        return float(np.abs(self.stack).sum())
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self._entries for e in row)
+        return not len(self.keys)
 
     def submatrix(self, row_indices: Iterable[int], col_indices: Iterable[int]) -> "SuperMatrix":
-        ri = list(row_indices)
-        ci = list(col_indices)
-        return SuperMatrix([[self._entries[i][j] for j in ci] for i in ri])
+        return SuperMatrix(self.context, self.keys, self.stack[:, list(row_indices)][:, :, list(col_indices)])
 
     # -- arithmetic --------------------------------------------------------
-
-    def _map(self, f: Callable[[Supernumber], Supernumber]) -> "SuperMatrix":
-        return SuperMatrix([[f(e) for e in row] for row in self._entries])
 
     def __add__(self, other):
         if not isinstance(other, SuperMatrix):
             return NotImplemented
         if self.shape != other.shape:
             raise ShapeMismatch(f"cannot add {self.shape} and {other.shape}")
-        return SuperMatrix([
-            [a + b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self._entries, other._entries)
-        ])
+        return SuperMatrix(_require_same_context(self, other),
+                           *_add(self.keys, self.stack, other.keys, other.stack))
 
     def __sub__(self, other):
-        if not isinstance(other, SuperMatrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"cannot subtract {self.shape} and {other.shape}")
-        return SuperMatrix([
-            [a - b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self._entries, other._entries)
-        ])
+        return self + -other if isinstance(other, SuperMatrix) else NotImplemented
 
     def __neg__(self):
-        return self._map(lambda e: -e)
+        return SuperMatrix(self.context, self.keys, -self.stack)
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, float, complex)):
-            c = complex(scalar)
-            return self._map(lambda e: e * c)
+            return SuperMatrix(self.context, self.keys, self.stack * complex(scalar))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def scale_left(self, s: Supernumber) -> "SuperMatrix":
         """s * M with a supernumber scalar on the left of every entry."""
-        return self._map(lambda e: mul(s, e))
+        return _product(SuperMatrix.from_scalar(s), self, _cmul)
 
     def scale_right(self, s: Supernumber) -> "SuperMatrix":
         """M * s with a supernumber scalar on the right of every entry."""
-        return self._map(lambda e: mul(e, s))
+        return _product(self, SuperMatrix.from_scalar(s), _cmul)
 
     def __matmul__(self, other):
         if not isinstance(other, SuperMatrix):
@@ -180,52 +176,73 @@ class SuperMatrix:
 
     def __eq__(self, other):
         if isinstance(other, SuperMatrix):
-            return self.shape == other.shape and self._entries == other._entries
+            return (self.context == other.context and self.shape == other.shape
+                    and np.array_equal(self.keys, other.keys) and np.array_equal(self.stack, other.stack))
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._entries)
+        return hash((self.shape, self.keys.tobytes()))
 
     def __repr__(self):
         return f"SuperMatrix({self.rows}x{self.cols})"
 
 
+def _spread(keys: np.ndarray, ka, x) -> np.ndarray:
+    """The stack x of keys ka placed on ``keys``, an ascending superset of ka."""
+    out = np.zeros((len(keys), *x.shape[1:]), dtype=complex)
+    out[np.searchsorted(keys, ka)] = x
+    return out
+
+
+def _add(ka, x, kb, y) -> tuple[np.ndarray, np.ndarray]:
+    """Keys and stack of Σ x_a i_a + Σ y_b i_b."""
+    keys = np.union1d(ka, kb)
+    return keys, _spread(keys, ka, x) + _spread(keys, kb, y)
+
+
+def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y over the last two axes, one broadcast multiply-add per inner index
+    (faster than np.matmul on stacks of small complex matrices)."""
+    if x.shape[-1] == 1:
+        return _cmul(x, y)
+    out = x[..., :, :1] * y[..., :1, :]
+    for r in range(1, x.shape[-1]):
+        out += x[..., :, r:r + 1] * y[..., r:r + 1, :]
+    return out
+
+
+def _product(m: SuperMatrix, l: SuperMatrix, op) -> SuperMatrix:
+    """The Grassmann product of two matrices' stacks, ``op`` multiplying the coefficients."""
+    return SuperMatrix(_require_same_context(m, l),
+                       *_pair_product(m.context.generators, m.keys, m.stack, l.keys, l.stack, op))
+
+
+def _inverse(context: AlgebraContext, keys, stack) -> tuple[np.ndarray, np.ndarray]:
+    """Keys and stack of (Σ X_α i_α)⁻¹ for an invertible body B = stack[0] (keys[0] == 0)
+    and soul S: Σ_k (−B⁻¹S)^k B⁻¹, whose powers vanish after at most N factors."""
+    body_inv = np.linalg.inv(stack[0])
+    step = -_matmul(body_inv, stack[1:])
+    power = total = keys[:1], body_inv[None]
+    for _ in range(context.generators):
+        power = _pair_product(context.generators, keys[1:], step, *power, _matmul)
+        if not len(power[0]):
+            break
+        total = _add(*total, *power)
+    return total
+
+
 def adjoint(m: SuperMatrix) -> SuperMatrix:
     """Conjugate transpose under dagger: M* = (m_kj†); (ML)* = L*M*."""
-    return SuperMatrix([
-        [dagger(m[i, j]) for i in range(m.rows)]
-        for j in range(m.cols)
-    ])
+    flip = np.array([dagger_sign(k) < 0 for k in m.keys.tolist()], dtype=bool)[:, None, None]
+    stack = m.stack.conj().transpose(0, 2, 1)
+    return SuperMatrix(m.context, m.keys, np.where(flip, -stack, stack))
 
 
 def mat_mul(m: SuperMatrix, l: SuperMatrix) -> SuperMatrix:
-    """Matrix product over the noncommutative ring (inner sums low-to-high)."""
+    """Matrix product over the noncommutative ring."""
     if m.cols != l.rows:
         raise ShapeMismatch(f"cannot multiply {m.shape} by {l.shape}")
-    rows = []
-    for i in range(m.rows):
-        row = []
-        for j in range(l.cols):
-            products = [(1.0, mul(m[i, k], l[k, j])) for k in range(m.cols)]
-            row.append(linear_combine(products))
-        rows.append(row)
-    return SuperMatrix(rows)
-
-
-def _stacked_mul(x: dict[int, np.ndarray], y: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """Grassmann product of two {monomial key: stack of matrices} maps.
-
-    One batched np.matmul per disjoint key pair, signed by basis_mul.  Keys no
-    pair reaches are absent, so powers of an all-soul factor empty within N steps.
-    """
-    out: dict[int, np.ndarray] = {}
-    for a, xa in x.items():
-        for b, yb in y.items():
-            if not a & b:
-                sign, key = basis_mul(a, b)
-                term = sign * np.matmul(xa, yb)
-                out[key] = out[key] + term if key in out else term
-    return out
+    return _product(m, l, _matmul)
 
 
 @dataclass(frozen=True)
@@ -277,14 +294,14 @@ def ldu_factor(m: SuperMatrix) -> LDUFactors:
                 row.append(work[i][j] - mul(correction_left, work[0][j]))
             next_work.append(row)
         work = next_work
-    return LDUFactors(SuperMatrix(lower), SuperMatrix.diagonal(diag), SuperMatrix(upper))
+    return LDUFactors(SuperMatrix.from_rows(lower), SuperMatrix.diagonal(diag), SuperMatrix.from_rows(upper))
 
 
 def mat_invert(m: SuperMatrix) -> SuperMatrix:
     """Inverse via body inversion plus a terminating Neumann series.
 
     M = M_B (I + B) with B = M_B⁻¹ M_S all-soul, so B^(N+1) = 0 and
-    M⁻¹ = (sum_k (-B)^k) M_B⁻¹.  Requires an invertible body (smallest
+    M⁻¹ = sum_k (-B)^k M_B⁻¹.  Requires an invertible body (smallest
     singular value above tol_body), else BodySingular.
     """
     if m.rows != m.cols:
@@ -294,17 +311,7 @@ def mat_invert(m: SuperMatrix) -> SuperMatrix:
     svals = np.linalg.svd(body, compute_uv=False)
     if svals[-1] <= context.tol_body * max(1.0, svals[0]):
         raise BodySingular(f"smallest body singular value {svals[-1]:.3e}")
-    body_inv = SuperMatrix.from_body(context, np.linalg.inv(body))
-    minus_b = -mat_mul(body_inv, m.soul())
-    n = m.rows
-    acc = SuperMatrix.identity(context, n)
-    power = SuperMatrix.identity(context, n)
-    for _ in range(context.generators):
-        power = mat_mul(power, minus_b)
-        if power.is_zero():
-            break
-        acc = acc + power
-    return mat_mul(acc, body_inv)
+    return SuperMatrix(context, *_inverse(context, m.keys, m.stack))
 
 
 def sandwich_solve(l: SuperMatrix, q: SuperMatrix, r: SuperMatrix) -> SuperMatrix:
@@ -330,9 +337,8 @@ def sandwich_solve(l: SuperMatrix, q: SuperMatrix, r: SuperMatrix) -> SuperMatri
     k_inv = np.linalg.inv(k)
 
     def body_solve(y: SuperMatrix) -> SuperMatrix:
-        flat = [e for row in y.entries() for e in row]
-        return SuperMatrix([[linear_combine(zip(k_inv[i * cols + j], flat)) for j in range(cols)]
-                            for i in range(rows)])
+        flat = y.stack.reshape(-1, rows * cols) @ k_inv.T  # K⁻¹ on each monomial's row-major vec
+        return SuperMatrix(context, y.keys, flat.reshape(-1, rows, cols))
 
     l_b = SuperMatrix.from_body(context, l_body)
     l_s, r_s = l.soul(), r.soul()
@@ -436,7 +442,7 @@ def polarization_reconstruct(
                 probes.append((0.25 * w, form(probe)))
             row.append(linear_combine(probes))
         rows.append(row)
-    return SuperMatrix(rows)
+    return SuperMatrix.from_rows(rows)
 
 
 def quadratic_form(m: SuperMatrix, c: SuperMatrix) -> Supernumber:

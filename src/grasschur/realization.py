@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraContext, Supernumber, dagger, invert
-from .errors import DSingular, JInvalid, ShapeMismatch
+from .errors import BodySingular, DSingular, JInvalid, ShapeMismatch
 from .matrix import _ADJOINT_TOL, SuperMatrix, _self_adjoint, adjoint, mat_invert, mat_mul
 from .series import SeriesMatrix
 
@@ -93,7 +93,7 @@ def inverse_realization(r: Realization) -> Realization:
     """Realization of F^{-star}: (A - BD⁻¹C, BD⁻¹, -D⁻¹C, D⁻¹)."""
     try:
         d_inv = mat_invert(r.d)
-    except Exception as exc:
+    except BodySingular as exc:
         raise DSingular(str(exc)) from exc
     b_dinv = mat_mul(r.b, d_inv)
     return Realization(

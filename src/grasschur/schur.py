@@ -507,23 +507,21 @@ class SchurChain:
 
     rhos: tuple[Supernumber, ...]
     sections: tuple[SeriesMatrix, ...]
-    termination: str  # max_steps | rho_boundary | step_singular | degree_exhausted
+    termination: str  # max_steps | rho_boundary | degree_exhausted
 
     @property
     def steps(self) -> int:
         return len(self.rhos)
 
 
-def schur_algorithm(s: SeriesMatrix, max_steps: int, *, use_section_solve: bool = False) -> SchurChain:
+def schur_algorithm(s: SeriesMatrix, max_steps: int) -> SchurChain:
     """Iterate the Schur step, recording coefficients and sections.
 
-    Stops at max_steps, at the contractivity boundary |rho_B| = 1, when the
-    section solve hits a singular shifted denominator, or when the series
-    truncation degree is exhausted (one degree is consumed per step).
+    Stops at max_steps, at the contractivity boundary |rho_B| = 1, or when the
+    series truncation degree is exhausted (one degree is consumed per step).
     """
     if not is_schur_grassmann(s):
         raise GrasschurError("input is not a Schur-Grassmann function")
-    step_fn = section_step if use_section_solve else schur_step
     sigma = s
     rhos: list[Supernumber] = []
     sections: list[SeriesMatrix] = []
@@ -533,12 +531,9 @@ def schur_algorithm(s: SeriesMatrix, max_steps: int, *, use_section_solve: bool 
             termination = "degree_exhausted"
             break
         try:
-            rho, sigma, section = step_fn(sigma, step)
+            rho, sigma, section = schur_step(sigma, step)
         except RhoNotContractive:
             termination = "rho_boundary"
-            break
-        except StepSingular:
-            termination = "step_singular"
             break
         rhos.append(rho)
         sections.append(section)

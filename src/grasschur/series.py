@@ -25,7 +25,7 @@ from .errors import (
     TailTooLarge,
     WindowTooSmall,
 )
-from .matrix import SuperMatrix, _stacked_mul, adjoint, mat_invert, mat_mul
+from .matrix import SuperMatrix, _inverse, _spread, adjoint, mat_invert, mat_mul
 
 
 @dataclass(frozen=True)
@@ -397,17 +397,14 @@ def project_minus(f: LaurentSeries) -> LaurentSeries:
     return LaurentSeries(f.window, {n: c for n, c in f.coeffs.items() if n <= 0}, shape=f.shape)
 
 
-def _on_circle(f: LaurentSeries, points: int) -> dict[int, np.ndarray]:
-    """f(e^{2πij/points}) as {monomial key: (points, p, q) stack}, always with key 0 (the body)."""
+def _on_circle(f: LaurentSeries, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """f(e^{2πij/points}) as ascending monomial keys, always with key 0 (the body),
+    and a (keys, points, p, q) stack."""
     powers = sorted(f.coeffs)
-    coeffs = {0: np.zeros((len(powers), *f.shape), dtype=complex)}
-    for slot, n in enumerate(powers):
-        for i, row in enumerate(f.coeffs[n].entries()):
-            for j, entry in enumerate(row):
-                for key, value in entry.terms.items():
-                    coeffs.setdefault(key, np.zeros_like(coeffs[0]))[slot, i, j] = value
+    keys = np.unique(np.concatenate([np.zeros(1, dtype=np.uint64)] + [f.coeffs[n].keys for n in powers]))
+    coeffs = np.stack([_spread(keys, f.coeffs[n].keys, f.coeffs[n].stack) for n in powers], axis=1)
     phases = np.exp(2j * np.pi * np.outer(np.arange(points) / points, powers))
-    return {key: np.tensordot(phases, c, axes=1) for key, c in coeffs.items()}
+    return keys, np.einsum("mn,knpq->kmpq", phases, coeffs)
 
 
 def wiener_is_invertible(f: LaurentSeries, grid_points: int | None = None) -> bool:
@@ -419,7 +416,7 @@ def wiener_is_invertible(f: LaurentSeries, grid_points: int | None = None) -> bo
     if f.shape[0] != f.shape[1]:
         raise ShapeMismatch("invertibility needs square coefficients")
     points = grid_points or max(256, 16 * (2 * f.window + 1))
-    dets = np.linalg.det(_on_circle(f, points)[0])
+    dets = np.linalg.det(_on_circle(f, points)[1][0])
     return bool(np.abs(dets).min() > f.context.tol_body)
 
 
@@ -429,10 +426,10 @@ def wiener_invert(f: LaurentSeries, grid_points: int | None = None,
 
     A point e^{it} is a scalar, so F(e^{it})⁻¹ is the inverse's value there: a
     body inverse plus the soul series sum_k (-B⁻¹S)^k B⁻¹ (F = B + S), which
-    ends by nilpotency within N steps, on one grid stack per monomial; then
-    one FFT per monomial.  The grid doubles until every kept (power, monomial)
-    coefficient (largest entry above tol_eq·1e-5) moves by at most tol_eq/100
-    and no new one is kept.
+    ends by nilpotency within N steps, on the (monomial, grid point) stack;
+    then one FFT along the grid axis.  The grid doubles until every kept
+    (power, monomial) coefficient (largest entry above tol_eq·1e-5) moves by at
+    most tol_eq/100 and no new one is kept.
     """
     if not wiener_is_invertible(f, grid_points):
         raise NotInvertible("body determinant vanishes on the circle")
@@ -441,19 +438,11 @@ def wiener_invert(f: LaurentSeries, grid_points: int | None = None,
     points = grid_points or max(64, 8 * (2 * f.window + 1))
     previous = None
     while points <= max_grid:
-        values = _on_circle(f, points)
-        power = total = {0: np.linalg.inv(values.pop(0))}
-        step = _stacked_mul({0: -total[0]}, values)  # -B⁻¹S, all soul
-        for _ in range(context.generators):
-            power = _stacked_mul(step, power)
-            if not power:
-                break
-            total = {key: total.get(key, 0) + power.get(key, 0) for key in total | power}
-        keys = sorted(total)  # f's monomials fix them, so every grid has the same
+        keys, total = _inverse(context, *_on_circle(f, points))  # f's monomials fix the keys on every grid
         half = points // 2
         powers = np.arange(-half, half)
         # g_n = (1/M) sum_j F(t_j)^{-1} e^{-i n t_j}: numpy's forward FFT over M
-        spectrum = np.fft.fft(np.stack([total[key] for key in keys]), axis=1)[:, powers % points] / points
+        spectrum = np.fft.fft(total, axis=1)[:, powers % points] / points
         kept = np.abs(spectrum).max(axis=(2, 3)) > tol * 1e-3
         if previous is not None:
             old_spectrum, old_kept = previous
@@ -467,13 +456,8 @@ def wiener_invert(f: LaurentSeries, grid_points: int | None = None,
         points *= 2
     else:
         raise WindowTooSmall("Fourier coefficients of the inverse do not stabilize")
-    out = {}
-    for col in np.flatnonzero(kept.any(axis=0)):
-        rows = np.flatnonzero(kept[:, col])
-        monomials = [keys[r] for r in rows]
-        entries = spectrum[rows, col].transpose(1, 2, 0).tolist()  # p x q lists over monomials
-        out[int(powers[col])] = SuperMatrix(
-            [[Supernumber(context, dict(zip(monomials, e))) for e in row] for row in entries])
+    out = {int(powers[col]): SuperMatrix(context, keys[kept[:, col]], spectrum[kept[:, col], col])
+           for col in np.flatnonzero(kept.any(axis=0))}
     return LaurentSeries(max([f.window, *map(abs, out)]), out, shape=f.shape)
 
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from grasschur import AlgebraContext, SuperMatrix
-from grasschur import cli
 from grasschur.cli import main
 from grasschur.schur import InterpolationData
 from grasschur.series import SeriesMatrix
@@ -58,13 +57,6 @@ def _canonical_inputs():
         (["blaschke", "eval"], {"--a": half, "--c": one, "--p": p_blaschke, "--at": point}),
         (["theta", "build"], {"--C": c, "--A": a, "--J": j, "--P": p}),
     ]
-
-
-@pytest.fixture(autouse=True)
-def one_parser(monkeypatch):
-    """Build the argument parser once: main() would rebuild the same parser per run."""
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
 
 
 def _paths(node, path=()):

@@ -3,13 +3,17 @@ import numpy as np
 import pytest
 
 from grasschur import (
+    AlgebraContext,
     SuperMatrix,
+    Supernumber,
     adjoint,
     classify,
     dagger,
+    index_from_generators,
     is_supernonnegative,
     is_superpositive,
     ldu_factor,
+    linear_combine,
     mat_invert,
     mat_mul,
     mul,
@@ -255,3 +259,111 @@ class TestPolarization:
             m = random_supermatrix(ctx, rng, 3, 3)
             got = polarization_reconstruct(lambda c: quadratic_form(m, c), 3, ctx)
             assert residual(got, m) <= 1e-10 * max(1.0, m.norm1())
+
+
+# -- the (keys, stack) layout against entrywise reference formulas ------------
+
+
+def ref_mat_mul(m, l):
+    return SuperMatrix.from_rows([
+        [linear_combine([(1.0, mul(m[i, k], l[k, j])) for k in range(m.cols)]) for j in range(l.cols)]
+        for i in range(m.rows)
+    ])
+
+
+def ref_adjoint(m):
+    return SuperMatrix.from_rows([[dagger(m[i, j]) for i in range(m.rows)] for j in range(m.cols)])
+
+
+def ref_entrywise(f, *ms):
+    return SuperMatrix.from_rows([[f(*(x[i, j] for x in ms)) for j in range(ms[0].cols)]
+                                  for i in range(ms[0].rows)])
+
+
+def ref_invert(m):
+    """The entrywise Neumann loop: sum_k (-M_B⁻¹ M_S)^k M_B⁻¹."""
+    ctx = m.context
+    body_inv = SuperMatrix.from_body(ctx, np.linalg.inv(m.body()))
+    minus_b = ref_entrywise(lambda e: -e, ref_mat_mul(body_inv, ref_entrywise(lambda e: e.soul, m)))
+    acc = power = SuperMatrix.identity(ctx, m.rows)
+    for _ in range(ctx.generators):
+        power = ref_mat_mul(power, minus_b)
+        acc = ref_entrywise(lambda a, b: linear_combine([(1.0, a), (1.0, b)]), acc, power)
+    return ref_mat_mul(acc, body_inv)
+
+
+def filled_matrix(ctx, rng, n, body):
+    """n x n matrix whose entries carry every monomial of the context."""
+    keys = range(1 << ctx.generators)
+    return SuperMatrix.from_rows([
+        [Supernumber(ctx, {k: (body[i, j] if k == 0 else 0.1 * complex(*rng.normal(size=2))) for k in keys})
+         for j in range(n)] for i in range(n)])
+
+
+def sparse_matrix(ctx, rng, rows, cols, terms):
+    """Entries of a few random soul monomials, every other one holding generator 64."""
+    def entry():
+        raw = {0: complex(*rng.normal(size=2)) + 2.0}
+        for t in range(terms):
+            gens = rng.choice(np.arange(1, 64), size=int(rng.integers(1, 3)), replace=False).tolist()
+            raw[index_from_generators(sorted(gens + [64] * (t % 2)))] = 0.3 * complex(*rng.normal(size=2))
+        return Supernumber(ctx, raw)
+    return SuperMatrix.from_rows([[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+def close(got, want):
+    return residual(got, want) <= 1e-12 * max(1.0, want.norm1())
+
+
+class TestStackLayout:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_filled_n8_matches_entrywise(self, ctx, rng, n):
+        body = 2 * np.eye(n) + 0.3 * rng.normal(size=(n, n))
+        m = filled_matrix(ctx, rng, n, body)
+        l = filled_matrix(ctx, rng, n, rng.normal(size=(n, n)))
+        s = random_supernumber(ctx, rng, terms=20)
+        assert len(m.keys) == 256
+        assert close(mat_mul(m, l), ref_mat_mul(m, l))
+        assert close(adjoint(m), ref_adjoint(m))
+        assert close(m.scale_left(s), ref_entrywise(lambda e: mul(s, e), m))
+        assert close(m.scale_right(s), ref_entrywise(lambda e: mul(e, s), m))
+        assert close(m + l, ref_entrywise(lambda a, b: linear_combine([(1.0, a), (1.0, b)]), m, l))
+        assert close(m - l, ref_entrywise(lambda a, b: linear_combine([(1.0, a), (-1.0, b)]), m, l))
+        assert close(mat_invert(m), ref_invert(m))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sparse_n64_top_generator_matches_entrywise(self, rng, n):
+        ctx = AlgebraContext(generators=64)
+        m = sparse_matrix(ctx, rng, n, n, 3)
+        l = sparse_matrix(ctx, rng, n, 2, 3)
+        s = sparse_matrix(ctx, rng, 1, 1, 4)[0, 0]
+        assert int(m.keys[-1]) >= 1 << 63
+        assert close(mat_mul(m, l), ref_mat_mul(m, l))
+        assert close(adjoint(l), ref_adjoint(l))
+        assert close(l.scale_left(s), ref_entrywise(lambda e: mul(s, e), l))
+        assert close(l.scale_right(s), ref_entrywise(lambda e: mul(e, s), l))
+        assert close(m + m, ref_entrywise(lambda a, b: linear_combine([(1.0, a), (1.0, b)]), m, m))
+        assert close(m - adjoint(m), ref_entrywise(lambda a, b: linear_combine([(1.0, a), (-1.0, b)]),
+                                                   m, ref_adjoint(m)))
+        small = sparse_matrix(ctx, rng, min(n, 2), min(n, 2), 2)
+        assert close(mat_invert(small), ref_invert(small))
+
+    def test_from_rows_keeps_every_entry(self, ctx, rng):
+        signed = Supernumber(ctx, {0: complex(-0.0, 1.5), 5: complex(2.0, -0.0), 9: complex(1.0, -0.0)})
+        grid = [[signed, ctx.zero(), random_supernumber(ctx, rng)],
+                [random_supernumber(ctx, rng), -signed, ctx.generator(8)]]
+        m = SuperMatrix.from_rows(grid)
+        for i, row in enumerate(grid):
+            for j, e in enumerate(row):
+                assert m[i, j] == e and repr(m[i, j]) == repr(e)
+        assert m.entries() == tuple(tuple(row) for row in grid)
+
+    def test_zero_and_cancelling_sums_have_no_keys(self, ctx, rng):
+        zero = SuperMatrix.zeros(ctx, 2, 3)
+        m = random_supermatrix(ctx, rng, 2, 3)
+        for z in (zero, m - m, m + -m, m * 0):
+            assert len(z.keys) == 0 and z.is_zero() and z == zero
+            assert np.array_equal(z.body(), np.zeros((2, 3))) and z.norm1() == 0.0
+        soul = random_supermatrix(ctx, rng, 2, 3, body=0.0)
+        partial = (m + soul) - soul  # the monomials of soul alone cancel exactly
+        assert np.array_equal(partial.keys, m.keys) and close(partial, m)

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from grasschur import SuperMatrix
-from grasschur.errors import DSingular, JInvalid
+from grasschur import AlgebraContext, SuperMatrix
+from grasschur.errors import DSingular, JInvalid, ShapeMismatch
 from grasschur.realization import (
     Realization,
     backward_shift_span_dimension,
@@ -109,6 +109,17 @@ class TestInverse:
     def test_singular_d(self, ctx):
         r = Realization.constant(SuperMatrix.zeros(ctx, 2, 2))
         with pytest.raises(DSingular):
+            inverse_realization(r)
+
+    def test_non_square_d_is_a_shape_error(self):
+        ctx = AlgebraContext(generators=2)
+        r = Realization(
+            a=SuperMatrix.from_body(ctx, [[0.5]]),
+            b=SuperMatrix.from_body(ctx, [[1.0, 0.0]]),
+            c=SuperMatrix.from_body(ctx, [[1.0]]),
+            d=SuperMatrix.from_body(ctx, [[1.0, 0.0]]),
+        )
+        with pytest.raises(ShapeMismatch):
             inverse_realization(r)
 
 
