@@ -217,14 +217,23 @@ def _product(m: SuperMatrix, l: SuperMatrix, op) -> SuperMatrix:
                        *_pair_product(m.context.generators, m.keys, m.stack, l.keys, l.stack, op))
 
 
-def _inverse(context: AlgebraContext, keys, stack) -> tuple[np.ndarray, np.ndarray]:
-    """Keys and stack of (Σ X_α i_α)⁻¹ for an invertible body B = stack[0] (keys[0] == 0)
-    and soul S: Σ_k (−B⁻¹S)^k B⁻¹, whose powers vanish after at most N factors."""
-    body_inv = np.linalg.inv(stack[0])
-    step = -_matmul(body_inv, stack[1:])
+def _body_inverse(context: AlgebraContext, body: np.ndarray) -> np.ndarray:
+    """B⁻¹ for a body whose smallest singular value is above tol_body (times the
+    largest, when that exceeds 1), else BodySingular."""
+    svals = np.linalg.svd(body, compute_uv=False)
+    if svals[-1] <= context.tol_body * max(1.0, svals[0]):
+        raise BodySingular(f"smallest body singular value {svals[-1]:.3e}")
+    return np.linalg.inv(body)
+
+
+def _inverse(context: AlgebraContext, keys, stack, body_inv, op) -> tuple[np.ndarray, np.ndarray]:
+    """Keys and stack of (Σ X_α i_α)⁻¹ for body B = stack[0] (keys[0] == 0) and soul S:
+    Σ_k (−B⁻¹S)^k B⁻¹, whose powers vanish after at most N factors.  ``body_inv`` is
+    B⁻¹ and ``op`` the payload product of the coefficients (``_pair_product``)."""
+    step = -op(body_inv[None], stack[1:])
     power = total = keys[:1], body_inv[None]
     for _ in range(context.generators):
-        power = _pair_product(context.generators, keys[1:], step, *power, _matmul)
+        power = _pair_product(context.generators, keys[1:], step, *power, op)
         if not len(power[0]):
             break
         total = _add(*total, *power)
@@ -286,14 +295,8 @@ def ldu_factor(m: SuperMatrix) -> LDUFactors:
         for i in range(1, size):
             lower[k + i][k] = mul(work[i][0], pivot_inv)
             upper[k][k + i] = mul(pivot_inv, work[0][i])
-        next_work = []
-        for i in range(1, size):
-            row = []
-            correction_left = mul(work[i][0], pivot_inv)
-            for j in range(1, size):
-                row.append(work[i][j] - mul(correction_left, work[0][j]))
-            next_work.append(row)
-        work = next_work
+        work = [[work[i][j] - mul(lower[k + i][k], work[0][j]) for j in range(1, size)]
+                for i in range(1, size)]
     return LDUFactors(SuperMatrix.from_rows(lower), SuperMatrix.diagonal(diag), SuperMatrix.from_rows(upper))
 
 
@@ -307,11 +310,7 @@ def mat_invert(m: SuperMatrix) -> SuperMatrix:
     if m.rows != m.cols:
         raise ShapeMismatch("inversion needs a square matrix")
     context = m.context
-    body = m.body()
-    svals = np.linalg.svd(body, compute_uv=False)
-    if svals[-1] <= context.tol_body * max(1.0, svals[0]):
-        raise BodySingular(f"smallest body singular value {svals[-1]:.3e}")
-    return SuperMatrix(context, *_inverse(context, m.keys, m.stack))
+    return SuperMatrix(context, *_inverse(context, m.keys, m.stack, _body_inverse(context, m.body()), _matmul))
 
 
 def sandwich_solve(l: SuperMatrix, q: SuperMatrix, r: SuperMatrix) -> SuperMatrix:

@@ -211,17 +211,11 @@ def backward_shift_span_dimension(f: SeriesMatrix, n_max: int) -> int:
     Columns of the stacked matrix are vec(f_{n+m} e_j) for shifts n <= n_max
     and column probes e_j, rows m = 0..degree-n_max (uniform truncation).
     """
-    if n_max >= len(f.coeffs):
+    if n_max > f.degree:
         raise ValueError("n_max exceeds the stored degree")
-    p, q = f.shape
-    rows = len(f.coeffs) - n_max
-    columns = []
-    for n in range(n_max + 1):
-        for j in range(q):
-            col = np.concatenate([
-                f.coeffs[n + m].body()[:, j] for m in range(rows)
-            ])
-            columns.append(col)
+    bodies = np.stack([c.body() for c in f.coeffs])
+    rows = f.degree + 1 - n_max
+    columns = [bodies[n:n + rows, :, j].ravel() for n in range(n_max + 1) for j in range(f.shape[1])]
     return _body_rank(np.stack(columns, axis=1), f.context)
 
 

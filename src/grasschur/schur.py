@@ -46,7 +46,7 @@ from .matrix import (
     sandwich_solve,
 )
 from .realization import Realization, _check_signature, to_series
-from .series import SeriesMatrix, backward_shift, evaluate, star_inverse, star_mul
+from .series import SeriesMatrix, backward_shift, evaluate, resolvent, star_inverse, star_mul
 
 
 # ---------------------------------------------------------------------------
@@ -582,22 +582,15 @@ class BlaschkeFactor:
                  ⋆ (1 - z omega†)^{-star} c p^{-1} (1-a)^{-†} c†.
         """
         context = self.context
-        degree = context.max_series_degree if degree is None else degree
         one = context.one()
         c_inv_dag = invert(dagger(self.c))
         c_inv = invert(self.c)
         u = one + mul(self.omega - one, mul(c_inv_dag, mul(self.p, mul(c_inv, dagger(self.omega)))))
         v = mul(self.c, self._tail_factor())
-        omega_dag = dagger(self.omega)
-        w = []
-        opow = context.one()
-        for n in range(degree + 2):
-            w.append(mul(u, mul(opow, v)))
-            opow = mul(opow, omega_dag)
-        coeffs = [SuperMatrix.from_scalar(-mul(self.omega, w[0]))]
-        for n in range(1, degree + 1):
-            coeffs.append(SuperMatrix.from_scalar(w[n - 1] - mul(self.omega, w[n])))
-        return SeriesMatrix(tuple(coeffs), exact=False)
+        w = resolvent(SuperMatrix.from_scalar(dagger(self.omega)), degree).scale_right(v).scale_left(u)
+        z_minus_omega = SeriesMatrix((SuperMatrix.from_scalar(-self.omega), SuperMatrix.identity(context, 1)),
+                                     exact=True)
+        return star_mul(z_minus_omega, w)
 
 
 def blaschke_factor(a: Supernumber, c: Supernumber, p: Supernumber,
@@ -667,9 +660,7 @@ def brune_section(c: SuperMatrix, a: Supernumber, p: Supernumber, j: SuperMatrix
     chain = mul(dagger(one + a), mul(invert(p), invert(dagger(one - a))))
     m = SuperMatrix.identity(context, c.rows) - mat_mul(
         mat_mul(c.scale_right(chain), adjoint(c)), j) * 0.5
-    m_inv = mat_invert(m)
-    coeffs = tuple(mat_mul(coeff, m_inv) for coeff in theta.series.coeffs)
-    return SeriesMatrix(coeffs, exact=False)
+    return star_mul(theta.series, SeriesMatrix.constant(mat_invert(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -681,17 +672,9 @@ def kernel_eval(w: Supernumber, xi: SuperMatrix, degree: int | None = None) -> S
     """K(., w) xi = sum_n z^n (w†)^n xi as a column series."""
     if xi.cols != 1:
         raise ShapeMismatch("xi must be a column")
-    context = w.context
     if abs(w.body) >= 1.0:
         raise NotConvergent(f"|w_B| = {abs(w.body):.6f} >= 1")
-    degree = context.max_series_degree if degree is None else degree
-    wd = dagger(w)
-    coeffs = []
-    power = context.one()
-    for n in range(degree + 1):
-        coeffs.append(xi.scale_left(power))
-        power = mul(power, wd)
-    return SeriesMatrix(tuple(coeffs), exact=False)
+    return star_mul(resolvent(SuperMatrix.diagonal([dagger(w)] * xi.rows), degree), SeriesMatrix.constant(xi))
 
 
 def h_theta_kernel(theta: ThetaFunction, w: Supernumber, xi: SuperMatrix,
@@ -717,23 +700,10 @@ def kernel_decomposition_residual(theta: ThetaFunction, w: Supernumber, xi: Supe
 
     ``w`` must be even so Theta(w) is exact.
     """
-    context = theta.context
-    tw_star = adjoint(theta.eval_at(w))
-    wd = dagger(w)
     k_full = kernel_eval(w, xi, degree=through)
     k_heta = h_theta_kernel(theta, w, xi, degree=through)
-    powers = [context.one()]
-    for _ in range(through):
-        powers.append(mul(powers[-1], wd))
-    worst = 0.0
-    for m in range(through + 1):
-        middle = None
-        for n in range(m + 1):
-            part = mat_mul(theta.series.coeffs[m - n], mat_mul(tw_star, xi.scale_left(powers[n])))
-            middle = part if middle is None else middle + part
-        diff = k_full.coeffs[m] - middle - k_heta.coeffs[m]
-        worst = max(worst, diff.norm1())
-    return worst
+    middle = star_mul(theta.series, star_mul(SeriesMatrix.constant(adjoint(theta.eval_at(w))), k_full))
+    return max(c.norm1() for c in (k_full - middle - k_heta).coeffs)
 
 
 @dataclass(frozen=True)
@@ -766,11 +736,8 @@ def adjoint_state_evaluation(c: SuperMatrix, a: SuperMatrix, f: SeriesMatrix) ->
 
     Carries the truncation tail of F; pair with decaying coefficient data.
     """
-    astar = adjoint(a)
-    cstar = adjoint(c)
-    total = mat_mul(cstar, f.coeffs[0])
-    power = astar
-    for n in range(1, len(f.coeffs)):
-        total = total + mat_mul(power, mat_mul(cstar, f.coeffs[n]))
-        power = mat_mul(power, astar)
+    astar, cstar = adjoint(a), adjoint(c)
+    total = mat_mul(cstar, f.coeffs[-1])
+    for coeff in f.coeffs[-2::-1]:  # Horner: C* f_n + A*(C* f_{n+1} + ...)
+        total = mat_mul(cstar, coeff) + mat_mul(astar, total)
     return total

@@ -1,21 +1,26 @@
 """Truncated power series and Laurent series with supermatrix coefficients.
 
-The star (Cauchy) product convolves coefficients: (f⋆g)_n = sum_u f_u g_{n-u}.
-A ``SeriesMatrix`` is one-sided (powers of z on the left of the coefficients);
-the ``exact`` flag marks polynomials whose higher coefficients are exactly
-zero, so products of polynomials keep their full degree while products with
-truncated series drop to the degree that is exactly computable.  A
-``LaurentSeries`` is two-sided with finite support and models the
-Wiener-Grassmann algebra, where invertibility is decided on the body alone.
+A ``SeriesMatrix`` F(z) = Σ_n z^n f_n is stored like a ``SuperMatrix``:
+ascending uint64 monomial keys and one complex (keys, degree+1, rows, cols)
+stack with no all-zero slot.  Star (Cauchy) products (f⋆g)_n = Σ_u f_u g_{n-u}
+and star inverses share ``algebra._pair_product`` and ``matrix._inverse`` with
+matrices, with a truncated degree convolution as the payload product.  A
+series is one-sided (powers of z on the left of the coefficients); the
+``exact`` flag marks polynomials whose higher coefficients are exactly zero, so
+products of polynomials keep their full degree while products with truncated
+series drop to the degree that is exactly computable.  A ``LaurentSeries`` is
+two-sided with finite support and models the Wiener-Grassmann algebra, where
+invertibility is decided on the body alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraContext, Supernumber, mul
+from .algebra import AlgebraContext, Supernumber, _cmul, _pair_product, _require_same_context, mul
 from .errors import (
     BodySingular,
     ConstantTermSingular,
@@ -25,45 +30,62 @@ from .errors import (
     TailTooLarge,
     WindowTooSmall,
 )
-from .matrix import SuperMatrix, _inverse, _spread, adjoint, mat_invert, mat_mul
+from .matrix import SuperMatrix, _add, _body_inverse, _inverse, _matmul, _spread, adjoint, mat_mul
 
 
-@dataclass(frozen=True)
 class SeriesMatrix:
-    """One-sided power series F(z) = sum_n z^n f_n, truncated at len(coeffs)-1."""
+    """One-sided power series F(z) = sum_n z^n f_n, truncated at its degree, immutable:
+    ``stack[s, n]`` is the coefficient matrix of monomial ``keys[s]`` in f_n; the arrays
+    become read-only.  ``coeffs`` and ``coefficient(n)`` view the f_n as supermatrices."""
 
-    coeffs: tuple[SuperMatrix, ...]
-    exact: bool = False
+    __slots__ = ("context", "keys", "stack", "exact", "_coeffs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if not self.coeffs:
+    def __new__(cls, coeffs: Sequence[SuperMatrix], exact: bool = False):
+        coeffs = tuple(coeffs)
+        if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
-        shape = self.coeffs[0].shape
-        context = self.coeffs[0].context
-        for c in self.coeffs:
-            if c.shape != shape:
-                raise ShapeMismatch("series coefficients must share one shape")
-            if c.context != context:
-                raise ContextMismatch("series coefficients must share one context")
-        if self.degree > context.max_series_degree:
-            raise ValueError(
-                f"degree {self.degree} exceeds max_series_degree {context.max_series_degree}"
-            )
+        if any(c.shape != coeffs[0].shape for c in coeffs):
+            raise ShapeMismatch("series coefficients must share one shape")
+        if any(c.context != coeffs[0].context for c in coeffs):
+            raise ContextMismatch("series coefficients must share one context")
+        keys = np.unique(np.concatenate([c.keys for c in coeffs]))
+        return cls._of(coeffs[0].context, keys, np.stack([_spread(keys, c.keys, c.stack) for c in coeffs], 1), exact)
 
-    # -- structure -------------------------------------------------------
+    @classmethod
+    def _of(cls, context: AlgebraContext, keys, stack, exact: bool) -> "SeriesMatrix":
+        """The series of a key array and a (keys, degree+1, rows, cols) stack; drops all-zero slots."""
+        if 0 in stack.shape[2:]:
+            raise ValueError("series coefficients need rows, cols >= 1")
+        if stack.shape[1] - 1 > context.max_series_degree:
+            raise ValueError(f"degree {stack.shape[1] - 1} exceeds max_series_degree {context.max_series_degree}")
+        kept = stack.any(axis=(1, 2, 3))
+        if not kept.all():
+            keys, stack = keys[kept], stack[kept]
+        keys.flags.writeable = stack.flags.writeable = False
+        f = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (context, keys, stack, bool(exact), None)):
+            object.__setattr__(f, name, value)
+        return f
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SeriesMatrix is immutable")
+
+    # -- views -----------------------------------------------------------
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return self.stack.shape[1] - 1
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.coeffs[0].shape
+        return self.stack.shape[2], self.stack.shape[3]
 
     @property
-    def context(self) -> AlgebraContext:
-        return self.coeffs[0].context
+    def coeffs(self) -> tuple[SuperMatrix, ...]:
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", tuple(
+                SuperMatrix(self.context, self.keys, self.stack[:, n]) for n in range(self.degree + 1)))
+        return self._coeffs
 
     def coefficient(self, n: int) -> SuperMatrix:
         """n-th coefficient; zero beyond the stored degree for exact series."""
@@ -75,23 +97,40 @@ class SeriesMatrix:
             return SuperMatrix.zeros(self.context, *self.shape)
         raise IndexError(f"coefficient {n} beyond truncation degree {self.degree}")
 
+    def _body(self) -> np.ndarray:
+        """The complex coefficients of the body series, (degree+1, rows, cols)."""
+        if len(self.keys) and self.keys[0] == 0:
+            return self.stack[0]
+        return np.zeros(self.stack.shape[1:], dtype=complex)
+
     def norm1(self) -> float:
-        return sum(c.norm1() for c in self.coeffs)
+        return float(np.abs(self.stack).sum())
 
     def truncated(self, degree: int) -> "SeriesMatrix":
-        if degree >= self.degree:
-            if self.exact:
-                pad = [SuperMatrix.zeros(self.context, *self.shape)] * (degree - self.degree)
-                return SeriesMatrix(self.coeffs + tuple(pad), exact=True)
+        """f_0..f_degree; an exact series is zero-padded and stays exact up to its own degree."""
+        if degree >= self.degree and not self.exact:
             return self
-        return SeriesMatrix(self.coeffs[: degree + 1], exact=False)
+        stack = self.stack[:, :degree + 1]
+        pad = np.zeros((len(self.keys), degree + 1 - stack.shape[1], *self.shape), dtype=complex)
+        return SeriesMatrix._of(self.context, self.keys, np.concatenate((stack, pad), axis=1),
+                                self.exact and degree >= self.degree)
 
     def block(self, row0: int, row1: int, col0: int, col1: int) -> "SeriesMatrix":
         """Coefficientwise submatrix [row0:row1, col0:col1]."""
-        return SeriesMatrix(
-            tuple(c.submatrix(range(row0, row1), range(col0, col1)) for c in self.coeffs),
-            exact=self.exact,
-        )
+        return SeriesMatrix._of(self.context, self.keys, self.stack[:, :, row0:row1, col0:col1], self.exact)
+
+    def __eq__(self, other):
+        if isinstance(other, SeriesMatrix):
+            return (self.context == other.context and self.exact == other.exact
+                    and self.stack.shape[1:] == other.stack.shape[1:]
+                    and np.array_equal(self.keys, other.keys) and np.array_equal(self.stack, other.stack))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.stack.shape[1:], self.exact, self.keys.tobytes()))
+
+    def __repr__(self):
+        return f"SeriesMatrix({self.shape[0]}x{self.shape[1]}, degree {self.degree}, exact={self.exact})"
 
     # -- constructors ------------------------------------------------------
 
@@ -105,7 +144,7 @@ class SeriesMatrix:
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[SuperMatrix], exact: bool = False) -> "SeriesMatrix":
-        return cls(tuple(coeffs), exact=exact)
+        return cls(coeffs, exact=exact)
 
     @classmethod
     def identity(cls, context: AlgebraContext, n: int) -> "SeriesMatrix":
@@ -115,114 +154,104 @@ class SeriesMatrix:
     def zero(cls, context: AlgebraContext, rows: int, cols: int) -> "SeriesMatrix":
         return cls((SuperMatrix.zeros(context, rows, cols),), exact=True)
 
-    @classmethod
-    def variable(cls, context: AlgebraContext, n: int = 1) -> "SeriesMatrix":
-        """z * I_n as an exact polynomial."""
-        return cls((SuperMatrix.zeros(context, n, n), SuperMatrix.identity(context, n)), exact=True)
-
     # -- linear arithmetic --------------------------------------------------
-
-    def _aligned(self, other: "SeriesMatrix") -> tuple[int, bool]:
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"cannot combine {self.shape} and {other.shape}")
-        if self.exact and other.exact:
-            return max(self.degree, other.degree), True
-        if self.exact:
-            return other.degree, False
-        if other.exact:
-            return self.degree, False
-        return min(self.degree, other.degree), False
 
     def __add__(self, other):
         if not isinstance(other, SeriesMatrix):
             return NotImplemented
-        degree, exact = self._aligned(other)
-        coeffs = [self.coefficient(n) + other.coefficient(n) for n in range(degree + 1)]
-        return SeriesMatrix(tuple(coeffs), exact=exact)
+        if self.shape != other.shape:
+            raise ShapeMismatch(f"cannot combine {self.shape} and {other.shape}")
+        degree, exact = _result_degree(self, other, max(self.degree, other.degree))
+        a, b = self.truncated(degree), other.truncated(degree)
+        return SeriesMatrix._of(_require_same_context(a, b), *_add(a.keys, a.stack, b.keys, b.stack), exact)
 
     def __sub__(self, other):
-        if not isinstance(other, SeriesMatrix):
-            return NotImplemented
-        degree, exact = self._aligned(other)
-        coeffs = [self.coefficient(n) - other.coefficient(n) for n in range(degree + 1)]
-        return SeriesMatrix(tuple(coeffs), exact=exact)
+        return self + -other if isinstance(other, SeriesMatrix) else NotImplemented
 
     def __neg__(self):
-        return SeriesMatrix(tuple(-c for c in self.coeffs), exact=self.exact)
+        return SeriesMatrix._of(self.context, self.keys, -self.stack, self.exact)
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, float, complex)):
-            return SeriesMatrix(tuple(c * scalar for c in self.coeffs), exact=self.exact)
+            return SeriesMatrix._of(self.context, self.keys, self.stack * complex(scalar), self.exact)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def scale_left(self, s: Supernumber) -> "SeriesMatrix":
-        return SeriesMatrix(tuple(c.scale_left(s) for c in self.coeffs), exact=self.exact)
+        """s * F with a supernumber scalar on the left of every coefficient entry."""
+        z = SuperMatrix.from_scalar(s)
+        return SeriesMatrix._of(_require_same_context(z, self), *_pair_product(
+            self.context.generators, z.keys, z.stack[:, None], self.keys, self.stack, _cmul), self.exact)
 
     def scale_right(self, s: Supernumber) -> "SeriesMatrix":
-        return SeriesMatrix(tuple(c.scale_right(s) for c in self.coeffs), exact=self.exact)
+        """F * s with a supernumber scalar on the right of every coefficient entry."""
+        z = SuperMatrix.from_scalar(s)
+        return SeriesMatrix._of(_require_same_context(self, z), *_pair_product(
+            self.context.generators, self.keys, self.stack, z.keys, z.stack[:, None], _cmul), self.exact)
 
     def shift_up(self) -> "SeriesMatrix":
         """Multiply by z (prepend a zero coefficient)."""
-        zero = SuperMatrix.zeros(self.context, *self.shape)
         cap = self.context.max_series_degree
-        coeffs = ((zero,) + self.coeffs)[: cap + 1]
-        return SeriesMatrix(coeffs, exact=self.exact and self.degree + 1 <= cap)
+        zero = np.zeros((len(self.keys), 1, *self.shape), dtype=complex)
+        return SeriesMatrix._of(self.context, self.keys, np.concatenate((zero, self.stack), axis=1)[:, :cap + 1],
+                                self.exact and self.degree + 1 <= cap)
+
+
+def _result_degree(f: SeriesMatrix, g: SeriesMatrix, exact_degree: int) -> tuple[int, bool]:
+    """Degree and flag of a result: exact_degree (capped) when f and g are both exact,
+    else the lowest degree among the truncated ones."""
+    if f.exact and g.exact:
+        cap = f.context.max_series_degree
+        return min(exact_degree, cap), exact_degree <= cap
+    return min(h.degree for h in (f, g) if not h.exact), False
+
+
+def _convolve(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
+    """The truncated Cauchy product Σ_u x_u y_{n-u}, n = 0..degree, of two stacks
+    over a leading (broadcast) axis, the degree on axis 1 and matrix products of
+    the coefficients: the payload operation of star products."""
+    lead = np.broadcast_shapes(x.shape[:1], y.shape[:1])
+    out = np.zeros((*lead, degree + 1, x.shape[2], y.shape[3]), dtype=complex)
+    for u in range(min(x.shape[1], degree + 1)):
+        span = min(y.shape[1], degree + 1 - u)
+        out[:, u:u + span] += _matmul(x[:, u:u + 1], y[:, :span])
+    return out
 
 
 def star_mul(f: SeriesMatrix, g: SeriesMatrix) -> SeriesMatrix:
     """Cauchy product (f⋆g)_n = sum_u f_u g_{n-u} (left-sided convention)."""
     if f.shape[1] != g.shape[0]:
         raise ShapeMismatch(f"cannot star-multiply {f.shape} by {g.shape}")
-    context = f.context
-    cap = context.max_series_degree
-    if f.exact and g.exact:
-        degree = min(f.degree + g.degree, cap)
-        exact = f.degree + g.degree <= cap
-    elif f.exact:
-        degree, exact = g.degree, False
-    elif g.exact:
-        degree, exact = f.degree, False
-    else:
-        degree, exact = min(f.degree, g.degree), False
-    rows, inner = f.shape
-    cols = g.shape[1]
-    out = []
-    for n in range(degree + 1):
-        acc = SuperMatrix.zeros(context, rows, cols)
-        for u in range(n + 1):
-            if u > f.degree or n - u > g.degree:
-                continue
-            acc = acc + mat_mul(f.coeffs[u], g.coeffs[n - u])
-        out.append(acc)
-    return SeriesMatrix(tuple(out), exact=exact)
+    context = _require_same_context(f, g)
+    degree, exact = _result_degree(f, g, f.degree + g.degree)
+    return SeriesMatrix._of(context, *_pair_product(context.generators, f.keys, f.stack, g.keys, g.stack,
+                                                    partial(_convolve, degree=degree)), exact)
 
 
 def star_inverse(f: SeriesMatrix) -> SeriesMatrix:
     """Two-sided star inverse; needs an invertible constant term.
 
-    g_0 = f_0⁻¹ and g_n = -f_0⁻¹ sum_{u=1..n} f_u g_{n-u}.
+    The body series B inverts by g_0 = B_0⁻¹, g_n = -B_0⁻¹ sum_{u=1..n} B_u g_{n-u}
+    on complex matrices; the souls follow by matrix._inverse, with star
+    products as its payload operation.
     """
     if f.shape[0] != f.shape[1]:
         raise ShapeMismatch("star inversion needs square coefficients")
     context = f.context
+    body = f._body()
     try:
-        g0 = mat_invert(f.coeffs[0])
+        g0 = _body_inverse(context, body[0])
     except BodySingular as exc:
         raise ConstantTermSingular(str(exc)) from exc
-    if f.exact and f.degree == 0:
-        return SeriesMatrix((g0,), exact=True)
-    degree = context.max_series_degree if f.exact else f.degree
-    out = [g0]
+    degree = context.max_series_degree if f.exact and f.degree else f.degree
+    g = np.empty((degree + 1, *f.shape), dtype=complex)
+    g[0] = g0
     for n in range(1, degree + 1):
-        acc = SuperMatrix.zeros(context, *f.shape)
-        for u in range(1, n + 1):
-            if u > f.degree:
-                break
-            acc = acc + mat_mul(f.coeffs[u], out[n - u])
-        out.append(-mat_mul(g0, acc))
-    return SeriesMatrix(tuple(out), exact=False)
+        u = min(n, f.degree)
+        g[n] = -g0 @ (body[1:u + 1] @ g[n - 1::-1][:u]).sum(axis=0)
+    return SeriesMatrix._of(context, *_inverse(context, f.keys, f.stack, g, partial(_convolve, degree=degree)),
+                            f.exact and not f.degree)
 
 
 def resolvent(a: SuperMatrix, degree: int | None = None) -> SeriesMatrix:
@@ -237,7 +266,7 @@ def resolvent(a: SuperMatrix, degree: int | None = None) -> SeriesMatrix:
     coeffs = [SuperMatrix.identity(context, a.rows)]
     for _ in range(degree):
         coeffs.append(mat_mul(coeffs[-1], a))
-    return SeriesMatrix(tuple(coeffs), exact=False)
+    return SeriesMatrix(coeffs, exact=False)
 
 
 def evaluation_tail_bound(f: SeriesMatrix, z0: Supernumber) -> float:
@@ -251,56 +280,58 @@ def evaluation_tail_bound(f: SeriesMatrix, z0: Supernumber) -> float:
     q = z0.norm1()
     if q >= 1.0:
         return float("inf")
-    last = f.coeffs[-1].norm1()
+    last = float(np.abs(f.stack[:, -1]).sum())
     return last * q ** (f.degree + 1) / (1.0 - q)
 
 
-def _evaluate(f: SeriesMatrix, z0: Supernumber, strict: bool, scale) -> SuperMatrix:
-    """sum_n scale(f_n, z0^n), stopping at the first vanishing power of z0."""
-    if strict:
-        bound = evaluation_tail_bound(f, z0)
-        if bound > f.context.tol_eq:
-            raise TailTooLarge(f"tail estimate {bound:.3e} exceeds tol_eq")
-    acc = f.coeffs[0]
-    zpow = z0.context.one()
-    for n in range(1, len(f.coeffs)):
-        zpow = mul(zpow, z0)
-        if zpow.is_zero():
-            break
-        acc = acc + scale(f.coeffs[n], zpow)
-    return acc
+def _powers(f: SeriesMatrix, z0: Supernumber, strict: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Keys and (keys, m+1, 1, 1) stack of z0^0..z0^m, m stopping before the first
+    vanishing power or at f's degree, and the stack of f_0..f_m."""
+    _require_same_context(f, z0)
+    bound = evaluation_tail_bound(f, z0) if strict else 0.0
+    if bound > f.context.tol_eq:
+        raise TailTooLarge(f"tail estimate {bound:.3e} exceeds tol_eq")
+    powers = [z0.context.one()]
+    while len(powers) <= f.degree and not (power := mul(powers[-1], z0)).is_zero():
+        powers.append(power)
+    z = SuperMatrix.column(powers)
+    return z.keys, z.stack[..., None], f.stack[:, :len(powers)]
+
+
+def _degree_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Σ_n x_n y_n over the degree axis 1 of two stacks, one of them scalar (1x1)."""
+    return _cmul(x, y).sum(axis=1)
 
 
 def evaluate(f: SeriesMatrix, z0: Supernumber, strict: bool = False) -> SuperMatrix:
-    """Left evaluation sum_n z0^n f_n.
+    """Left evaluation sum_n z0^n f_n: the product of the z0-power stack with f.
 
     With ``strict`` the geometric tail estimate must stay below tol_eq, else
     TailTooLarge.
     """
-    return _evaluate(f, z0, strict, SuperMatrix.scale_left)
+    keys, powers, coeffs = _powers(f, z0, strict)
+    return SuperMatrix(f.context, *_pair_product(f.context.generators, keys, powers, f.keys, coeffs, _degree_dot))
 
 
 def evaluate_right(f: SeriesMatrix, z0: Supernumber, strict: bool = False) -> SuperMatrix:
     """Right evaluation sum_n f_n z0^n (for right-sided series); ``strict`` as in evaluate."""
-    return _evaluate(f, z0, strict, SuperMatrix.scale_right)
+    keys, powers, coeffs = _powers(f, z0, strict)
+    return SuperMatrix(f.context, *_pair_product(f.context.generators, f.keys, coeffs, keys, powers, _degree_dot))
 
 
 def hermitian_form(f: SeriesMatrix, g: SeriesMatrix) -> SuperMatrix:
     """[F,G] = sum_n g_n* f_n over the shared coefficient range."""
     if f.shape[0] != g.shape[0]:
         raise ShapeMismatch("hermitian form needs matching row counts")
-    through = min(f.degree, g.degree)
-    acc = mat_mul(adjoint(g.coeffs[0]), f.coeffs[0])
-    for n in range(1, through + 1):
-        acc = acc + mat_mul(adjoint(g.coeffs[n]), f.coeffs[n])
-    return acc
+    terms = [mat_mul(adjoint(gn), fn) for fn, gn in zip(f.coeffs, g.coeffs)]
+    return sum(terms[1:], terms[0])
 
 
 def backward_shift(f: SeriesMatrix) -> SeriesMatrix:
     """R0 F = f_1 + z f_2 + ...; for lambda != 0 this is (F(lambda)-F(0))/lambda."""
-    if len(f.coeffs) == 1:
-        return SeriesMatrix((SuperMatrix.zeros(f.context, *f.shape),), exact=f.exact)
-    return SeriesMatrix(f.coeffs[1:], exact=f.exact)
+    if not f.degree:
+        return SeriesMatrix._of(f.context, f.keys[:0], f.stack[:0], f.exact)
+    return SeriesMatrix._of(f.context, f.keys, f.stack[:, 1:], f.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +446,8 @@ def wiener_is_invertible(f: LaurentSeries, grid_points: int | None = None) -> bo
     """
     if f.shape[0] != f.shape[1]:
         raise ShapeMismatch("invertibility needs square coefficients")
+    if not f.coeffs:
+        return False
     points = grid_points or max(256, 16 * (2 * f.window + 1))
     dets = np.linalg.det(_on_circle(f, points)[1][0])
     return bool(np.abs(dets).min() > f.context.tol_body)
@@ -438,7 +471,8 @@ def wiener_invert(f: LaurentSeries, grid_points: int | None = None,
     points = grid_points or max(64, 8 * (2 * f.window + 1))
     previous = None
     while points <= max_grid:
-        keys, total = _inverse(context, *_on_circle(f, points))  # f's monomials fix the keys on every grid
+        keys, stack = _on_circle(f, points)  # f's monomials fix the keys on every grid
+        keys, total = _inverse(context, keys, stack, np.linalg.inv(stack[0]), _matmul)
         half = points // 2
         powers = np.arange(-half, half)
         # g_n = (1/M) sum_j F(t_j)^{-1} e^{-i n t_j}: numpy's forward FFT over M
@@ -470,7 +504,7 @@ def weak_plus_invertibility(f: SeriesMatrix, radial_points: int = 24, angular_po
     """
     if f.shape != (1, 1):
         raise ShapeMismatch("weak invertibility test is scalar-only")
-    poly = np.array([c[0, 0].body for c in f.coeffs], dtype=complex)
+    poly = f._body()[:, 0, 0]
     m = angular_points or max(128, 8 * (f.degree + 1))
     angles = np.exp(2j * np.pi * np.arange(m) / m)
     tol = f.context.tol_body

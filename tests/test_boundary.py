@@ -3,11 +3,16 @@
 Each JSON node of each input file is replaced by one malformed value from a
 fixed set, or deleted.  Every run must end with exit status 0, or with exit
 status 2 and exactly one ``error[...]`` line; an escaping exception fails.
+A deterministic hypothesis search then mutates two to four nodes at once of
+the series-bearing inputs under the same rule.
 """
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from grasschur import AlgebraContext, SuperMatrix
 from grasschur.cli import main
@@ -67,20 +72,30 @@ def _paths(node, path=()):
         yield from _paths(child, path + (key,))
 
 
-def _mutations(doc):
-    """Documents with one node replaced by each malformed value, or deleted; the root is only replaced."""
-    yield from MALFORMED
-    for path in list(_paths(doc))[1:]:
-        for value in MALFORMED + (_DELETE,):
-            mutated = json.loads(json.dumps(doc))
-            parent = mutated
+def _mutated(doc, edits):
+    """A copy of doc with each (path, value) edit applied in turn: the node replaced by
+    the value, or deleted for _DELETE; an edit whose path an earlier one removed is skipped."""
+    mutated = json.loads(json.dumps(doc))
+    for path, value in edits:
+        parent = mutated
+        try:
             for key in path[:-1]:
                 parent = parent[key]
             if value is _DELETE:
                 del parent[path[-1]]
             else:
-                parent[path[-1]] = value
-            yield mutated
+                parent[path[-1]] = copy.deepcopy(value)  # [] and {} must not be shared
+        except (KeyError, IndexError, TypeError):
+            continue
+    return mutated
+
+
+def _mutations(doc):
+    """Documents with one node replaced by each malformed value, or deleted; the root is only replaced."""
+    yield from MALFORMED
+    for path in list(_paths(doc))[1:]:
+        for value in MALFORMED + (_DELETE,):
+            yield _mutated(doc, [(path, value)])
 
 
 def _text(doc) -> str:
@@ -90,23 +105,47 @@ def _text(doc) -> str:
 CASES = _canonical_inputs()
 
 
+def _run(command, docs, paths, capsys) -> tuple[int, list[str]]:
+    """Write the documents, run the subcommand on them, return its status and stderr lines."""
+    for flag, doc in docs.items():
+        paths[flag].write_text(_text(doc))
+    status = main(command + [x for flag, path in paths.items() for x in (flag, str(path))] + FLAGS)
+    return status, capsys.readouterr().err.splitlines()
+
+
+def _ends_well(status: int, err: list[str]) -> bool:
+    return status == 0 or (status == 2 and len(err) == 1 and err[0].startswith("error["))
+
+
 @pytest.mark.parametrize("command,inputs", CASES, ids=[" ".join(command[:2]) for command, _ in CASES])
 def test_single_node_mutations(command, inputs, tmp_path, capsys):
     paths = {flag: tmp_path / f"{flag.strip('-')}.json" for flag in inputs}
-    for flag, doc in inputs.items():
-        paths[flag].write_text(_text(doc))
-    argv = command + [x for flag, path in paths.items() for x in (flag, str(path))] + FLAGS
-    assert main(argv) == 0, "the canonical input must succeed"
-    capsys.readouterr()
+    assert _run(command, inputs, paths, capsys)[0] == 0, "the canonical input must succeed"
     for flag, doc in inputs.items():
         for mutated in _mutations(doc):
-            paths[flag].write_text(_text(mutated))
             try:
-                status = main(argv)
+                status, err = _run(command, {**inputs, flag: mutated}, paths, capsys)
             except Exception as exc:  # name the mutation that escaped
                 pytest.fail(f"{' '.join(command)} {flag} {_text(mutated)}: {exc!r}")
-            err = capsys.readouterr().err.splitlines()
-            assert status in (0, 2), (flag, mutated)
-            if status == 2:
-                assert len(err) == 1 and err[0].startswith("error["), (flag, mutated, err)
-        paths[flag].write_text(_text(doc))
+            assert _ends_well(status, err), (flag, mutated, status, err)
+
+
+SERIES_CASES = [(command, inputs, flag) for command, inputs in CASES
+                for flag in ("--sigma", "--series") if flag in inputs]
+
+
+@pytest.mark.parametrize("command,inputs,flag", SERIES_CASES, ids=[flag for _, _, flag in SERIES_CASES])
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_multi_node_series_mutations(command, inputs, flag, data, tmp_path, capsys):
+    paths = {f: tmp_path / f"{f.strip('-')}.json" for f in inputs}
+    nodes = list(_paths(inputs[flag]))[1:]
+    picked = data.draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=4, unique=True), label="nodes")
+    edits = [(path, data.draw(st.sampled_from(MALFORMED + (_DELETE,)), label=str(path))) for path in picked]
+    mutated = _mutated(inputs[flag], edits)
+    try:
+        status, err = _run(command, {**inputs, flag: mutated}, paths, capsys)
+    except Exception as exc:  # name the mutation that escaped
+        pytest.fail(f"{' '.join(command)} {flag} {_text(mutated)}: {exc!r}")
+    assert _ends_well(status, err), (mutated, status, err)

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from grasschur import SuperMatrix, classify, dagger, invert, mul
+from grasschur import AlgebraContext, Supernumber, SuperMatrix, classify, dagger, index_from_generators, invert, mul
 from grasschur.errors import ConstantTermSingular, NotInvertible, ShapeMismatch, WindowTooSmall
+from grasschur.matrix import mat_invert, mat_mul
 from grasschur.sampling import random_soul, random_supermatrix, random_supernumber
 from grasschur.series import (
     LaurentSeries,
@@ -330,6 +331,13 @@ class TestWiener:
         inside = [c.norm1() for n, c in residual.coeffs.items() if abs(n) <= band]
         assert max(inside, default=0.0) <= 1e-9
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_zero_series_is_not_invertible(self, ctx, p):
+        f = LaurentSeries(1, {}, shape=(p, p))
+        assert wiener_is_invertible(f) is False
+        with pytest.raises(NotInvertible):
+            wiener_invert(f)
+
     def test_window_too_small(self, ctx):
         # the coefficients 0.999^n need far more than 1024 grid points to settle
         f = self.make_scalar(ctx, {0: 1.0, 1: -0.999})
@@ -373,3 +381,164 @@ class TestWeakInvertibility:
             exact=True,
         )
         assert weak_plus_invertibility(g) == weak_plus_invertibility(soulful_g) is False
+
+
+# -- the (keys, degree+1, rows, cols) layout against coefficient-loop references --
+
+
+def ref_star_mul(f, g):
+    """The coefficient loop: (f⋆g)_n = sum_u f_u g_{n-u}, one mat_mul per pair."""
+    cap = f.context.max_series_degree
+    if f.exact and g.exact:
+        degree, exact = min(f.degree + g.degree, cap), f.degree + g.degree <= cap
+    else:
+        degree = min(h.degree for h in (f, g) if not h.exact)
+        exact = False
+    out = []
+    for n in range(degree + 1):
+        acc = SuperMatrix.zeros(f.context, f.shape[0], g.shape[1])
+        for u in range(n + 1):
+            if u <= f.degree and n - u <= g.degree:
+                acc = acc + mat_mul(f.coeffs[u], g.coeffs[n - u])
+        out.append(acc)
+    return out, exact
+
+
+def ref_star_inverse(f):
+    """The recurrence g_0 = f_0⁻¹, g_n = -f_0⁻¹ sum_{u=1..n} f_u g_{n-u} on supermatrices."""
+    g0 = mat_invert(f.coeffs[0])
+    degree = f.context.max_series_degree if f.exact and f.degree else f.degree
+    out = [g0]
+    for n in range(1, degree + 1):
+        acc = SuperMatrix.zeros(f.context, *f.shape)
+        for u in range(1, min(n, f.degree) + 1):
+            acc = acc + mat_mul(f.coeffs[u], out[n - u])
+        out.append(-mat_mul(g0, acc))
+    return out, f.exact and not f.degree
+
+
+def ref_evaluate(f, z0, left):
+    """sum_n z0^n f_n (left) or sum_n f_n z0^n, one scaled coefficient at a time."""
+    acc, power = f.coeffs[0], z0.context.one()
+    for c in f.coeffs[1:]:
+        power = mul(power, z0)
+        acc = acc + (c.scale_left(power) if left else c.scale_right(power))
+    return acc
+
+
+def matches(got, want_coeffs, exact):
+    """Same degree and flag, and the coefficients within 1e-12 relative in the 1-norm."""
+    scale = max(1.0, sum(c.norm1() for c in want_coeffs))
+    gap = sum((a - b).norm1() for a, b in zip(got.coeffs, want_coeffs))
+    return got.degree == len(want_coeffs) - 1 and got.exact == exact and gap <= 1e-12 * scale
+
+
+def stack_number(ctx, rng, body, field, terms=3):
+    """A filled-in entry (every monomial) at N = 8, or one of a few soul terms holding
+    generator 64 in every other term."""
+    if field == "filled8":
+        return Supernumber(ctx, {k: body if k == 0 else 0.05 * complex(*rng.normal(size=2))
+                                 for k in range(1 << ctx.generators)})
+    raw = {0: body}
+    for t in range(terms):
+        gens = rng.choice(np.arange(1, 64), size=int(rng.integers(1, 3)), replace=False).tolist()
+        raw[index_from_generators(sorted(gens + [64] * (t % 2)))] = 0.2 * complex(*rng.normal(size=2))
+    return Supernumber(ctx, raw)
+
+
+def stack_series(ctx, rng, n, degree, exact, field, lead=0.0, terms=3):
+    """Series whose constant body is lead·I plus noise; every coefficient carries souls."""
+    coeffs = []
+    for d in range(degree + 1):
+        body = 0.3 * rng.normal(size=(n, n)) + (lead * np.eye(n) if d == 0 else 0.0)
+        coeffs.append(SuperMatrix.from_rows([[stack_number(ctx, rng, complex(body[i, j]), field, terms)
+                                              for j in range(n)] for i in range(n)]))
+    return SeriesMatrix.from_coeffs(coeffs, exact=exact)
+
+
+FIELDS = {"filled8": AlgebraContext(generators=8, max_series_degree=7),
+          "sparse64": AlgebraContext(generators=64, max_series_degree=7)}
+EXACT_FLAGS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+class TestStackLayout:
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("flags", EXACT_FLAGS, ids=["trunc-trunc", "exact-trunc", "trunc-exact", "exact-exact"])
+    def test_star_mul_matches_coefficient_loop(self, rng, field, n, flags):
+        ctx = FIELDS[field]
+        f = stack_series(ctx, rng, n, 3, flags[0], field)
+        g = stack_series(ctx, rng, n, 5, flags[1], field)
+        if field == "sparse64":
+            assert int(f.keys[-1]) >= 1 << 63
+        else:
+            assert len(f.keys) == 256
+        assert matches(star_mul(f, g), *ref_star_mul(f, g))
+        assert matches(star_mul(g, f), *ref_star_mul(g, f))
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_star_inverse_matches_recurrence(self, rng, field, n, exact):
+        ctx = FIELDS[field]
+        # the inverse holds every product of disjoint soul monomials: keep the sparse one small
+        f = stack_series(ctx, rng, n, 3 if field == "filled8" else 1, exact, field, lead=2.0, terms=1)
+        g = star_inverse(f)
+        assert matches(g, *ref_star_inverse(f))
+        eye = SeriesMatrix.identity(ctx, n)
+        scale = max(1.0, f.norm1() * g.norm1())
+        assert series_dist(star_mul(f, g), eye) <= 1e-12 * scale
+        assert series_dist(star_mul(g, f), eye) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_evaluation_matches_power_sum(self, rng, field, n):
+        ctx = FIELDS[field]
+        f = stack_series(ctx, rng, n, 5, False, field)
+        soul = stack_number(ctx, rng, 0j, field)
+        for z0 in (ctx.scalar(0.4 + 0.1j) + soul, soul, ctx.zero()):  # nilpotent powers stop early
+            for left, fn in ((True, evaluate), (False, evaluate_right)):
+                want = ref_evaluate(f, z0, left)
+                assert (fn(f, z0) - want).norm1() <= 1e-12 * max(1.0, want.norm1())
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("flags", EXACT_FLAGS, ids=["trunc-trunc", "exact-trunc", "trunc-exact", "exact-exact"])
+    def test_linear_and_structural_maps_match_coefficients(self, rng, field, flags):
+        ctx = FIELDS[field]
+        f = stack_series(ctx, rng, 2, 3, flags[0], field)
+        g = stack_series(ctx, rng, 2, 5, flags[1], field)
+        degree = max(f.degree, g.degree) if f.exact and g.exact else min(
+            h.degree for h in (f, g) if not h.exact)
+        for got, sign in ((f + g, 1.0), (f - g, -1.0)):
+            assert matches(got, [f.coefficient(k) + g.coefficient(k) * sign for k in range(degree + 1)],
+                           f.exact and g.exact)
+        assert matches(f.block(0, 2, 1, 2), [c.submatrix(range(2), [1]) for c in f.coeffs], f.exact)
+        assert matches(f.block(1, 2, 0, 1), [c.submatrix([1], [0]) for c in f.coeffs], f.exact)
+        assert matches(f.truncated(1), list(f.coeffs[:2]), False)
+        padded = f.truncated(6)
+        if f.exact:
+            assert matches(padded, [f.coefficient(k) for k in range(7)], True)
+        else:
+            assert padded is f
+        assert matches(backward_shift(g), list(g.coeffs[1:]), g.exact)
+        assert matches(f.shift_up(), [SuperMatrix.zeros(ctx, 2, 2), *f.coeffs], f.exact)
+        s = stack_number(ctx, rng, 0.5 + 0j, field)
+        assert matches(f.scale_left(s), [c.scale_left(s) for c in f.coeffs], f.exact)
+        assert matches(f.scale_right(s), [c.scale_right(s) for c in f.coeffs], f.exact)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_coefficients_round_trip(self, rng, field):
+        ctx = FIELDS[field]
+        f = stack_series(ctx, rng, 2, 4, False, field)
+        assert SeriesMatrix.from_coeffs(f.coeffs) == f
+        e = stack_series(ctx, rng, 1, 2, True, field)
+        assert SeriesMatrix.from_coeffs(e.coeffs, exact=True) == e
+        assert SeriesMatrix.from_coeffs(e.coeffs) != e  # the flag is part of the value
+        assert all(c == SuperMatrix.from_rows(c.entries()) for c in f.coeffs)
+
+    def test_zero_coefficients_leave_no_key(self, ctx, rng):
+        f = random_series(ctx, rng, 2, 2, 4)
+        for z in (f - f, f * 0, SeriesMatrix.zero(ctx, 2, 2), backward_shift(SeriesMatrix.constant(f.coeffs[0]))):
+            assert len(z.keys) == 0 and z.norm1() == 0.0
+            assert all(c.is_zero() for c in z.coeffs)
+        assert (f - f).degree == 4 and backward_shift(SeriesMatrix.constant(f.coeffs[0])).degree == 0
