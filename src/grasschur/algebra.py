@@ -265,10 +265,6 @@ class Supernumber:
             out = mul(out, self)
         return out
 
-    @property
-    def dag(self) -> "Supernumber":
-        return dagger(self)
-
     def norm1(self) -> float:
         return sum(abs(v) for v in self._terms.values())
 

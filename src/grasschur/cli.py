@@ -2,8 +2,8 @@
 
 Every pipeline reads and writes the canonical JSON formats.  Exit codes:
 0 success, 1 usage error, 2 domain error (body zero, not superpositive, ...).
-Randomized verification (theta kernel sampling) is seeded, so identical inputs
-and seed produce byte-identical outputs.
+Every check is deterministic, so identical inputs produce byte-identical
+outputs; ``--seed`` is accepted for compatibility and changes nothing.
 """
 from __future__ import annotations
 
@@ -12,8 +12,6 @@ import functools
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import serialization as ser
 from .algebra import AlgebraContext, classify, invert, kth_root, mul
@@ -37,7 +35,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--degree", type=int, default=None, help="series truncation degree")
     parser.add_argument("--tol-body", type=float, default=None, help="body-nonzero tolerance")
     parser.add_argument("--tol-eq", type=float, default=None, help="reconstruction tolerance")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    parser.add_argument("--seed", type=int, default=0, help="accepted for compatibility; changes no output")
     parser.add_argument("--config", type=Path, default=None, help="config file (canonical JSON)")
     parser.add_argument("--out", type=Path, default=None, help="output file (default stdout)")
 
@@ -186,7 +184,7 @@ def _run_np(args, context) -> None:
     sigma = None
     if args.sigma is not None:
         sigma = ser.series_from_obj(_load(args.sigma), context)
-    solution = np_solve(data, sigma, rng=np.random.default_rng(args.seed))
+    solution = np_solve(data, sigma)
     _emit(args, {
         "solution": ser.series_to_obj(solution.series),
         "pick": ser.matrix_to_obj(solution.pick),
@@ -226,7 +224,7 @@ def _run_theta(args, context) -> None:
         p = ser.matrix_from_obj(_load(args.pfile), context)
     else:
         p = stein_solve(c, a, j)
-    theta = build_theta(c, a, p, j, rng=np.random.default_rng(args.seed))
+    theta = build_theta(c, a, p, j)
     _emit(args, {
         "theta": ser.series_to_obj(theta.series),
         "P": ser.matrix_to_obj(theta.p),

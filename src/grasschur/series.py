@@ -397,10 +397,6 @@ class LaurentSeries:
         return self + LaurentSeries(other.window, {n: -c for n, c in other.coeffs.items()}, shape=other.shape)
 
     @classmethod
-    def from_series(cls, f: SeriesMatrix) -> "LaurentSeries":
-        return cls(f.degree, {n: c for n, c in enumerate(f.coeffs)}, shape=f.shape)
-
-    @classmethod
     def constant(cls, value: SuperMatrix) -> "LaurentSeries":
         return cls(0, {0: value}, shape=value.shape)
 

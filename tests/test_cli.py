@@ -1,4 +1,4 @@
-"""CLI golden round-trips, determinism under fixed seed, and exit codes."""
+"""CLI golden round-trips, byte-stable outputs, and exit codes."""
 import json
 
 import numpy as np
@@ -209,6 +209,20 @@ class TestNPCommand:
             lambda out: ["np", "solve", "--data", data_file, "--seed", "7", "--out", out], tmp_path)
         assert max(got["node_residuals"]) <= 1e-8
 
+    def test_seed_changes_nothing(self, ctx, tmp_path):
+        from grasschur.schur import InterpolationData
+
+        rng = np.random.default_rng(5)
+        nodes = (ctx.scalar(0.3) + random_soul(ctx, rng, terms=2, scale=0.05), ctx.scalar(-0.2j))
+        values = (ctx.scalar(0.1) + random_soul(ctx, rng, terms=2, scale=0.05), ctx.scalar(0.25))
+        data_file = write(tmp_path / "data.json", interpolation_data_to_obj(InterpolationData(nodes, values)))
+        outputs = []
+        for seed in ("0", "7"):
+            out = tmp_path / f"out_{seed}.json"
+            assert main(["np", "solve", "--data", data_file, "--seed", seed, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_count_mismatch_exit_code(self, ctx, tmp_path, capsys):
         nodes = [supernumber_to_obj(ctx.scalar(0.2)), supernumber_to_obj(ctx.scalar(-0.3j))]
         data = write(tmp_path / "d.json",
@@ -300,3 +314,21 @@ class TestThetaCommand:
         assert main(["theta", "build", "--C", str(c_file), "--A", a_file, "--J", j_file]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error[serialization-error]")
+
+
+def test_no_runtime_path_samples_the_kernel_identity(ctx, tmp_path, monkeypatch):
+    from grasschur import schur
+    from grasschur.schur import InterpolationData, build_theta, np_solve, stein_solve
+
+    def sampled(*args):
+        raise AssertionError("kernel_identity_residual called at runtime")
+
+    monkeypatch.setattr(schur, "kernel_identity_residual", sampled)
+    data = InterpolationData((ctx.scalar(0.3) + ctx.generator(1), ctx.scalar(-0.2j)),
+                             (ctx.scalar(0.1), ctx.scalar(0.25) + ctx.generator(2)))
+    np_solve(data, degree=8)
+    c, a, j = data.output_matrix(), data.state_matrix(), data.signature()
+    build_theta(c, a, stein_solve(c, a, j), j, degree=8)
+    files = [write(tmp_path / f"{name}.json", matrix_to_obj(m)) for name, m in (("c", c), ("a", a), ("j", j))]
+    assert main(["theta", "build", "--C", files[0], "--A", files[1], "--J", files[2],
+                 "--out", str(tmp_path / "theta.json")]) == 0

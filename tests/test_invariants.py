@@ -92,7 +92,7 @@ def test_theta_is_J_unitary_at_samples(ctx):
         (ctx.scalar(0.25), ctx.scalar(0.1 + 0.1j)),
     )
     theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data),
-                        data.signature(), degree=8, verify_samples=0)
+                        data.signature(), degree=8)
     r = theta_realization(theta)
     # the realization reproduces the series
     f = to_series(r, degree=8)

@@ -1,8 +1,11 @@
 """Theta functions, Nevanlinna-Pick, the Schur algorithm, Blaschke and Brune."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from grasschur import SuperMatrix, adjoint, classify, dagger, invert, kth_root, mat_invert, mat_mul, mul
+from grasschur import schur
 from grasschur.errors import (
     GrasschurError,
     HNotNegative,
@@ -25,6 +28,7 @@ from grasschur.schur import (
     blaschke_factor,
     brune_section,
     build_theta,
+    colligation_residuals,
     geometric_sandwich_sum,
     h_theta_kernel,
     is_schur_grassmann,
@@ -44,6 +48,7 @@ from grasschur.schur import (
     section_step,
     stein_residual,
     stein_solve,
+    theta_realization,
 )
 from grasschur.series import SeriesMatrix, evaluate, hermitian_form, star_mul
 
@@ -175,7 +180,7 @@ class TestStein:
         rng = np.random.default_rng(7)
         for _ in range(8):
             c, a, p, j = random_stein_data(ctx, rng, spectral=0.9999)
-            build_theta(c, a, p, j, degree=4, verify_samples=0)
+            build_theta(c, a, p, j, degree=4)
             assert (p - adjoint(p)).norm1() == 0.0
             assert stein_residual(p, c, a, j) <= 1e-12 * p.norm1()
 
@@ -193,18 +198,46 @@ class TestBuildTheta:
         a = SuperMatrix.from_body(ctx, [[1j]])
         p = SuperMatrix.identity(ctx, 1)
         j = SuperMatrix.from_body(ctx, np.diag([1.0, -1.0]))
-        theta = build_theta(c, a, p, j, degree=6, verify_samples=0)
+        theta = build_theta(c, a, p, j, degree=6)
         assert (theta.series.coeffs[0] - SuperMatrix.identity(ctx, 2)).norm1() <= 1e-12
         assert all(co.is_zero() for co in theta.series.coeffs[1:])
 
     def test_kernel_identity_random_data(self, ctx, rng):
         for _ in range(3):
             c, a, p, j = random_stein_data(ctx, rng)
-            theta = build_theta(c, a, p, j, degree=8, rng=rng)
+            theta = build_theta(c, a, p, j, degree=8)
             for _ in range(4):
                 z = random_even_unit(ctx, rng, body_modulus=0.4, soul_scale=0.05)
                 w = random_even_unit(ctx, rng, body_modulus=0.4, soul_scale=0.05)
                 assert kernel_identity_residual(theta, z, w) <= 1e-8 * max(1.0, p.norm1() ** 2)
+
+    @pytest.mark.parametrize("q,p,spectral", [(1, 3, 0.9), (3, 2, 0.7), (2, 3, 0.95)])
+    def test_certified_data_pass_sampled_identity(self, q, p, spectral, ctx, rng):
+        c, a, pmat, j = random_stein_data(ctx, rng, q=q, p=p, spectral=spectral)
+        theta = build_theta(c, a, pmat, j, degree=4)
+        assert max(colligation_residuals(theta_realization(theta), pmat, j)) <= ctx.tol_eq
+        for _ in range(4):
+            z = random_even_unit(ctx, rng, body_modulus=0.4, soul_scale=0.05)
+            w = random_even_unit(ctx, rng, body_modulus=0.4, soul_scale=0.05)
+            assert kernel_identity_residual(theta, z, w) <= 1e-8 * max(1.0, pmat.norm1() ** 2)
+
+    def test_perturbed_normalization_flagged(self, ctx, rng, monkeypatch):
+        # every entry of K moved by 1e-6 of its 1-norm: the Stein residual cannot
+        # see K, so only the colligation blocks and the kernel identity can
+        c, a, pmat, j = random_stein_data(ctx, rng)
+        theta = build_theta(c, a, pmat, j, degree=4)
+        shift = SuperMatrix.from_body(ctx, np.full(theta.k.shape, 1e-6 * theta.k.norm1()))
+        bad = dataclasses.replace(theta, k=theta.k + shift)
+        off_diagonal, corner = colligation_residuals(theta_realization(bad), pmat, j)
+        assert off_diagonal > ctx.tol_eq and corner > ctx.tol_eq
+        z = random_even_unit(ctx, rng, body_modulus=0.4, soul_scale=0.05)
+        w = random_even_unit(ctx, rng, body_modulus=0.4, soul_scale=0.05)
+        assert kernel_identity_residual(bad, z, w) > ctx.tol_eq * max(1.0, pmat.norm1() ** 2)
+        assert kernel_identity_residual(theta, z, w) <= ctx.tol_eq * max(1.0, pmat.norm1() ** 2)
+        realize = schur._theta_realization
+        monkeypatch.setattr(schur, "_theta_realization", lambda c, a, k: realize(c, a, k + shift))
+        with pytest.raises(SteinViolated, match="colligation"):
+            build_theta(c, a, pmat, j, degree=4)
 
     def test_stein_violation_rejected(self, ctx, rng):
         c, a, p, j = random_stein_data(ctx, rng)
@@ -222,7 +255,7 @@ class TestBuildTheta:
 
     def test_normalization_is_the_series_k(self, ctx, rng):
         c, a, p, j = random_stein_data(ctx, rng)
-        theta = build_theta(c, a, p, j, degree=4, verify_samples=0)
+        theta = build_theta(c, a, p, j, degree=4)
         eye = SuperMatrix.identity(ctx, a.rows)
         k = mat_mul(mat_invert(p), mat_mul(mat_invert(adjoint(eye - a)), mat_mul(adjoint(c), j)))
         assert theta.normalization() == k
@@ -230,7 +263,7 @@ class TestBuildTheta:
 
     def test_series_matches_rational_evaluation(self, ctx, rng):
         c, a, p, j = random_stein_data(ctx, rng)
-        theta = build_theta(c, a, p, j, degree=32, verify_samples=0)
+        theta = build_theta(c, a, p, j, degree=32)
         lam = ctx.scalar(0.3 + 0.2j)
         via_series = evaluate(theta.series, lam)
         exact = theta.eval_at(lam)
@@ -278,21 +311,21 @@ class TestNPInterpolationCheck:
         s = ctx.scalar(0.3) + random_soul(ctx, rng, scale=0.1)
         data = InterpolationData((ctx.zero(),), (s,))
         theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data),
-                            data.signature(), degree=8, verify_samples=0)
+                            data.signature(), degree=8)
         residuals = np_node_residuals(data, theta)
         assert max(residuals) <= 1e-10
 
     def test_random_superdisk_data(self, ctx, rng):
         data = make_np_data(ctx, rng, 3, souls=True)
         theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data),
-                            data.signature(), degree=8, verify_samples=0)
+                            data.signature(), degree=8)
         assert np_interpolation_check(data, theta)
         assert max(np_node_residuals(data, theta)) <= 1e-8
 
     def test_perturbed_value_fails(self, ctx, rng):
         data = make_np_data(ctx, rng, 2, souls=True)
         theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data),
-                            data.signature(), degree=8, verify_samples=0)
+                            data.signature(), degree=8)
         wrong = InterpolationData(data.nodes, (data.values[0] + ctx.scalar(0.25), data.values[1]))
         assert max(np_node_residuals(wrong, theta)) > 1e-4
 
@@ -307,7 +340,7 @@ class TestLFT:
     def test_zero_sigma(self, ctx, rng):
         data = make_np_data(ctx, rng, 2)
         theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data),
-                            data.signature(), degree=10, verify_samples=0)
+                            data.signature(), degree=10)
         zero = SeriesMatrix.zero(ctx, 1, 1)
         got = lft_apply(theta, zero)
         b = theta.series.block(0, 1, 1, 2)
@@ -319,7 +352,7 @@ class TestLFT:
     def test_schur_in_schur_out(self, ctx, rng):
         data = make_np_data(ctx, rng, 2)
         theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data),
-                            data.signature(), degree=10, verify_samples=0)
+                            data.signature(), degree=10)
         sigma = scalar_series(ctx, [0.5, 0.2])
         assert is_schur_grassmann(sigma)
         out = lft_apply(theta, sigma)
@@ -606,7 +639,7 @@ class TestKernels:
         theta = build_theta(
             SuperMatrix.from_scalar(c_val), SuperMatrix.from_scalar(a),
             SuperMatrix.from_scalar(p), SuperMatrix.identity(ctx, 1),
-            degree=16, verify_samples=0)
+            degree=16)
         w = random_even_unit(ctx, rng, body_modulus=0.3, soul_scale=0.05)
         xi = SuperMatrix.from_scalar(ctx.one())
         assert kernel_decomposition_residual(theta, w, xi, through=6) <= 1e-8
@@ -617,7 +650,7 @@ class TestKernels:
         theta = build_theta(
             SuperMatrix.from_scalar(kth_root(p - mul(dagger(a), mul(p, a)), 2)),
             SuperMatrix.from_scalar(a), SuperMatrix.from_scalar(p), SuperMatrix.identity(ctx, 1),
-            degree=4, verify_samples=0)
+            degree=4)
         xi = SuperMatrix.from_scalar(ctx.one())
         with pytest.raises(NotConvergent):
             h_theta_kernel(theta, ctx.scalar(2.5) + ctx.generator(1), xi)
