@@ -90,7 +90,7 @@ class NotInvertible(GrasschurError):
 
 
 class WindowTooSmall(GrasschurError):
-    """Fourier coefficients of the body inverse do not decay inside the window budget."""
+    """No grid up to max_grid certifies the Wiener inverse: ‖F ⋆ G − I‖₁ stays above tol_eq."""
 
     code = "window-too-small"
 

@@ -71,28 +71,17 @@ def geometric_sandwich_sum(x: Supernumber, u: Supernumber, y: Supernumber) -> Su
 # ---------------------------------------------------------------------------
 
 
-def lower_toeplitz_block(s: SeriesMatrix, depth: int) -> SuperMatrix:
-    """L_N: block lower-triangular Toeplitz of the first depth+1 coefficients."""
-    context = s.context
-    p, q = s.shape
-    zero = SuperMatrix.zeros(context, p, q)
-    rows = []
-    for i in range(depth + 1):
-        rows.append([s.coefficient(i - j) if i >= j else zero for j in range(depth + 1)])
-    return SuperMatrix.block(rows)
-
-
 def is_schur_grassmann(s: SeriesMatrix, depth: int | None = None) -> bool:
-    """Contractivity test: I - L_N* L_N supernonnegative for all N <= depth.
-
-    The verdict depends only on the body (body Schur <=> Schur-Grassmann);
-    self-adjointness of I - L_N*L_N over the algebra is asserted alongside.
-    """
+    """Contractivity test: I - L_N* L_N supernonnegative for all N <= depth, L_N the block
+    lower-triangular Toeplitz matrix of s_0..s_N.  The verdict depends only on the body
+    (body Schur <=> Schur-Grassmann), so it is decided on the body series."""
     depth = min(s.degree, 8) if depth is None else min(depth, s.degree)
-    for n in range(depth + 1):
-        l = lower_toeplitz_block(s, n)
-        gram = SuperMatrix.identity(s.context, l.cols) - mat_mul(adjoint(l), l)
-        if not is_supernonnegative(gram):
+    (p, q), lag = s.shape, np.subtract.outer(np.arange(depth + 1), np.arange(depth + 1))
+    blocks = np.where((lag >= 0)[..., None, None], s._body()[np.maximum(lag, 0)], 0)
+    l = blocks.transpose(0, 2, 1, 3).reshape((depth + 1) * p, (depth + 1) * q)
+    for n in range(1, depth + 2):
+        top = l[:n * p, :n * q]
+        if not is_supernonnegative(SuperMatrix.from_body(s.context, np.eye(n * q) - top.conj().T @ top)):
             return False
     return True
 
@@ -473,7 +462,7 @@ def schur_step(sigma: SeriesMatrix, step: int = 0) -> tuple[Supernumber, SeriesM
     section = schur_section(rho)
     _verify_section_vanishing(sigma, section, step)
     context = sigma.context
-    numerator = backward_shift(sigma - SeriesMatrix.scalar_constant(rho))
+    numerator = backward_shift(sigma - SeriesMatrix.constant(SuperMatrix.from_scalar(rho)))
     denominator = SeriesMatrix.identity(context, 1) - sigma.scale_left(dagger(rho))
     sigma_next = star_mul(numerator, star_inverse(denominator))
     return rho, sigma_next, section

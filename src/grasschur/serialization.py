@@ -22,12 +22,20 @@ from .toeplitz import ToeplitzSpec
 
 
 @contextmanager
-def _malformed(message: str):
-    """Report a missing key, or a field value of the wrong type or size, as SerializationError."""
+def _malformed(message: str | None = None):
+    """Report a missing key, or a field value of the wrong type, size or range, as
+    SerializationError with ``message`` (by default the error's own text)."""
     try:
         yield
     except (KeyError, AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise SerializationError(message) from exc
+        raise SerializationError(message or str(exc)) from exc
+
+
+def _number(x: Any, name: str, integer: bool = False):
+    """A finite JSON number, or an integer: never a bool, NaN, a huge int or a truncated float."""
+    if type(x) not in ((int,) if integer else (int, float)) or not abs(x) <= sys.float_info.max:
+        raise SerializationError(f"{name} must be a finite {'integer' if integer else 'number'}, got {x!r}")
+    return x if integer else float(x)
 
 
 def dumps(obj: Any) -> str:
@@ -60,11 +68,7 @@ def supernumber_from_obj(obj: Any, context: AlgebraContext) -> Supernumber:
         key = index_from_generators(idx)
         if key in raw:
             raise SerializationError(f"duplicate term at idx {idx}")
-        parts = (term["re"], term["im"])
-        # bool is not a JSON number; NaN fails the comparison; huge ints overflow float
-        if any(type(x) not in (int, float) or not abs(x) <= sys.float_info.max for x in parts):
-            raise SerializationError(f"re and im at idx {idx} must be finite numbers")
-        raw[key] = complex(float(parts[0]), float(parts[1]))
+        raw[key] = complex(_number(term["re"], "re"), _number(term["im"], "im"))
     return Supernumber(context, raw)
 
 
@@ -78,7 +82,7 @@ def matrix_to_obj(m: SuperMatrix) -> dict:
 
 def matrix_from_obj(obj: Any, context: AlgebraContext) -> SuperMatrix:
     with _malformed("a matrix needs rows, cols and entries"):
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = _number(obj["rows"], "rows", integer=True), _number(obj["cols"], "cols", integer=True)
         entries = obj["entries"]
     if (rows < 1 or cols < 1 or not isinstance(entries, list) or len(entries) != rows
             or any(not isinstance(r, list) or len(r) != cols for r in entries)):
@@ -98,17 +102,15 @@ def series_to_obj(f: SeriesMatrix) -> dict:
 
 def series_from_obj(obj: Any, context: AlgebraContext) -> SeriesMatrix:
     with _malformed("a series needs degree and coeffs"):
-        degree = int(obj["degree"])
+        degree = _number(obj["degree"], "degree", integer=True)
         coeffs = obj["coeffs"]
     if not isinstance(coeffs, list) or len(coeffs) != degree + 1:
         raise SerializationError("coefficient count does not match the degree")
     exact = obj.get("exact", False)
     if not isinstance(exact, bool):
         raise SerializationError("exact must be true or false")
-    try:
+    with _malformed():
         return SeriesMatrix(tuple(matrix_from_obj(c, context) for c in coeffs), exact=exact)
-    except ValueError as exc:
-        raise SerializationError(str(exc)) from exc
 
 
 def laurent_to_obj(f: LaurentSeries) -> dict:
@@ -120,12 +122,12 @@ def laurent_to_obj(f: LaurentSeries) -> dict:
 
 def laurent_from_obj(obj: Any, context: AlgebraContext) -> LaurentSeries:
     with _malformed("a Laurent series needs window and coeffs keyed by power"):
-        window = int(obj["window"])
-        powers = {int(key): value for key, value in obj["coeffs"].items()}
-    try:
+        window, coeffs = _number(obj["window"], "window", integer=True), obj["coeffs"]
+        powers = {int(key): value for key, value in coeffs.items()}
+    if [str(n) for n in powers] != list(coeffs):  # "01", "+1", "-0" or " 1", or two keys for one power
+        raise SerializationError("Laurent power keys must be canonical decimal integers")
+    with _malformed():
         return LaurentSeries(window, {n: matrix_from_obj(value, context) for n, value in powers.items()})
-    except ValueError as exc:
-        raise SerializationError(str(exc)) from exc
 
 
 def realization_to_obj(r: Realization) -> dict:
@@ -151,10 +153,8 @@ def toeplitz_spec_from_obj(obj: Any, context: AlgebraContext) -> ToeplitzSpec:
     symbols = obj.get("symbols") if isinstance(obj, dict) else None
     if not isinstance(symbols, list):
         raise SerializationError("a Toeplitz spec needs a symbols list")
-    try:
+    with _malformed():
         return ToeplitzSpec(tuple(supernumber_from_obj(z, context) for z in symbols))
-    except ValueError as exc:
-        raise SerializationError(str(exc)) from exc
 
 
 def interpolation_data_to_obj(data) -> dict:
@@ -174,10 +174,8 @@ def interpolation_data_from_obj(obj: Any, context: AlgebraContext):
         raise SerializationError("interpolation nodes and values must be lists")
     nodes = tuple(supernumber_from_obj(z, context) for z in nodes)
     values = tuple(supernumber_from_obj(s, context) for s in values)
-    try:
+    with _malformed():
         return InterpolationData(nodes, values)
-    except ValueError as exc:
-        raise SerializationError(str(exc)) from exc
 
 
 def config_to_obj(context: AlgebraContext) -> dict:
@@ -192,12 +190,10 @@ def config_to_obj(context: AlgebraContext) -> dict:
 def config_from_obj(obj: Any) -> AlgebraContext:
     if not isinstance(obj, dict):
         raise SerializationError("config must be an object")
-    try:
+    with _malformed():
         return AlgebraContext(
-            generators=int(obj.get("generators", 8)),
-            tol_body=float(obj.get("tol_body", 1e-10)),
-            tol_eq=float(obj.get("tol_eq", 1e-9)),
-            max_series_degree=int(obj.get("degree", 32)),
+            generators=_number(obj.get("generators", 8), "generators", integer=True),
+            tol_body=_number(obj.get("tol_body", 1e-10), "tol_body"),
+            tol_eq=_number(obj.get("tol_eq", 1e-9), "tol_eq"),
+            max_series_degree=_number(obj.get("degree", 32), "degree", integer=True),
         )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SerializationError(str(exc)) from exc

@@ -8,13 +8,13 @@ matrices, with a truncated degree convolution as the payload product.  A
 series is one-sided (powers of z on the left of the coefficients); the
 ``exact`` flag marks polynomials whose higher coefficients are exactly zero, so
 products of polynomials keep their full degree while products with truncated
-series drop to the degree that is exactly computable.  A ``LaurentSeries`` is
-two-sided with finite support and models the Wiener-Grassmann algebra, where
-invertibility is decided on the body alone.
+series drop to the degree that is exactly computable.  A two-sided
+``LaurentSeries`` keeps one (keys, span, rows, cols) stack from its lowest power
+and models the Wiener-Grassmann algebra: invertibility is decided on the body
+alone, and an inverse G is returned only when ‖F ⋆ G − I‖₁ ≤ tol_eq.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Sequence
 
@@ -137,10 +137,6 @@ class SeriesMatrix:
     @classmethod
     def constant(cls, value: SuperMatrix) -> "SeriesMatrix":
         return cls((value,), exact=True)
-
-    @classmethod
-    def scalar_constant(cls, value: Supernumber) -> "SeriesMatrix":
-        return cls((SuperMatrix.from_scalar(value),), exact=True)
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[SuperMatrix], exact: bool = False) -> "SeriesMatrix":
@@ -339,62 +335,87 @@ def backward_shift(f: SeriesMatrix) -> SeriesMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LaurentSeries:
-    """Two-sided finitely supported series sum_{|n|<=window} z^n f_n."""
+    """Two-sided finitely supported series sum_{|n|<=window} z^n f_n, immutable: ``stack[s, n - low]``
+    holds monomial ``keys[s]`` of f_n, with no all-zero key or end power; ``coeffs`` views the
+    nonzero f_n by ascending power.  The zero series keeps its shape and has no context."""
 
-    window: int
-    coeffs: Mapping[int, SuperMatrix]
-    shape: tuple[int, int] = (0, 0)
+    __slots__ = ("window", "shape", "context", "low", "keys", "stack")
 
-    def __post_init__(self):
-        cleaned = {int(n): c for n, c in self.coeffs.items() if not c.is_zero()}
-        if not cleaned and self.shape == (0, 0):
+    def __new__(cls, window: int, coeffs: Mapping[int, SuperMatrix], shape: tuple[int, int] = (0, 0)):
+        coeffs = {int(n): c for n, c in coeffs.items() if not c.is_zero()}
+        if not coeffs and shape == (0, 0):
             raise ValueError("empty Laurent series needs an explicit shape")
-        shape = self.shape if not cleaned else next(iter(cleaned.values())).shape
-        for n, c in cleaned.items():
-            if abs(n) > self.window:
-                raise ValueError(f"coefficient at power {n} outside window {self.window}")
-            if c.shape != shape:
-                raise ShapeMismatch("Laurent coefficients must share one shape")
-        object.__setattr__(self, "coeffs", dict(sorted(cleaned.items())))
-        object.__setattr__(self, "shape", shape)
+        if any(abs(n) > window for n in coeffs):
+            raise ValueError(f"coefficient at power {max(coeffs, key=abs)} outside window {window}")
+        first = next(iter(coeffs.values())) if coeffs else SuperMatrix.zeros(None, *shape)
+        if any(c.shape != first.shape for c in coeffs.values()):
+            raise ShapeMismatch("Laurent coefficients must share one shape")
+        if any(c.context != first.context for c in coeffs.values()):
+            raise ContextMismatch("Laurent coefficients must share one context")
+        low = min(coeffs, default=0)
+        keys = np.unique(np.concatenate([first.keys, *(c.keys for c in coeffs.values())]))
+        stack = np.zeros((len(keys), max(coeffs, default=-1) - low + 1, *first.shape), dtype=complex)
+        for n, c in coeffs.items():  # placed, not added: a -0.0 entry stays -0.0
+            stack[np.searchsorted(keys, c.keys), n - low] = c.stack
+        return cls._of(window, first.context, low, keys, stack)
+
+    @classmethod
+    def _of(cls, window: int, context: AlgebraContext | None, low: int, keys, stack) -> "LaurentSeries":
+        """The series of its lowest power, a key array and a (keys, span, rows, cols) stack;
+        drops all-zero keys and end powers."""
+        nonzero = stack.any(axis=(2, 3))
+        powers = np.flatnonzero(nonzero.any(axis=0))  # none for the zero series: span 0 at power 0
+        first, end = (int(powers[0]), int(powers[-1]) + 1) if len(powers) else (-low, -low)
+        kept = nonzero.any(axis=1)
+        keys, stack = keys[kept], stack[kept, first:end]
+        keys.flags.writeable = stack.flags.writeable = False
+        f = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (window, stack.shape[2:], context if len(keys) else None,
+                                               low + first, keys, stack)):
+            object.__setattr__(f, name, value)
+        return f
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LaurentSeries is immutable")
 
     @property
-    def context(self) -> AlgebraContext:
-        return next(iter(self.coeffs.values())).context
+    def coeffs(self) -> dict[int, SuperMatrix]:
+        return {self.low + j: self.coefficient(self.low + j)
+                for j in np.flatnonzero(self.stack.any(axis=(0, 2, 3))).tolist()}
 
     def coefficient(self, n: int) -> SuperMatrix:
-        got = self.coeffs.get(n)
-        if got is not None:
-            return got
-        ctx = self.context if self.coeffs else None
-        if ctx is None:
+        if self.context is None:
             raise ValueError("empty series has no context")
-        return SuperMatrix.zeros(ctx, *self.shape)
-
-    def support(self) -> list[int]:
-        return sorted(self.coeffs)
+        if 0 <= n - self.low < self.stack.shape[1]:
+            return SuperMatrix(self.context, self.keys, self.stack[:, n - self.low])
+        return SuperMatrix.zeros(self.context, *self.shape)
 
     def norm1(self) -> float:
-        return sum(c.norm1() for c in self.coeffs.values())
+        return float(np.abs(self.stack).sum())
 
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        window = max(self.window, other.window)
-        keys = set(self.coeffs) | set(other.coeffs)
-        out = {}
-        for n in sorted(keys):
-            a = self.coeffs.get(n)
-            b = other.coeffs.get(n)
-            out[n] = a + b if (a is not None and b is not None) else (a if a is not None else b)
-        return LaurentSeries(window, out, shape=self.shape)
+        if self.shape != other.shape:
+            raise ShapeMismatch(f"cannot combine {self.shape} and {other.shape}")
+        if self.context and other.context:
+            _require_same_context(self, other)
+        low, end = min(self.low, other.low), max(h.low + h.stack.shape[1] for h in (self, other))
+        x, y = (np.pad(h.stack, ((0, 0), (h.low - low, end - h.low - h.stack.shape[1]), (0, 0), (0, 0)))
+                for h in (self, other))  # both stacks over the powers low..end-1
+        return LaurentSeries._of(max(self.window, other.window), self.context or other.context, low,
+                                 *_add(self.keys, x, other.keys, y))
 
     def __sub__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return self + LaurentSeries(other.window, {n: -c for n, c in other.coeffs.items()}, shape=other.shape)
+        return self + LaurentSeries._of(other.window, other.context, other.low, other.keys, -other.stack)
+
+    def __eq__(self, other):
+        if isinstance(other, LaurentSeries):
+            return (self.window, self.shape, self.coeffs) == (other.window, other.shape, other.coeffs)
+        return NotImplemented
 
     @classmethod
     def constant(cls, value: SuperMatrix) -> "LaurentSeries":
@@ -402,36 +423,34 @@ class LaurentSeries:
 
 
 def laurent_star_mul(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
-    """Exact convolution of finitely supported Laurent series (windows add)."""
+    """Exact convolution of finitely supported Laurent series (windows add): one
+    Grassmann product with the untruncated degree convolution as payload."""
     if f.shape[1] != g.shape[0]:
         raise ShapeMismatch(f"cannot star-multiply {f.shape} by {g.shape}")
-    out: dict[int, SuperMatrix] = {}
-    for nf in f.support():
-        for ng in g.support():
-            term = mat_mul(f.coeffs[nf], g.coeffs[ng])
-            n = nf + ng
-            out[n] = out[n] + term if n in out else term
-    return LaurentSeries(f.window + g.window, out, shape=(f.shape[0], g.shape[1]))
+    if f.context is None or g.context is None:
+        return LaurentSeries(f.window + g.window, {}, shape=(f.shape[0], g.shape[1]))
+    context = _require_same_context(f, g)
+    return LaurentSeries._of(f.window + g.window, context, f.low + g.low, *_pair_product(
+        context.generators, f.keys, f.stack, g.keys, g.stack,
+        partial(_convolve, degree=f.stack.shape[1] + g.stack.shape[1] - 2)))
 
 
 def project_plus(f: LaurentSeries) -> LaurentSeries:
     """Keep powers n >= 0 (the one-sided subalgebra)."""
-    return LaurentSeries(f.window, {n: c for n, c in f.coeffs.items() if n >= 0}, shape=f.shape)
+    return LaurentSeries._of(f.window, f.context, max(f.low, 0), f.keys, f.stack[:, max(0, -f.low):])
 
 
 def project_minus(f: LaurentSeries) -> LaurentSeries:
     """Keep powers n <= 0."""
-    return LaurentSeries(f.window, {n: c for n, c in f.coeffs.items() if n <= 0}, shape=f.shape)
+    return LaurentSeries._of(f.window, f.context, f.low, f.keys, f.stack[:, :max(0, 1 - f.low)])
 
 
 def _on_circle(f: LaurentSeries, points: int) -> tuple[np.ndarray, np.ndarray]:
     """f(e^{2πij/points}) as ascending monomial keys, always with key 0 (the body),
-    and a (keys, points, p, q) stack."""
-    powers = sorted(f.coeffs)
-    keys = np.unique(np.concatenate([np.zeros(1, dtype=np.uint64)] + [f.coeffs[n].keys for n in powers]))
-    coeffs = np.stack([_spread(keys, f.coeffs[n].keys, f.coeffs[n].stack) for n in powers], axis=1)
-    phases = np.exp(2j * np.pi * np.outer(np.arange(points) / points, powers))
-    return keys, np.einsum("mn,knpq->kmpq", phases, coeffs)
+    and a (keys, points, p, q) stack: the phase matrix times f's stack."""
+    keys = np.union1d(np.zeros(1, dtype=np.uint64), f.keys)
+    phases = np.exp(2j * np.pi * np.outer(np.arange(points) / points, np.arange(f.stack.shape[1]) + f.low))
+    return keys, np.einsum("mn,knpq->kmpq", phases, _spread(keys, f.keys, f.stack))
 
 
 def wiener_is_invertible(f: LaurentSeries, grid_points: int | None = None) -> bool:
@@ -442,53 +461,46 @@ def wiener_is_invertible(f: LaurentSeries, grid_points: int | None = None) -> bo
     """
     if f.shape[0] != f.shape[1]:
         raise ShapeMismatch("invertibility needs square coefficients")
-    if not f.coeffs:
+    if f.context is None:
         return False
-    points = grid_points or max(256, 16 * (2 * f.window + 1))
+    reach = max(-f.low, f.low + f.stack.shape[1] - 1)  # the stored powers size the grid, not the window
+    points = grid_points or max(256, 16 * (2 * reach + 1))
     dets = np.linalg.det(_on_circle(f, points)[1][0])
     return bool(np.abs(dets).min() > f.context.tol_body)
 
 
+_KEPT = 1e-5  # cut for keeping a coefficient of the inverse, relative to tol_eq; what it drops is inside the certificate
+
+
 def wiener_invert(f: LaurentSeries, grid_points: int | None = None,
                   max_grid: int = 1 << 16) -> LaurentSeries:
-    """Inverse in the Wiener-Grassmann algebra, pointwise on the circle.
+    """Inverse G in the Wiener-Grassmann algebra, pointwise on the circle, certified by
+    ‖F ⋆ G − I‖₁ ≤ tol_eq over every power.
 
-    A point e^{it} is a scalar, so F(e^{it})⁻¹ is the inverse's value there: a
-    body inverse plus the soul series sum_k (-B⁻¹S)^k B⁻¹ (F = B + S), which
-    ends by nilpotency within N steps, on the (monomial, grid point) stack;
-    then one FFT along the grid axis.  The grid doubles until every kept
-    (power, monomial) coefficient (largest entry above tol_eq·1e-5) moves by at
-    most tol_eq/100 and no new one is kept.
+    A point e^{it} is a scalar, so F(e^{it})⁻¹ is G's value there: a body inverse
+    plus the soul series sum_k (-B⁻¹S)^k B⁻¹ (F = B + S), which ends by nilpotency
+    within N steps, on the (monomial, grid point) stack; then one FFT along the
+    grid.  The grid doubles until G certifies; WindowTooSmall if no grid up to
+    max_grid does.
     """
     if not wiener_is_invertible(f, grid_points):
         raise NotInvertible("body determinant vanishes on the circle")
     context = f.context
-    tol = context.tol_eq * 1e-2
-    points = grid_points or max(64, 8 * (2 * f.window + 1))
-    previous = None
+    identity = LaurentSeries.constant(SuperMatrix.identity(context, f.shape[0]))
+    points = grid_points or max(64, 8 * (2 * max(-f.low, f.low + f.stack.shape[1] - 1) + 1))
     while points <= max_grid:
         keys, stack = _on_circle(f, points)  # f's monomials fix the keys on every grid
         keys, total = _inverse(context, keys, stack, np.linalg.inv(stack[0]), _matmul)
         half = points // 2
-        powers = np.arange(-half, half)
-        # g_n = (1/M) sum_j F(t_j)^{-1} e^{-i n t_j}: numpy's forward FFT over M
-        spectrum = np.fft.fft(total, axis=1)[:, powers % points] / points
-        kept = np.abs(spectrum).max(axis=(2, 3)) > tol * 1e-3
-        if previous is not None:
-            old_spectrum, old_kept = previous
-            lo = half - old_kept.shape[1] // 2
-            hi = lo + old_kept.shape[1]
-            inner = kept[:, lo:hi]
-            drift = np.abs(spectrum[:, lo:hi] - old_spectrum).max(axis=(2, 3))[inner].max(initial=0.0)
-            if drift <= tol and not (kept[:, :lo].any() or kept[:, hi:].any() or (inner & ~old_kept).any()):
-                break
-        previous = spectrum, kept
+        # g_n = (1/M) sum_j F(t_j)^{-1} e^{-i n t_j}, n = -M/2..M/2-1: numpy's forward FFT over M
+        spectrum = np.fft.fft(total, axis=1)[:, np.arange(-half, half) % points] / points
+        kept = np.abs(spectrum).max(axis=(2, 3)) > context.tol_eq * _KEPT
+        window = max([f.window, *np.abs(np.flatnonzero(kept.any(axis=0)) - half).tolist()])
+        g = LaurentSeries._of(window, context, -half, keys, np.where(kept[..., None, None], spectrum, 0))
+        if (laurent_star_mul(f, g) - identity).norm1() <= context.tol_eq:
+            return g
         points *= 2
-    else:
-        raise WindowTooSmall("Fourier coefficients of the inverse do not stabilize")
-    out = {int(powers[col]): SuperMatrix(context, keys[kept[:, col]], spectrum[kept[:, col], col])
-           for col in np.flatnonzero(kept.any(axis=0))}
-    return LaurentSeries(max([f.window, *map(abs, out)]), out, shape=f.shape)
+    raise WindowTooSmall("no grid up to max_grid certifies the inverse")
 
 
 def weak_plus_invertibility(f: SeriesMatrix, radial_points: int = 24, angular_points: int | None = None) -> bool:

@@ -104,7 +104,10 @@ class TestAlgebraCommands:
 
     @pytest.mark.parametrize("text", ['[{"generators": 4}]', '{"generators": 4',
                                       '{"generators": [4]}', '{"generators": 1e400}',
-                                      '{"tol_body": NaN}', '{"tol_eq": 1e400}'])
+                                      '{"tol_body": NaN}', '{"tol_eq": 1e400}',
+                                      # wrong JSON types are rejected, never truncated or coerced
+                                      '{"generators": "3"}', '{"generators": 2.7}', '{"generators": true}',
+                                      '{"tol_eq": true}', '{"tol_body": "1e-3"}', '{"degree": 4.5}'])
     def test_malformed_config_exit_code(self, text, ctx, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(text)
@@ -175,7 +178,8 @@ class TestMalformedInputs:
         assert len(err) == 1 and err[0].startswith("error[serialization-error]")
 
     @pytest.mark.parametrize("field,text", [("degree", '"abc"'), ("degree", "1e400"),
-                                            ("coeffs", "5"), ("exact", '"yes"')])
+                                            ("coeffs", "5"), ("exact", '"yes"'),
+                                            ("degree", "0.9"), ("degree", "false")])
     @pytest.mark.parametrize("command", ["np", "schur"])
     def test_malformed_series_field(self, command, field, text, ctx, tmp_path, capsys):
         series = series_to_obj(SeriesMatrix.from_coeffs([SuperMatrix.from_body(ctx, [[0.1]])]))
@@ -303,7 +307,8 @@ class TestThetaCommand:
         assert len(err) == 1 and err[0].startswith("error[i-sub-a-singular]")
 
     @pytest.mark.parametrize("rows,entries",
-                             [("abc", [[[]]]), (float("inf"), [[[]]]), (1, 5), (1, [5]), (0, [])])
+                             [("abc", [[[]]]), (float("inf"), [[[]]]), (1, 5), (1, [5]), (0, []),
+                              (1.5, [[[]]]), (True, [[[]]])])
     def test_malformed_matrix_exit_code(self, rows, entries, ctx, tmp_path, capsys):
         from grasschur import SuperMatrix
 

@@ -29,6 +29,8 @@ from grasschur.serialization import (
 from grasschur.series import LaurentSeries, SeriesMatrix
 from grasschur.toeplitz import ToeplitzSpec
 
+ONE = {"rows": 1, "cols": 1, "entries": [[[{"idx": [], "re": 1.0, "im": 0.0}]]]}
+
 
 class TestSupernumber:
     def test_round_trip(self, ctx, rng):
@@ -90,8 +92,16 @@ class TestContainers:
                               1: random_supermatrix(ctx, rng, 1, 1)})
         back = laurent_from_obj(laurent_to_obj(f), ctx)
         assert back.coeffs == f.coeffs and back.window == f.window
+        signed = {"window": 1, "coeffs": {n: {"rows": 1, "cols": 1, "entries": [[[{"idx": [], "re": 1.0, "im": -0.0}]]]}
+                                          for n in ("-1", "1")}}
+        text = dumps(laurent_to_obj(laurent_from_obj(signed, ctx)))
+        assert text == dumps(signed) and text.count("-0.0") == 2  # -0.0 survives on both powers
 
-    @pytest.mark.parametrize("field,value", [("coeffs", [1]), ("window", "x"), ("window", 1e400)])
+    # power keys must be canonical decimal integers and the window an int: nothing is coerced
+    @pytest.mark.parametrize("field,value", [("coeffs", [1]), ("window", "x"), ("window", 1e400), ("window", 1.7),
+                                             ("window", True), ("coeffs", {"00": ONE}), ("coeffs", {"+0": ONE}),
+                                             ("coeffs", {"-0": ONE}), ("coeffs", {" 0": ONE}),
+                                             ("coeffs", {"0": ONE, "00": ONE})])
     def test_laurent_malformed_field(self, field, value, ctx):
         obj = laurent_to_obj(LaurentSeries.constant(SuperMatrix.identity(ctx, 1)))
         obj[field] = value

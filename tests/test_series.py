@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from grasschur import AlgebraContext, Supernumber, SuperMatrix, classify, dagger, index_from_generators, invert, mul
-from grasschur.errors import ConstantTermSingular, NotInvertible, ShapeMismatch, WindowTooSmall
+from grasschur.errors import ConstantTermSingular, ContextMismatch, NotInvertible, ShapeMismatch, WindowTooSmall
 from grasschur.matrix import mat_invert, mat_mul
 from grasschur.sampling import random_soul, random_supermatrix, random_supernumber
 from grasschur.series import (
@@ -358,6 +358,47 @@ class TestWiener:
         assert (g - h).norm1() <= 1e-12
 
 
+def wiener_inputs(ctx, ctx4, rng):
+    """The series the TestWiener cases invert: scalar, soul-bearing and 2x2, windows 1 and 2."""
+    scalar = TestWiener().make_scalar
+    return [
+        scalar(ctx, {0: 2.0}),
+        scalar(ctx, {0: ctx.one(), 1: ctx.generator(1)}),
+        scalar(ctx, {0: 1.0, 1: -0.5}),
+        LaurentSeries(1, {
+            -1: random_supermatrix(ctx4, rng, 2, 2, scale=0.1, terms=2, max_grade=2),
+            0: SuperMatrix.identity(ctx4, 2) * 2 + random_supermatrix(
+                ctx4, rng, 2, 2, scale=0.2, body=0.0, terms=2, max_grade=2),
+            1: random_supermatrix(ctx4, rng, 2, 2, scale=0.1, terms=2, max_grade=2)}),
+        LaurentSeries(2, {
+            -2: random_supermatrix(ctx, rng, 2, 2, scale=0.05, terms=4, max_grade=4),
+            -1: random_supermatrix(ctx, rng, 2, 2, scale=0.2, terms=4, max_grade=4),
+            0: SuperMatrix.identity(ctx, 2) * 2 + random_supermatrix(
+                ctx, rng, 2, 2, scale=0.3, body=0.0, terms=4, max_grade=4),
+            1: random_supermatrix(ctx, rng, 2, 2, scale=0.2, terms=4, max_grade=4)}),
+    ]
+
+
+class TestWienerCertificate:
+    @pytest.mark.parametrize("start", [None, 8])
+    def test_residual_over_every_power(self, ctx, ctx4, rng, start):
+        # a start at 8 points doubles until the certificate holds; what is promised is the
+        # certificate, not bit-equality with the default start
+        for f in wiener_inputs(ctx, ctx4, rng):
+            g = wiener_invert(f, grid_points=start)
+            eye = LaurentSeries.constant(SuperMatrix.identity(f.context, f.shape[0]))
+            assert (laurent_star_mul(f, g) - eye).norm1() <= f.context.tol_eq
+            assert g.window == max(f.window, *map(abs, g.coeffs))
+
+    def test_declared_window_does_not_size_the_grid(self, ctx):
+        # the grids follow the stored powers; sized from this window they would need 3.2e13 points
+        f = LaurentSeries(10**12, {0: SuperMatrix.from_body(ctx, [[2.0]])})
+        assert wiener_is_invertible(f)
+        g = wiener_invert(f)
+        assert g.window == 10**12 and list(g.coeffs) == [0]
+        assert (g.coefficient(0) - SuperMatrix.from_body(ctx, [[0.5]])).norm1() <= 1e-15
+
+
 class TestWeakInvertibility:
     def test_small_slope(self, ctx):
         f = scalar_series(ctx, [1.0, -0.25], exact=True)
@@ -542,3 +583,65 @@ class TestStackLayout:
             assert len(z.keys) == 0 and z.norm1() == 0.0
             assert all(c.is_zero() for c in z.coeffs)
         assert (f - f).degree == 4 and backward_shift(SeriesMatrix.constant(f.coeffs[0])).degree == 0
+
+
+# -- the Laurent (keys, span, rows, cols) layout against the per-power-pair reference --
+
+
+def ref_laurent_star_mul(f, g):
+    """The per-power-pair loop: one mat_mul per pair of stored powers."""
+    out = {}
+    for nf, a in f.coeffs.items():
+        for ng, b in g.coeffs.items():
+            term = mat_mul(a, b)
+            out[nf + ng] = out[nf + ng] + term if nf + ng in out else term
+    return LaurentSeries(f.window + g.window, out, shape=(f.shape[0], g.shape[1]))
+
+
+def random_laurent(ctx, rng, powers, window, p, q):
+    return LaurentSeries(window, {n: random_supermatrix(ctx, rng, p, q, scale=0.5, terms=3, max_grade=3)
+                                  for n in powers}, shape=(p, q))
+
+
+class TestLaurentLayout:
+    @pytest.mark.parametrize("powers", [((-3, 0, 4), (-1, 2)), ((5,), (-7, -2, 6)), ((), (0, 1)), ((-1, 1), ())],
+                             ids=["gapped", "one-sided", "empty-left", "empty-right"])
+    @pytest.mark.parametrize("shapes", [(1, 1, 1), (2, 3, 1)], ids=["1x1", "2x3-3x1"])
+    def test_star_mul_matches_per_power_pairs(self, ctx, rng, powers, shapes):
+        p, r, q = shapes
+        f = random_laurent(ctx, rng, powers[0], max(map(abs, powers[0]), default=0) + 1, p, r)
+        g = random_laurent(ctx, rng, powers[1], max(map(abs, powers[1]), default=0) + 3, r, q)
+        want, got = ref_laurent_star_mul(f, g), laurent_star_mul(f, g)
+        assert (got.window, got.shape) == (want.window, want.shape) == (f.window + g.window, (p, q))
+        assert list(got.coeffs) == list(want.coeffs)
+        gap = sum((got.coefficient(n) - c).norm1() for n, c in want.coeffs.items())
+        assert gap <= 1e-14 * max(1.0, f.norm1() * g.norm1())
+
+    def test_layout_and_views(self, ctx, rng):
+        a, b = (random_supermatrix(ctx, rng, 2, 2) for _ in range(2))
+        f = LaurentSeries(4, {1: b, -2: a, 3: SuperMatrix.zeros(ctx, 2, 2)})
+        assert f.low == -2 and f.stack.shape == (len(f.keys), 4, 2, 2) and np.all(f.keys[1:] > f.keys[:-1])
+        assert list(f.coeffs) == [-2, 1] and f.coeffs[-2] == a and f.coeffs[1] == b
+        assert f.coefficient(0).is_zero() and f.coefficient(9).is_zero() and f.context is ctx
+        assert f == LaurentSeries(4, {-2: a, 1: b}) and f != LaurentSeries(5, {-2: a, 1: b})
+        with pytest.raises(TypeError):
+            hash(f)
+        trimmed = f - LaurentSeries(2, {-2: a})
+        assert (trimmed.low, trimmed.stack.shape[1]) == (1, 1) and trimmed == LaurentSeries(4, {1: b})
+        assert project_plus(f) == trimmed and project_minus(f) == LaurentSeries(4, {-2: a})
+        zero = f - f
+        assert zero.context is None and zero.shape == (2, 2) and zero.coeffs == {} and zero.norm1() == 0.0
+        assert zero == LaurentSeries(4, {}, shape=(2, 2)) and zero + f == f and f + zero == f
+
+    def test_malformed_construction(self, ctx, ctx4):
+        one = SuperMatrix.identity(ctx, 1)
+        with pytest.raises(ValueError):
+            LaurentSeries(1, {2: one})
+        with pytest.raises(ValueError):
+            LaurentSeries(1, {})
+        with pytest.raises(ShapeMismatch):
+            LaurentSeries(1, {0: one, 1: SuperMatrix.identity(ctx, 2)})
+        with pytest.raises(ContextMismatch):
+            LaurentSeries(1, {0: one, 1: SuperMatrix.identity(ctx4, 1)})
+        with pytest.raises(ContextMismatch):
+            LaurentSeries.constant(one) + LaurentSeries.constant(SuperMatrix.identity(ctx4, 1))
