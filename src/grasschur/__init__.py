@@ -21,7 +21,6 @@ from .algebra import (
     linear_combine,
     merge_swap_count,
     mul,
-    norm1,
 )
 from .matrix import (
     LDUFactors,
@@ -65,7 +64,6 @@ __all__ = [
     "mat_mul",
     "merge_swap_count",
     "mul",
-    "norm1",
     "polarization_reconstruct",
     "positive_factorize",
     "quadratic_form",

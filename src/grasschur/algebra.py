@@ -25,7 +25,7 @@ from .errors import BodyZero, BranchCut, ContextMismatch, DomainViolation
 # A multi-index is an int bit set over generator slots 1..64.
 MultiIndex = int
 
-_REAL_TOL = 1e-12  # coefficientwise dagger-symmetry tolerance for classify()
+_REAL_TOL = 1e-12  # relative 1-norm tolerance of z† = z (classify), M* = M and J J = I
 
 
 def index_from_generators(generators: Iterable[int]) -> MultiIndex:
@@ -266,6 +266,7 @@ class Supernumber:
         return out
 
     def norm1(self) -> float:
+        """Sum of coefficient moduli; submultiplicative."""
         return sum(abs(v) for v in self._terms.values())
 
     # -- comparison / display -------------------------------------------
@@ -440,11 +441,6 @@ def dagger(z: Supernumber) -> Supernumber:
     """
     out = {k: (v.conjugate() if dagger_sign(k) > 0 else -v.conjugate()) for k, v in z._terms.items()}
     return Supernumber._canonical(z.context, out)
-
-
-def norm1(z: Supernumber) -> float:
-    """Sum of coefficient moduli; submultiplicative."""
-    return z.norm1()
 
 
 @dataclass(frozen=True)

@@ -41,21 +41,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _context(args) -> AlgebraContext:
-    base = {"generators": 8, "degree": 32, "tol_body": 1e-10, "tol_eq": 1e-9}
+    config = {}
     if args.config is not None:
         config = _load(args.config)
         if not isinstance(config, dict):
             raise SerializationError(f"config {args.config} must hold an object")
-        base.update(config)
-    if args.generators is not None:
-        base["generators"] = args.generators
-    if args.degree is not None:
-        base["degree"] = args.degree
-    if getattr(args, "tol_body", None) is not None:
-        base["tol_body"] = args.tol_body
-    if getattr(args, "tol_eq", None) is not None:
-        base["tol_eq"] = args.tol_eq
-    return ser.config_from_obj(base)
+    flags = {"generators": args.generators, "degree": args.degree,
+             "tol_body": args.tol_body, "tol_eq": args.tol_eq}
+    config.update((key, value) for key, value in flags.items() if value is not None)
+    return ser.config_from_obj(config)
 
 
 def _load(path: Path):

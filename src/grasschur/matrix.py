@@ -14,11 +14,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraContext, Supernumber, _cmul, _pair_product, _require_same_context, dagger_sign,
-                      invert, kth_root, linear_combine, mul)
-from .errors import BodySingular, ContextMismatch, NotRegular, NotSuperpositive, ShapeMismatch
-
-_ADJOINT_TOL = 1e-12  # relative 1-norm tolerance of M* = M (and of J J = I for signatures)
+from .algebra import (_REAL_TOL, AlgebraContext, Supernumber, _cmul, _pair_product, _require_same_context,
+                      dagger_sign, kth_root, linear_combine)
+from .errors import BodySingular, BodyZero, ContextMismatch, NotRegular, NotSuperpositive, ShapeMismatch
 
 
 class SuperMatrix:
@@ -267,37 +265,44 @@ class LDUFactors:
 
 
 def ldu_factor(m: SuperMatrix) -> LDUFactors:
-    """LDU factorization by Schur-complement recursion on the (1,1) entry.
+    """LDU factorization by Schur-complement recursion on whole blocks:
+
+        M = [1 0; l L'] [p 0; 0 D'] [1 u; 0 U']
+
+    with pivot p = M[0, 0], l = M[1:, 0] p⁻¹, u = p⁻¹ M[0, 1:] and L'D'U' the
+    factorization of the Schur complement M[1:, 1:] - l M[0, 1:].
 
     Requires a regular body: every leading principal minor of M_B invertible
     (determinant magnitude above tol_body), else NotRegular names the first
-    failing minor.
+    failing minor.  A pivot, the last included, whose body modulus is at most
+    tol_body raises BodyZero.
     """
     if m.rows != m.cols:
         raise ShapeMismatch("LDU needs a square matrix")
-    n = m.rows
-    context = m.context
     body = m.body()
-    for k in range(1, n + 1):
-        if abs(np.linalg.det(body[:k, :k])) <= context.tol_body:
+    for k in range(1, m.rows + 1):
+        if abs(np.linalg.det(body[:k, :k])) <= m.context.tol_body:
             raise NotRegular(k)
-    one = context.one()
-    zero = context.zero()
-    lower = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    upper = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    diag = [zero] * n
-    work = [[m[i, j] for j in range(n)] for i in range(n)]
-    for k in range(n):
-        pivot = work[0][0]
-        pivot_inv = invert(pivot)
-        diag[k] = pivot
-        size = len(work)
-        for i in range(1, size):
-            lower[k + i][k] = mul(work[i][0], pivot_inv)
-            upper[k][k + i] = mul(pivot_inv, work[0][i])
-        work = [[work[i][j] - mul(lower[k + i][k], work[0][j]) for j in range(1, size)]
-                for i in range(1, size)]
-    return LDUFactors(SuperMatrix.from_rows(lower), SuperMatrix.diagonal(diag), SuperMatrix.from_rows(upper))
+    return _ldu(m)
+
+
+def _ldu(m: SuperMatrix) -> LDUFactors:
+    context, n = m.context, m.rows
+    pivot = m.submatrix([0], [0])
+    modulus = abs(pivot.body()[0, 0])
+    if modulus <= context.tol_body:
+        raise BodyZero(f"pivot body modulus {modulus:.3e} is below tol_body")
+    one = SuperMatrix.identity(context, 1)
+    if n == 1:
+        return LDUFactors(one, pivot, one)
+    rest = range(1, n)
+    pivot_inv, top = mat_invert(pivot), m.submatrix([0], rest)
+    l, u = mat_mul(m.submatrix(rest, [0]), pivot_inv), mat_mul(pivot_inv, top)
+    inner = _ldu(m.submatrix(rest, rest) - mat_mul(l, top))
+    zero_row, zero_col = SuperMatrix.zeros(context, 1, n - 1), SuperMatrix.zeros(context, n - 1, 1)
+    return LDUFactors(SuperMatrix.block([[one, zero_row], [l, inner.lower]]),
+                      SuperMatrix.block([[pivot, zero_row], [zero_col, inner.diagonal]]),
+                      SuperMatrix.block([[one, u], [zero_col, inner.upper]]))
 
 
 def mat_invert(m: SuperMatrix) -> SuperMatrix:
@@ -329,11 +334,7 @@ def sandwich_solve(l: SuperMatrix, q: SuperMatrix, r: SuperMatrix) -> SuperMatri
     context = q.context
     rows, cols = q.shape
     l_body = l.body()
-    k = np.eye(rows * cols) - np.kron(l_body, r.body().T)
-    svals = np.linalg.svd(k, compute_uv=False)
-    if svals[-1] <= context.tol_body * max(1.0, svals[0]):
-        raise BodySingular(f"smallest singular value of I - L_B ⊗ R_Bᵀ is {svals[-1]:.3e}")
-    k_inv = np.linalg.inv(k)
+    k_inv = _body_inverse(context, np.eye(rows * cols) - np.kron(l_body, r.body().T))
 
     def body_solve(y: SuperMatrix) -> SuperMatrix:
         flat = y.stack.reshape(-1, rows * cols) @ k_inv.T  # K⁻¹ on each monomial's row-major vec
@@ -365,9 +366,9 @@ class PositivityReport:
 
 
 def _self_adjoint(m: SuperMatrix) -> tuple[bool, float]:
-    """Whether M* = M to _ADJOINT_TOL relative to max(1, ||M||_1), and ||M - M*||_1."""
+    """Whether M* = M to _REAL_TOL relative to max(1, ||M||_1), and ||M - M*||_1."""
     defect = (m - adjoint(m)).norm1()
-    return defect <= _ADJOINT_TOL * max(1.0, m.norm1()), defect
+    return defect <= _REAL_TOL * max(1.0, m.norm1()), defect
 
 
 def _body_spectral_radius(m: SuperMatrix) -> float:

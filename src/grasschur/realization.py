@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraContext, Supernumber, dagger, invert
+from .algebra import _REAL_TOL, AlgebraContext, Supernumber, dagger, invert
 from .errors import BodySingular, DSingular, JInvalid, ShapeMismatch
-from .matrix import _ADJOINT_TOL, SuperMatrix, _self_adjoint, adjoint, mat_invert, mat_mul
+from .matrix import SuperMatrix, _self_adjoint, adjoint, mat_invert, mat_mul
 from .series import SeriesMatrix
 
 _COMPOSE_MODES = ("product", "sum", "concat_rows", "concat_cols")
@@ -223,7 +223,7 @@ def _check_signature(j: SuperMatrix) -> None:
     if not _self_adjoint(j)[0]:
         raise JInvalid("J is not self-adjoint")
     eye = SuperMatrix.identity(j.context, j.rows)
-    if (mat_mul(j, j) - eye).norm1() > _ADJOINT_TOL * max(1.0, j.norm1()):
+    if (mat_mul(j, j) - eye).norm1() > _REAL_TOL * max(1.0, j.norm1()):
         raise JInvalid("J*J != I")
 
 

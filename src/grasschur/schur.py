@@ -318,24 +318,18 @@ def pick_matrix(data: InterpolationData) -> SuperMatrix:
 def np_node_residuals(data: InterpolationData, theta: ThetaFunction) -> list[float]:
     """Residual norms of (1, -s_k) ⋆ Theta(z) at z = z_k, one per node.
 
-    The k-th Pick row is rebuilt from the data, entry by entry, through exact
-    geometric_sandwich_sum solves, so the check is truncation-free and does
-    not reuse theta's P.
+    The k-th Pick row is rebuilt from the data as the exact sandwich_solve
+    solution X of X - z_k X A = U_k, with A = diag(z_m†) the state matrix and
+    U_k = row(1 - s_k s_m†) = row(1, -s_k) C, so the check is truncation-free
+    and does not reuse theta's P.
     """
-    context = data.context
-    k = theta.normalization()
+    one = data.context.one()
+    c, a, k = data.output_matrix(), data.state_matrix(), theta.normalization()
     residuals = []
-    for idx in range(data.size):
-        z = data.nodes[idx]
-        s = data.values[idx]
-        row_entries = []
-        for m in range(data.size):
-            u = context.one() - mul(s, dagger(data.values[m]))
-            row_entries.append(geometric_sandwich_sum(z, u, dagger(data.nodes[m])))
-        row = SuperMatrix.row(row_entries)
-        target = SuperMatrix.row([context.one(), -s])
-        value = target - mat_mul(row, k).scale_left(context.one() - z)
-        residuals.append(value.norm1())
+    for z, s in zip(data.nodes, data.values):
+        target = SuperMatrix.row([one, -s])
+        row = sandwich_solve(SuperMatrix.from_scalar(z), mat_mul(target, c), a)
+        residuals.append((target - mat_mul(row, k).scale_left(one - z)).norm1())
     return residuals
 
 
@@ -407,22 +401,17 @@ def np_solve(data: InterpolationData, sigma: SeriesMatrix | None = None,
 
 
 def schur_section(rho: Supernumber) -> SeriesMatrix:
-    """The degree-one elementary section M(z) = I - (1-z) col(1,rho†) g row(1,-rho).
+    """The degree-one elementary section M(z) = I - (1-z) K with
+    K = col(1,rho†) g row(1,-rho) and g = (1 - rho rho†)^{-1}: M(0) = I - K
+    and M_1 = K.
 
-    g = (1 - rho rho†)^{-1}.  M(0) is singular by construction; both
-    b - sigma⋆d and sigma⋆c - a vanish at z = 0 whenever rho = sigma(0).
+    M(0) is singular by construction; both b - sigma⋆d and sigma⋆c - a vanish
+    at z = 0 whenever rho = sigma(0).
     """
-    context = rho.context
-    one = context.one()
+    one = rho.context.one()
     g = invert(one - mul(rho, dagger(rho)))
-    rho_dag = dagger(rho)
-    a0, a1 = one - g, g
-    b0, b1 = mul(g, rho), -mul(g, rho)
-    c0, c1 = -mul(rho_dag, g), mul(rho_dag, g)
-    d0, d1 = one + mul(rho_dag, mul(g, rho)), -mul(rho_dag, mul(g, rho))
-    constant = SuperMatrix.from_rows([[a0, b0], [c0, d0]])
-    linear = SuperMatrix.from_rows([[a1, b1], [c1, d1]])
-    return SeriesMatrix((constant, linear), exact=True)
+    k = mat_mul(SuperMatrix.column([one, dagger(rho)]), SuperMatrix.row([one, -rho]).scale_left(g))
+    return SeriesMatrix((SuperMatrix.identity(rho.context, 2) - k, k), exact=True)
 
 
 def _extract_rho(sigma: SeriesMatrix, step: int) -> Supernumber:
@@ -435,15 +424,11 @@ def _extract_rho(sigma: SeriesMatrix, step: int) -> Supernumber:
 
 
 def _verify_section_vanishing(sigma: SeriesMatrix, section: SeriesMatrix, step: int) -> None:
-    # constant terms of b - sigma⋆d and sigma⋆c - a must vanish
+    # row(1, -s0) M(0) = (a - s0 c, b - s0 d) at z = 0 must vanish, each identity on its own
     context = sigma.context
-    s0 = sigma.coeffs[0][0, 0]
-    a0, b0 = section.coeffs[0][0, 0], section.coeffs[0][0, 1]
-    c0, d0 = section.coeffs[0][1, 0], section.coeffs[0][1, 1]
-    n0 = b0 - mul(s0, d0)
-    m0 = mul(s0, c0) - a0
-    scale = max(1.0, sigma.norm1())
-    if n0.norm1() > context.tol_eq * scale or m0.norm1() > context.tol_eq * scale:
+    row = SuperMatrix.block([[SuperMatrix.identity(context, 1), -sigma.coeffs[0]]])
+    residuals = np.abs(mat_mul(row, section.coeffs[0]).stack).sum(axis=(0, 1))
+    if (residuals > context.tol_eq * max(1.0, sigma.norm1())).any():
         raise GrasschurError(f"section identities fail to vanish at step {step}")
 
 

@@ -44,11 +44,8 @@ def dumps(obj: Any) -> str:
 
 
 def supernumber_to_obj(z: Supernumber) -> list[dict]:
-    terms = []
-    for key in sorted(z.terms, key=lambda k: (grade(k), index_to_generators(k))):
-        value = z.terms[key]
-        terms.append({"idx": list(index_to_generators(key)), "re": value.real, "im": value.imag})
-    return terms
+    terms = sorted(z.terms.items(), key=lambda term: (grade(term[0]), index_to_generators(term[0])))
+    return [{"idx": list(index_to_generators(key)), "re": value.real, "im": value.imag} for key, value in terms]
 
 
 def supernumber_from_obj(obj: Any, context: AlgebraContext) -> Supernumber:
@@ -188,12 +185,14 @@ def config_to_obj(context: AlgebraContext) -> dict:
 
 
 def config_from_obj(obj: Any) -> AlgebraContext:
+    """The context a config object names; a missing generator count is 8 and
+    every other missing field takes its AlgebraContext default."""
     if not isinstance(obj, dict):
         raise SerializationError("config must be an object")
+    fields = {"tol_body": "tol_body", "tol_eq": "tol_eq", "degree": "max_series_degree"}
     with _malformed():
         return AlgebraContext(
             generators=_number(obj.get("generators", 8), "generators", integer=True),
-            tol_body=_number(obj.get("tol_body", 1e-10), "tol_body"),
-            tol_eq=_number(obj.get("tol_eq", 1e-9), "tol_eq"),
-            max_series_degree=_number(obj.get("degree", 32), "degree", integer=True),
+            **{field: _number(obj[key], key, integer=key == "degree")
+               for key, field in fields.items() if key in obj},
         )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from grasschur import AlgebraContext, SuperMatrix, mul
-from grasschur.cli import main
+from grasschur.cli import _context, build_parser, main
 from grasschur.sampling import random_soul, random_supernumber
 from grasschur.series import SeriesMatrix
 from grasschur.serialization import (
@@ -93,6 +93,16 @@ class TestAlgebraCommands:
         out = tmp_path / "o.json"
         assert main(["algebra", "classify", "--in", z_file, "--config", str(config),
                      "--generators", "8", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["algebra", "invert", "--in", "z.json"], ["algebra", "mul", "--in", "z.json", "--rhs", "w.json"],
+        ["toeplitz", "extend", "--spec", "s.json", "--eta", "e.json"], ["np", "solve", "--data", "d.json"],
+        ["schur", "run", "--series", "s.json", "--max-steps", "3"],
+        ["blaschke", "eval", "--a", "a.json", "--c", "c.json", "--p", "p.json", "--at", "z.json"],
+        ["theta", "build", "--C", "c.json", "--A", "a.json", "--J", "j.json"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_default_context_without_flags_or_config(self, argv):
+        assert _context(build_parser().parse_args(argv)) == AlgebraContext(generators=8)
 
     @pytest.mark.parametrize("bad", ["NaN", '"abc"'])
     def test_malformed_coefficient_exit_code(self, bad, tmp_path, capsys):

@@ -10,8 +10,10 @@ from grasschur import (
     classify,
     dagger,
     index_from_generators,
+    invert,
     is_supernonnegative,
     is_superpositive,
+    kth_root,
     ldu_factor,
     linear_combine,
     mat_invert,
@@ -21,7 +23,7 @@ from grasschur import (
     positive_factorize,
     quadratic_form,
 )
-from grasschur.errors import BodySingular, NotRegular, NotSuperpositive, ShapeMismatch
+from grasschur.errors import BodySingular, BodyZero, NotRegular, NotSuperpositive, ShapeMismatch
 from grasschur.matrix import sandwich_solve
 from grasschur.sampling import (
     random_soul,
@@ -113,6 +115,14 @@ class TestLDU:
         with pytest.raises(NotRegular) as err:
             ldu_factor(m)
         assert err.value.minor == 1
+
+    @pytest.mark.parametrize("bodies", [(1e6, 1e-11), (1e6, 1e-11, 1.0)], ids=["last", "middle"])
+    def test_tiny_pivot_is_body_zero(self, ctx, rng, bodies):
+        # every leading minor passes (|det| >= 1e-5), but one pivot's body is 1e-11
+        n = len(bodies)
+        m = SuperMatrix.from_body(ctx, np.diag(bodies)) + random_supermatrix(ctx, rng, n, n, body=0.0)
+        with pytest.raises(BodyZero):
+            ldu_factor(m)
 
 
 class TestInvert:
@@ -292,6 +302,36 @@ def ref_invert(m):
     return ref_mat_mul(acc, body_inv)
 
 
+def ref_ldu_factor(m):
+    """The entrywise Schur-complement loop: one scalar invert per pivot, one mul per entry."""
+    ctx, n = m.context, m.rows
+    lower = [[ctx.one() if i == j else ctx.zero() for j in range(n)] for i in range(n)]
+    upper = [[ctx.one() if i == j else ctx.zero() for j in range(n)] for i in range(n)]
+    diag = []
+    work = [list(row) for row in m.entries()]
+    for k in range(n):
+        pivot_inv = invert(work[0][0])
+        diag.append(work[0][0])
+        for i in range(1, len(work)):
+            lower[k + i][k] = mul(work[i][0], pivot_inv)
+            upper[k][k + i] = mul(pivot_inv, work[0][i])
+        work = [[work[i][j] - mul(lower[k + i][k], work[0][j]) for j in range(1, len(work))]
+                for i in range(1, len(work))]
+    return SuperMatrix.from_rows(lower), SuperMatrix.diagonal(diag), SuperMatrix.from_rows(upper)
+
+
+def ref_positive_factorize(m):
+    lower, diag, _ = ref_ldu_factor(m)
+    return ref_mat_mul(lower, SuperMatrix.diagonal([kth_root(diag[k, k], 2) for k in range(m.rows)]))
+
+
+def factorizations_match_entrywise(m):
+    """LDU of m and LL* of m m* against the entrywise references."""
+    f, positive = ldu_factor(m), ref_mat_mul(m, ref_adjoint(m))
+    return (all(close(got, want) for got, want in zip((f.lower, f.diagonal, f.upper), ref_ldu_factor(m)))
+            and close(positive_factorize(positive), ref_positive_factorize(positive)))
+
+
 def filled_matrix(ctx, rng, n, body):
     """n x n matrix whose entries carry every monomial of the context."""
     keys = range(1 << ctx.generators)
@@ -330,6 +370,7 @@ class TestStackLayout:
         assert close(m + l, ref_entrywise(lambda a, b: linear_combine([(1.0, a), (1.0, b)]), m, l))
         assert close(m - l, ref_entrywise(lambda a, b: linear_combine([(1.0, a), (-1.0, b)]), m, l))
         assert close(mat_invert(m), ref_invert(m))
+        assert factorizations_match_entrywise(m)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_sparse_n64_top_generator_matches_entrywise(self, rng, n):
@@ -347,6 +388,10 @@ class TestStackLayout:
                                                    m, ref_adjoint(m)))
         small = sparse_matrix(ctx, rng, min(n, 2), min(n, 2), 2)
         assert close(mat_invert(small), ref_invert(small))
+        # the entrywise references' pivot inverses grow combinatorially at 4 x 4
+        factored = sparse_matrix(ctx, rng, min(n, 3), min(n, 3), 2)
+        assert int(factored.keys[-1]) >= 1 << 63
+        assert factorizations_match_entrywise(factored)
 
     def test_from_rows_keeps_every_entry(self, ctx, rng):
         signed = Supernumber(ctx, {0: complex(-0.0, 1.5), 5: complex(2.0, -0.0), 9: complex(1.0, -0.0)})

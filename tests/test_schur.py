@@ -4,7 +4,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from grasschur import SuperMatrix, adjoint, classify, dagger, invert, kth_root, mat_invert, mat_mul, mul
+from grasschur import (AlgebraContext, SuperMatrix, Supernumber, adjoint, classify, dagger, invert, kth_root,
+                       mat_invert, mat_mul, mul)
 from grasschur import schur
 from grasschur.errors import (
     GrasschurError,
@@ -328,6 +329,68 @@ class TestNPInterpolationCheck:
                             data.signature(), degree=8)
         wrong = InterpolationData(data.nodes, (data.values[0] + ctx.scalar(0.25), data.values[1]))
         assert max(np_node_residuals(wrong, theta)) > 1e-4
+
+
+# -- block formulas against their entrywise references -------------------------
+
+
+def ref_np_node_residuals(data, theta):
+    """Node residuals with each Pick row built entry by entry from scalar sandwich sums."""
+    ctx = data.context
+    residuals = []
+    for z, s in zip(data.nodes, data.values):
+        row = SuperMatrix.row([geometric_sandwich_sum(z, ctx.one() - mul(s, dagger(sm)), dagger(zm))
+                               for zm, sm in zip(data.nodes, data.values)])
+        value = SuperMatrix.row([ctx.one(), -s]) - mat_mul(row, theta.normalization()).scale_left(ctx.one() - z)
+        residuals.append(value.norm1())
+    return residuals
+
+
+def ref_schur_section(rho):
+    """The section's two coefficients from eight scalar products."""
+    ctx = rho.context
+    one = ctx.one()
+    g = invert(one - mul(rho, dagger(rho)))
+    rho_dag = dagger(rho)
+    constant = SuperMatrix.from_rows([[one - g, mul(g, rho)],
+                                      [-mul(rho_dag, g), one + mul(rho_dag, mul(g, rho))]])
+    linear = SuperMatrix.from_rows([[g, -mul(g, rho)], [mul(rho_dag, g), -mul(rho_dag, mul(g, rho))]])
+    return SeriesMatrix((constant, linear), exact=True)
+
+
+def block_test_soul(ctx, rng, scale):
+    """At N = 8 a soul on all 255 monomials; at N = 64 two odd monomials, one holding generator 64
+    (two odd parts, so rho and g = (1 - rho rho†)^{-1} need not commute)."""
+    if ctx.generators == 8:
+        return Supernumber(ctx, {k: scale * complex(*rng.normal(size=2)) for k in range(1, 256)})
+    first, second, third = sorted(rng.choice(np.arange(1, 64), size=3, replace=False).tolist())
+    return (ctx.basis((first,)) * (scale * complex(*rng.normal(size=2)))
+            + ctx.basis((second, third, 64)) * (scale * complex(*rng.normal(size=2))))
+
+
+class TestBlockFormulasMatchEntrywise:
+    @pytest.mark.parametrize("generators", [8, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_np_node_residuals(self, rng, generators, n):
+        ctx = AlgebraContext(generators=generators)
+        bodies = make_np_data(ctx, rng, n, souls=False)
+        data = InterpolationData(tuple(z + block_test_soul(ctx, rng, 0.02) for z in bodies.nodes),
+                                 tuple(s + block_test_soul(ctx, rng, 0.02) for s in bodies.values))
+        theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data),
+                            data.signature(), degree=2)
+        wrong = InterpolationData(data.nodes, (data.values[0] + ctx.scalar(0.25),) + data.values[1:])
+        for d in (data, wrong):
+            got, want = np_node_residuals(d, theta), ref_np_node_residuals(d, theta)
+            assert np.allclose(got, want, rtol=0, atol=1e-12 * max(1.0, max(want)))
+        assert max(want) > 1e-2  # the perturbed node's residual is compared, not only the zeros
+
+    @pytest.mark.parametrize("generators", [8, 64])
+    def test_schur_section(self, rng, generators):
+        ctx = AlgebraContext(generators=generators)
+        rho = ctx.scalar(0.4 + 0.2j) + block_test_soul(ctx, rng, 0.05)
+        got, want = schur_section(rho), ref_schur_section(rho)
+        for g, w in zip(got.coeffs, want.coeffs):
+            assert (g - w).norm1() <= 1e-12 * max(1.0, w.norm1())
 
 
 class TestLFT:

@@ -136,6 +136,10 @@ class TestContainers:
         back = interpolation_data_from_obj(interpolation_data_to_obj(data), ctx)
         assert back.nodes == data.nodes and back.values == data.values
 
+    def test_config_defaults_come_from_the_context(self):
+        assert config_from_obj({}) == AlgebraContext(generators=8)
+        assert config_from_obj({"degree": 5}) == AlgebraContext(generators=8, max_series_degree=5)
+
     def test_config_round_trip(self):
         context = AlgebraContext(generators=6, tol_body=1e-9, tol_eq=1e-8, max_series_degree=16)
         assert config_from_obj(config_to_obj(context)) == context
