@@ -13,6 +13,7 @@ every operation is a pure function of its inputs.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -56,6 +57,12 @@ def index_to_generators(index: MultiIndex) -> tuple[int, ...]:
 def grade(index: MultiIndex) -> int:
     """Number of generators in the monomial."""
     return index.bit_count()
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def term_order(index: MultiIndex) -> tuple[int, tuple[int, ...]]:
+    """Sort key of the canonical term order: by grade, then lexicographically by generators."""
+    return grade(index), index_to_generators(index)
 
 
 def merge_swap_count(alpha: MultiIndex, beta: MultiIndex) -> int:
@@ -283,7 +290,7 @@ class Supernumber:
         if not self._terms:
             return "0"
         parts = []
-        for key in sorted(self._terms, key=lambda k: (grade(k), index_to_generators(k))):
+        for key in sorted(self._terms, key=term_order):
             coeff = self._terms[key]
             mono = "".join(f"i{g}" for g in index_to_generators(key)) or "1"
             parts.append(f"({coeff:g})*{mono}" if mono != "1" else f"({coeff:g})")

@@ -134,12 +134,12 @@ _parser = functools.cache(build_parser)  # one parser per process: building one 
 def _run_algebra(args, context) -> None:
     z = ser.supernumber_from_obj(_load(args.infile), context)
     if args.verb == "invert":
-        _emit(args, ser.supernumber_to_obj(invert(z)))
+        _emit(args, invert(z))
     elif args.verb == "sqrt":
-        _emit(args, ser.supernumber_to_obj(kth_root(z, args.k)))
+        _emit(args, kth_root(z, args.k))
     elif args.verb == "mul":
         w = ser.supernumber_from_obj(_load(args.rhs), context)
-        _emit(args, ser.supernumber_to_obj(mul(z, w)))
+        _emit(args, mul(z, w))
     else:
         report = classify(z)
         _emit(args, {
@@ -149,7 +149,7 @@ def _run_algebra(args, context) -> None:
             "is_superpositive": report.is_superpositive,
             "is_supernonnegative": report.is_supernonnegative,
             "body": {"re": report.body.real, "im": report.body.imag},
-            "soul": ser.supernumber_to_obj(report.soul),
+            "soul": report.soul,
         })
 
 
@@ -157,17 +157,14 @@ def _run_toeplitz(args, context) -> None:
     spec = ser.toeplitz_spec_from_obj(_load(args.spec), context)
     eta = ser.supernumber_from_obj(_load(args.eta), context)
     params = extension_params(spec)
-    params_obj = {
-        "center": ser.supernumber_to_obj(params.center),
-        "left_radius": ser.supernumber_to_obj(params.left_radius),
-        "right_radius": ser.supernumber_to_obj(params.right_radius),
-    }
+    params_obj = {"center": params.center, "left_radius": params.left_radius,
+                  "right_radius": params.right_radius}
     if args.params_only:
         _emit(args, params_obj)
         return
     extended = extend(spec, eta, params)
     _emit(args, {
-        "spec": ser.toeplitz_spec_to_obj(extended),
+        "spec": {"symbols": extended.r},
         "superdisk": params_obj,
         "verified_superpositive": verify_extension(extended),
     })
@@ -180,8 +177,8 @@ def _run_np(args, context) -> None:
         sigma = ser.series_from_obj(_load(args.sigma), context)
     solution = np_solve(data, sigma)
     _emit(args, {
-        "solution": ser.series_to_obj(solution.series),
-        "pick": ser.matrix_to_obj(solution.pick),
+        "solution": solution.series,
+        "pick": solution.pick,
         "node_residuals": list(solution.node_residuals),
     })
 
@@ -190,7 +187,7 @@ def _run_schur(args, context) -> None:
     series = ser.series_from_obj(_load(args.series), context)
     chain = schur_algorithm(series, args.max_steps)
     _emit(args, {
-        "rhos": [ser.supernumber_to_obj(r) for r in chain.rhos],
+        "rhos": chain.rhos,
         "rho_bodies": [{"re": r.body.real, "im": r.body.imag} for r in chain.rhos],
         "steps": chain.steps,
         "termination": chain.termination,
@@ -204,9 +201,9 @@ def _run_blaschke(args, context) -> None:
     at = ser.supernumber_from_obj(_load(args.at), context)
     factor = blaschke_factor(a, c, p)
     _emit(args, {
-        "value": ser.supernumber_to_obj(factor.eval_at(at)),
-        "omega": ser.supernumber_to_obj(factor.omega),
-        "series": ser.series_to_obj(factor.series),
+        "value": factor.eval_at(at),
+        "omega": factor.omega,
+        "series": factor.series,
     })
 
 
@@ -219,10 +216,7 @@ def _run_theta(args, context) -> None:
     else:
         p = stein_solve(c, a, j)
     theta = build_theta(c, a, p, j)
-    _emit(args, {
-        "theta": ser.series_to_obj(theta.series),
-        "P": ser.matrix_to_obj(theta.p),
-    })
+    _emit(args, {"theta": theta.series, "P": theta.p})
 
 
 def main(argv: list[str] | None = None) -> int:

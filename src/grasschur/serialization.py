@@ -5,15 +5,25 @@ with idx strictly increasing and 1-based (empty for the body term); writers
 emit terms sorted by (grade, lexicographic idx) and readers reject unsorted or
 duplicate indices.  Matrices, series, Laurent series, realizations, Toeplitz
 specs and interpolation data wrap that term format.
+
+The canonical text is ``json.dumps(obj, indent=2, sort_keys=True)`` of the object
+form.  ``dumps`` writes it without building that form for a ``Supernumber``,
+``SuperMatrix`` or ``SeriesMatrix``: matrices and series are rendered from their
+``keys``/``stack`` in the canonical term order, worked out once per key array.
+NaN and infinity have no canonical form and raise ``SerializationError``.
 """
 from __future__ import annotations
 
-import json
+import functools
+import math
 import sys
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from .algebra import AlgebraContext, Supernumber, grade, index_from_generators, index_to_generators
+import numpy as np
+
+from .algebra import AlgebraContext, Supernumber, index_from_generators, index_to_generators, term_order
 from .errors import SerializationError
 from .matrix import SuperMatrix
 from .realization import Realization
@@ -39,13 +49,78 @@ def _number(x: Any, name: str, integer: bool = False):
 
 
 def dumps(obj: Any) -> str:
-    """Deterministic canonical rendering (sorted keys, two-space indent)."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Canonical text of ``obj``: ``json.dumps(o, indent=2, sort_keys=True) + "\\n"`` where
+    ``o`` is ``obj`` with each package value replaced by its ``*_to_obj`` form."""
+
+    def seq(items: list[str], ind: str, brackets: str) -> str:
+        inner = ind + "  "
+        return f"{brackets[0]}{inner}{(',' + inner).join(items)}{ind}{brackets[1]}" if items else brackets
+
+    def terms(keys: list[int], values: list[list], ind: str) -> list[str]:
+        """The term lists of entries sharing one key order, each at indent ``ind``."""
+        templates = [_term_template(key, ind + "  ") for key in keys]
+        return [seq([f"{head}{v.imag!r}{mid}{v.real!r}{tail}" for (head, mid, tail), v in zip(templates, e) if v],
+                    ind, "[]") for e in values]
+
+    def matrix(shape: tuple[int, int], keys: list[int], values: list, ind: str) -> str:
+        i1, i2, i3 = ind + "  ", ind + "    ", ind + "      "
+        grid = seq([seq(terms(keys, row, i3), i2, "[]") for row in values], i1, "[]")
+        return f'{{{i1}"cols": {shape[1]},{i1}"entries": {grid},{i1}"rows": {shape[0]}{ind}}}'
+
+    def text(v: Any, ind: str) -> str:
+        if isinstance(v, str):
+            return encode_basestring_ascii(v)
+        if v is None or isinstance(v, bool):
+            return {None: "null", True: "true", False: "false"}[v]
+        if isinstance(v, int):
+            return int.__repr__(v)
+        if isinstance(v, float) and math.isfinite(v):
+            return float.__repr__(v)
+        if isinstance(v, dict):
+            return seq([f"{encode_basestring_ascii(k)}: {text(v[k], ind + '  ')}" for k in sorted(v)], ind, "{}")
+        if isinstance(v, (list, tuple)):
+            return seq([text(x, ind + "  ") for x in v], ind, "[]")
+        if isinstance(v, Supernumber):
+            keys = sorted(v._terms, key=term_order)
+            values = [v._terms[k] for k in keys]
+            if np.isfinite(values).all():
+                return terms(keys, [values], ind)[0]
+        elif isinstance(v, (SuperMatrix, SeriesMatrix)) and np.isfinite(v.stack).all():
+            keys, values = _ordered(v.keys, v.stack)
+            if isinstance(v, SuperMatrix):
+                return matrix(v.shape, keys, values, ind)
+            i1 = ind + "  "
+            coeffs = seq([matrix(v.shape, keys, c, i1 + "  ") for c in values], i1, "[]")
+            return f'{{{i1}"coeffs": {coeffs},{i1}"degree": {v.degree},{i1}"exact": {text(v.exact, i1)}{ind}}}'
+        raise SerializationError(f"{type(v).__name__} value has no canonical JSON form (NaN, infinity or no JSON type)")
+
+    return text(obj, "\n") + "\n"
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _term_template(key: int, ind: str) -> tuple[str, str, str]:
+    """The fixed text of a term object at indent ``ind``: before its im value, between im
+    and re, and after re."""
+    fields, idx = ind + "  ", ind + "    "
+    generators = f"[{idx}{(',' + idx).join(map(str, index_to_generators(key)))}{fields}]" if key else "[]"
+    return f'{{{fields}"idx": {generators},{fields}"im": ', f',{fields}"re": ', f"{ind}}}"
+
+
+def _ordered(keys: np.ndarray, stack: np.ndarray) -> tuple[list[int], list]:
+    """The keys of a (keys, ..., rows, cols) stack in canonical term order, and its values as
+    nested (..., rows, cols, keys) lists in that order: one sort per key array."""
+    keys = keys.tolist()
+    perm = sorted(range(len(keys)), key=lambda s: term_order(keys[s]))
+    return [keys[s] for s in perm], np.moveaxis(stack[perm], 0, -1).tolist()
+
+
+def _terms_obj(keys: list[int], values: list[complex]) -> list[dict]:
+    return [{"idx": list(index_to_generators(k)), "re": v.real, "im": v.imag} for k, v in zip(keys, values) if v]
 
 
 def supernumber_to_obj(z: Supernumber) -> list[dict]:
-    terms = sorted(z.terms.items(), key=lambda term: (grade(term[0]), index_to_generators(term[0])))
-    return [{"idx": list(index_to_generators(key)), "re": value.real, "im": value.imag} for key, value in terms]
+    keys = sorted(z._terms, key=term_order)
+    return _terms_obj(keys, [z._terms[k] for k in keys])
 
 
 def supernumber_from_obj(obj: Any, context: AlgebraContext) -> Supernumber:
@@ -70,11 +145,8 @@ def supernumber_from_obj(obj: Any, context: AlgebraContext) -> Supernumber:
 
 
 def matrix_to_obj(m: SuperMatrix) -> dict:
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [[supernumber_to_obj(e) for e in row] for row in m.entries()],
-    }
+    keys, values = _ordered(m.keys, m.stack)
+    return {"rows": m.rows, "cols": m.cols, "entries": [[_terms_obj(keys, e) for e in row] for row in values]}
 
 
 def matrix_from_obj(obj: Any, context: AlgebraContext) -> SuperMatrix:

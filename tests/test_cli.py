@@ -30,7 +30,8 @@ def write(path, obj):
 
 
 def run_twice(argv_builder, tmp_path):
-    """Run a command twice into fresh files; outputs must be byte-identical."""
+    """Run a command twice into fresh files; outputs must be byte-identical and canonical,
+    that is, unchanged when parsed and written again by ``json.dumps``."""
     outputs = []
     for tag in ("one", "two"):
         out = tmp_path / f"out_{tag}.json"
@@ -38,7 +39,9 @@ def run_twice(argv_builder, tmp_path):
         assert main(argv) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
-    return json.loads(outputs[0])
+    text = outputs[0].decode("ascii")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    return json.loads(text)
 
 
 class TestAlgebraCommands:
@@ -74,6 +77,15 @@ class TestAlgebraCommands:
         assert got["is_real"] is True
         assert got["is_superpositive"] is False
         assert got["is_odd"] is True
+
+    def test_overflowing_product_exit_code(self, tmp_path, capsys):
+        # 1e200 * 1e200 overflows to infinity, which has no canonical JSON form
+        a = write(tmp_path / "a.json", [{"idx": [], "re": 1e200, "im": 0.0}, {"idx": [1], "re": 1e200, "im": 0.0}])
+        out = tmp_path / "out.json"
+        assert main(["algebra", "mul", "--in", a, "--rhs", a, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[serialization-error]")
+        assert not out.exists()
 
     def test_body_zero_exit_code(self, ctx, tmp_path):
         infile = write(tmp_path / "z.json", supernumber_to_obj(ctx.generator(1)))

@@ -72,6 +72,79 @@ class TestSupernumber:
         assert text == again
 
 
+def oracle(obj) -> str:
+    """The canonical text by its definition: CPython's json encoder on the object form."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def entrywise(m):
+    """The object form of a matrix built entry by entry, each entry sorted on its own."""
+    return {"rows": m.rows, "cols": m.cols, "entries": [[supernumber_to_obj(e) for e in row] for row in m.entries()]}
+
+
+def forms(z):
+    """A supernumber, a 2x2 matrix and a degree-1 series holding it, each with its entrywise object form."""
+    m = SuperMatrix.from_rows([[z, z.context.zero()], [z.context.one(), z]])
+    f = SeriesMatrix.from_coeffs([m, -m])
+    return [(z, supernumber_to_obj(z)), (m, entrywise(m)),
+            (f, {"degree": 1, "exact": False, "coeffs": [entrywise(c) for c in f.coeffs]})]
+
+
+class TestWriter:
+    """``dumps`` renders package values byte for byte as json renders their object form."""
+
+    @pytest.mark.parametrize("x", [-0.0, 5e-324, 1e-7, 1e16, 1.7976931348623157e308, -1.7976931348623157e308])
+    def test_edge_floats_in_re_and_im(self, ctx, x):
+        for value in (complex(x, 0.5), complex(0.5, x)):
+            for v, obj in forms(ctx.from_terms({(): value, (2, 5): value, (3,): 1.0})):
+                assert dumps(v) == oracle(obj) == dumps(obj)
+
+    def test_random_values(self, ctx, rng):
+        for v, obj in forms(random_supernumber(ctx, rng, terms=12, max_grade=6)):
+            assert dumps(v) == oracle(obj)
+        m = random_supermatrix(ctx, rng, 3, 2)
+        assert dumps(m) == oracle(entrywise(m)) == dumps(matrix_to_obj(m))
+        f = SeriesMatrix.from_coeffs([m, random_supermatrix(ctx, rng, 3, 2)], exact=True)
+        assert dumps(f) == oracle(series_to_obj(f)) and series_to_obj(f)["coeffs"][1] == entrywise(f.coeffs[1])
+
+    def test_generator_64_sets_the_high_key_bit(self):
+        ctx64 = AlgebraContext(generators=64)
+        z = ctx64.from_terms({(): 1.0, (64,): 0.5 - 2j, (1, 64): -0.25, (3, 40, 64): 1e-3})
+        for v, obj in forms(z):
+            assert dumps(v) == oracle(obj)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_zero_matrix_and_series(self, ctx, exact):
+        m = SuperMatrix.zeros(ctx, 2, 3)
+        f = SeriesMatrix.from_coeffs([m, m], exact=exact)
+        assert len(m.keys) == len(f.keys) == 0 and matrix_to_obj(m)["entries"][0][0] == []
+        assert dumps(m) == oracle(matrix_to_obj(m))
+        assert dumps(f) == oracle(series_to_obj(f))
+        assert dumps(ctx.zero()) == oracle([]) == "[]\n"
+
+    def test_plain_values(self):
+        for obj in ({}, [], (), "", "Schur–Grassmann ü\u2603 \"q\" \\ \n", 0, -7, 10**30, None, True,
+                    {"é": ["ü", {}, [], ()], "b": {"z": False, "a": [None, 1.5, -0.0]}, "a": (1, 2.5)}):
+            assert dumps(obj) == oracle(obj)
+
+    def test_package_values_inside_plain_ones(self, ctx):
+        one, eye = ctx.one(), SuperMatrix.identity(ctx, 2)
+        assert dumps([one, {"m": eye}]) == oracle([supernumber_to_obj(one), {"m": matrix_to_obj(eye)}])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_raises(self, ctx, bad):
+        z = ctx.from_terms({(): 1.0, (1,): complex(0.0, bad)})
+        values = [bad, [1.0, {"x": bad}], z, SuperMatrix.from_scalar(z),
+                  SeriesMatrix.from_coeffs([SuperMatrix.identity(ctx, 1), SuperMatrix.from_scalar(z)])]
+        for v in values:
+            with pytest.raises(SerializationError):
+                dumps(v)
+
+    def test_unknown_type_raises(self):
+        with pytest.raises(SerializationError):
+            dumps({"x": object()})
+
+
 class TestContainers:
     def test_matrix_round_trip(self, ctx, rng):
         m = random_supermatrix(ctx, rng, 3, 2)
