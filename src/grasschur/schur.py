@@ -24,6 +24,7 @@ from .errors import (
     BodySingular,
     ConstantTermSingular,
     DenominatorSingular,
+    DomainViolation,
     GrasschurError,
     HNotNegative,
     ISubASingular,
@@ -441,7 +442,8 @@ def schur_step(sigma: SeriesMatrix, step: int = 0) -> tuple[Supernumber, SeriesM
     classical Schur coefficients.  The elementary section M(z) built from rho
     is returned alongside (its vanish-at-zero identities are checked); the
     paper-style section solve lives in section_step.  One truncation degree is
-    consumed per step.
+    consumed per step: sigma_next_n reads sigma_0..sigma_{n+1}, which is why
+    schur_algorithm may cut sigma to the degrees its remaining steps read.
     """
     rho = _extract_rho(sigma, step)
     section = schur_section(rho)
@@ -499,7 +501,14 @@ def schur_algorithm(s: SeriesMatrix, max_steps: int) -> SchurChain:
 
     Stops at max_steps, at the contractivity boundary |rho_B| = 1, or when the
     series truncation degree is exhausted (one degree is consumed per step).
+    The step is lower-triangular in degree, so rho_k = sigma_k(0) reads s_0..s_k
+    only.  Before each step sigma is cut to the degree max_steps - step that the
+    steps left can read, so the chain reads s_0..s_{max_steps}; keeping the top
+    one holds every step at degree >= 1, so degree_exhausted is decided as on the
+    full series.  A max_steps that is not an integer >= 0 raises DomainViolation.
     """
+    if not isinstance(max_steps, int) or max_steps < 0:
+        raise DomainViolation(f"max_steps must be an integer >= 0, got {max_steps}")
     if not is_schur_grassmann(s):
         raise GrasschurError("input is not a Schur-Grassmann function")
     sigma = s
@@ -510,6 +519,8 @@ def schur_algorithm(s: SeriesMatrix, max_steps: int) -> SchurChain:
         if sigma.degree < 1:
             termination = "degree_exhausted"
             break
+        if sigma.degree > max_steps - step:
+            sigma = sigma.truncated(max_steps - step)
         try:
             rho, sigma, section = schur_step(sigma, step)
         except RhoNotContractive:

@@ -4,14 +4,14 @@ Each JSON node of each input file is replaced by one malformed value from a
 fixed set, or deleted.  Every run must end with exit status 0, or with exit
 status 2 and exactly one ``error[...]`` line; an escaping exception fails.
 A deterministic hypothesis search then mutates two to four nodes at once of
-the series-bearing inputs under the same rule.
+the series- and matrix-bearing inputs under the same rule.
 """
 import copy
 import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grasschur import AlgebraContext, SuperMatrix
@@ -130,22 +130,30 @@ def test_single_node_mutations(command, inputs, tmp_path, capsys):
             assert _ends_well(status, err), (flag, mutated, status, err)
 
 
-SERIES_CASES = [(command, inputs, flag) for command, inputs in CASES
-                for flag in ("--sigma", "--series") if flag in inputs]
+# the series- and matrix-bearing inputs, with the examples each takes: the matrix-bearing
+# ones take fewer, which keeps the search to about 10 s of tier-1 time in all
+MULTI_NODE_CASES = [(command, inputs, flag, 300 if flag in ("--sigma", "--series") else 150)
+                    for command, inputs in CASES
+                    for flag in ("--sigma", "--series", "--C", "--A", "--J", "--P", "--spec", "--data")
+                    if flag in inputs]
 
 
-@pytest.mark.parametrize("command,inputs,flag", SERIES_CASES, ids=[flag for _, _, flag in SERIES_CASES])
-@settings(derandomize=True, database=None, max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_multi_node_series_mutations(command, inputs, flag, data, tmp_path, capsys):
+@pytest.mark.parametrize("command,inputs,flag,examples", MULTI_NODE_CASES,
+                         ids=[flag for _, _, flag, _ in MULTI_NODE_CASES])
+def test_multi_node_series_mutations(command, inputs, flag, examples, tmp_path, capsys):
     paths = {f: tmp_path / f"{f.strip('-')}.json" for f in inputs}
     nodes = list(_paths(inputs[flag]))[1:]
-    picked = data.draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=4, unique=True), label="nodes")
-    edits = [(path, data.draw(st.sampled_from(MALFORMED + (_DELETE,)), label=str(path))) for path in picked]
-    mutated = _mutated(inputs[flag], edits)
-    try:
-        status, err = _run(command, {**inputs, flag: mutated}, paths, capsys)
-    except Exception as exc:  # name the mutation that escaped
-        pytest.fail(f"{' '.join(command)} {flag} {_text(mutated)}: {exc!r}")
-    assert _ends_well(status, err), (mutated, status, err)
+
+    @settings(derandomize=True, database=None, max_examples=examples, deadline=None)
+    @given(data=st.data())
+    def mutate(data):
+        picked = data.draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=4, unique=True), label="nodes")
+        edits = [(path, data.draw(st.sampled_from(MALFORMED + (_DELETE,)), label=str(path))) for path in picked]
+        mutated = _mutated(inputs[flag], edits)
+        try:
+            status, err = _run(command, {**inputs, flag: mutated}, paths, capsys)
+        except Exception as exc:  # name the mutation that escaped
+            pytest.fail(f"{' '.join(command)} {flag} {_text(mutated)}: {exc!r}")
+        assert _ends_well(status, err), (mutated, status, err)
+
+    mutate()

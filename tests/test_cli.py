@@ -283,6 +283,14 @@ class TestSchurCommand:
         for pair, want in zip(got["rho_bodies"], expected):
             assert abs(complex(pair["re"], pair["im"]) - want) <= 1e-9
 
+    @pytest.mark.parametrize("steps", ["-1", "-3"])
+    def test_negative_max_steps_exit_code(self, steps, ctx, tmp_path, capsys):
+        series = SeriesMatrix.from_coeffs([SuperMatrix.from_body(ctx, [[b]]) for b in (0.5, 0.25)])
+        series_file = write(tmp_path / "s.json", series_to_obj(series))
+        assert main(["schur", "run", "--series", series_file, "--max-steps", steps]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[domain-violation]")
+
 
 class TestBlaschkeCommand:
     def test_eval_at_zero_datum(self, ctx, tmp_path):

@@ -8,6 +8,7 @@ from grasschur import (AlgebraContext, SuperMatrix, Supernumber, adjoint, classi
                        mat_invert, mat_mul, mul)
 from grasschur import schur
 from grasschur.errors import (
+    DomainViolation,
     GrasschurError,
     HNotNegative,
     ISubASingular,
@@ -556,6 +557,120 @@ class TestSchurAlgorithm:
     def test_rejects_non_schur(self, ctx):
         with pytest.raises(GrasschurError):
             schur_algorithm(scalar_series(ctx, [2.0, 0.0]), max_steps=2)
+
+    @pytest.mark.parametrize("max_steps", [-1, -3, 1.5, "2"])
+    def test_rejects_bad_max_steps(self, max_steps, ctx):
+        with pytest.raises(DomainViolation):
+            schur_algorithm(scalar_series(ctx, [0.5, 0.25]), max_steps=max_steps)
+
+    def test_zero_steps(self, ctx):
+        chain = schur_algorithm(scalar_series(ctx, [0.5, 0.25]), max_steps=0)
+        assert chain.steps == 0 and chain.termination == "max_steps"
+
+
+def ref_schur_algorithm(s, max_steps):
+    """The Schur chain carried at the input's full degree (no cut): the reference
+    the degree-cut schur_algorithm must match bit for bit."""
+    if not is_schur_grassmann(s):
+        raise GrasschurError("input is not a Schur-Grassmann function")
+    sigma, rhos, sections, termination = s, [], [], "max_steps"
+    for step in range(max_steps):
+        if sigma.degree < 1:
+            termination = "degree_exhausted"
+            break
+        try:
+            rho, sigma, section = schur_step(sigma, step)
+        except RhoNotContractive:
+            termination = "rho_boundary"
+            break
+        rhos.append(rho)
+        sections.append(section)
+    return schur.SchurChain(rhos=tuple(rhos), sections=tuple(sections), termination=termination)
+
+
+def chain_bits(chain):
+    """Everything a chain holds, bitwise: rho term maps by repr, section keys and stacks by bytes."""
+    return ([repr(sorted(r.terms.items())) for r in chain.rhos],
+            [(f.keys.tobytes(), f.stack.tobytes(), f.exact) for f in chain.sections], chain.termination)
+
+
+def soulful_series(ctx, rng, degree, exact=False, norm=0.8):
+    """A scalar Schur-Grassmann series: random complex bodies of 1-norm ``norm``, 2-term souls."""
+    bodies = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+    bodies *= norm / np.sum(np.abs(bodies))
+    return SeriesMatrix.from_coeffs([
+        SuperMatrix.from_scalar(ctx.scalar(b) + random_soul(ctx, rng, terms=2, scale=0.1))
+        for b in bodies], exact=exact)
+
+
+def blaschke_times_z(ctx, a, degree):
+    """s(z) = z (z - a)/(1 - a z), a real: rho_0 = 0, rho_1 = -a, then |rho_2| = 1."""
+    coeffs = [0.0, -a] + [(1 - a * a) * a ** (n - 2) for n in range(2, degree + 1)]
+    return scalar_series(ctx, coeffs[:degree + 1])
+
+
+class TestSchurAlgorithmReadsOnlyWhatItNeeds:
+    """schur_algorithm cuts sigma to the degree its remaining steps read; the chain
+    must equal the uncut reference bit for bit."""
+
+    @pytest.mark.parametrize("degree,max_steps,exact,termination", [
+        (10, 4, False, "max_steps"),  # degree > max_steps
+        (4, 4, False, "max_steps"),  # degree = max_steps
+        (3, 6, False, "degree_exhausted"),  # degree < max_steps
+        (3, 6, True, "max_steps"),  # exact, below max_steps
+        (9, 3, True, "max_steps"),  # exact, above max_steps
+        (0, 2, True, "degree_exhausted"),  # exact constant
+        (0, 2, False, "degree_exhausted"),
+    ])
+    def test_matches_uncut_reference(self, degree, max_steps, exact, termination, ctx, rng):
+        s = soulful_series(ctx, rng, degree, exact=exact)
+        got, want = schur_algorithm(s, max_steps), ref_schur_algorithm(s, max_steps)
+        assert got.termination == termination
+        assert chain_bits(got) == chain_bits(want)
+
+    @pytest.mark.parametrize("exact,degree", [(False, 8), (True, 2)])
+    def test_max_steps_beyond_max_series_degree(self, exact, degree, rng):
+        ctx = AlgebraContext(generators=8, max_series_degree=8)
+        s = soulful_series(ctx, rng, degree, exact=exact)
+        got, want = schur_algorithm(s, 12), ref_schur_algorithm(s, 12)
+        assert got.termination == "degree_exhausted"
+        assert chain_bits(got) == chain_bits(want)
+
+    @pytest.mark.parametrize("max_steps", [3, 6])
+    def test_mid_chain_rho_boundary(self, max_steps, ctx):
+        s = blaschke_times_z(ctx, 0.5, 10)
+        got, want = schur_algorithm(s, max_steps), ref_schur_algorithm(s, max_steps)
+        assert got.termination == "rho_boundary" and got.steps == 2
+        assert chain_bits(got) == chain_bits(want)
+
+    # N = 64 stays small: the reference carries an exact input to degree 32, and with
+    # the souls of nine coefficients that runs for minutes
+    @pytest.mark.parametrize("generators,degree,max_steps,exact", [
+        (8, 12, 6, False), (8, 12, 6, True), (64, 8, 4, False), (64, 3, 4, True), (64, 3, 2, False)])
+    def test_two_term_souls(self, generators, degree, max_steps, exact, rng):
+        s = soulful_series(AlgebraContext(generators=generators), rng, degree, exact=exact)
+        assert chain_bits(schur_algorithm(s, max_steps)) == chain_bits(ref_schur_algorithm(s, max_steps))
+
+    @pytest.mark.parametrize("degree,max_steps,exact", [(16, 6, False), (9, 3, True), (5, 5, False)])
+    def test_step_reads_no_further_than_it_must(self, degree, max_steps, exact, ctx, rng, monkeypatch):
+        seen = []
+        step_fn = schur.schur_step
+
+        def recording_step(sigma, step=0):
+            seen.append((step, sigma.degree))
+            return step_fn(sigma, step)
+
+        s = soulful_series(ctx, rng, degree, exact=exact)
+        monkeypatch.setattr(schur, "schur_step", recording_step)
+        chain = schur_algorithm(s, max_steps)
+        assert [step for step, _ in seen] == list(range(max_steps))
+        assert all(d <= max_steps - step for step, d in seen), seen
+        # coefficients above max_steps are never read
+        tail = soulful_series(ctx, np.random.default_rng(7), degree, exact=exact, norm=0.05)
+        changed = SeriesMatrix.from_coeffs(s.coeffs[:max_steps + 1] + tuple(
+            a + b for a, b in zip(s.coeffs[max_steps + 1:], tail.coeffs[max_steps + 1:])), exact=exact)
+        assert all(changed.coeffs[n] != s.coeffs[n] for n in range(max_steps + 1, degree + 1))
+        assert chain_bits(schur_algorithm(changed, max_steps)) == chain_bits(chain)
 
 
 class TestBlaschke:
