@@ -13,7 +13,7 @@ import numpy as np
 
 from .algebra import _REAL_TOL, AlgebraContext, Supernumber, dagger, invert
 from .errors import BodySingular, DSingular, JInvalid, ShapeMismatch
-from .matrix import SuperMatrix, _self_adjoint, adjoint, mat_invert, mat_mul
+from .matrix import SuperMatrix, _self_adjoint, adjoint, mat_invert, mat_mul, sandwich_solve
 from .series import SeriesMatrix
 
 _COMPOSE_MODES = ("product", "sum", "concat_rows", "concat_cols")
@@ -228,21 +228,14 @@ def _check_signature(j: SuperMatrix) -> None:
 
 
 def evaluate_rational(r: Realization, z: Supernumber) -> SuperMatrix:
-    """Exact rational evaluation D + zC(I-zA)⁻¹B for a central (even) argument.
+    """Exact left evaluation sum_n z^n f_n = D + z·Y·B at any argument z.
 
-    Even supernumbers commute with everything, so the star evaluation of the
-    resolvent collapses to an honest matrix inverse.
+    Y = sum_n z^n C A^n is the X with X - (zI) X A = C, solved by sandwich_solve
+    with no truncation; for central z this is D + zC(I-zA)⁻¹B.  Needs the body
+    system of that equation invertible, else BodySingular.
     """
-    from .algebra import classify
-
-    if not classify(z).is_even:
-        raise ValueError("rational evaluation needs a central (even) argument")
-    context = r.context
-    if r.state_dim == 0:
-        return r.d
-    eye = SuperMatrix.identity(context, r.state_dim)
-    core = mat_invert(eye - r.a.scale_left(z))
-    return r.d + mat_mul(r.c, mat_mul(core, r.b)).scale_left(z)
+    y = sandwich_solve(SuperMatrix.diagonal([z] * r.shape[0]), r.c, r.a)
+    return r.d + mat_mul(y, r.b).scale_left(z)
 
 
 def is_J_unitary(
@@ -254,9 +247,9 @@ def is_J_unitary(
 ) -> bool:
     """Sampled check of U(z) J U(z^{-dagger})* = J on the unit-body torus.
 
-    Samples even-soul z with |z_B| = 1 (central, so rational evaluation is
-    exact) and tests the residual at tol_eq scale.  A sampled check, not an
-    algebraic prover.
+    Samples central (even-soul) z with |z_B| = 1, evaluates U exactly there and
+    tests the residual at tol_eq scale.  A sampled check, not an algebraic
+    prover.
     """
     from .sampling import random_even_unit
 

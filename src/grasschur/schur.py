@@ -46,8 +46,8 @@ from .matrix import (
     mat_mul,
     sandwich_solve,
 )
-from .realization import Realization, _check_signature, to_series
-from .series import SeriesMatrix, backward_shift, evaluate, resolvent, star_inverse, star_mul
+from .realization import Realization, _check_signature, evaluate_rational, to_series
+from .series import SeriesMatrix, backward_shift, evaluate, star_inverse, star_mul
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +58,8 @@ from .series import SeriesMatrix, backward_shift, evaluate, resolvent, star_inve
 def geometric_sandwich_sum(x: Supernumber, u: Supernumber, y: Supernumber) -> Supernumber:
     """sum_n x^n u y^n, solved exactly as the X with X - x X y = u.
 
-    Converges when |x_B||y_B| < 1, else NotConvergent.
+    Converges when |x_B||y_B| < 1, else NotConvergent.  The scalar reference
+    for entrywise checks of Pick rows and Blaschke values.
     """
     ratio = abs(x.body) * abs(y.body)
     if ratio >= 1.0:
@@ -139,11 +140,11 @@ def stein_residual(p: SuperMatrix, c: SuperMatrix, a: SuperMatrix, j: SuperMatri
 
 @dataclass(frozen=True)
 class ThetaFunction:
-    """Theta series plus its generating data (C, A, P, J) and normalization K."""
+    """Theta as its certified realization (A, (I-A)K, C, I - CK), with its series,
+    the Stein data P and J, and the normalization K."""
 
     series: SeriesMatrix
-    c: SuperMatrix
-    a: SuperMatrix
+    realization: Realization
     p: SuperMatrix
     j: SuperMatrix
     k: SuperMatrix
@@ -157,15 +158,8 @@ class ThetaFunction:
         return self.k
 
     def eval_at(self, z: Supernumber) -> SuperMatrix:
-        """Exact rational value at a central (even) argument."""
-        if not classify(z).is_even:
-            raise ValueError("theta evaluation needs a central (even) argument")
-        context = self.context
-        eye_q = SuperMatrix.identity(context, self.a.rows)
-        eye_p = SuperMatrix.identity(context, self.series.shape[0])
-        core = mat_mul(self.c, mat_mul(mat_invert(eye_q - self.a.scale_left(z)), self.normalization()))
-        one_minus_z = context.one() - z
-        return eye_p - core.scale_left(one_minus_z)
+        """Exact left value sum_n z^n Theta_n (evaluate_rational of the realization)."""
+        return evaluate_rational(self.realization, z)
 
 
 def build_theta(
@@ -203,7 +197,7 @@ def build_theta(
     if max(off_diagonal, corner) > context.tol_eq:
         raise SteinViolated(f"colligation residuals {off_diagonal:.3e} (A*PB + C*JD), "
                             f"{corner:.3e} (B*PB + D*JD - J) at their scales")
-    return ThetaFunction(series=to_series(r, degree), c=c, a=a, p=p, j=j, k=k)
+    return ThetaFunction(series=to_series(r, degree), realization=r, p=p, j=j, k=k)
 
 
 def _theta_realization(c: SuperMatrix, a: SuperMatrix, k: SuperMatrix) -> Realization:
@@ -211,14 +205,6 @@ def _theta_realization(c: SuperMatrix, a: SuperMatrix, k: SuperMatrix) -> Realiz
     eye_q = SuperMatrix.identity(context, a.rows)
     eye_p = SuperMatrix.identity(context, c.rows)
     return Realization(a=a, b=mat_mul(eye_q - a, k), c=c, d=eye_p - mat_mul(c, k))
-
-
-def theta_realization(theta: ThetaFunction) -> Realization:
-    """State-space form of Theta: (A, (I-A)K, C, I - CK) with K the normalization.
-
-    Matches the series coefficient by coefficient: Theta_n = C A^{n-1} (I-A) K.
-    """
-    return _theta_realization(theta.c, theta.a, theta.normalization())
 
 
 def colligation_residuals(r: Realization, p: SuperMatrix, j: SuperMatrix) -> tuple[float, float]:
@@ -243,15 +229,15 @@ def kernel_identity_residual(theta: ThetaFunction, z: Supernumber, w: Supernumbe
     An independent reference for tests: build_theta certifies the identity
     through colligation_residuals and does not call this.
     """
-    context = theta.context
-    eye_q = SuperMatrix.identity(context, theta.a.rows)
+    context, r = theta.context, theta.realization
+    eye_q = SuperMatrix.identity(context, r.state_dim)
     tz = theta.eval_at(z)
     tw = theta.eval_at(w)
     x = theta.j - mat_mul(tz, mat_mul(theta.j, adjoint(tw)))
     lhs = x.scale_left(invert(context.one() - mul(z, dagger(w))))
-    rz = mat_invert(eye_q - theta.a.scale_left(z))
-    rw = mat_invert(adjoint(eye_q - theta.a.scale_left(w)))
-    rhs = mat_mul(theta.c, mat_mul(rz, mat_mul(mat_invert(theta.p), mat_mul(rw, adjoint(theta.c)))))
+    rz = mat_invert(eye_q - r.a.scale_left(z))
+    rw = mat_invert(adjoint(eye_q - r.a.scale_left(w)))
+    rhs = mat_mul(r.c, mat_mul(rz, mat_mul(mat_invert(theta.p), mat_mul(rw, adjoint(r.c)))))
     return (lhs - rhs).norm1()
 
 
@@ -319,18 +305,18 @@ def pick_matrix(data: InterpolationData) -> SuperMatrix:
 def np_node_residuals(data: InterpolationData, theta: ThetaFunction) -> list[float]:
     """Residual norms of (1, -s_k) ⋆ Theta(z) at z = z_k, one per node.
 
-    The k-th Pick row is rebuilt from the data as the exact sandwich_solve
-    solution X of X - z_k X A = U_k, with A = diag(z_m†) the state matrix and
-    U_k = row(1 - s_k s_m†) = row(1, -s_k) C, so the check is truncation-free
-    and does not reuse theta's P.
+    Each is the exact left value of the realization (A, B, tC, tD) with
+    t = row(1, -s_k), built from the data's state matrix A = diag(z_m†), output
+    matrix C and theta's K; evaluate_rational solves for the k-th Pick row
+    Y = sum_n z_k^n tC A^n, so the check is truncation-free and does not reuse
+    theta's P.
     """
     one = data.context.one()
-    c, a, k = data.output_matrix(), data.state_matrix(), theta.normalization()
+    r = _theta_realization(data.output_matrix(), data.state_matrix(), theta.normalization())
     residuals = []
     for z, s in zip(data.nodes, data.values):
-        target = SuperMatrix.row([one, -s])
-        row = sandwich_solve(SuperMatrix.from_scalar(z), mat_mul(target, c), a)
-        residuals.append((target - mat_mul(row, k).scale_left(one - z)).norm1())
+        t = SuperMatrix.row([one, -s])
+        residuals.append(evaluate_rational(Realization(r.a, r.b, mat_mul(t, r.c), mat_mul(t, r.d)), z).norm1())
     return residuals
 
 
@@ -516,7 +502,7 @@ def schur_algorithm(s: SeriesMatrix, max_steps: int) -> SchurChain:
     sections: list[SeriesMatrix] = []
     termination = "max_steps"
     for step in range(max_steps):
-        if sigma.degree < 1:
+        if sigma.degree < 1 and not sigma.exact:
             termination = "degree_exhausted"
             break
         if sigma.degree > max_steps - step:
@@ -547,20 +533,22 @@ class BlaschkeFactor:
     c: Supernumber
     p: Supernumber
     omega: Supernumber
-    series: SeriesMatrix
+    theta: ThetaFunction
 
     @property
     def context(self) -> AlgebraContext:
         return self.a.context
 
-    def _tail_factor(self) -> Supernumber:
-        one = self.context.one()
-        return mul(invert(self.p), mul(invert(dagger(one - self.a)), dagger(self.c)))
+    @property
+    def series(self) -> SeriesMatrix:
+        return self.theta.series
 
     def eval_at(self, z: Supernumber) -> Supernumber:
-        """Exact evaluation (needs |z_B||a_B| < 1): 1 - (1-z) sum z^n c a^n k."""
-        total = mul(geometric_sandwich_sum(z, self.c, self.a), self._tail_factor())
-        return self.context.one() - total + mul(z, total)
+        """Exact left value 1 - (1-z) sum z^n c a^n k of theta; needs |z_B||a_B| < 1."""
+        ratio = abs(z.body) * abs(self.a.body)
+        if ratio >= 1.0:
+            raise NotConvergent(f"|z_B||a_B| = {ratio:.6f} >= 1")
+        return self.theta.eval_at(z)[0, 0]
 
     def zero_residual(self) -> float:
         """|b_a(omega)| as a 1-norm; the defining vanishing property."""
@@ -577,8 +565,10 @@ class BlaschkeFactor:
         c_inv_dag = invert(dagger(self.c))
         c_inv = invert(self.c)
         u = one + mul(self.omega - one, mul(c_inv_dag, mul(self.p, mul(c_inv, dagger(self.omega)))))
-        v = mul(self.c, self._tail_factor())
-        w = resolvent(SuperMatrix.from_scalar(dagger(self.omega)), degree).scale_right(v).scale_left(u)
+        v = mul(self.c, self.theta.k[0, 0])
+        o = SuperMatrix.from_scalar(dagger(self.omega))  # w_n = u (omega†)^n v
+        w = to_series(Realization(o, o.scale_right(v), SuperMatrix.from_scalar(u),
+                                  SuperMatrix.from_scalar(mul(u, v))), degree)
         z_minus_omega = SeriesMatrix((SuperMatrix.from_scalar(-self.omega), SuperMatrix.identity(context, 1)),
                                      exact=True)
         return star_mul(z_minus_omega, w)
@@ -606,7 +596,7 @@ def blaschke_factor(a: Supernumber, c: Supernumber, p: Supernumber,
     theta = build_theta(SuperMatrix.from_scalar(c), SuperMatrix.from_scalar(a), SuperMatrix.from_scalar(p),
                         SuperMatrix.from_body(context, [[1.0]]), degree)
     omega = mul(invert(dagger(c)), mul(dagger(a), dagger(c)))
-    return BlaschkeFactor(a=a, c=c, p=p, omega=omega, series=theta.series)
+    return BlaschkeFactor(a=a, c=c, p=p, omega=omega, theta=theta)
 
 
 def brune_section(c: SuperMatrix, a: Supernumber, p: Supernumber, j: SuperMatrix,
@@ -652,7 +642,8 @@ def kernel_eval(w: Supernumber, xi: SuperMatrix, degree: int | None = None) -> S
         raise ShapeMismatch("xi must be a column")
     if abs(w.body) >= 1.0:
         raise NotConvergent(f"|w_B| = {abs(w.body):.6f} >= 1")
-    return star_mul(resolvent(SuperMatrix.diagonal([dagger(w)] * xi.rows), degree), SeriesMatrix.constant(xi))
+    w_dag = SuperMatrix.diagonal([dagger(w)] * xi.rows)
+    return to_series(Realization(w_dag, xi, w_dag, xi), degree)
 
 
 def h_theta_kernel(theta: ThetaFunction, w: Supernumber, xi: SuperMatrix,
@@ -662,14 +653,14 @@ def h_theta_kernel(theta: ThetaFunction, w: Supernumber, xi: SuperMatrix,
     Coefficient n is C A^n P^{-1} V with V = sum_m (A*)^m C* (w†)^m xi = Y xi,
     where Y - A* Y (w† I) = C* is solved exactly by sandwich_solve.
     """
-    ratio = abs(w.body) * _body_spectral_radius(theta.a)
+    a, c = theta.realization.a, theta.realization.c
+    ratio = abs(w.body) * _body_spectral_radius(a)
     if ratio >= 1.0:
         raise NotConvergent("the kernel sum needs |w_B| rho(A_B) < 1")
-    wd = SuperMatrix.diagonal([dagger(w)] * theta.c.rows)
-    y = sandwich_solve(adjoint(theta.a), adjoint(theta.c), wd)
+    wd = SuperMatrix.diagonal([dagger(w)] * c.rows)
+    y = sandwich_solve(adjoint(a), adjoint(c), wd)
     pinv_v = mat_mul(mat_invert(theta.p), mat_mul(y, xi))
-    return to_series(Realization(theta.a, mat_mul(theta.a, pinv_v), theta.c, mat_mul(theta.c, pinv_v)),
-                     degree)
+    return to_series(Realization(a, mat_mul(a, pinv_v), c, mat_mul(c, pinv_v)), degree)
 
 
 def kernel_decomposition_residual(theta: ThetaFunction, w: Supernumber, xi: SuperMatrix,

@@ -250,21 +250,6 @@ def star_inverse(f: SeriesMatrix) -> SeriesMatrix:
                             f.exact and not f.degree)
 
 
-def resolvent(a: SuperMatrix, degree: int | None = None) -> SeriesMatrix:
-    """(I - zA)^{-star} = sum_n z^n A^n through the requested degree.
-
-    The coefficient sequence is the same for the left and right conventions.
-    """
-    if a.rows != a.cols:
-        raise ShapeMismatch("resolvent needs a square matrix")
-    context = a.context
-    degree = context.max_series_degree if degree is None else degree
-    coeffs = [SuperMatrix.identity(context, a.rows)]
-    for _ in range(degree):
-        coeffs.append(mat_mul(coeffs[-1], a))
-    return SeriesMatrix(coeffs, exact=False)
-
-
 def evaluation_tail_bound(f: SeriesMatrix, z0: Supernumber) -> float:
     """Crude geometric tail estimate for evaluating a truncated series.
 

@@ -4,7 +4,8 @@ Each JSON node of each input file is replaced by one malformed value from a
 fixed set, or deleted.  Every run must end with exit status 0, or with exit
 status 2 and exactly one ``error[...]`` line; an escaping exception fails.
 A deterministic hypothesis search then mutates two to four nodes at once of
-the series- and matrix-bearing inputs under the same rule.
+the series- and matrix-bearing inputs and of the Blaschke supernumbers under
+the same rule.
 """
 import copy
 import json
@@ -130,11 +131,13 @@ def test_single_node_mutations(command, inputs, tmp_path, capsys):
             assert _ends_well(status, err), (flag, mutated, status, err)
 
 
-# the series- and matrix-bearing inputs, with the examples each takes: the matrix-bearing
-# ones take fewer, which keeps the search to about 10 s of tier-1 time in all
+# the series- and matrix-bearing inputs and the Blaschke supernumbers, with the examples
+# each takes: all but the series take fewer, which keeps the search to about 10 s of
+# tier-1 time in all
 MULTI_NODE_CASES = [(command, inputs, flag, 300 if flag in ("--sigma", "--series") else 150)
                     for command, inputs in CASES
-                    for flag in ("--sigma", "--series", "--C", "--A", "--J", "--P", "--spec", "--data")
+                    for flag in ("--sigma", "--series", "--C", "--A", "--J", "--P", "--spec", "--data",
+                                 "--a", "--c", "--p", "--at")
                     if flag in inputs]
 
 

@@ -283,6 +283,18 @@ class TestSchurCommand:
         for pair, want in zip(got["rho_bodies"], expected):
             assert abs(complex(pair["re"], pair["im"]) - want) <= 1e-9
 
+    def test_exact_constant_runs_to_max_steps(self, ctx, tmp_path):
+        # an exact constant's higher coefficients are known zeros: the chain is rho, 0, 0
+        rho = ctx.scalar(0.4 - 0.2j) + random_soul(ctx, np.random.default_rng(3), terms=2, scale=0.1)
+        series = SeriesMatrix.from_coeffs([SuperMatrix.from_scalar(rho)], exact=True)
+        series_file = write(tmp_path / "s.json", series_to_obj(series))
+        got = run_twice(
+            lambda out: ["schur", "run", "--series", series_file, "--max-steps", "3", "--out", out],
+            tmp_path)
+        assert got["steps"] == 3 and got["termination"] == "max_steps"
+        rhos = [supernumber_from_obj(r, ctx) for r in got["rhos"]]
+        assert rhos[0] == rho and rhos[1].is_zero() and rhos[2].is_zero()
+
     @pytest.mark.parametrize("steps", ["-1", "-3"])
     def test_negative_max_steps_exit_code(self, steps, ctx, tmp_path, capsys):
         series = SeriesMatrix.from_coeffs([SuperMatrix.from_body(ctx, [[b]]) for b in (0.5, 0.25)])

@@ -1,0 +1,55 @@
+"""Every name a src/grasschur module imports is used in that module: read as a
+name, as the root of an attribute, in a quoted annotation, or listed in
+``__all__``."""
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "grasschur"
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Each bound name of every import statement, with its line."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _used(tree: ast.Module) -> set[str]:
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            annotations.append(node.returns)
+        elif (isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+              and isinstance(node.value, (ast.List, ast.Tuple))):
+            used.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval")) if isinstance(n, ast.Name))
+    return used
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = _used(tree)
+        unused += [f"{path.name}:{line} {name}" for name, line in _imported(tree).items() if name not in used]
+    assert not unused, f"imported in src/grasschur and never used: {unused}"
+
+
+def test_an_unused_import_is_caught():
+    tree = ast.parse("from .algebra import mul, dagger\nimport numpy as np\n\n"
+                     "def f(x: 'Supernumber') -> np.ndarray:\n    return mul(x, x)\n")
+    assert {name for name in _imported(tree) if name not in _used(tree)} == {"dagger"}

@@ -20,7 +20,7 @@ from grasschur.sampling import (
     random_supernumber,
     random_superpositive_matrix,
 )
-from grasschur.schur import InterpolationData, build_theta, np_solve, pick_matrix, theta_realization
+from grasschur.schur import InterpolationData, build_theta, np_solve, pick_matrix
 from grasschur.series import SeriesMatrix, evaluate, star_mul
 
 
@@ -93,7 +93,7 @@ def test_theta_is_J_unitary_at_samples(ctx):
     )
     theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data),
                         data.signature(), degree=8)
-    r = theta_realization(theta)
+    r = theta.realization
     # the realization reproduces the series
     f = to_series(r, degree=8)
     assert sum((a - b).norm1() for a, b in zip(f.coeffs, theta.series.coeffs)) <= 1e-9

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from grasschur import AlgebraContext, SuperMatrix
+from grasschur import AlgebraContext, SuperMatrix, mat_invert, mat_mul
 from grasschur.errors import DSingular, JInvalid, ShapeMismatch
 from grasschur.realization import (
     Realization,
@@ -17,8 +17,8 @@ from grasschur.realization import (
     polynomial_realization,
     to_series,
 )
-from grasschur.sampling import random_supermatrix
-from grasschur.series import SeriesMatrix, star_inverse, star_mul
+from grasschur.sampling import random_even_unit, random_soul, random_supermatrix
+from grasschur.series import SeriesMatrix, evaluate, evaluate_right, star_inverse, star_mul
 
 
 def series_dist(f, g):
@@ -57,12 +57,11 @@ class TestToSeries:
         assert all(c.is_zero() for c in f.coeffs[2:])
 
     def test_matches_star_expansion(self, ctx, rng):
-        from grasschur.series import resolvent
-
         r = random_realization(ctx, rng, 3, 2, 2)
         f = to_series(r, degree=10)
         # D + zC ⋆ (I-zA)^{-star} ⋆ B assembled with series primitives
-        res = resolvent(r.a, degree=10)
+        eye = SuperMatrix.identity(ctx, r.state_dim)
+        res = star_inverse(SeriesMatrix.from_coeffs([eye, -r.a], exact=True)).truncated(10)
         tail = star_mul(star_mul(SeriesMatrix.constant(r.c), res), SeriesMatrix.constant(r.b))
         expected = SeriesMatrix.constant(r.d) + tail.shift_up().truncated(10)
         assert series_dist(f, expected) <= 1e-10 * max(1.0, f.norm1())
@@ -252,17 +251,28 @@ class TestRationalEvaluation:
         assert (evaluate_rational(r, ctx.scalar(0.3)) - d).norm1() == 0
 
     def test_matches_series_for_small_body(self, ctx, rng):
-        from grasschur.sampling import random_soul
-
         r = random_realization(ctx, rng, 2, 2, 2, spectral=0.4)
         z = ctx.scalar(0.3) + random_soul(ctx, rng, parity="even", scale=0.05, terms=2)
         exact = evaluate_rational(r, z)
-        from grasschur.series import evaluate
-
         approx = evaluate(to_series(r, degree=32), z)
         assert (exact - approx).norm1() <= 1e-8 * max(1.0, exact.norm1())
 
-    def test_rejects_odd_argument(self, ctx, rng):
-        r = random_realization(ctx, rng, 2, 2, 2)
-        with pytest.raises(ValueError):
-            evaluate_rational(r, ctx.generator(1) + ctx.scalar(0.5))
+    def test_matches_resolvent_formula_at_central_points(self, ctx, rng):
+        # the resolvent formula D + zC(I - zA)^{-1}B, at |z_B| = 0.5 and at the
+        # |z_B| = 1 points that is_J_unitary samples
+        r = random_realization(ctx, rng, 3, 2, 2, spectral=0.6)
+        eye = SuperMatrix.identity(ctx, r.state_dim)
+        for modulus in (0.5, 1.0, 1.0):
+            z = random_even_unit(ctx, rng, body_modulus=modulus, soul_scale=0.1)
+            want = r.d + mat_mul(r.c, mat_mul(mat_invert(eye - r.a.scale_left(z)), r.b)).scale_left(z)
+            assert (evaluate_rational(r, z) - want).norm1() <= 1e-12 * max(1.0, want.norm1())
+
+    def test_odd_argument_left_value(self, ctx, rng):
+        # off the centre the value is the left sum sum_n z^n f_n, with z^n ordered first
+        r = random_realization(ctx, rng, 2, 2, 2, spectral=0.4)
+        z = ctx.generator(1) * 0.2 + ctx.scalar(0.5) + random_soul(ctx, rng, parity="odd", scale=0.05, terms=2)
+        exact = evaluate_rational(r, z)
+        approx = evaluate(to_series(r, degree=32), z)
+        assert (exact - approx).norm1() <= 1e-8 * max(1.0, exact.norm1())
+        right = evaluate_right(to_series(r, degree=32), z)
+        assert (exact - right).norm1() > 1e-6

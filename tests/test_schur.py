@@ -50,7 +50,6 @@ from grasschur.schur import (
     section_step,
     stein_residual,
     stein_solve,
-    theta_realization,
 )
 from grasschur.series import SeriesMatrix, evaluate, hermitian_form, star_mul
 
@@ -217,7 +216,7 @@ class TestBuildTheta:
     def test_certified_data_pass_sampled_identity(self, q, p, spectral, ctx, rng):
         c, a, pmat, j = random_stein_data(ctx, rng, q=q, p=p, spectral=spectral)
         theta = build_theta(c, a, pmat, j, degree=4)
-        assert max(colligation_residuals(theta_realization(theta), pmat, j)) <= ctx.tol_eq
+        assert max(colligation_residuals(theta.realization, pmat, j)) <= ctx.tol_eq
         for _ in range(4):
             z = random_even_unit(ctx, rng, body_modulus=0.4, soul_scale=0.05)
             w = random_even_unit(ctx, rng, body_modulus=0.4, soul_scale=0.05)
@@ -229,14 +228,14 @@ class TestBuildTheta:
         c, a, pmat, j = random_stein_data(ctx, rng)
         theta = build_theta(c, a, pmat, j, degree=4)
         shift = SuperMatrix.from_body(ctx, np.full(theta.k.shape, 1e-6 * theta.k.norm1()))
-        bad = dataclasses.replace(theta, k=theta.k + shift)
-        off_diagonal, corner = colligation_residuals(theta_realization(bad), pmat, j)
+        realize = schur._theta_realization
+        bad = dataclasses.replace(theta, realization=realize(c, a, theta.k + shift), k=theta.k + shift)
+        off_diagonal, corner = colligation_residuals(bad.realization, pmat, j)
         assert off_diagonal > ctx.tol_eq and corner > ctx.tol_eq
         z = random_even_unit(ctx, rng, body_modulus=0.4, soul_scale=0.05)
         w = random_even_unit(ctx, rng, body_modulus=0.4, soul_scale=0.05)
         assert kernel_identity_residual(bad, z, w) > ctx.tol_eq * max(1.0, pmat.norm1() ** 2)
         assert kernel_identity_residual(theta, z, w) <= ctx.tol_eq * max(1.0, pmat.norm1() ** 2)
-        realize = schur._theta_realization
         monkeypatch.setattr(schur, "_theta_realization", lambda c, a, k: realize(c, a, k + shift))
         with pytest.raises(SteinViolated, match="colligation"):
             build_theta(c, a, pmat, j, degree=4)
@@ -270,6 +269,15 @@ class TestBuildTheta:
         via_series = evaluate(theta.series, lam)
         exact = theta.eval_at(lam)
         assert (via_series - exact).norm1() <= 1e-7 * max(1.0, exact.norm1())
+
+    def test_odd_soul_argument_matches_series(self, ctx, rng):
+        # the left value is exact off the centre too: sum_n z^n Theta_n with z^n ordered first
+        c, a, p, j = random_stein_data(ctx, rng)
+        theta = build_theta(c, a, p, j, degree=32)
+        z = ctx.scalar(0.3 - 0.1j) + random_soul(ctx, rng, terms=2, scale=0.05, parity="odd")
+        assert not classify(z).is_even
+        exact = theta.eval_at(z)
+        assert (evaluate(theta.series, z) - exact).norm1() <= 1e-7 * max(1.0, exact.norm1())
 
 
 class TestPickMatrix:
@@ -575,7 +583,7 @@ def ref_schur_algorithm(s, max_steps):
         raise GrasschurError("input is not a Schur-Grassmann function")
     sigma, rhos, sections, termination = s, [], [], "max_steps"
     for step in range(max_steps):
-        if sigma.degree < 1:
+        if sigma.degree < 1 and not sigma.exact:
             termination = "degree_exhausted"
             break
         try:
@@ -619,7 +627,7 @@ class TestSchurAlgorithmReadsOnlyWhatItNeeds:
         (3, 6, False, "degree_exhausted"),  # degree < max_steps
         (3, 6, True, "max_steps"),  # exact, below max_steps
         (9, 3, True, "max_steps"),  # exact, above max_steps
-        (0, 2, True, "degree_exhausted"),  # exact constant
+        (0, 2, True, "max_steps"),  # exact constant: rho, then the known zeros
         (0, 2, False, "degree_exhausted"),
     ])
     def test_matches_uncut_reference(self, degree, max_steps, exact, termination, ctx, rng):
@@ -713,6 +721,21 @@ class TestBlaschke:
             c = c * phase
             b = blaschke_factor(a, c, p)
             assert (b.eval_at(b.omega)).norm1() <= 1e-8
+
+    def test_eval_matches_scalar_sandwich_reference(self, ctx, rng):
+        # the scalar formula 1 - (1-z) (sum_n z^n c a^n) k, k = p^{-1} (1-a)^{-†} c†
+        for parity in ("even", "odd", None):
+            a = ctx.scalar(complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.4, 0.4)))
+            a = a + random_soul(ctx, rng, terms=2, scale=0.1)
+            p = ctx.scalar(1.0 + rng.random())
+            c = kth_root(p - mul(dagger(a), mul(p, a)), 2)
+            b = blaschke_factor(a, c, p, degree=4)
+            k = mul(invert(p), mul(invert(dagger(ctx.one() - a)), dagger(c)))
+            z = ctx.scalar(complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6)))
+            z = z + random_soul(ctx, rng, terms=2, scale=0.1, parity=parity)
+            total = mul(geometric_sandwich_sum(z, c, a), k)
+            want = ctx.one() - mul(ctx.one() - z, total)
+            assert (b.eval_at(z) - want).norm1() <= 1e-12 * max(1.0, want.norm1())
 
     def test_factorized_form_matches_series(self, ctx, rng):
         a = ctx.scalar(0.4 + 0.1j) + random_soul(ctx, rng, terms=2, scale=0.1)

@@ -5,6 +5,7 @@ import pytest
 from grasschur import AlgebraContext, Supernumber, SuperMatrix, classify, dagger, index_from_generators, invert, mul
 from grasschur.errors import ConstantTermSingular, ContextMismatch, NotInvertible, ShapeMismatch, WindowTooSmall
 from grasschur.matrix import mat_invert, mat_mul
+from grasschur.realization import Realization, to_series
 from grasschur.sampling import random_soul, random_supermatrix, random_supernumber
 from grasschur.series import (
     LaurentSeries,
@@ -17,7 +18,6 @@ from grasschur.series import (
     laurent_star_mul,
     project_minus,
     project_plus,
-    resolvent,
     star_inverse,
     star_mul,
     weak_plus_invertibility,
@@ -118,6 +118,12 @@ class TestStarInverse:
         f = SeriesMatrix.from_coeffs([SuperMatrix.zeros(ctx, 1, 1), SuperMatrix.identity(ctx, 1)], exact=True)
         with pytest.raises(ConstantTermSingular):
             star_inverse(f)
+
+
+def resolvent(a, degree):
+    """(I - zA)^{-star} = sum_n z^n A^n as the realization (A, A, I, I)."""
+    eye = SuperMatrix.identity(a.context, a.rows)
+    return to_series(Realization(a, a, eye, eye), degree)
 
 
 class TestResolvent:
