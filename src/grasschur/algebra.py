@@ -324,6 +324,7 @@ def linear_combine(pairs: Iterable[tuple[complex, Supernumber]]) -> Supernumber:
 _FAST_PATH_MIN_PAIRS = 192
 _MASK_BAND = 1 << 16  # entries of the disjoint-pair mask built at once
 _DENSE_SLOTS = 1 << 12  # output numbers (2**N keys x coefficient size) held as dense buckets
+_MAX_ENTRIES = 1 << 26  # complex entries (1 GiB) one array may take before TooLarge is raised
 
 
 def mul(z: Supernumber, w: Supernumber) -> Supernumber:

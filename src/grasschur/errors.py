@@ -95,6 +95,12 @@ class WindowTooSmall(GrasschurError):
     code = "window-too-small"
 
 
+class TooLarge(GrasschurError):
+    """An array the operation needs would exceed the size budget ``algebra._MAX_ENTRIES``."""
+
+    code = "too-large"
+
+
 class NotConvergent(GrasschurError):
     """An iterative sum/fixed point failed to converge."""
 

@@ -1,10 +1,11 @@
 """Supermatrix algebra: adjoint, product, LDU and LL* factorizations, inversion,
 and super-positivity.
 
-A matrix is stored as Σ_α M_α i_α: ascending uint64 monomial keys and one
-complex (keys, rows, cols) stack with no all-zero slot.  Its body is M_0;
-taking bodies is a ring morphism, and a matrix is invertible exactly when its
-body is.  Positivity is decided by the body criterion (self-adjoint + body
+``Stacked`` is the one layout of Σ_α X_α i_α that supermatrices, power series
+and Laurent series share: ascending uint64 monomial keys and one complex stack
+with no all-zero slot.  A matrix is the (keys, rows, cols) case.  Its body is
+M_0; taking bodies is a ring morphism, and a matrix is invertible exactly when
+its body is.  Positivity is decided by the body criterion (self-adjoint + body
 PSD/PD) and can be sampled against the quadratic-form definition.
 """
 from __future__ import annotations
@@ -19,29 +20,107 @@ from .algebra import (_REAL_TOL, AlgebraContext, Supernumber, _cmul, _pair_produ
 from .errors import BodySingular, BodyZero, ContextMismatch, NotRegular, NotSuperpositive, ShapeMismatch
 
 
-class SuperMatrix:
-    """Dense p x q matrix with supernumber entries, immutable: ``stack[s]`` is the
-    coefficient matrix of monomial ``keys[s]``; the arrays become read-only."""
+class Stacked:
+    """Σ_α X_α i_α with complex coefficient objects X_α, immutable: ``stack[s]`` is the
+    coefficient of monomial ``keys[s]``.  Keys are ascending uint64, no slot is all
+    zero and both arrays are read-only; the last two axes of the stack are the
+    (rows, cols) of the coefficient matrices.  ``_own`` names the fields besides the
+    layout that equality compares and every derived object inherits."""
 
-    __slots__ = ("context", "rows", "cols", "keys", "stack")
+    __slots__ = ("context", "keys", "stack")
+    _own: tuple[str, ...] = ()
 
-    def __init__(self, context: AlgebraContext, keys, stack):
+    @classmethod
+    def _of(cls, context: AlgebraContext, keys, stack, *own):
+        """The object of a uint64 key array, a complex stack with one slot per key and
+        the values of ``_own``; drops all-zero slots."""
+        kept = stack.any(axis=tuple(range(1, stack.ndim)))
+        if not kept.all():
+            keys, stack = keys[kept], stack[kept]
+        keys.flags.writeable = stack.flags.writeable = False
+        x = object.__new__(cls)
+        object.__setattr__(x, "context", context)
+        object.__setattr__(x, "keys", keys)
+        object.__setattr__(x, "stack", stack)
+        for name, value in zip(cls._own, own):
+            object.__setattr__(x, name, value)
+        return x
+
+    def _with(self, keys, stack):
+        """An object of this class and its own fields on another layout."""
+        return self._of(self.context, keys, stack, *self._fields())
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._own))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.stack.shape[-2:]
+
+    def _body(self) -> np.ndarray:
+        """The body slot: the coefficient of key 0, read-only, or zeros."""
+        if len(self.keys) and self.keys[0] == 0:
+            return self.stack[0]
+        return np.zeros(self.stack.shape[1:], dtype=complex)
+
+    def norm1(self) -> float:
+        return float(np.abs(self.stack).sum())
+
+    def is_zero(self) -> bool:
+        return not len(self.keys)
+
+    def __neg__(self):
+        return self._with(self.keys, -self.stack)
+
+    def __sub__(self, other):
+        return self + -other if isinstance(other, type(self)) else NotImplemented
+
+    def __mul__(self, scalar):
+        if isinstance(scalar, (int, float, complex)):
+            return self._with(self.keys, self.stack * complex(scalar))
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def scale_left(self, s: Supernumber):
+        """s * X with a supernumber scalar on the left of every coefficient entry."""
+        return self._with(*_pair_product(s.context.generators, *self._scalar(s), self.keys, self.stack, _cmul))
+
+    def scale_right(self, s: Supernumber):
+        """X * s with a supernumber scalar on the right of every coefficient entry."""
+        return self._with(*_pair_product(s.context.generators, self.keys, self.stack, *self._scalar(s), _cmul))
+
+    def _scalar(self, s: Supernumber) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and stack of s, each coefficient shaped to broadcast against a slot of this stack."""
+        z = SuperMatrix.from_scalar(s)
+        _require_same_context(self, z)
+        return z.keys, z.stack.reshape(-1, *[1] * (self.stack.ndim - 1))
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return (self.context == other.context and self._fields() == other._fields()
+                    and np.array_equal(self.keys, other.keys) and np.array_equal(self.stack, other.stack))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.stack.shape[1:], self._fields(), self.keys.tobytes()))
+
+
+class SuperMatrix(Stacked):
+    """Dense p x q matrix with supernumber entries: ``stack[s]`` is the (rows, cols)
+    coefficient matrix of monomial ``keys[s]``."""
+
+    __slots__ = ()
+
+    def __new__(cls, context: AlgebraContext, keys, stack):
         keys = np.asarray(keys, dtype=np.uint64)
         stack = np.asarray(stack, dtype=complex)
         if stack.ndim != 3 or 0 in stack.shape[1:] or len(keys) != len(stack):
             raise ValueError("a matrix needs one (rows, cols) coefficient matrix per key, rows, cols >= 1")
-        kept = stack.any(axis=(1, 2))
-        if not kept.all():
-            keys, stack = keys[kept], stack[kept]
-        keys.flags.writeable = stack.flags.writeable = False
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "rows", stack.shape[1])
-        object.__setattr__(self, "cols", stack.shape[2])
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "stack", stack)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SuperMatrix is immutable")
+        return cls._of(context, keys, stack)
 
     # -- constructors ----------------------------------------------------
 
@@ -107,8 +186,12 @@ class SuperMatrix:
     # -- views -----------------------------------------------------------
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self.rows, self.cols
+    def rows(self) -> int:
+        return self.stack.shape[1]
+
+    @property
+    def cols(self) -> int:
+        return self.stack.shape[2]
 
     def __getitem__(self, key) -> Supernumber:
         i, j = key
@@ -119,19 +202,11 @@ class SuperMatrix:
         return tuple(tuple(self[i, j] for j in range(self.cols)) for i in range(self.rows))
 
     def body(self) -> np.ndarray:
-        if len(self.keys) and self.keys[0] == 0:
-            return self.stack[0].copy()
-        return np.zeros(self.shape, dtype=complex)
+        return self._body().copy()
 
     def soul(self) -> "SuperMatrix":
         start = int(len(self.keys) > 0 and self.keys[0] == 0)
-        return SuperMatrix(self.context, self.keys[start:], self.stack[start:])
-
-    def norm1(self) -> float:
-        return float(np.abs(self.stack).sum())
-
-    def is_zero(self) -> bool:
-        return not len(self.keys)
+        return SuperMatrix._of(self.context, self.keys[start:], self.stack[start:])
 
     def submatrix(self, row_indices: Iterable[int], col_indices: Iterable[int]) -> "SuperMatrix":
         return SuperMatrix(self.context, self.keys, self.stack[:, list(row_indices)][:, :, list(col_indices)])
@@ -143,43 +218,13 @@ class SuperMatrix:
             return NotImplemented
         if self.shape != other.shape:
             raise ShapeMismatch(f"cannot add {self.shape} and {other.shape}")
-        return SuperMatrix(_require_same_context(self, other),
-                           *_add(self.keys, self.stack, other.keys, other.stack))
-
-    def __sub__(self, other):
-        return self + -other if isinstance(other, SuperMatrix) else NotImplemented
-
-    def __neg__(self):
-        return SuperMatrix(self.context, self.keys, -self.stack)
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (int, float, complex)):
-            return SuperMatrix(self.context, self.keys, self.stack * complex(scalar))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def scale_left(self, s: Supernumber) -> "SuperMatrix":
-        """s * M with a supernumber scalar on the left of every entry."""
-        return _product(SuperMatrix.from_scalar(s), self, _cmul)
-
-    def scale_right(self, s: Supernumber) -> "SuperMatrix":
-        """M * s with a supernumber scalar on the right of every entry."""
-        return _product(self, SuperMatrix.from_scalar(s), _cmul)
+        return SuperMatrix._of(_require_same_context(self, other),
+                               *_add(self.keys, self.stack, other.keys, other.stack))
 
     def __matmul__(self, other):
         if not isinstance(other, SuperMatrix):
             return NotImplemented
         return mat_mul(self, other)
-
-    def __eq__(self, other):
-        if isinstance(other, SuperMatrix):
-            return (self.context == other.context and self.shape == other.shape
-                    and np.array_equal(self.keys, other.keys) and np.array_equal(self.stack, other.stack))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.shape, self.keys.tobytes()))
 
     def __repr__(self):
         return f"SuperMatrix({self.rows}x{self.cols})"
@@ -211,8 +256,8 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _product(m: SuperMatrix, l: SuperMatrix, op) -> SuperMatrix:
     """The Grassmann product of two matrices' stacks, ``op`` multiplying the coefficients."""
-    return SuperMatrix(_require_same_context(m, l),
-                       *_pair_product(m.context.generators, m.keys, m.stack, l.keys, l.stack, op))
+    return SuperMatrix._of(_require_same_context(m, l),
+                           *_pair_product(m.context.generators, m.keys, m.stack, l.keys, l.stack, op))
 
 
 def _body_inverse(context: AlgebraContext, body: np.ndarray) -> np.ndarray:
@@ -242,7 +287,7 @@ def adjoint(m: SuperMatrix) -> SuperMatrix:
     """Conjugate transpose under dagger: M* = (m_kj†); (ML)* = L*M*."""
     flip = np.array([dagger_sign(k) < 0 for k in m.keys.tolist()], dtype=bool)[:, None, None]
     stack = m.stack.conj().transpose(0, 2, 1)
-    return SuperMatrix(m.context, m.keys, np.where(flip, -stack, stack))
+    return SuperMatrix._of(m.context, m.keys, np.where(flip, -stack, stack))
 
 
 def mat_mul(m: SuperMatrix, l: SuperMatrix) -> SuperMatrix:
@@ -315,7 +360,7 @@ def mat_invert(m: SuperMatrix) -> SuperMatrix:
     if m.rows != m.cols:
         raise ShapeMismatch("inversion needs a square matrix")
     context = m.context
-    return SuperMatrix(context, *_inverse(context, m.keys, m.stack, _body_inverse(context, m.body()), _matmul))
+    return SuperMatrix._of(context, *_inverse(context, m.keys, m.stack, _body_inverse(context, m.body()), _matmul))
 
 
 def sandwich_solve(l: SuperMatrix, q: SuperMatrix, r: SuperMatrix) -> SuperMatrix:
@@ -338,7 +383,7 @@ def sandwich_solve(l: SuperMatrix, q: SuperMatrix, r: SuperMatrix) -> SuperMatri
 
     def body_solve(y: SuperMatrix) -> SuperMatrix:
         flat = y.stack.reshape(-1, rows * cols) @ k_inv.T  # K⁻¹ on each monomial's row-major vec
-        return SuperMatrix(context, y.keys, flat.reshape(-1, rows, cols))
+        return SuperMatrix._of(context, y.keys, flat.reshape(-1, rows, cols))
 
     l_b = SuperMatrix.from_body(context, l_body)
     l_s, r_s = l.soul(), r.soul()

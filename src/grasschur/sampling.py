@@ -86,7 +86,8 @@ def random_even_unit(
 ) -> Supernumber:
     """Even supernumber with body on the circle of the given modulus.
 
-    Even elements are central, which makes rational evaluation at them exact.
+    Even elements are central: the identities stated at central points, such
+    as J-unitarity and the kernel identities, hold at them.
     """
     theta = rng.uniform(0.0, 2.0 * np.pi)
     body = body_modulus * complex(np.cos(theta), np.sin(theta))

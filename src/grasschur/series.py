@@ -1,8 +1,8 @@
 """Truncated power series and Laurent series with supermatrix coefficients.
 
-A ``SeriesMatrix`` F(z) = Σ_n z^n f_n is stored like a ``SuperMatrix``:
-ascending uint64 monomial keys and one complex (keys, degree+1, rows, cols)
-stack with no all-zero slot.  Star (Cauchy) products (f⋆g)_n = Σ_u f_u g_{n-u}
+Both series classes derive from ``matrix.Stacked``, the layout they share with
+``SuperMatrix``: a ``SeriesMatrix`` F(z) = Σ_n z^n f_n holds one complex
+(keys, degree+1, rows, cols) stack.  Star (Cauchy) products (f⋆g)_n = Σ_u f_u g_{n-u}
 and star inverses share ``algebra._pair_product`` and ``matrix._inverse`` with
 matrices, with a truncated degree convolution as the payload product.  A
 series is one-sided (powers of z on the left of the coefficients); the
@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraContext, Supernumber, _cmul, _pair_product, _require_same_context, mul
+from .algebra import _MAX_ENTRIES, AlgebraContext, Supernumber, _cmul, _pair_product, _require_same_context, mul
 from .errors import (
     BodySingular,
     ConstantTermSingular,
@@ -28,17 +28,19 @@ from .errors import (
     NotInvertible,
     ShapeMismatch,
     TailTooLarge,
+    TooLarge,
     WindowTooSmall,
 )
-from .matrix import SuperMatrix, _add, _body_inverse, _inverse, _matmul, _spread, adjoint, mat_mul
+from .matrix import Stacked, SuperMatrix, _add, _body_inverse, _inverse, _matmul, _spread, adjoint, mat_mul
 
 
-class SeriesMatrix:
-    """One-sided power series F(z) = sum_n z^n f_n, truncated at its degree, immutable:
-    ``stack[s, n]`` is the coefficient matrix of monomial ``keys[s]`` in f_n; the arrays
-    become read-only.  ``coeffs`` and ``coefficient(n)`` view the f_n as supermatrices."""
+class SeriesMatrix(Stacked):
+    """One-sided power series F(z) = sum_n z^n f_n, truncated at its degree:
+    ``stack[s, n]`` is the coefficient matrix of monomial ``keys[s]`` in f_n.
+    ``coeffs`` and ``coefficient(n)`` view the f_n as supermatrices."""
 
-    __slots__ = ("context", "keys", "stack", "exact", "_coeffs")
+    __slots__ = ("exact", "_coeffs")
+    _own = ("exact",)
 
     def __new__(cls, coeffs: Sequence[SuperMatrix], exact: bool = False):
         coeffs = tuple(coeffs)
@@ -53,22 +55,12 @@ class SeriesMatrix:
 
     @classmethod
     def _of(cls, context: AlgebraContext, keys, stack, exact: bool) -> "SeriesMatrix":
-        """The series of a key array and a (keys, degree+1, rows, cols) stack; drops all-zero slots."""
+        """The series of a key array and a (keys, degree+1, rows, cols) stack."""
         if 0 in stack.shape[2:]:
             raise ValueError("series coefficients need rows, cols >= 1")
         if stack.shape[1] - 1 > context.max_series_degree:
             raise ValueError(f"degree {stack.shape[1] - 1} exceeds max_series_degree {context.max_series_degree}")
-        kept = stack.any(axis=(1, 2, 3))
-        if not kept.all():
-            keys, stack = keys[kept], stack[kept]
-        keys.flags.writeable = stack.flags.writeable = False
-        f = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (context, keys, stack, bool(exact), None)):
-            object.__setattr__(f, name, value)
-        return f
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SeriesMatrix is immutable")
+        return super()._of(context, keys, stack, bool(exact))
 
     # -- views -----------------------------------------------------------
 
@@ -77,14 +69,10 @@ class SeriesMatrix:
         return self.stack.shape[1] - 1
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self.stack.shape[2], self.stack.shape[3]
-
-    @property
     def coeffs(self) -> tuple[SuperMatrix, ...]:
-        if self._coeffs is None:
+        if getattr(self, "_coeffs", None) is None:
             object.__setattr__(self, "_coeffs", tuple(
-                SuperMatrix(self.context, self.keys, self.stack[:, n]) for n in range(self.degree + 1)))
+                SuperMatrix._of(self.context, self.keys, self.stack[:, n]) for n in range(self.degree + 1)))
         return self._coeffs
 
     def coefficient(self, n: int) -> SuperMatrix:
@@ -96,15 +84,6 @@ class SeriesMatrix:
         if self.exact:
             return SuperMatrix.zeros(self.context, *self.shape)
         raise IndexError(f"coefficient {n} beyond truncation degree {self.degree}")
-
-    def _body(self) -> np.ndarray:
-        """The complex coefficients of the body series, (degree+1, rows, cols)."""
-        if len(self.keys) and self.keys[0] == 0:
-            return self.stack[0]
-        return np.zeros(self.stack.shape[1:], dtype=complex)
-
-    def norm1(self) -> float:
-        return float(np.abs(self.stack).sum())
 
     def truncated(self, degree: int) -> "SeriesMatrix":
         """f_0..f_degree; an exact series is zero-padded and stays exact up to its own degree."""
@@ -118,16 +97,6 @@ class SeriesMatrix:
     def block(self, row0: int, row1: int, col0: int, col1: int) -> "SeriesMatrix":
         """Coefficientwise submatrix [row0:row1, col0:col1]."""
         return SeriesMatrix._of(self.context, self.keys, self.stack[:, :, row0:row1, col0:col1], self.exact)
-
-    def __eq__(self, other):
-        if isinstance(other, SeriesMatrix):
-            return (self.context == other.context and self.exact == other.exact
-                    and self.stack.shape[1:] == other.stack.shape[1:]
-                    and np.array_equal(self.keys, other.keys) and np.array_equal(self.stack, other.stack))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.stack.shape[1:], self.exact, self.keys.tobytes()))
 
     def __repr__(self):
         return f"SeriesMatrix({self.shape[0]}x{self.shape[1]}, degree {self.degree}, exact={self.exact})"
@@ -160,31 +129,6 @@ class SeriesMatrix:
         degree, exact = _result_degree(self, other, max(self.degree, other.degree))
         a, b = self.truncated(degree), other.truncated(degree)
         return SeriesMatrix._of(_require_same_context(a, b), *_add(a.keys, a.stack, b.keys, b.stack), exact)
-
-    def __sub__(self, other):
-        return self + -other if isinstance(other, SeriesMatrix) else NotImplemented
-
-    def __neg__(self):
-        return SeriesMatrix._of(self.context, self.keys, -self.stack, self.exact)
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (int, float, complex)):
-            return SeriesMatrix._of(self.context, self.keys, self.stack * complex(scalar), self.exact)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def scale_left(self, s: Supernumber) -> "SeriesMatrix":
-        """s * F with a supernumber scalar on the left of every coefficient entry."""
-        z = SuperMatrix.from_scalar(s)
-        return SeriesMatrix._of(_require_same_context(z, self), *_pair_product(
-            self.context.generators, z.keys, z.stack[:, None], self.keys, self.stack, _cmul), self.exact)
-
-    def scale_right(self, s: Supernumber) -> "SeriesMatrix":
-        """F * s with a supernumber scalar on the right of every coefficient entry."""
-        z = SuperMatrix.from_scalar(s)
-        return SeriesMatrix._of(_require_same_context(self, z), *_pair_product(
-            self.context.generators, self.keys, self.stack, z.keys, z.stack[:, None], _cmul), self.exact)
 
     def shift_up(self) -> "SeriesMatrix":
         """Multiply by z (prepend a zero coefficient)."""
@@ -291,13 +235,13 @@ def evaluate(f: SeriesMatrix, z0: Supernumber, strict: bool = False) -> SuperMat
     TailTooLarge.
     """
     keys, powers, coeffs = _powers(f, z0, strict)
-    return SuperMatrix(f.context, *_pair_product(f.context.generators, keys, powers, f.keys, coeffs, _degree_dot))
+    return SuperMatrix._of(f.context, *_pair_product(f.context.generators, keys, powers, f.keys, coeffs, _degree_dot))
 
 
 def evaluate_right(f: SeriesMatrix, z0: Supernumber, strict: bool = False) -> SuperMatrix:
     """Right evaluation sum_n f_n z0^n (for right-sided series); ``strict`` as in evaluate."""
     keys, powers, coeffs = _powers(f, z0, strict)
-    return SuperMatrix(f.context, *_pair_product(f.context.generators, f.keys, coeffs, keys, powers, _degree_dot))
+    return SuperMatrix._of(f.context, *_pair_product(f.context.generators, f.keys, coeffs, keys, powers, _degree_dot))
 
 
 def hermitian_form(f: SeriesMatrix, g: SeriesMatrix) -> SuperMatrix:
@@ -320,12 +264,15 @@ def backward_shift(f: SeriesMatrix) -> SeriesMatrix:
 # ---------------------------------------------------------------------------
 
 
-class LaurentSeries:
-    """Two-sided finitely supported series sum_{|n|<=window} z^n f_n, immutable: ``stack[s, n - low]``
-    holds monomial ``keys[s]`` of f_n, with no all-zero key or end power; ``coeffs`` views the
-    nonzero f_n by ascending power.  The zero series keeps its shape and has no context."""
+class LaurentSeries(Stacked):
+    """Two-sided finitely supported series sum_{|n|<=window} z^n f_n: ``stack[s, n - low]``
+    holds monomial ``keys[s]`` of f_n, with no all-zero end power; ``coeffs`` views the
+    nonzero f_n by ascending power.  The zero series keeps its shape and has no context.  A
+    stack of more than ``algebra._MAX_ENTRIES`` entries raises TooLarge before it is allocated."""
 
-    __slots__ = ("window", "shape", "context", "low", "keys", "stack")
+    __slots__ = ("window", "low")
+    _own = ("window", "low")
+    __hash__ = None
 
     def __new__(cls, window: int, coeffs: Mapping[int, SuperMatrix], shape: tuple[int, int] = (0, 0)):
         coeffs = {int(n): c for n, c in coeffs.items() if not c.is_zero()}
@@ -340,29 +287,23 @@ class LaurentSeries:
             raise ContextMismatch("Laurent coefficients must share one context")
         low = min(coeffs, default=0)
         keys = np.unique(np.concatenate([first.keys, *(c.keys for c in coeffs.values())]))
-        stack = np.zeros((len(keys), max(coeffs, default=-1) - low + 1, *first.shape), dtype=complex)
+        span = max(coeffs, default=-1) - low + 1
+        if len(keys) * span * first.rows * first.cols > _MAX_ENTRIES:
+            raise TooLarge(f"{len(keys)} keys over {span} powers of {first.rows}x{first.cols} coefficients "
+                           f"exceed {_MAX_ENTRIES} stack entries")
+        stack = np.zeros((len(keys), span, *first.shape), dtype=complex)
         for n, c in coeffs.items():  # placed, not added: a -0.0 entry stays -0.0
             stack[np.searchsorted(keys, c.keys), n - low] = c.stack
-        return cls._of(window, first.context, low, keys, stack)
+        return cls._of(first.context, keys, stack, window, low)
 
     @classmethod
-    def _of(cls, window: int, context: AlgebraContext | None, low: int, keys, stack) -> "LaurentSeries":
-        """The series of its lowest power, a key array and a (keys, span, rows, cols) stack;
-        drops all-zero keys and end powers."""
-        nonzero = stack.any(axis=(2, 3))
-        powers = np.flatnonzero(nonzero.any(axis=0))  # none for the zero series: span 0 at power 0
-        first, end = (int(powers[0]), int(powers[-1]) + 1) if len(powers) else (-low, -low)
-        kept = nonzero.any(axis=1)
-        keys, stack = keys[kept], stack[kept, first:end]
-        keys.flags.writeable = stack.flags.writeable = False
-        f = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (window, stack.shape[2:], context if len(keys) else None,
-                                               low + first, keys, stack)):
-            object.__setattr__(f, name, value)
-        return f
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentSeries is immutable")
+    def _of(cls, context: AlgebraContext | None, keys, stack, window: int, low: int) -> "LaurentSeries":
+        """The series of a key array, a (keys, span, rows, cols) stack from power ``low``
+        and its window; drops all-zero end powers."""
+        powers = np.flatnonzero(stack.any(axis=(0, 2, 3)))
+        if not len(powers):
+            return super()._of(None, keys[:0], stack[:0, :0], window, 0)
+        return super()._of(context, keys, stack[:, powers[0]:powers[-1] + 1], window, low + int(powers[0]))
 
     @property
     def coeffs(self) -> dict[int, SuperMatrix]:
@@ -373,11 +314,8 @@ class LaurentSeries:
         if self.context is None:
             raise ValueError("empty series has no context")
         if 0 <= n - self.low < self.stack.shape[1]:
-            return SuperMatrix(self.context, self.keys, self.stack[:, n - self.low])
+            return SuperMatrix._of(self.context, self.keys, self.stack[:, n - self.low])
         return SuperMatrix.zeros(self.context, *self.shape)
-
-    def norm1(self) -> float:
-        return float(np.abs(self.stack).sum())
 
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -389,18 +327,8 @@ class LaurentSeries:
         low, end = min(self.low, other.low), max(h.low + h.stack.shape[1] for h in (self, other))
         x, y = (np.pad(h.stack, ((0, 0), (h.low - low, end - h.low - h.stack.shape[1]), (0, 0), (0, 0)))
                 for h in (self, other))  # both stacks over the powers low..end-1
-        return LaurentSeries._of(max(self.window, other.window), self.context or other.context, low,
-                                 *_add(self.keys, x, other.keys, y))
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return self + LaurentSeries._of(other.window, other.context, other.low, other.keys, -other.stack)
-
-    def __eq__(self, other):
-        if isinstance(other, LaurentSeries):
-            return (self.window, self.shape, self.coeffs) == (other.window, other.shape, other.coeffs)
-        return NotImplemented
+        return LaurentSeries._of(self.context or other.context, *_add(self.keys, x, other.keys, y),
+                                 max(self.window, other.window), low)
 
     @classmethod
     def constant(cls, value: SuperMatrix) -> "LaurentSeries":
@@ -415,19 +343,19 @@ def laurent_star_mul(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
     if f.context is None or g.context is None:
         return LaurentSeries(f.window + g.window, {}, shape=(f.shape[0], g.shape[1]))
     context = _require_same_context(f, g)
-    return LaurentSeries._of(f.window + g.window, context, f.low + g.low, *_pair_product(
+    return LaurentSeries._of(context, *_pair_product(
         context.generators, f.keys, f.stack, g.keys, g.stack,
-        partial(_convolve, degree=f.stack.shape[1] + g.stack.shape[1] - 2)))
+        partial(_convolve, degree=f.stack.shape[1] + g.stack.shape[1] - 2)), f.window + g.window, f.low + g.low)
 
 
 def project_plus(f: LaurentSeries) -> LaurentSeries:
     """Keep powers n >= 0 (the one-sided subalgebra)."""
-    return LaurentSeries._of(f.window, f.context, max(f.low, 0), f.keys, f.stack[:, max(0, -f.low):])
+    return LaurentSeries._of(f.context, f.keys, f.stack[:, max(0, -f.low):], f.window, max(f.low, 0))
 
 
 def project_minus(f: LaurentSeries) -> LaurentSeries:
     """Keep powers n <= 0."""
-    return LaurentSeries._of(f.window, f.context, f.low, f.keys, f.stack[:, :max(0, 1 - f.low)])
+    return LaurentSeries._of(f.context, f.keys, f.stack[:, :max(0, 1 - f.low)], f.window, f.low)
 
 
 def _on_circle(f: LaurentSeries, points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -481,7 +409,7 @@ def wiener_invert(f: LaurentSeries, grid_points: int | None = None,
         spectrum = np.fft.fft(total, axis=1)[:, np.arange(-half, half) % points] / points
         kept = np.abs(spectrum).max(axis=(2, 3)) > context.tol_eq * _KEPT
         window = max([f.window, *np.abs(np.flatnonzero(kept.any(axis=0)) - half).tolist()])
-        g = LaurentSeries._of(window, context, -half, keys, np.where(kept[..., None, None], spectrum, 0))
+        g = LaurentSeries._of(context, keys, np.where(kept[..., None, None], spectrum, 0), window, -half)
         if (laurent_star_mul(f, g) - identity).norm1() <= context.tol_eq:
             return g
         points *= 2

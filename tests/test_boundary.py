@@ -4,9 +4,10 @@ Each JSON node of each input file is replaced by one malformed value from a
 fixed set, or deleted.  Every run must end with exit status 0, or with exit
 status 2 and exactly one ``error[...]`` line; an escaping exception fails.
 A deterministic hypothesis search then mutates two to four nodes at once of
-the series- and matrix-bearing inputs and of the Blaschke supernumbers under
-the same rule.
+the series- and matrix-bearing inputs and of the supernumber inputs under the
+same rule.
 """
+import collections
 import copy
 import json
 
@@ -131,18 +132,22 @@ def test_single_node_mutations(command, inputs, tmp_path, capsys):
             assert _ends_well(status, err), (flag, mutated, status, err)
 
 
-# the series- and matrix-bearing inputs and the Blaschke supernumbers, with the examples
-# each takes: all but the series take fewer, which keeps the search to about 10 s of
+# the series- and matrix-bearing inputs and the supernumber inputs, with the examples
+# each takes: all but the series take fewer, which keeps the search to about 15 s of
 # tier-1 time in all
 MULTI_NODE_CASES = [(command, inputs, flag, 300 if flag in ("--sigma", "--series") else 150)
                     for command, inputs in CASES
                     for flag in ("--sigma", "--series", "--C", "--A", "--J", "--P", "--spec", "--data",
-                                 "--a", "--c", "--p", "--at")
+                                 "--a", "--c", "--p", "--at", "--in", "--rhs", "--eta")
                     if flag in inputs]
 
 
-@pytest.mark.parametrize("command,inputs,flag,examples", MULTI_NODE_CASES,
-                         ids=[flag for _, _, flag, _ in MULTI_NODE_CASES])
+_FLAG_USES = collections.Counter(flag for _, _, flag, _ in MULTI_NODE_CASES)
+
+
+@pytest.mark.parametrize("command,inputs,flag,examples", MULTI_NODE_CASES,  # a shared flag is named with its verb
+                         ids=[flag if _FLAG_USES[flag] == 1 else f"{flag}-{command[1]}"
+                              for command, _, flag, _ in MULTI_NODE_CASES])
 def test_multi_node_series_mutations(command, inputs, flag, examples, tmp_path, capsys):
     paths = {f: tmp_path / f"{f.strip('-')}.json" for f in inputs}
     nodes = list(_paths(inputs[flag]))[1:]

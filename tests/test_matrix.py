@@ -31,6 +31,7 @@ from grasschur.sampling import (
     random_supernumber,
     random_superpositive_matrix,
 )
+from grasschur.series import LaurentSeries, SeriesMatrix
 
 
 def residual(a, b):
@@ -412,3 +413,73 @@ class TestStackLayout:
         soul = random_supermatrix(ctx, rng, 2, 3, body=0.0)
         partial = (m + soul) - soul  # the monomials of soul alone cancel exactly
         assert np.array_equal(partial.keys, m.keys) and close(partial, m)
+
+
+# -- the layout every Σ_α X_α i_α container shares (matrix.Stacked) ---------------
+
+
+def _views(x):
+    """Each stored coefficient matrix by power; a supermatrix is its own power 0."""
+    if isinstance(x, SeriesMatrix):
+        return dict(enumerate(x.coeffs))
+    if isinstance(x, LaurentSeries):
+        return x.coeffs
+    return {0: x}
+
+
+def _same_views(got, want, exact=True):
+    zero = SuperMatrix.zeros(got.context, *got.shape)
+    for n in set(_views(got)) | set(want):
+        a, b = _views(got).get(n, zero), want.get(n, zero)
+        if not (a == b if exact else close(a, b)):
+            return False
+    return True
+
+
+_MAKE = {
+    SuperMatrix: lambda ctx, rng: random_supermatrix(ctx, rng, 2, 3),
+    SeriesMatrix: lambda ctx, rng: SeriesMatrix([random_supermatrix(ctx, rng, 2, 3) for _ in range(3)],
+                                                exact=bool(rng.integers(2))),
+    LaurentSeries: lambda ctx, rng: LaurentSeries(4, {int(n): random_supermatrix(ctx, rng, 2, 3)
+                                                      for n in rng.choice(np.arange(-4, 5), 2, replace=False)}),
+}
+_BUMP = {"exact": lambda e: not e, "window": lambda w: w + 1, "low": lambda n: n + 1}
+
+
+@pytest.mark.parametrize("cls", _MAKE, ids=lambda cls: cls.__name__)
+def test_stacked_containers_share_one_layout(ctx, rng, cls):
+    x, y = _MAKE[cls](ctx, rng), _MAKE[cls](ctx, rng)
+    assert type(x) is cls and np.all(x.keys[1:] > x.keys[:-1]) and x.stack.any(axis=tuple(range(1, x.stack.ndim))).all()
+    assert not (x.keys.flags.writeable or x.stack.flags.writeable)
+    for name in ("context", "keys", "stack", *cls._own):
+        with pytest.raises(AttributeError):
+            setattr(x, name, getattr(x, name))
+    emptied = x.stack.copy()
+    emptied[0] = 0
+    dropped = cls._of(ctx, x.keys.copy(), emptied, *x._fields())
+    assert np.array_equal(dropped.keys, x.keys[1:]) and dropped.stack.shape[0] == len(x.keys) - 1
+    assert x.norm1() == float(np.abs(x.stack).sum()) and not x.is_zero() and (x - x).is_zero()
+
+    views = _views(x)
+    assert _same_views(-x, {n: -c for n, c in views.items()})
+    assert _same_views(2.0 * x, {n: c * 2.0 for n, c in views.items()}) and 2.0 * x == x * 2.0
+    assert _same_views(x - y, {n: views.get(n, SuperMatrix.zeros(ctx, 2, 3)) - c for n, c in _views(y).items()}
+                       | {n: c for n, c in views.items() if n not in _views(y)}, exact=False)
+    s = random_supernumber(ctx, rng, terms=6)
+    assert _same_views(x.scale_left(s), {n: ref_entrywise(lambda e: mul(s, e), c) for n, c in views.items()},
+                       exact=False)
+    assert _same_views(x.scale_right(s), {n: ref_entrywise(lambda e: mul(e, s), c) for n, c in views.items()},
+                       exact=False)
+
+    twin = cls._of(ctx, x.keys, x.stack.copy(), *x._fields())
+    assert twin == x and twin is not x and x != y
+    assert cls._of(AlgebraContext(generators=8, tol_eq=1e-8), x.keys, x.stack, *x._fields()) != x
+    for k, name in enumerate(cls._own):
+        bumped = list(x._fields())
+        bumped[k] = _BUMP[name](bumped[k])
+        assert cls._of(ctx, x.keys, x.stack, *bumped) != x, name
+    if cls is LaurentSeries:
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(twin) == hash(x) and len({x, twin, y}) == 2

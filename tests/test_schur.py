@@ -4,8 +4,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from grasschur import (AlgebraContext, SuperMatrix, Supernumber, adjoint, classify, dagger, invert, kth_root,
-                       mat_invert, mat_mul, mul)
+from grasschur import (AlgebraContext, SuperMatrix, Supernumber, adjoint, classify, dagger, invert,
+                       is_supernonnegative, kth_root, mat_invert, mat_mul, mul)
 from grasschur import schur
 from grasschur.errors import (
     DomainViolation,
@@ -97,7 +97,45 @@ def make_np_data(ctx, rng, n_nodes, node_radius=0.45, souls=True):
     return InterpolationData(tuple(nodes), tuple(values))
 
 
+def toeplitz_body(s, depth):
+    """The body of L_depth, the block lower-triangular Toeplitz matrix of s_0..s_depth."""
+    (p, q), bodies = s.shape, [c.body() for c in s.coeffs]
+    l = np.zeros(((depth + 1) * p, (depth + 1) * q), dtype=complex)
+    for i in range(depth + 1):
+        for j in range(i + 1):
+            l[i * p:(i + 1) * p, j * q:(j + 1) * q] = bodies[i - j]
+    return l
+
+
+def ref_is_schur_grassmann(s, depth=None):
+    """The loop over every leading block: I - L_n* L_n supernonnegative for n = 1..depth+1."""
+    depth = min(s.degree, 8) if depth is None else min(depth, s.degree)
+    (p, q), l = s.shape, toeplitz_body(s, depth)
+    for n in range(1, depth + 2):
+        top = l[:n * p, :n * q]
+        if not is_supernonnegative(SuperMatrix.from_body(s.context, np.eye(n * q) - top.conj().T @ top)):
+            return False
+    return True
+
+
 class TestIsSchurGrassmann:
+    def test_one_test_at_full_depth_matches_every_leading_block(self, ctx, rng):
+        cases = [(scalar_series(ctx, bodies), depth) for bodies in ([0.5] + [0.0] * 4, [2.0] + [0.0] * 4,
+                 [0.6, 0.3, 0.05], [0.8, 0.7], [1.0], [1.0, 0.0, 0.0], [0.6, 0.8], [0.5, 0.2]) for depth in (None, 1)]
+        for trial in range(400):
+            n, degree = int(rng.integers(1, 3)), int(rng.integers(0, 12))
+            s = SeriesMatrix.from_coeffs([SuperMatrix.from_body(ctx, 0.7 ** k * rng.normal(size=(n, n, 2)) @ [1, 1j])
+                                          for k in range(degree + 1)])
+            if trial % 2:  # scaled to ‖L_depth‖ = 1 + eps, where the verdict turns
+                scale = (1 + rng.choice([-1e-8, -1e-12, 0.0, 1e-12, 1e-8])) / np.linalg.norm(
+                    toeplitz_body(s, min(degree, 8)), 2)
+            else:
+                scale = rng.uniform(0.1, 1.2) / n
+            cases.append((s * scale, None))
+        verdicts = [(is_schur_grassmann(s, depth), ref_is_schur_grassmann(s, depth)) for s, depth in cases]
+        assert all(got == want for got, want in verdicts)
+        assert 0 < sum(got for got, _ in verdicts) < len(verdicts)
+
     def test_constant_half(self, ctx):
         assert is_schur_grassmann(scalar_series(ctx, [0.5] + [0.0] * 4))
 

@@ -1,7 +1,14 @@
 """Star products, star inverses, evaluation, Wiener-Grassmann invertibility."""
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import grasschur
 from grasschur import AlgebraContext, Supernumber, SuperMatrix, classify, dagger, index_from_generators, invert, mul
 from grasschur.errors import ConstantTermSingular, ContextMismatch, NotInvertible, ShapeMismatch, WindowTooSmall
 from grasschur.matrix import mat_invert, mat_mul
@@ -638,6 +645,27 @@ class TestLaurentLayout:
         zero = f - f
         assert zero.context is None and zero.shape == (2, 2) and zero.coeffs == {} and zero.norm1() == 0.0
         assert zero == LaurentSeries(4, {}, shape=(2, 2)) and zero + f == f and f + zero == f
+
+    def test_far_apart_powers_end_in_too_large(self):
+        # Without the budget numpy is asked for 596 GiB.  The child caps its own address
+        # space at 2 GiB, so a missing check ends there in MemoryError, not in the host's memory.
+        script = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+            from grasschur import AlgebraContext, SuperMatrix
+            from grasschur.errors import TooLarge
+            from grasschur.serialization import laurent_from_obj, matrix_to_obj
+            ctx = AlgebraContext(generators=8)
+            m = matrix_to_obj(SuperMatrix.identity(ctx, 2))
+            try:
+                laurent_from_obj({"window": 10**10, "coeffs": {"0": m, "10000000000": m}}, ctx)
+            except TooLarge as exc:
+                print(exc.code)
+        """)
+        path = os.pathsep.join([str(Path(grasschur.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert (done.returncode, done.stdout) == (0, "too-large\n"), done.stderr
 
     def test_malformed_construction(self, ctx, ctx4):
         one = SuperMatrix.identity(ctx, 1)
