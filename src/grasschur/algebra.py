@@ -392,7 +392,7 @@ def _disjoint_pairs(generators: int, ka, kb):
 def _cmul(x, y):
     """x * y, broadcast, each part rounded as in Python's complex product
     (numpy's complex multiply may differ in the last bit)."""
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
     out.real = x.real * y.real - x.imag * y.imag
     out.imag = x.real * y.imag + x.imag * y.real
     return out
@@ -410,19 +410,35 @@ def _pair_product(generators: int, ka, x, kb, y, op):
     """
     if not (len(ka) and len(kb)):
         return np.zeros(0, dtype=np.uint64), op(x[:0], y[:0])
+    return _pair_apply(generators, _pair_plan(generators, ka, x, kb), y, op)
+
+
+def _pair_plan(generators: int, ka, x, kb) -> list:
+    """The part of ``_pair_product`` fixed by ``x`` and the keys, for any ``y`` on the
+    nonempty keys ``kb``: each disjoint pair's b slot, the signed gathered x_a, the
+    product keys a | b, and the output keys and bincount index (set by the first
+    ``_pair_apply``, so every apply of one plan must give coefficients of one shape)."""
     ia, ib, negate, gamma = _disjoint_pairs(generators, ka, kb)
     # the sign rides on the gather: rows len(ka).. of the doubled x are negated
-    terms = op(np.concatenate((x, -x))[ia + len(ka) * negate], y[ib])
-    width = math.prod(terms.shape[1:])
-    if width << generators <= _DENSE_SLOTS:  # a bucket per key below 2**N
-        keys, slot = np.arange(1 << generators, dtype=np.uint64), gamma.view(np.int64)
-    else:
-        keys, slot = np.unique(gamma, return_inverse=True)
-    flat = (slot[:, None] * width + np.arange(width)).ravel()
+    return [ib, np.concatenate((x, -x))[ia + len(ka) * negate], gamma, None]
+
+
+def _pair_apply(generators: int, plan: list, y, op):
+    """Keys and coefficients of ``_pair_product`` for a ``_pair_plan`` and ``y``."""
+    ib, left, gamma, buckets = plan
+    terms = op(left, y[ib])
+    if buckets is None:
+        width = math.prod(terms.shape[1:])
+        if width << generators <= _DENSE_SLOTS:  # a bucket per key below 2**N
+            keys, slot = np.arange(1 << generators, dtype=np.uint64), gamma.view(np.int64)
+        else:
+            keys, slot = np.unique(gamma, return_inverse=True)
+        plan[3] = buckets = keys, (slot[:, None] * width + np.arange(width)).ravel()
+    keys, flat = buckets
     out = np.empty((len(keys), *terms.shape[1:]), dtype=complex)
     # fill the parts separately: re + 1j*im would turn a -0.0 real part into +0.0
-    out.real.flat = np.bincount(flat, weights=terms.real.ravel(), minlength=out.size)
-    out.imag.flat = np.bincount(flat, weights=terms.imag.ravel(), minlength=out.size)
+    out.real[...] = np.bincount(flat, weights=terms.real.ravel(), minlength=out.size).reshape(out.shape)
+    out.imag[...] = np.bincount(flat, weights=terms.imag.ravel(), minlength=out.size).reshape(out.shape)
     hit = out.any(axis=tuple(range(1, out.ndim)))
     return keys[hit], out[hit]
 

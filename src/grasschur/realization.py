@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _REAL_TOL, AlgebraContext, Supernumber, dagger, invert
+from .algebra import (_REAL_TOL, AlgebraContext, Supernumber, _pair_apply, _pair_plan, _require_same_context, dagger,
+                      invert)
 from .errors import BodySingular, DSingular, JInvalid, ShapeMismatch
-from .matrix import SuperMatrix, _self_adjoint, adjoint, mat_invert, mat_mul, sandwich_solve
+from .matrix import SuperMatrix, _matmul, _self_adjoint, _spread, adjoint, mat_invert, mat_mul, sandwich_solve
 from .series import SeriesMatrix
 
 _COMPOSE_MODES = ("product", "sum", "concat_rows", "concat_cols")
@@ -76,17 +77,41 @@ class Realization:
 
 
 def to_series(r: Realization, degree: int | None = None) -> SeriesMatrix:
-    """Taylor coefficients D, CB, CAB, CA^2B, ... through the given degree."""
+    """Taylor coefficients D, CB, CAB, CA^2B, ... through the given degree
+    (the context's max_series_degree by default).
+
+    One loop over key/stack arrays: the power A^{n-1}B is multiplied by A and by C
+    on pair plans of its keys (``algebra._pair_plan``), each rebuilt only when
+    those keys change.  The pairs and their summation order are mat_mul's, so
+    every coefficient is bit-identical to mat_mul(C, A^{n-1}B).
+    """
     context = r.context
+    for m in (r.a, r.b, r.c):
+        _require_same_context(m, r.d)
     degree = context.max_series_degree if degree is None else degree
-    coeffs = [r.d]
-    if degree >= 1:
-        power = r.b  # A^{n-1} B, accumulated left-to-right
-        coeffs.append(mat_mul(r.c, power))
-        for _ in range(2, degree + 1):
-            power = mat_mul(r.a, power)
-            coeffs.append(mat_mul(r.c, power))
-    return SeriesMatrix(tuple(coeffs), exact=False)
+    by_a, by_c = _planned_product(r.a), _planned_product(r.c)
+    power = r.b.keys, r.b.stack  # A^{n-1} B, accumulated left-to-right
+    coeffs = [(r.d.keys, r.d.stack)]
+    for n in range(1, degree + 1):
+        if n > 1:
+            power = by_a(*power)
+        coeffs.append(by_c(*power))
+    keys = np.unique(np.concatenate([k for k, _ in coeffs]))
+    return SeriesMatrix._of(context, keys, np.stack([_spread(keys, k, x) for k, x in coeffs], 1), False)
+
+
+def _planned_product(m: SuperMatrix):
+    """(keys, stack) -> keys and stack of M X, on a pair plan kept while X's keys stay the same."""
+    generators, held = m.context.generators, [None, None]  # the keys planned for, their plan
+
+    def product(keys, stack):
+        if not (len(m.keys) and len(keys)):
+            return keys[:0], np.zeros((0, m.rows, stack.shape[2]), dtype=complex)
+        if not np.array_equal(held[0], keys):
+            held[:] = keys, _pair_plan(generators, m.keys, m.stack, keys)
+        return _pair_apply(generators, held[1], stack, _matmul)
+
+    return product
 
 
 def inverse_realization(r: Realization) -> Realization:

@@ -16,6 +16,7 @@ the algorithm's elementary sections, Blaschke factors) specializes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .algebra import AlgebraContext, Supernumber, classify, dagger, invert, mul
 from .errors import (
     BodySingular,
     ConstantTermSingular,
+    DSingular,
     DenominatorSingular,
     DomainViolation,
     GrasschurError,
@@ -46,7 +48,7 @@ from .matrix import (
     mat_mul,
     sandwich_solve,
 )
-from .realization import Realization, _check_signature, evaluate_rational, to_series
+from .realization import Realization, _check_signature, evaluate_rational, inverse_realization, to_series
 from .series import SeriesMatrix, backward_shift, evaluate, star_inverse, star_mul
 
 
@@ -138,18 +140,26 @@ def stein_residual(p: SuperMatrix, c: SuperMatrix, a: SuperMatrix, j: SuperMatri
 
 @dataclass(frozen=True)
 class ThetaFunction:
-    """Theta as its certified realization (A, (I-A)K, C, I - CK), with its series,
-    the Stein data P and J, and the normalization K."""
+    """Theta as its certified realization (A, (I-A)K, C, I - CK), with the Stein
+    data P and J, the normalization K and the truncation degree of its series.
 
-    series: SeriesMatrix
+    ``series`` is to_series of the realization at that degree, computed when it
+    is first read and then kept: np_solve with a constant sigma never reads it.
+    """
+
     realization: Realization
     p: SuperMatrix
     j: SuperMatrix
     k: SuperMatrix
+    degree: int
+
+    @cached_property
+    def series(self) -> SeriesMatrix:
+        return to_series(self.realization, self.degree)
 
     @property
     def context(self) -> AlgebraContext:
-        return self.series.context
+        return self.realization.context
 
     def normalization(self) -> SuperMatrix:
         """K = P^{-1} (I-A)^{-*} C* J (the constant right factor of Theta)."""
@@ -195,7 +205,8 @@ def build_theta(
     if max(off_diagonal, corner) > context.tol_eq:
         raise SteinViolated(f"colligation residuals {off_diagonal:.3e} (A*PB + C*JD), "
                             f"{corner:.3e} (B*PB + D*JD - J) at their scales")
-    return ThetaFunction(series=to_series(r, degree), realization=r, p=p, j=j, k=k)
+    degree = context.max_series_degree if degree is None else degree
+    return ThetaFunction(realization=r, p=p, j=j, k=k, degree=degree)
 
 
 def _theta_realization(c: SuperMatrix, a: SuperMatrix, k: SuperMatrix) -> Realization:
@@ -359,7 +370,14 @@ def np_solve(data: InterpolationData, sigma: SeriesMatrix | None = None,
              degree: int | None = None) -> NPSolution:
     """Solve the Nevanlinna-Pick problem: S = T_Theta(sigma) with Schur sigma.
 
-    sigma defaults to 0 (the central solution).  Node residuals are reported,
+    sigma defaults to 0 (the central solution).  An exact constant sigma goes
+    through Theta's realization: G = Theta col(sigma, I) shares Theta's state, and
+    with G's rows split into G_1 (p rows) and G_2 (q rows), S = G_1 ⋆ G_2^{-star}
+    is the state-n realization (A - B_G D_2⁻¹C_2, B_G D_2⁻¹, C_1 - D_1 D_2⁻¹C_2,
+    D_1 D_2⁻¹), expanded by to_series; Theta's series is not built.  A sigma of
+    degree >= 1 is a truncated series with no realization here and goes through
+    lft_apply.  Either way a singular body of the denominator (D_2, the constant
+    term of c⋆sigma + d) raises DenominatorSingular.  Node residuals are reported,
     not asserted: they carry the series truncation tail |z_B|^degree.
     """
     context = data.context
@@ -372,12 +390,33 @@ def np_solve(data: InterpolationData, sigma: SeriesMatrix | None = None,
     if not is_superpositive(p):
         raise SteinViolated("Pick matrix is not superpositive")
     theta = build_theta(c, a, p, j, degree)
-    series = lft_apply(theta, sigma)
+    if sigma.exact and not sigma.degree:
+        series = to_series(_lft_realization(theta.realization, sigma.coeffs[0]), theta.degree)
+    else:
+        series = lft_apply(theta, sigma)
     residuals = tuple(
         (evaluate(series, z) - SuperMatrix.from_scalar(s)).norm1()
         for z, s in zip(data.nodes, data.values)
     )
     return NPSolution(series=series, theta=theta, pick=p, node_residuals=residuals)
+
+
+def _lft_realization(r: Realization, sigma: SuperMatrix) -> Realization:
+    """The realization of G_1 ⋆ G_2^{-star} on r's state, G = F col(sigma, I) for the F
+    that r realizes: with (A_x, B_x, C_x, D_2⁻¹) the inverse realization of G_2, it is
+    (A_x, B_x, C_1 + D_1 C_x, D_1 D_2⁻¹)."""
+    p, q = sigma.shape
+    column = SuperMatrix.block([[sigma], [SuperMatrix.identity(r.context, q)]])
+    d = mat_mul(r.d, column)
+    top, bottom, state = range(p), range(p, p + q), range(r.state_dim)
+    try:
+        inverse = inverse_realization(Realization(r.a, mat_mul(r.b, column), r.c.submatrix(bottom, state),
+                                                  d.submatrix(bottom, range(q))))
+    except DSingular as exc:
+        raise DenominatorSingular("c ⋆ sigma + d has a singular constant-term body") from exc
+    d_1 = d.submatrix(top, range(q))
+    return Realization(inverse.a, inverse.b, r.c.submatrix(top, state) + mat_mul(d_1, inverse.c),
+                       mat_mul(d_1, inverse.d))
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,7 @@ def _convolve(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
     """The truncated Cauchy product Σ_u x_u y_{n-u}, n = 0..degree, of two stacks
     over a leading (broadcast) axis, the degree on axis 1 and matrix products of
     the coefficients: the payload operation of star products."""
-    lead = np.broadcast_shapes(x.shape[:1], y.shape[:1])
+    lead = np.broadcast(x[:, 0, 0, 0], y[:, 0, 0, 0]).shape
     out = np.zeros((*lead, degree + 1, x.shape[2], y.shape[3]), dtype=complex)
     for u in range(min(x.shape[1], degree + 1)):
         span = min(y.shape[1], degree + 1 - u)
@@ -358,19 +358,23 @@ def project_minus(f: LaurentSeries) -> LaurentSeries:
     return LaurentSeries._of(f.context, f.keys, f.stack[:, :max(0, 1 - f.low)], f.window, f.low)
 
 
-def _on_circle(f: LaurentSeries, points: int) -> tuple[np.ndarray, np.ndarray]:
-    """f(e^{2πij/points}) as ascending monomial keys, always with key 0 (the body),
-    and a (keys, points, p, q) stack: the phase matrix times f's stack."""
-    keys = np.union1d(np.zeros(1, dtype=np.uint64), f.keys)
-    phases = np.exp(2j * np.pi * np.outer(np.arange(points) / points, np.arange(f.stack.shape[1]) + f.low))
-    return keys, np.einsum("mn,knpq->kmpq", phases, _spread(keys, f.keys, f.stack))
+def _on_circle(stack: np.ndarray, low: int, points: int) -> np.ndarray:
+    """The (keys, points, p, q) values at e^{2πij/points} of a (keys, span, p, q) stack of
+    powers from ``low``: the phase matrix times the stack.  TooLarge before the phase
+    matrix or the values would exceed ``algebra._MAX_ENTRIES`` entries."""
+    keys, span, p, q = stack.shape
+    if points * max(span, keys * p * q) > _MAX_ENTRIES:
+        raise TooLarge(f"{points} grid points over {span} powers of {keys} monomials of {p}x{q} "
+                       f"coefficients exceed {_MAX_ENTRIES} entries")
+    phases = np.exp(2j * np.pi * np.outer(np.arange(points) / points, np.arange(span) + low))
+    return np.einsum("mn,knpq->kmpq", phases, stack)
 
 
 def wiener_is_invertible(f: LaurentSeries, grid_points: int | None = None) -> bool:
     """Wiener-Lévy criterion: body determinant nonvanishing on the circle.
 
     Invertibility in the Wiener-Grassmann algebra depends only on the body,
-    so souls never change the verdict.
+    so souls never change the verdict, and only the body is evaluated.
     """
     if f.shape[0] != f.shape[1]:
         raise ShapeMismatch("invertibility needs square coefficients")
@@ -378,7 +382,7 @@ def wiener_is_invertible(f: LaurentSeries, grid_points: int | None = None) -> bo
         return False
     reach = max(-f.low, f.low + f.stack.shape[1] - 1)  # the stored powers size the grid, not the window
     points = grid_points or max(256, 16 * (2 * reach + 1))
-    dets = np.linalg.det(_on_circle(f, points)[1][0])
+    dets = np.linalg.det(_on_circle(f._body()[None], f.low, points)[0])
     return bool(np.abs(dets).min() > f.context.tol_body)
 
 
@@ -401,9 +405,11 @@ def wiener_invert(f: LaurentSeries, grid_points: int | None = None,
     context = f.context
     identity = LaurentSeries.constant(SuperMatrix.identity(context, f.shape[0]))
     points = grid_points or max(64, 8 * (2 * max(-f.low, f.low + f.stack.shape[1] - 1) + 1))
+    on_keys = np.union1d(np.zeros(1, dtype=np.uint64), f.keys)  # f's monomials and the body, on every grid
+    spread = _spread(on_keys, f.keys, f.stack)
     while points <= max_grid:
-        keys, stack = _on_circle(f, points)  # f's monomials fix the keys on every grid
-        keys, total = _inverse(context, keys, stack, np.linalg.inv(stack[0]), _matmul)
+        stack = _on_circle(spread, f.low, points)
+        keys, total = _inverse(context, on_keys, stack, np.linalg.inv(stack[0]), _matmul)
         half = points // 2
         # g_n = (1/M) sum_j F(t_j)^{-1} e^{-i n t_j}, n = -M/2..M/2-1: numpy's forward FFT over M
         spectrum = np.fft.fft(total, axis=1)[:, np.arange(-half, half) % points] / points

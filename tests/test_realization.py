@@ -1,7 +1,13 @@
 """Realization calculus: series expansion, inversion, composition, rank tests."""
+import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import grasschur.algebra as ga
 from grasschur import AlgebraContext, SuperMatrix, mat_invert, mat_mul
 from grasschur.errors import DSingular, JInvalid, ShapeMismatch
 from grasschur.realization import (
@@ -18,6 +24,7 @@ from grasschur.realization import (
     to_series,
 )
 from grasschur.sampling import random_even_unit, random_soul, random_supermatrix
+from grasschur.schur import build_theta, stein_solve
 from grasschur.series import SeriesMatrix, evaluate, evaluate_right, star_inverse, star_mul
 
 
@@ -65,6 +72,107 @@ class TestToSeries:
         tail = star_mul(star_mul(SeriesMatrix.constant(r.c), res), SeriesMatrix.constant(r.b))
         expected = SeriesMatrix.constant(r.d) + tail.shift_up().truncated(10)
         assert series_dist(f, expected) <= 1e-10 * max(1.0, f.norm1())
+
+
+def ref_to_series(r, degree=None):
+    """to_series as one mat_mul per product, D, CB, C(AB), C(A(AB)), ...: the reference
+    the planned loop must reproduce bit for bit."""
+    degree = r.context.max_series_degree if degree is None else degree
+    coeffs = [r.d]
+    if degree >= 1:
+        power = r.b
+        coeffs.append(mat_mul(r.c, power))
+        for _ in range(2, degree + 1):
+            power = mat_mul(r.a, power)
+            coeffs.append(mat_mul(r.c, power))
+    return SeriesMatrix(tuple(coeffs), exact=False)
+
+
+def assert_same_bits(got, want):
+    assert (got.degree, got.exact, got.shape) == (want.degree, want.exact, want.shape)
+    assert got.keys.tobytes() == want.keys.tobytes() and got.stack.tobytes() == want.stack.tobytes()
+
+
+def odd_soul_realization():
+    """A = 0.5 + sum_{k<=12} c_k i_k, B = C = D = 1 at N = 64: the odd soul squares to
+    rounding residue only, so the support of A^n B changes from step to step."""
+    ctx = AlgebraContext(generators=64)
+    rng = np.random.default_rng(5)
+    a = ctx.scalar(0.5)
+    for k in range(1, 13):
+        a = a + ctx.generator(k) * complex(rng.normal(), rng.normal())
+    one = SuperMatrix.identity(ctx, 1)
+    return Realization(SuperMatrix.from_scalar(a), one, one, one)
+
+
+def bench_workloads():
+    """bench/workloads.py, loaded from its path once (as module ``bench_workloads``)."""
+    if "bench_workloads" not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        sys.modules[spec.name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules["bench_workloads"]
+
+
+class TestToSeriesPlans:
+    """to_series reuses a pair plan while the power's keys stay the same."""
+
+    @pytest.mark.parametrize("generators", [6, 8, 64])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 6, 32])
+    def test_bitwise_equal_to_mat_mul_loop(self, generators, degree):
+        # at N = 64 the blocks are drawn on 8 generators and moved to slots 57..64:
+        # souls on all 64 would fill in without bound over 32 powers
+        ctx = AlgebraContext(generators=generators)
+        drawn = AlgebraContext(generators=min(generators, 8))
+        shift = np.uint64(generators - drawn.generators)
+        rng = np.random.default_rng([generators, degree])
+        for n in range(1, 5):
+            r = random_realization(drawn, rng, n, 2, 1 + n % 2)
+            r = Realization(*(SuperMatrix(ctx, m.keys << shift, m.stack) for m in (r.a, r.b, r.c, r.d)))
+            assert_same_bits(to_series(r, degree), ref_to_series(r, degree))
+
+    def test_zero_and_body_only_blocks(self, ctx, rng):
+        r = random_realization(ctx, rng, 3, 2, 2)
+        cases = [dataclasses.replace(r, b=SuperMatrix.zeros(ctx, 3, 2)),
+                 dataclasses.replace(r, a=SuperMatrix.zeros(ctx, 3, 3)),
+                 dataclasses.replace(r, a=SuperMatrix.from_body(ctx, r.a.body())),
+                 dataclasses.replace(r, c=SuperMatrix.zeros(ctx, 2, 3))]
+        for case in cases:
+            for degree in (0, 1, 2, 6, 32):
+                assert_same_bits(to_series(case, degree), ref_to_series(case, degree))
+
+    def test_built_realizations(self, ctx, rng):
+        r1 = random_realization(ctx, rng, 2, 2, 2)
+        r2 = random_realization(ctx, rng, 3, 2, 2, invertible_d=True)
+        built = [compose(r1, r2, mode) for mode in ("product", "sum", "concat_rows", "concat_cols")]
+        built += [polynomial_realization([random_supermatrix(ctx, rng, 2, 2) for _ in range(3)]),
+                  inverse_realization(r2)]
+        for r in built:
+            for degree in (1, 6, 32):
+                assert_same_bits(to_series(r, degree), ref_to_series(r, degree))
+
+    def test_support_changing_at_every_step(self):
+        r = odd_soul_realization()
+        want = ref_to_series(r, 32)
+        for degree in range(5, 33):
+            assert_same_bits(to_series(r, degree), SeriesMatrix(want.coeffs[:degree + 1], exact=False))
+
+    def test_np_solve_theta_expands_on_few_plans(self, monkeypatch, tmp_path):
+        # every seed-1 np solve theta of the benchmark keeps its power's keys after
+        # the first product, so at most 2(N + 1) plans are built where mat_mul made 63
+        wl = bench_workloads()
+        kind = [k.name for k in wl.SCHUR_MIX.kinds].index("np_solve")
+        real, calls = ga._disjoint_pairs, []
+        monkeypatch.setattr(ga, "_disjoint_pairs", lambda *args: calls.append(args) or real(*args))
+        limit = 2 * (wl.CTX8.generators + 1)
+        for i in range(wl.SCHUR_POOL):
+            data = wl.SCHUR_MIX.make_input(1, kind, i, tmp_path)["data"]
+            c, a, j = data.output_matrix(), data.state_matrix(), data.signature()
+            theta = build_theta(c, a, stein_solve(c, a, j), j)
+            calls.clear()
+            f = to_series(theta.realization, 32)
+            assert f.degree == 32 and len(calls) <= limit, (i, len(calls))
 
 
 class TestInverse:

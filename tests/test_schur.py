@@ -513,6 +513,59 @@ class TestNPSolve:
         assert max(solution.node_residuals) <= 1e-8
 
 
+class TestConstantSigmaRoute:
+    """np_solve maps an exact constant sigma through theta's realization and
+    keeps lft_apply on theta's series as its reference."""
+
+    @staticmethod
+    def sigmas(ctx, rng):
+        zero = SeriesMatrix.zero(ctx, 1, 1)
+        with_souls = SeriesMatrix.constant(SuperMatrix.from_scalar(
+            ctx.scalar(0.3 - 0.4j) + random_soul(ctx, rng, terms=3, scale=0.1)))
+        return zero, with_souls
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n_nodes", [1, 2, 3, 4])
+    def test_matches_lft_apply(self, ctx, seed, n_nodes):
+        rng = np.random.default_rng(seed)
+        data = make_np_data(ctx, rng, n_nodes)
+        for sigma in self.sigmas(ctx, rng):
+            assert is_schur_grassmann(sigma)
+            solution = np_solve(data, sigma)
+            assert "series" not in vars(solution.theta)  # theta's series was never built
+            want = lft_apply(solution.theta, sigma)
+            got = solution.series
+            assert (got.degree, got.exact) == (want.degree, want.exact) == (ctx.max_series_degree, False)
+            assert series_dist(got, want) <= 1e-12 * max(1.0, want.norm1())
+
+    def test_singular_denominator_body(self, ctx):
+        from grasschur.errors import DenominatorSingular
+
+        # D = [[1, 0], [0, 0]] with sigma = 0: the denominator c sigma + d has a zero body
+        r = Realization.constant(SuperMatrix.from_body(ctx, [[1.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(DenominatorSingular):
+            schur._lft_realization(r, SuperMatrix.zeros(ctx, 1, 1))
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["polynomial", "truncated"])
+    def test_series_sigma_keeps_lft_apply(self, ctx, rng, exact):
+        data = make_np_data(ctx, rng, 2)
+        sigma = SeriesMatrix.from_coeffs([SuperMatrix.from_scalar(ctx.scalar(0.3) + random_soul(ctx, rng, scale=0.1)),
+                                          SuperMatrix.from_body(ctx, [[0.2j]])], exact=exact)
+        solution = np_solve(data, sigma, degree=12)
+        want = lft_apply(build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data),
+                                     data.signature(), degree=12), sigma)
+        assert solution.series.degree == want.degree
+        assert solution.series.keys.tobytes() == want.keys.tobytes()
+        assert solution.series.stack.tobytes() == want.stack.tobytes()
+
+    def test_theta_series_is_built_once(self, ctx, rng):
+        data = make_np_data(ctx, rng, 2)
+        theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data), data.signature(),
+                            degree=9)
+        first = theta.series
+        assert theta.series is first and first.degree == theta.degree == 9
+
+
 class TestSchurStep:
     def test_constant_input_continues_with_zero(self, ctx):
         sigma = scalar_series(ctx, [0.5] + [0.0] * 6)

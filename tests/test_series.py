@@ -370,6 +370,28 @@ class TestWiener:
         h = wiener_invert(f, grid_points=200)
         assert (g - h).norm1() <= 1e-12
 
+    @pytest.mark.parametrize("call", ["wiener_is_invertible", "wiener_invert"])
+    def test_far_apart_powers_end_in_too_large(self, call):
+        # The grid for powers 0 and 20000 has 640,016 points; its phase matrix alone
+        # would take 95.4 GiB.  The child caps its own address space at 2 GiB, so a
+        # missing check ends there in MemoryError, not in the host's memory.
+        script = textwrap.dedent(f"""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+            from grasschur import AlgebraContext, SuperMatrix
+            from grasschur.errors import TooLarge
+            from grasschur.series import LaurentSeries, {call}
+            one = SuperMatrix.identity(AlgebraContext(generators=8), 1)
+            try:
+                {call}(LaurentSeries(20000, {{0: one * 2.0, 20000: one}}))
+            except TooLarge as exc:
+                print(exc.code)
+        """)
+        path = os.pathsep.join([str(Path(grasschur.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
+        assert (done.returncode, done.stdout) == (0, "too-large\n"), done.stderr
+
 
 def wiener_inputs(ctx, ctx4, rng):
     """The series the TestWiener cases invert: scalar, soul-bearing and 2x2, windows 1 and 2."""
