@@ -212,9 +212,6 @@ class Supernumber:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, generators: Iterable[int]) -> complex:
-        return self._terms.get(index_from_generators(generators), 0j)
-
     def max_grade(self) -> int:
         return max((grade(k) for k in self._terms), default=0)
 

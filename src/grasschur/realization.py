@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (_REAL_TOL, AlgebraContext, Supernumber, _pair_apply, _pair_plan, _require_same_context, dagger,
-                      invert)
+from .algebra import _REAL_TOL, AlgebraContext, Supernumber, _pair_apply, _pair_plan, _require_same_context
 from .errors import BodySingular, DSingular, JInvalid, ShapeMismatch
 from .matrix import SuperMatrix, _matmul, _self_adjoint, _spread, adjoint, mat_invert, mat_mul, sandwich_solve
 from .series import SeriesMatrix
@@ -181,21 +180,24 @@ def compose(r1: Realization, r2: Realization, mode: str) -> Realization:
 
 
 def polynomial_realization(coefficients: list[SuperMatrix]) -> Realization:
-    """Realization of M_0 + zM_1 + ... + z^k M_k by summed monomial products."""
+    """Realization of M_0 + zM_1 + ... + z^k M_k in shift form, state dimension kq for
+    p x q coefficients: A shifts k blocks of size q down by one, B = [I; 0; ...; 0],
+    C = [M_1 ... M_k] and D = M_0, so that C A^{n-1} B = M_n."""
     if not coefficients:
         raise ValueError("a polynomial needs at least one coefficient")
     shape = coefficients[0].shape
     for m in coefficients:
         if m.shape != shape:
             raise ShapeMismatch("polynomial coefficients must share one shape")
-    context = coefficients[0].context
-    total = Realization.constant(coefficients[0])
-    for k, m in enumerate(coefficients[1:], start=1):
-        term = Realization.monomial(m)  # z M_k
-        for _ in range(k - 1):
-            term = compose(Realization.monomial(SuperMatrix.identity(context, shape[0])), term, "product")
-        total = compose(total, term, "sum")
-    return total
+    if len(coefficients) == 1:
+        return Realization.constant(coefficients[0])
+    context, q, state = coefficients[0].context, shape[1], (len(coefficients) - 1) * shape[1]
+    return Realization(
+        a=SuperMatrix.from_body(context, np.eye(state, k=-q)),
+        b=SuperMatrix.from_body(context, np.eye(state, q)),
+        c=SuperMatrix.block([list(coefficients[1:])]),
+        d=coefficients[0],
+    )
 
 
 def _body_rank(body: np.ndarray, context: AlgebraContext) -> int:
@@ -263,33 +265,26 @@ def evaluate_rational(r: Realization, z: Supernumber) -> SuperMatrix:
     return r.d + mat_mul(y, r.b).scale_left(z)
 
 
-def is_J_unitary(
-    r: Realization,
-    j: SuperMatrix,
-    sample_points: int = 16,
-    rng=None,
-    soul_scale: float = 0.1,
-) -> bool:
-    """Sampled check of U(z) J U(z^{-dagger})* = J on the unit-body torus.
+def is_J_unitary(r: Realization, j: SuperMatrix) -> bool:
+    """U(z) J U(z^{-dagger})* = J at every central z, decided at 2d + 1 points of the circle.
 
-    Samples central (even-soul) z with |z_B| = 1, evaluates U exactly there and
-    tests the residual at tol_eq scale.  A sampled check, not an algebraic
-    prover.
+    With k the generators A's souls use (popcount of the OR of A's keys), products of
+    more than k soul factors vanish, so det(I - zA_B)^{k+1} U(z) is a polynomial of degree
+    d <= n(k + 1) for state dimension n.  On the circle z^{-dagger} = z, and U J U* - J is a
+    Laurent polynomial of degree d over |det(I - zA_B)|^{2(k+1)}: zero at 2d + 1 points, it
+    is zero on the circle, hence at every central argument (Taylor expansion in the even
+    soul).  The points e^{2πi(m + φ)/(2d + 1)}, φ the golden-ratio fraction, miss a pole at
+    a root of unity; each residual must be within tol_eq·max(1, ‖J‖₁)·max(1, ‖U‖₁²).
     """
-    from .sampling import random_even_unit
-
     _check_signature(j)
     if r.shape[0] != j.rows or r.shape[1] != j.rows:
         raise ShapeMismatch("U must be square of J's size")
-    rng = np.random.default_rng(0) if rng is None else rng
-    context = r.context
-    tol = context.tol_eq * max(1.0, j.norm1())
-    for _ in range(sample_points):
-        z = random_even_unit(context, rng, soul_scale=soul_scale)
-        w = invert(dagger(z))
-        u_z = evaluate_rational(r, z)
-        u_w = evaluate_rational(r, w)
-        residual = mat_mul(mat_mul(u_z, j), adjoint(u_w)) - j
-        if residual.norm1() > tol * max(1.0, u_z.norm1() * u_w.norm1()):
+    tol = r.context.tol_eq * max(1.0, j.norm1())
+    k = int(np.bitwise_or.reduce(r.a.keys, initial=np.uint64(0))).bit_count()
+    points = 2 * r.state_dim * (k + 1) + 1
+    for z in np.exp(2j * np.pi * (np.arange(points) + (5 ** 0.5 - 1) / 2) / points):
+        u = evaluate_rational(r, r.context.scalar(z))
+        residual = mat_mul(mat_mul(u, j), adjoint(u)) - j
+        if residual.norm1() > tol * max(1.0, u.norm1() ** 2):
             return False
     return True

@@ -276,10 +276,6 @@ class InterpolationData:
     def context(self) -> AlgebraContext:
         return self.nodes[0].context
 
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
-
     def state_matrix(self) -> SuperMatrix:
         """A = diag(z_k†)."""
         return SuperMatrix.diagonal([dagger(z) for z in self.nodes])
@@ -472,7 +468,7 @@ def schur_step(sigma: SeriesMatrix, step: int = 0) -> tuple[Supernumber, SeriesM
     section = schur_section(rho)
     _verify_section_vanishing(sigma, section, step)
     context = sigma.context
-    numerator = backward_shift(sigma - SeriesMatrix.constant(SuperMatrix.from_scalar(rho)))
+    numerator = backward_shift(sigma)  # R0(sigma - rho) = R0 sigma: the shift drops the constant term
     denominator = SeriesMatrix.identity(context, 1) - sigma.scale_left(dagger(rho))
     sigma_next = star_mul(numerator, star_inverse(denominator))
     return rho, sigma_next, section

@@ -370,20 +370,37 @@ def _on_circle(stack: np.ndarray, low: int, points: int) -> np.ndarray:
     return np.einsum("mn,knpq->kmpq", phases, stack)
 
 
-def wiener_is_invertible(f: LaurentSeries, grid_points: int | None = None) -> bool:
+def _zero_free(coeffs: np.ndarray, context: AlgebraContext, inside: bool) -> bool:
+    """Whether sum_n coeffs[n] z^n has no zero on the unit circle (with ``inside``: on the
+    closed disk), decided from its roots (``np.roots``) with the tol_body margin: not when
+    every coefficient is at most tol_body, when ``inside`` and a root has |r| <= 1, or when
+    |p| <= tol_body at a root's radial projection r/|r|, which also catches a double root
+    on the circle that the eigenvalues place slightly off it."""
+    tol = context.tol_body
+    if np.abs(coeffs).max(initial=0.0) <= tol:
+        return False
+    roots = np.roots(coeffs[::-1])
+    if inside and (np.abs(roots) <= 1.0).any():
+        return False
+    return bool((np.abs(np.polyval(coeffs[::-1], np.exp(1j * np.angle(roots)))) > tol).all())
+
+
+def wiener_is_invertible(f: LaurentSeries) -> bool:
     """Wiener-Lévy criterion: body determinant nonvanishing on the circle.
 
-    Invertibility in the Wiener-Grassmann algebra depends only on the body,
-    so souls never change the verdict, and only the body is evaluated.
+    Invertibility in the Wiener-Grassmann algebra depends only on the body, so souls
+    never change the verdict.  With p x p coefficients at `span` consecutive powers
+    from `low`, z^(-p·low) det F_B(z) is a polynomial of m = p(span - 1) + 1
+    coefficients: one FFT of its values at the m-th roots of unity gives them, and
+    ``_zero_free`` decides from its roots.
     """
     if f.shape[0] != f.shape[1]:
         raise ShapeMismatch("invertibility needs square coefficients")
     if f.context is None:
         return False
-    reach = max(-f.low, f.low + f.stack.shape[1] - 1)  # the stored powers size the grid, not the window
-    points = grid_points or max(256, 16 * (2 * reach + 1))
-    dets = np.linalg.det(_on_circle(f._body()[None], f.low, points)[0])
-    return bool(np.abs(dets).min() > f.context.tol_body)
+    points = f.shape[0] * (f.stack.shape[1] - 1) + 1
+    dets = np.linalg.det(_on_circle(f._body()[None], 0, points)[0])
+    return _zero_free(np.fft.fft(dets) / points, f.context, inside=False)
 
 
 _KEPT = 1e-5  # cut for keeping a coefficient of the inverse, relative to tol_eq; what it drops is inside the certificate
@@ -400,7 +417,7 @@ def wiener_invert(f: LaurentSeries, grid_points: int | None = None,
     grid.  The grid doubles until G certifies; WindowTooSmall if no grid up to
     max_grid does.
     """
-    if not wiener_is_invertible(f, grid_points):
+    if not wiener_is_invertible(f):
         raise NotInvertible("body determinant vanishes on the circle")
     context = f.context
     identity = LaurentSeries.constant(SuperMatrix.identity(context, f.shape[0]))
@@ -422,22 +439,13 @@ def wiener_invert(f: LaurentSeries, grid_points: int | None = None,
     raise WindowTooSmall("no grid up to max_grid certifies the inverse")
 
 
-def weak_plus_invertibility(f: SeriesMatrix, radial_points: int = 24, angular_points: int | None = None) -> bool:
+def weak_plus_invertibility(f: SeriesMatrix) -> bool:
     """Weak invertibility test in the one-sided algebra (scalar case).
 
-    The body of f(z) depends only on z_B, so the criterion is nonvanishing of
-    the scalar body series on the closed unit disk, tested on a polar grid
-    with the tol_body margin.
+    The body of f(z) depends only on z_B, so the criterion is that the stored scalar
+    body polynomial f_0 + f_1 z + ... + f_degree z^degree has no zero on the closed
+    unit disk, decided by ``_zero_free`` from its degree roots with the tol_body margin.
     """
     if f.shape != (1, 1):
         raise ShapeMismatch("weak invertibility test is scalar-only")
-    poly = f._body()[:, 0, 0]
-    m = angular_points or max(128, 8 * (f.degree + 1))
-    angles = np.exp(2j * np.pi * np.arange(m) / m)
-    tol = f.context.tol_body
-    for r in np.linspace(0.0, 1.0, radial_points):
-        points = r * angles
-        values = np.polyval(poly[::-1], points)
-        if np.abs(values).min() <= tol:
-            return False
-    return True
+    return _zero_free(f._body()[:, 0, 0], f.context, inside=True)

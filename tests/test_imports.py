@@ -1,8 +1,11 @@
 """Every name a src/grasschur module imports is used in that module: read as a
 name, as the root of an attribute, in a quoted annotation, or listed in
-``__all__``."""
+``__all__``.  No module but ``sampling`` names numpy's random generator, and none
+imports the test-support modules ``sampling`` and ``oracle``."""
 import ast
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "grasschur"
 
@@ -53,3 +56,40 @@ def test_an_unused_import_is_caught():
     tree = ast.parse("from .algebra import mul, dagger\nimport numpy as np\n\n"
                      "def f(x: 'Supernumber') -> np.ndarray:\n    return mul(x, x)\n")
     assert {name for name in _imported(tree) if name not in _used(tree)} == {"dagger"}
+
+
+_RANDOM = {"random", "default_rng"}
+_TEST_SUPPORT = {"sampling", "oracle"}
+
+
+def _randomness(tree: ast.Module) -> list[str]:
+    """Each use of numpy's random generator and each import of a test-support module, with its line."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _RANDOM or isinstance(node, ast.Name) and node.id in _RANDOM:
+            found.append(f"{node.lineno} {ast.unparse(node)}")
+        elif isinstance(node, ast.Import):
+            found += [f"{node.lineno} import {a.name}" for a in node.names
+                      if {"random", *_TEST_SUPPORT} & set(a.name.split("."))]
+        elif isinstance(node, ast.ImportFrom):
+            names = {(node.module or "").split(".")[-1], *(a.name for a in node.names)}
+            if names & (_RANDOM | _TEST_SUPPORT):
+                found.append(f"{node.lineno} from {'.' * node.level}{node.module or ''} import ...")
+    return found
+
+
+def test_no_runtime_randomness():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name != "sampling.py":
+            found += [f"{path.name}:{hit}" for hit in _randomness(ast.parse(path.read_text(), filename=str(path)))]
+    assert not found, f"random numbers or test support used at run time in src/grasschur: {found}"
+
+
+@pytest.mark.parametrize("source", [
+    "from .sampling import random_even_unit", "from . import oracle", "import grasschur.sampling",
+    "from numpy.random import default_rng", "import numpy.random", "rng = np.random.default_rng(0)",
+])
+def test_runtime_randomness_is_caught(source):
+    assert _randomness(ast.parse(source))
+    assert not _randomness(ast.parse("from .algebra import mul\nx = np.linalg.eigvals(a)"))

@@ -97,7 +97,7 @@ def test_theta_is_J_unitary_at_samples(ctx):
     # the realization reproduces the series
     f = to_series(r, degree=8)
     assert sum((a - b).norm1() for a, b in zip(f.coeffs, theta.series.coeffs)) <= 1e-9
-    assert is_J_unitary(r, data.signature(), sample_points=8, rng=rng, soul_scale=0.05)
+    assert is_J_unitary(r, data.signature())
 
 
 def test_schur_kernel_superpositive_at_samples(ctx):

@@ -24,7 +24,7 @@ from grasschur.realization import (
     to_series,
 )
 from grasschur.sampling import random_even_unit, random_soul, random_supermatrix
-from grasschur.schur import build_theta, stein_solve
+from grasschur.schur import InterpolationData, build_theta, pick_matrix, stein_solve
 from grasschur.series import SeriesMatrix, evaluate, evaluate_right, star_inverse, star_mul
 
 
@@ -339,17 +339,53 @@ class TestJUnitary:
         t = 0.7
         u_body = np.array([[np.cosh(t), np.sinh(t)], [np.sinh(t), np.cosh(t)]])
         r = Realization.constant(SuperMatrix.from_body(ctx, u_body))
-        assert is_J_unitary(r, j, sample_points=4, rng=rng)
+        assert is_J_unitary(r, j)
 
     def test_diagonal_scaling_fails(self, ctx, rng):
         j = SuperMatrix.identity(ctx, 2)
         r = Realization.constant(SuperMatrix.from_body(ctx, np.diag([2.0, 1.0])))
-        assert not is_J_unitary(r, j, sample_points=4, rng=rng)
+        assert not is_J_unitary(r, j)
 
     def test_invalid_j(self, ctx, rng):
         r = Realization.constant(SuperMatrix.identity(ctx, 2))
         with pytest.raises(JInvalid):
-            is_J_unitary(r, SuperMatrix.from_body(ctx, np.diag([2.0, 1.0])), rng=rng)
+            is_J_unitary(r, SuperMatrix.from_body(ctx, np.diag([2.0, 1.0])))
+
+    @staticmethod
+    def np_theta(ctx, nodes):
+        """Theta of a Nevanlinna-Pick problem with soulful nodes and values s(z) = c0 + c1 z."""
+        rng = np.random.default_rng(nodes)
+        c0 = ctx.scalar(0.3 - 0.2j) + random_soul(ctx, rng, terms=2, scale=0.1)
+        c1 = ctx.scalar(0.25j) + random_soul(ctx, rng, terms=2, scale=0.1)
+        zs = [ctx.scalar(0.4 * np.exp(2j * np.pi * (k + 0.3) / nodes)) + random_soul(
+            ctx, rng, parity="even", terms=2, scale=0.05) for k in range(nodes)]
+        data = InterpolationData(tuple(zs), tuple(c0 + c1 * z for z in zs))
+        j = data.signature()
+        return build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data), j, degree=0).realization, j
+
+    @pytest.mark.parametrize("nodes", [1, 2, 3, 4])
+    def test_theta_products_and_extensions(self, ctx, nodes):
+        # Theta, Theta·Theta, and Theta with one extra state that B cannot reach or C
+        # cannot see: the same function, so J-unitary at every realization
+        r, j = self.np_theta(ctx, nodes)
+        n, zeros = r.state_dim, SuperMatrix.zeros
+        a = SuperMatrix.block([[r.a, zeros(ctx, n, 1)], [zeros(ctx, 1, n), SuperMatrix.from_body(ctx, [[0.3]])]])
+        uncontrollable = Realization(a, SuperMatrix.block([[r.b], [zeros(ctx, 1, 2)]]),
+                                     SuperMatrix.block([[r.c, SuperMatrix.from_body(ctx, [[1.0], [0.5]])]]), r.d)
+        unobservable = Realization(a, SuperMatrix.block([[r.b], [SuperMatrix.from_body(ctx, [[1.0, 0.5]])]]),
+                                   SuperMatrix.block([[r.c, zeros(ctx, 2, 1)]]), r.d)
+        for case in (r, compose(r, r, "product"), uncontrollable, unobservable):
+            assert is_J_unitary(case, j)
+
+    @pytest.mark.parametrize("nodes", [1, 2, 3, 4])
+    def test_theta_with_scaled_d_fails(self, ctx, nodes):
+        r, j = self.np_theta(ctx, nodes)
+        assert not is_J_unitary(dataclasses.replace(r, d=r.d * (1 + 1e-6)), j)
+
+    def test_sampling_options_are_gone(self, ctx, rng):
+        j = SuperMatrix.from_body(ctx, np.diag([1.0, -1.0]))
+        with pytest.raises(TypeError):
+            is_J_unitary(Realization.constant(j), j, rng=rng)
 
 
 class TestRationalEvaluation:

@@ -326,6 +326,32 @@ class TestWiener:
         with pytest.raises(NotInvertible):
             wiener_invert(self.make_scalar(ctx, {0: -1.0, 1: 1.0}))
 
+    @pytest.mark.parametrize("phase", [0.37, 1.0])
+    @pytest.mark.parametrize("low", [0, -1])
+    def test_circle_zero_off_every_grid(self, ctx, phase, low):
+        # z^low (1 - e^{-i phase} z) vanishes at e^{i phase}, which no grid of roots of unity holds
+        f = self.make_scalar(ctx, {low: 1.0, low + 1: -np.exp(-1j * phase)})
+        assert wiener_is_invertible(f) is False
+        with pytest.raises(NotInvertible) as raised:
+            wiener_invert(f)
+        assert raised.value.code == "not-invertible"
+
+    def test_matrix_determinant_zero_where_no_entry_vanishes(self, ctx):
+        # F(z) = F_0 + z s u v^T with det F_0 = 1: det F = 1 + z s v^T adj(F_0) u = 1 - e^{-0.37i} z
+        # vanishes at e^{0.37i} and its z^2 coefficient cancels; each entry F_0,ij + z s u_i v_j
+        # has F_0,ij >= 1 > |s u_i v_j|, so none vanishes on the circle
+        f0, uv = np.array([[2.0, 1.0], [1.0, 1.0]]), np.outer([1.0, 2.0], [1.0, 3.0])
+        f = LaurentSeries(1, {0: SuperMatrix.from_body(ctx, f0),
+                              1: SuperMatrix.from_body(ctx, -np.exp(-0.37j) / 8 * uv)})
+        circle = np.exp(2j * np.pi * np.arange(4096) / 4096)
+        entries = f0[None] + circle[:, None, None] * (-np.exp(-0.37j) / 8 * uv)[None]
+        assert np.abs(entries).min() > 0.2
+        assert wiener_is_invertible(f) is False
+
+    def test_sampling_options_are_gone(self, ctx):
+        with pytest.raises(TypeError):
+            wiener_is_invertible(self.make_scalar(ctx, {0: 1.0}), grid_points=256)
+
     def test_grade_four_souls_residual_over_inner_band(self, ctx, rng):
         # N = 8 with grade-4 souls: the pointwise soul series takes several steps
         eye = SuperMatrix.identity(ctx, 2)
@@ -457,6 +483,48 @@ class TestWeakInvertibility:
             exact=True,
         )
         assert weak_plus_invertibility(g) == weak_plus_invertibility(soulful_g) is False
+
+    @pytest.mark.parametrize("roots, invertible", [
+        ([0.5], False), ([0.5 * np.exp(0.3j)], False), ([0.99], False),  # inside
+        ([1.0], False), ([np.exp(0.37j)], False), ([1.0, 1.0], False),  # on the circle, (1 - z)^2 included
+        ([1.01], True), ([2.0], True), ([2.0, 0.5j], False),  # outside, and one root on each side
+    ])
+    def test_chosen_roots(self, ctx, rng, roots, invertible):
+        # p(z) = prod (z - r): the verdict holds for the exact polynomial, for the same
+        # coefficients as a truncated series and with a soul on every coefficient
+        bodies = np.poly(roots)[::-1]
+        soulful = SeriesMatrix.from_coeffs(
+            [SuperMatrix.from_scalar(ctx.scalar(b) + random_soul(ctx, rng, scale=0.5)) for b in bodies], exact=True)
+        for f in (scalar_series(ctx, bodies, exact=True), scalar_series(ctx, bodies), soulful):
+            assert weak_plus_invertibility(f) is invertible
+
+    @pytest.mark.parametrize("bodies, invertible", [
+        ([0.0], False), ([0.0, 0.0, 0.0], False), ([1e-11, 1e-11], False), ([3.0], True), ([0.0, 1.0], False),
+    ])
+    def test_zero_and_constant_polynomials(self, ctx, bodies, invertible):
+        assert weak_plus_invertibility(scalar_series(ctx, bodies, exact=True)) is invertible
+
+    def test_random_polynomials_against_the_winding_number(self, ctx):
+        # roots kept at least 1e-3 from the circle; the zeros in the disk are counted
+        # independently as the winding number of p along 2^15 points of the circle
+        rng = np.random.default_rng(7)
+        circle = np.exp(2j * np.pi * np.arange(1 << 15) / (1 << 15))
+        verdicts = []
+        for _ in range(300):
+            k = int(rng.integers(0, 12))
+            radii = np.where(rng.random(k) < 0.2, rng.uniform(0.3, 0.999, k), rng.uniform(1.001, 1.7, k))
+            roots = radii * np.exp(2j * np.pi * rng.random(k))
+            bodies = np.atleast_1d(np.poly(roots))[::-1] * np.exp(2j * np.pi * rng.random())
+            values = np.polyval(bodies[::-1], circle)
+            winding = round(np.angle(np.roll(values, -1) / values).sum() / (2 * np.pi))
+            assert winding == (radii < 1).sum()
+            verdicts.append(weak_plus_invertibility(scalar_series(ctx, bodies, exact=True)))
+            assert verdicts[-1] is (winding == 0)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_sampling_options_are_gone(self, ctx):
+        with pytest.raises(TypeError):
+            weak_plus_invertibility(scalar_series(ctx, [1.0], exact=True), radial_points=24)
 
 
 # -- the (keys, degree+1, rows, cols) layout against coefficient-loop references --
