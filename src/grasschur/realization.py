@@ -62,18 +62,6 @@ class Realization:
             d=value,
         )
 
-    @classmethod
-    def monomial(cls, value: SuperMatrix) -> "Realization":
-        """The function z*M: C = M, A = D = 0, B = I."""
-        context = value.context
-        p, q = value.shape
-        return cls(
-            a=SuperMatrix.zeros(context, q, q),
-            b=SuperMatrix.identity(context, q),
-            c=value,
-            d=SuperMatrix.zeros(context, p, q),
-        )
-
 
 def to_series(r: Realization, degree: int | None = None) -> SeriesMatrix:
     """Taylor coefficients D, CB, CAB, CA^2B, ... through the given degree

@@ -434,44 +434,56 @@ def schur_section(rho: Supernumber) -> SeriesMatrix:
     return SeriesMatrix((SuperMatrix.identity(rho.context, 2) - k, k), exact=True)
 
 
-def _extract_rho(sigma: SeriesMatrix, step: int) -> Supernumber:
+def _require_scalar(sigma: SeriesMatrix) -> None:
     if sigma.shape != (1, 1):
         raise ShapeMismatch("the Schur algorithm is scalar-valued")
-    rho = sigma.coeffs[0][0, 0]
-    if abs(rho.body) >= 1.0 - sigma.context.tol_body:
+
+
+def _contractive(rho: Supernumber, step: int) -> Supernumber:
+    """rho, or RhoNotContractive at the boundary |rho_B| >= 1 - tol_body."""
+    if abs(rho.body) >= 1.0 - rho.context.tol_body:
         raise RhoNotContractive(step, f"|rho_B| = {abs(rho.body):.6f} at step {step}")
     return rho
 
 
-def _verify_section_vanishing(sigma: SeriesMatrix, section: SeriesMatrix, step: int) -> None:
-    # row(1, -s0) M(0) = (a - s0 c, b - s0 d) at z = 0 must vanish, each identity on its own
-    context = sigma.context
-    row = SuperMatrix.block([[SuperMatrix.identity(context, 1), -sigma.coeffs[0]]])
+def _verify_section_vanishing(rho: Supernumber, section: SeriesMatrix, step: int, norm: float) -> None:
+    # row(1, -rho) M(0) = (a - rho c, b - rho d) at z = 0 must vanish, each identity on its own
+    context = rho.context
+    row = SuperMatrix.row([context.one(), -rho])
     residuals = np.abs(mat_mul(row, section.coeffs[0]).stack).sum(axis=(0, 1))
-    if (residuals > context.tol_eq * max(1.0, sigma.norm1())).any():
+    if (residuals > context.tol_eq * max(1.0, norm)).any():
         raise GrasschurError(f"section identities fail to vanish at step {step}")
+
+
+def _constant_term(f: SeriesMatrix) -> Supernumber:
+    return SuperMatrix._of(f.context, f.keys, f.stack[:, 0])[0, 0]
+
+
+def _pair_step(a: SeriesMatrix, b: SeriesMatrix, step: int) -> tuple[Supernumber, SeriesMatrix, SeriesMatrix]:
+    """One step of schur_algorithm's pair recursion: (rho, a_next, b_next)."""
+    rho = _contractive(mul(_constant_term(b), invert(_constant_term(a))), step)
+    scale = 1.0 / (1.0 - abs(rho.body) ** 2)
+    return rho, (a - b.scale_left(dagger(rho))) * scale, backward_shift(b - a.scale_left(rho)) * scale
 
 
 def schur_step(sigma: SeriesMatrix, step: int = 0) -> tuple[Supernumber, SeriesMatrix, SeriesMatrix]:
     """One coefficient-preserving step: rho = sigma(0) and
 
-        sigma_next = R0(sigma - rho) ⋆ (1 - rho† ⋆ sigma)^{-star}.
+        sigma_next = R0(sigma - rho) ⋆ (1 - rho† ⋆ sigma)^{-star} = b ⋆ a^{-star}
 
-    The body recursion is exactly the classical one, so body chains match the
-    classical Schur coefficients.  The elementary section M(z) built from rho
-    is returned alongside (its vanish-at-zero identities are checked); the
-    paper-style section solve lives in section_step.  One truncation degree is
-    consumed per step: sigma_next_n reads sigma_0..sigma_{n+1}, which is why
-    schur_algorithm may cut sigma to the degrees its remaining steps read.
+    for the pair (a, b) of schur_algorithm's step from (1, sigma): rho = b(0) a(0)^{-1},
+    a = (1 - rho† sigma)/(1 - |rho_B|^2) and b = R0(sigma - rho)/(1 - |rho_B|^2), the
+    rescale cancelling in the quotient.  Body chains match the classical Schur
+    coefficients.  The elementary section M(z) built from rho is returned
+    alongside, its vanish-at-zero identities checked against
+    tol_eq * max(1, ||sigma||_1); the paper-style section solve lives in
+    section_step.  One truncation degree is consumed per step.
     """
-    rho = _extract_rho(sigma, step)
+    _require_scalar(sigma)
+    rho, a, b = _pair_step(SeriesMatrix.identity(sigma.context, 1), sigma, step)
     section = schur_section(rho)
-    _verify_section_vanishing(sigma, section, step)
-    context = sigma.context
-    numerator = backward_shift(sigma)  # R0(sigma - rho) = R0 sigma: the shift drops the constant term
-    denominator = SeriesMatrix.identity(context, 1) - sigma.scale_left(dagger(rho))
-    sigma_next = star_mul(numerator, star_inverse(denominator))
-    return rho, sigma_next, section
+    _verify_section_vanishing(rho, section, step, sigma.norm1())
+    return rho, star_mul(b, star_inverse(a)), section
 
 
 def section_step(sigma: SeriesMatrix, step: int = 0) -> tuple[Supernumber, SeriesMatrix, SeriesMatrix]:
@@ -485,9 +497,10 @@ def section_step(sigma: SeriesMatrix, step: int = 0) -> tuple[Supernumber, Serie
     (the chain of rho's differs from schur_step's by constant J-unitary
     rotations).
     """
-    rho = _extract_rho(sigma, step)
+    _require_scalar(sigma)
+    rho = _contractive(_constant_term(sigma), step)
     section = schur_section(rho)
-    _verify_section_vanishing(sigma, section, step)
+    _verify_section_vanishing(rho, section, step, sigma.norm1())
     b = section.block(0, 1, 1, 2)
     a = section.block(0, 1, 0, 1)
     c = section.block(1, 2, 0, 1)
@@ -504,50 +517,75 @@ def section_step(sigma: SeriesMatrix, step: int = 0) -> tuple[Supernumber, Serie
 
 @dataclass(frozen=True)
 class SchurChain:
-    """Recorded Schur coefficients, their sections, and why the run stopped."""
+    """Recorded Schur coefficients rho_k = b_k(0) a_k(0)^{-1} of schur_algorithm's
+    rescaled pair recursion (sigma_k = b_k ⋆ a_k^{-star}), and why the run stopped.
+
+    The elementary sections schur_section(rho_k) are built on the first read of
+    ``sections``, each with its vanish-at-zero identities checked against
+    tol_eq * max(1, ||rho_k||_1), never looser than schur_step's ||sigma_k||_1 scale.
+    """
 
     rhos: tuple[Supernumber, ...]
-    sections: tuple[SeriesMatrix, ...]
     termination: str  # max_steps | rho_boundary | degree_exhausted
 
     @property
     def steps(self) -> int:
         return len(self.rhos)
 
+    @cached_property
+    def sections(self) -> tuple[SeriesMatrix, ...]:
+        sections = tuple(map(schur_section, self.rhos))
+        for step, (rho, section) in enumerate(zip(self.rhos, sections)):
+            _verify_section_vanishing(rho, section, step, rho.norm1())
+        return sections
+
 
 def schur_algorithm(s: SeriesMatrix, max_steps: int) -> SchurChain:
-    """Iterate the Schur step, recording coefficients and sections.
+    """The Schur chain of s, run on a pair of series (a, b) with sigma = b ⋆ a^{-star}
+    from (a, b) = (1, s).  Each step takes rho = b(0) a(0)^{-1} and sets
 
-    Stops at max_steps, at the contractivity boundary |rho_B| = 1, or when the
-    series truncation degree is exhausted (one degree is consumed per step).
-    The step is lower-triangular in degree, so rho_k = sigma_k(0) reads s_0..s_k
-    only.  Before each step sigma is cut to the degree max_steps - step that the
-    steps left can read, so the chain reads s_0..s_{max_steps}; keeping the top
-    one holds every step at degree >= 1, so degree_exhausted is decided as on the
-    full series.  A max_steps that is not an integer >= 0 raises DomainViolation.
+        a <- (a - rho† b) / (1 - |rho_B|^2),  b <- R0(b - rho a) / (1 - |rho_B|^2).
+
+    Since R0(sigma - rho) = R0(b - rho a) ⋆ a^{-star} and 1 - rho† sigma =
+    (a - rho† b) ⋆ a^{-star}, b ⋆ a^{-star} steps as schur_step's sigma_next with no
+    series inverted.  The rescale cancels in that quotient and keeps a(0)'s body at
+    1 up to rounding, so invert's absolute tol_body test cannot trip before the
+    boundary test does.  No section is built (see SchurChain.sections).
+
+    Stops at max_steps, at the contractivity boundary |rho_B| = 1, or when sigma's
+    truncation degree, as schur_step's star_mul and star_inverse set it, is
+    exhausted: a truncated s loses one degree per step; after the first step of an
+    exact non-constant s, sigma is cut at max_series_degree and then loses one per
+    step; an exact constant never runs out.  The step is lower-triangular in degree,
+    so rho_k reads s_0..s_k only, and before each step both series are cut to the
+    degree max_steps - step that the steps left read.  A max_steps that is not an
+    integer >= 0 (a bool included) raises DomainViolation, and a series that is not
+    1x1 ShapeMismatch, both before any step.
     """
-    if not isinstance(max_steps, int) or max_steps < 0:
-        raise DomainViolation(f"max_steps must be an integer >= 0, got {max_steps}")
+    if isinstance(max_steps, bool) or not isinstance(max_steps, int) or max_steps < 0:
+        raise DomainViolation(f"max_steps must be an integer >= 0, got {max_steps!r}")
+    _require_scalar(s)
     if not is_schur_grassmann(s):
         raise GrasschurError("input is not a Schur-Grassmann function")
-    sigma = s
+    if not s.exact:
+        readable = s.degree
+    elif s.degree:
+        readable = s.context.max_series_degree + 1
+    else:
+        readable = max_steps
+    a, b = SeriesMatrix.identity(s.context, 1), s
     rhos: list[Supernumber] = []
-    sections: list[SeriesMatrix] = []
-    termination = "max_steps"
-    for step in range(max_steps):
-        if sigma.degree < 1 and not sigma.exact:
-            termination = "degree_exhausted"
-            break
-        if sigma.degree > max_steps - step:
-            sigma = sigma.truncated(max_steps - step)
+    termination = "max_steps" if readable >= max_steps else "degree_exhausted"
+    for step in range(min(max_steps, readable)):
+        cut = max_steps - step
+        a, b = (f.truncated(cut) if f.degree > cut else f for f in (a, b))
         try:
-            rho, sigma, section = schur_step(sigma, step)
+            rho, a, b = _pair_step(a, b, step)
         except RhoNotContractive:
             termination = "rho_boundary"
             break
         rhos.append(rho)
-        sections.append(section)
-    return SchurChain(rhos=tuple(rhos), sections=tuple(sections), termination=termination)
+    return SchurChain(rhos=tuple(rhos), termination=termination)
 
 
 # ---------------------------------------------------------------------------

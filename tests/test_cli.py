@@ -304,6 +304,26 @@ class TestSchurCommand:
         assert len(err) == 1 and err[0].startswith("error[domain-violation]")
 
 
+    def test_matrix_series_exit_code(self, ctx, tmp_path, capsys):
+        series = SeriesMatrix.from_coeffs([SuperMatrix.from_body(ctx, 0.1 * np.eye(2))])
+        series_file = write(tmp_path / "s.json", series_to_obj(series))
+        assert main(["schur", "run", "--series", series_file, "--max-steps", "3"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[shape-mismatch]")
+
+    def test_run_builds_no_section(self, ctx, tmp_path, monkeypatch):
+        from grasschur import schur
+
+        checked = []
+        monkeypatch.setattr(schur, "_verify_section_vanishing", lambda *args: checked.append(args))
+        monkeypatch.setattr(schur, "schur_section", lambda rho: checked.append(rho))
+        series = SeriesMatrix.from_coeffs([SuperMatrix.from_body(ctx, [[b]]) for b in (0.5, 0.25, -0.1, 0.05)])
+        series_file = write(tmp_path / "s.json", series_to_obj(series))
+        got = run_twice(
+            lambda out: ["schur", "run", "--series", series_file, "--max-steps", "3", "--out", out], tmp_path)
+        assert got["steps"] == 3 and checked == []
+
+
 class TestBlaschkeCommand:
     def test_eval_at_zero_datum(self, ctx, tmp_path):
         a_file = write(tmp_path / "a.json", supernumber_to_obj(ctx.zero()))

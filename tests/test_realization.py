@@ -58,7 +58,10 @@ class TestToSeries:
 
     def test_monomial(self, ctx, rng):
         m = random_supermatrix(ctx, rng, 2, 3)
-        f = to_series(Realization.monomial(m), degree=4)
+        p, q = m.shape
+        # z*M: C = M, A = D = 0, B = I
+        r = Realization(SuperMatrix.zeros(ctx, q, q), SuperMatrix.identity(ctx, q), m, SuperMatrix.zeros(ctx, p, q))
+        f = to_series(r, degree=4)
         assert f.coeffs[0].is_zero()
         assert (f.coeffs[1] - m).norm1() == 0
         assert all(c.is_zero() for c in f.coeffs[2:])

@@ -17,6 +17,7 @@ from grasschur.errors import (
     NotConvergent,
     NotUnimodular,
     RhoNotContractive,
+    ShapeMismatch,
     SteinViolated,
 )
 from grasschur.oracle import classical_np_solution, classical_pick_matrix, classical_schur
@@ -51,7 +52,7 @@ from grasschur.schur import (
     stein_residual,
     stein_solve,
 )
-from grasschur.series import SeriesMatrix, evaluate, hermitian_form, star_mul
+from grasschur.series import SeriesMatrix, backward_shift, evaluate, hermitian_form, star_inverse, star_mul
 
 
 def scalar_series(ctx, bodies, exact=False):
@@ -585,6 +586,15 @@ class TestSchurStep:
         with pytest.raises(RhoNotContractive):
             schur_step(sigma)
 
+    @pytest.mark.parametrize("degree,exact", [(8, False), (3, True), (0, True)])
+    def test_pair_step_from_one_is_the_star_quotient(self, degree, exact, ctx, rng):
+        sigma = soulful_series(ctx, rng, degree, exact=exact)
+        rho, nxt, section = schur_step(sigma, 2)
+        ref_rho, ref_nxt, ref_section = ref_schur_step(sigma, 2)
+        assert rho == ref_rho and section == ref_section
+        assert (nxt.degree, nxt.exact) == (ref_nxt.degree, ref_nxt.exact)
+        assert series_dist(nxt, ref_nxt) <= 1e-12 * max(1.0, ref_nxt.norm1())
+
     def test_section_vanishing_identities(self, ctx, rng):
         rho = ctx.scalar(0.4 + 0.2j) + random_soul(ctx, rng, scale=0.1)
         section = schur_section(rho)
@@ -657,7 +667,7 @@ class TestSchurAlgorithm:
         with pytest.raises(GrasschurError):
             schur_algorithm(scalar_series(ctx, [2.0, 0.0]), max_steps=2)
 
-    @pytest.mark.parametrize("max_steps", [-1, -3, 1.5, "2"])
+    @pytest.mark.parametrize("max_steps", [-1, -3, 1.5, "2", True, False])
     def test_rejects_bad_max_steps(self, max_steps, ctx):
         with pytest.raises(DomainViolation):
             schur_algorithm(scalar_series(ctx, [0.5, 0.25]), max_steps=max_steps)
@@ -666,25 +676,79 @@ class TestSchurAlgorithm:
         chain = schur_algorithm(scalar_series(ctx, [0.5, 0.25]), max_steps=0)
         assert chain.steps == 0 and chain.termination == "max_steps"
 
+    @pytest.mark.parametrize("degree,exact,max_steps", [(0, False, 3), (2, False, 0), (0, True, 3), (4, False, 2)])
+    def test_rejects_matrix_series_before_any_step(self, degree, exact, max_steps, ctx):
+        s = SeriesMatrix.from_coeffs([SuperMatrix.from_body(ctx, 0.1 * np.eye(2))] * (degree + 1), exact=exact)
+        with pytest.raises(ShapeMismatch):
+            schur_algorithm(s, max_steps)
+
+
+def ref_schur_step(sigma, step=0):
+    """The star-quotient step: rho = sigma(0) and sigma_next = R0 sigma ⋆ (1 - rho† sigma)^{-star},
+    with the elementary section built and checked at every step."""
+    rho = sigma.coeffs[0][0, 0]
+    if abs(rho.body) >= 1.0 - sigma.context.tol_body:
+        raise RhoNotContractive(step, f"|rho_B| = {abs(rho.body):.6f} at step {step}")
+    section = schur_section(rho)
+    schur._verify_section_vanishing(rho, section, step, sigma.norm1())
+    denominator = SeriesMatrix.identity(sigma.context, 1) - sigma.scale_left(dagger(rho))
+    return rho, star_mul(backward_shift(sigma), star_inverse(denominator)), section
+
 
 def ref_schur_algorithm(s, max_steps):
-    """The Schur chain carried at the input's full degree (no cut): the reference
-    the degree-cut schur_algorithm must match bit for bit."""
+    """The chain of iterated star-quotient steps, sigma cut before each step to the degree
+    max_steps - step that the steps left read (the step is lower-triangular in degree, so
+    the cut moves no rho): the reference the pair recursion must match to rounding."""
     if not is_schur_grassmann(s):
         raise GrasschurError("input is not a Schur-Grassmann function")
-    sigma, rhos, sections, termination = s, [], [], "max_steps"
+    sigma, rhos, termination = s, [], "max_steps"
     for step in range(max_steps):
         if sigma.degree < 1 and not sigma.exact:
             termination = "degree_exhausted"
             break
+        if sigma.degree > max_steps - step:
+            sigma = sigma.truncated(max_steps - step)
         try:
-            rho, sigma, section = schur_step(sigma, step)
+            rho, sigma, _ = ref_schur_step(sigma, step)
         except RhoNotContractive:
             termination = "rho_boundary"
             break
         rhos.append(rho)
-        sections.append(section)
-    return schur.SchurChain(rhos=tuple(rhos), sections=tuple(sections), termination=termination)
+    return schur.SchurChain(rhos=tuple(rhos), termination=termination)
+
+
+def uncut_pair_chain(s, max_steps):
+    """The pair recursion carried at the input's full degree (no cut), with sigma's degree
+    and exact flag stepped as star_mul and star_inverse set them: the chain the degree-cut
+    schur_algorithm must match bit for bit."""
+    if not is_schur_grassmann(s):
+        raise GrasschurError("input is not a Schur-Grassmann function")
+    a, b, degree, exact = SeriesMatrix.identity(s.context, 1), s, s.degree, s.exact
+    rhos, termination = [], "max_steps"
+    for step in range(max_steps):
+        if degree < 1 and not exact:
+            termination = "degree_exhausted"
+            break
+        try:
+            rho, a, b = schur._pair_step(a, b, step)
+        except RhoNotContractive:
+            termination = "rho_boundary"
+            break
+        rhos.append(rho)
+        if not exact:
+            degree -= 1
+        elif degree:  # (1 - rho† sigma)^{-star} of an exact non-constant sigma stops at max_series_degree
+            degree, exact = s.context.max_series_degree, False
+    return schur.SchurChain(rhos=tuple(rhos), termination=termination)
+
+
+def assert_rhos_match(got, want, growth=()):
+    """Equal steps and termination, and each rho_k within 1e-12 max(1, ||rho_ref||_1), times
+    growth[k] where given."""
+    assert (got.steps, got.termination) == (want.steps, want.termination)
+    for k, (g, w) in enumerate(zip(got.rhos, want.rhos)):
+        factor = growth[k] if k < len(growth) else 1.0
+        assert (g - w).norm1() <= 1e-12 * max(1.0, w.norm1()) * factor, (k, g, w)
 
 
 def chain_bits(chain):
@@ -708,68 +772,128 @@ def blaschke_times_z(ctx, a, degree):
     return scalar_series(ctx, coeffs[:degree + 1])
 
 
-class TestSchurAlgorithmReadsOnlyWhatItNeeds:
-    """schur_algorithm cuts sigma to the degree its remaining steps read; the chain
-    must equal the uncut reference bit for bit."""
+def series_of_chain(ctx, rhos, degree):
+    """The degree-``degree`` series whose Schur chain is ``rhos`` (complex), then zeros:
+    sigma_k = (rho_k + z sigma_{k+1}) / (1 + conj(rho_k) z sigma_{k+1}), divided term by term."""
+    sigma = np.zeros(degree + 1, dtype=complex)
+    for rho in reversed(rhos):
+        z_sigma = np.concatenate(([0.0], sigma[:-1]))
+        numerator, denominator = z_sigma.copy(), np.conj(rho) * z_sigma
+        numerator[0] += rho
+        denominator[0] += 1.0
+        for n in range(degree + 1):
+            sigma[n] = numerator[n] - denominator[1:n + 1] @ sigma[n - 1::-1][:n] if n else numerator[0]
+    return scalar_series(ctx, list(sigma))
 
-    @pytest.mark.parametrize("degree,max_steps,exact,termination", [
-        (10, 4, False, "max_steps"),  # degree > max_steps
-        (4, 4, False, "max_steps"),  # degree = max_steps
-        (3, 6, False, "degree_exhausted"),  # degree < max_steps
-        (3, 6, True, "max_steps"),  # exact, below max_steps
-        (9, 3, True, "max_steps"),  # exact, above max_steps
-        (0, 2, True, "max_steps"),  # exact constant: rho, then the known zeros
-        (0, 2, False, "degree_exhausted"),
-    ])
+
+CUT_CASES = [
+    (10, 4, False, "max_steps"),  # degree > max_steps
+    (4, 4, False, "max_steps"),  # degree = max_steps
+    (3, 6, False, "degree_exhausted"),  # degree < max_steps
+    (3, 6, True, "max_steps"),  # exact, below max_steps
+    (9, 3, True, "max_steps"),  # exact, above max_steps
+    (0, 2, True, "max_steps"),  # exact constant: rho, then the known zeros
+    (0, 2, False, "degree_exhausted"),
+]
+
+
+class TestSchurAlgorithmReadsOnlyWhatItNeeds:
+    """schur_algorithm cuts the pair to the degree its remaining steps read; the chain must
+    equal the uncut pair recursion bit for bit, and the star-quotient chain to rounding."""
+
+    @staticmethod
+    def check_cut_chain(s, max_steps):
+        got = schur_algorithm(s, max_steps)
+        assert chain_bits(got) == chain_bits(uncut_pair_chain(s, max_steps))
+        assert_rhos_match(got, ref_schur_algorithm(s, max_steps))
+        return got
+
+    @pytest.mark.parametrize("degree,max_steps,exact,termination", CUT_CASES)
     def test_matches_uncut_reference(self, degree, max_steps, exact, termination, ctx, rng):
         s = soulful_series(ctx, rng, degree, exact=exact)
-        got, want = schur_algorithm(s, max_steps), ref_schur_algorithm(s, max_steps)
-        assert got.termination == termination
-        assert chain_bits(got) == chain_bits(want)
+        assert self.check_cut_chain(s, max_steps).termination == termination
+
+    @pytest.mark.parametrize("degree,max_steps,exact,termination", CUT_CASES)
+    def test_matches_uncut_reference_at_n64(self, degree, max_steps, exact, termination, rng):
+        s = soulful_series(AlgebraContext(generators=64), rng, degree, exact=exact)
+        assert self.check_cut_chain(s, max_steps).termination == termination
 
     @pytest.mark.parametrize("exact,degree", [(False, 8), (True, 2)])
     def test_max_steps_beyond_max_series_degree(self, exact, degree, rng):
-        ctx = AlgebraContext(generators=8, max_series_degree=8)
-        s = soulful_series(ctx, rng, degree, exact=exact)
-        got, want = schur_algorithm(s, 12), ref_schur_algorithm(s, 12)
-        assert got.termination == "degree_exhausted"
-        assert chain_bits(got) == chain_bits(want)
+        s = soulful_series(AlgebraContext(generators=8, max_series_degree=8), rng, degree, exact=exact)
+        assert self.check_cut_chain(s, 12).termination == "degree_exhausted"
+
+    @pytest.mark.parametrize("exact,degree", [(False, 8), (True, 2)])
+    def test_max_steps_beyond_max_series_degree_at_n64(self, exact, degree, rng):
+        s = soulful_series(AlgebraContext(generators=64, max_series_degree=8), rng, degree, exact=exact)
+        assert self.check_cut_chain(s, 12).termination == "degree_exhausted"
 
     @pytest.mark.parametrize("max_steps", [3, 6])
     def test_mid_chain_rho_boundary(self, max_steps, ctx):
-        s = blaschke_times_z(ctx, 0.5, 10)
-        got, want = schur_algorithm(s, max_steps), ref_schur_algorithm(s, max_steps)
+        got = self.check_cut_chain(blaschke_times_z(ctx, 0.5, 10), max_steps)
         assert got.termination == "rho_boundary" and got.steps == 2
-        assert chain_bits(got) == chain_bits(want)
 
-    # N = 64 stays small: the reference carries an exact input to degree 32, and with
-    # the souls of nine coefficients that runs for minutes
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-8, 1e-9])
+    def test_near_boundary_chain(self, eps, ctx):
+        # rho_k reads sigma_k, whose rounding the steps before amplify by up to
+        # 1/(1 - |rho_j|^2) each: the 1e-12 tolerance scales with that product
+        s = series_of_chain(ctx, [1 - eps, -(1 - eps), 1 - eps, 0.3], 12)
+        got, want = schur_algorithm(s, 6), ref_schur_algorithm(s, 6)
+        assert chain_bits(got) == chain_bits(uncut_pair_chain(s, 6))
+        growth = np.cumprod([1.0] + [1.0 / (1.0 - abs(r.body) ** 2) for r in want.rhos])
+        assert_rhos_match(got, want, growth)
+
+    # N = 64 stays small: the uncut reference carries a truncated input at its full degree
     @pytest.mark.parametrize("generators,degree,max_steps,exact", [
         (8, 12, 6, False), (8, 12, 6, True), (64, 8, 4, False), (64, 3, 4, True), (64, 3, 2, False)])
     def test_two_term_souls(self, generators, degree, max_steps, exact, rng):
-        s = soulful_series(AlgebraContext(generators=generators), rng, degree, exact=exact)
-        assert chain_bits(schur_algorithm(s, max_steps)) == chain_bits(ref_schur_algorithm(s, max_steps))
+        self.check_cut_chain(soulful_series(AlgebraContext(generators=generators), rng, degree, exact=exact),
+                             max_steps)
 
     @pytest.mark.parametrize("degree,max_steps,exact", [(16, 6, False), (9, 3, True), (5, 5, False)])
     def test_step_reads_no_further_than_it_must(self, degree, max_steps, exact, ctx, rng, monkeypatch):
         seen = []
-        step_fn = schur.schur_step
+        step_fn = schur._pair_step
 
-        def recording_step(sigma, step=0):
-            seen.append((step, sigma.degree))
-            return step_fn(sigma, step)
+        def recording_step(a, b, step):
+            seen.append((step, a.degree, b.degree))
+            return step_fn(a, b, step)
 
         s = soulful_series(ctx, rng, degree, exact=exact)
-        monkeypatch.setattr(schur, "schur_step", recording_step)
+        monkeypatch.setattr(schur, "_pair_step", recording_step)
         chain = schur_algorithm(s, max_steps)
-        assert [step for step, _ in seen] == list(range(max_steps))
-        assert all(d <= max_steps - step for step, d in seen), seen
+        assert [step for step, _, _ in seen] == list(range(max_steps))
+        assert all(max(da, db) <= max_steps - step for step, da, db in seen), seen
         # coefficients above max_steps are never read
         tail = soulful_series(ctx, np.random.default_rng(7), degree, exact=exact, norm=0.05)
         changed = SeriesMatrix.from_coeffs(s.coeffs[:max_steps + 1] + tuple(
             a + b for a, b in zip(s.coeffs[max_steps + 1:], tail.coeffs[max_steps + 1:])), exact=exact)
         assert all(changed.coeffs[n] != s.coeffs[n] for n in range(max_steps + 1, degree + 1))
         assert chain_bits(schur_algorithm(changed, max_steps)) == chain_bits(chain)
+
+
+class TestLazySections:
+    def test_sections_are_schur_sections_of_the_rhos(self, ctx, rng):
+        chain = schur_algorithm(soulful_series(ctx, rng, 8), 5)
+        assert chain.steps == 5
+        for rho, section in zip(chain.rhos, chain.sections):
+            want = schur_section(rho)
+            assert (section.keys.tobytes(), section.stack.tobytes(), section.exact) == (
+                want.keys.tobytes(), want.stack.tobytes(), want.exact)
+
+    def test_each_section_built_is_checked_once(self, ctx, rng, monkeypatch):
+        checked = []
+        verify = schur._verify_section_vanishing
+
+        def recording_verify(rho, section, step, norm):
+            checked.append(step)
+            return verify(rho, section, step, norm)
+
+        monkeypatch.setattr(schur, "_verify_section_vanishing", recording_verify)
+        chain = schur_algorithm(soulful_series(ctx, rng, 8), 5)
+        assert checked == []
+        assert chain.sections is chain.sections and len(chain.sections) == 5
+        assert checked == list(range(5))
 
 
 class TestBlaschke:
