@@ -328,23 +328,31 @@ def mul(z: Supernumber, w: Supernumber) -> Supernumber:
     """Noncommutative product ``zw = sum z_a w_b i_a i_b``.
 
     Only disjoint pairs (a & b == 0) contribute; each product is negated when
-    merge_swap_count(a, b) is odd.  Contributions to each output index
-    accumulate in ascending (a, b) order, matching the dense oracle's double
-    loop exactly.  Products of at least ``_FAST_PATH_MIN_PAIRS`` term pairs
-    take the numpy kernel at every generator count; it reproduces the scalar
-    loop bit for bit.
+    merge_swap_count(a, b) is odd, read from a prefix-parity mask of b.
+    Contributions to each output index accumulate in ascending (a, b) order,
+    matching the dense oracle's double loop exactly.  Products of at least
+    ``_FAST_PATH_MIN_PAIRS`` term pairs take the numpy kernel at every
+    generator count; it reproduces the scalar loop bit for bit.
     """
     context = _require_same_context(z, w)
     wterms = w._terms
     if len(z._terms) * len(wterms) >= _FAST_PATH_MIN_PAIRS:
         return Supernumber._canonical(context, _mul_vectorized(context, z._terms, wterms))
+    # Bit k of mask(b) = prefix_xor(b) << 1 is the parity of b's bits below k, so
+    # merge_swap_count(a, b) is odd exactly when popcount(a & mask(b)) is.
+    right = []
+    for b, wb in wterms.items():
+        prefix = b
+        for shift in (1, 2, 4, 8, 16, 32):
+            prefix ^= prefix << shift
+        right.append((b, wb, prefix << 1))
     acc: dict[int, complex] = {}
     for a, za in z._terms.items():
-        for b, wb in wterms.items():
+        for b, wb, mask in right:
             if a & b:
                 continue
             t = za * wb
-            if merge_swap_count(a, b) & 1:
+            if (a & mask).bit_count() & 1:
                 t = -t
             g = a | b
             acc[g] = acc.get(g, 0j) + t
@@ -506,17 +514,23 @@ def _soul_series(u: Supernumber, coeffs: Iterator[complex]) -> Supernumber:
     """sum_n c_n u^n for a soul u, with c_0, c_1, ... drawn from ``coeffs``.
 
     A coefficient is drawn only for a nonzero power, so the sum stops where
-    u^n = 0: by nilpotency within N + 1 terms.
+    u^n = 0: by nilpotency within N + 1 terms.  Each power's terms are added
+    into one term map in place, which is made canonical once at the end.
     """
     context = u.context
-    acc = context.scalar(next(coeffs))
+    acc = {0: complex(next(coeffs))}
     power = context.one()
     for _ in range(context.generators):
         power = mul(power, u)
         if power.is_zero():
             break
-        acc = linear_combine([(1.0, acc), (next(coeffs), power)])
-    return acc
+        acc[0] += 0j  # a -0.0 part of c_0 reads +0.0 once a power is added, as in linear_combine
+        c = complex(next(coeffs))
+        if c == 0:
+            continue
+        for key, value in power._terms.items():
+            acc[key] = acc.get(key, 0j) + c * value
+    return Supernumber(context, acc)
 
 
 def invert(z: Supernumber) -> Supernumber:

@@ -3,12 +3,13 @@
 Both series classes derive from ``matrix.Stacked``, the layout they share with
 ``SuperMatrix``: a ``SeriesMatrix`` F(z) = Σ_n z^n f_n holds one complex
 (keys, degree+1, rows, cols) stack.  Star (Cauchy) products (f⋆g)_n = Σ_u f_u g_{n-u}
-and star inverses share ``algebra._pair_product`` and ``matrix._inverse`` with
-matrices, with a truncated degree convolution as the payload product.  A
-series is one-sided (powers of z on the left of the coefficients); the
-``exact`` flag marks polynomials whose higher coefficients are exactly zero, so
-products of polynomials keep their full degree while products with truncated
-series drop to the degree that is exactly computable.  A two-sided
+and star inverses share ``algebra._pair_product`` and ``matrix._inverse`` (the
+soul recursion solved grade by grade) with matrices, with a truncated degree
+convolution as the payload product.  A series is one-sided (powers of z on
+the left of the coefficients); the ``exact`` flag marks polynomials whose
+higher coefficients are exactly zero, so products of polynomials keep their
+full degree while products with truncated series drop to the degree that is
+exactly computable.  A two-sided
 ``LaurentSeries`` keeps one (keys, span, rows, cols) stack from its lowest power
 and models the Wiener-Grassmann algebra: invertibility is decided on the body
 alone, and an inverse G is returned only when ‖F ⋆ G − I‖₁ ≤ tol_eq.
@@ -173,8 +174,9 @@ def star_inverse(f: SeriesMatrix) -> SeriesMatrix:
     """Two-sided star inverse; needs an invertible constant term.
 
     The body series B inverts by g_0 = B_0⁻¹, g_n = -B_0⁻¹ sum_{u=1..n} B_u g_{n-u}
-    on complex matrices; the souls follow by matrix._inverse, with star
-    products as its payload operation.
+    on complex matrices.  The souls follow by matrix._inverse, which solves
+    G = B⁻¹ − (B⁻¹ ⋆ S) ⋆ G grade by grade, with star products as its payload
+    operation.
     """
     if f.shape[0] != f.shape[1]:
         raise ShapeMismatch("star inversion needs square coefficients")
@@ -411,11 +413,11 @@ def wiener_invert(f: LaurentSeries, grid_points: int | None = None,
     """Inverse G in the Wiener-Grassmann algebra, pointwise on the circle, certified by
     ‖F ⋆ G − I‖₁ ≤ tol_eq over every power.
 
-    A point e^{it} is a scalar, so F(e^{it})⁻¹ is G's value there: a body inverse
-    plus the soul series sum_k (-B⁻¹S)^k B⁻¹ (F = B + S), which ends by nilpotency
-    within N steps, on the (monomial, grid point) stack; then one FFT along the
-    grid.  The grid doubles until G certifies; WindowTooSmall if no grid up to
-    max_grid does.
+    A point e^{it} is a scalar, so F(e^{it})⁻¹ is G's value there: with F = B + S,
+    the W with W = B⁻¹ − B⁻¹S W, solved grade by grade on the (monomial, grid
+    point) stack by matrix._inverse, which ends within N grades; then one FFT
+    along the grid.  The grid doubles until G certifies; WindowTooSmall if no
+    grid up to max_grid does.
     """
     if not wiener_is_invertible(f):
         raise NotInvertible("body determinant vanishes on the circle")

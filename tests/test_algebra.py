@@ -20,6 +20,7 @@ from grasschur import (
     merge_swap_count,
     mul,
 )
+import grasschur.algebra as ga
 from grasschur.errors import BodyZero, BranchCut, ContextMismatch
 from grasschur.oracle import bubble_sort_sign
 from grasschur.sampling import random_soul, random_supernumber
@@ -484,3 +485,83 @@ class TestAnalyticApply:
         f = lambda z0, n: cmath.exp(z0)
         expected = (ctx.one() + ctx.basis((1, 2))) * math.e
         assert dist(analytic_apply(f, z), expected) <= 1e-12 * math.e
+
+
+# -- the soul series summed in one pass, against the per-power linear_combine --------------
+
+
+def ref_soul_series(u, coeffs):
+    """sum_n c_n u^n with the accumulator rebuilt by linear_combine after every power."""
+    context = u.context
+    acc = context.scalar(next(coeffs))
+    power = context.one()
+    for _ in range(context.generators):
+        power = mul(power, u)
+        if power.is_zero():
+            break
+        acc = linear_combine([(1.0, acc), (next(coeffs), power)])
+    return acc
+
+
+def hex_terms(z):
+    return [(k, v.real.hex(), v.imag.hex()) for k, v in z.terms.items()]
+
+
+def soul_series_inputs(kind, rng):
+    """Filled N = 8 numbers (every monomial) or sparse N = 64 ones of 2-12 terms, some with
+    real coefficients (so products carry -0.0 parts), bodies off the negative real axis."""
+    out = []
+    for i in range(12):
+        if kind == "filled8":
+            ctx = AlgebraContext(generators=8)
+            terms = {k: 0.05 * complex(*rng.normal(size=2)) for k in range(1, 256)}
+        else:
+            ctx = AlgebraContext(generators=64)
+            terms = random_soul(ctx, rng, terms=1 + i % 11).terms
+        if i % 3 == 0:
+            terms = {k: complex(v.real, 0.0) for k, v in terms.items()}
+        terms[0] = complex(1.0 + rng.random(), 0.0 if i % 3 == 0 else rng.normal())
+        out.append(Supernumber(ctx, terms))
+    return out
+
+
+def geometric(z0, n):
+    return math.factorial(n) / (1.0 - z0) ** (n + 1)
+
+
+def exp_negative_zero(z0, n):
+    """exp, with a -0.0 imaginary part on the constant term."""
+    value = cmath.exp(z0)
+    return complex(value.real, -0.0) if n == 0 else value
+
+
+@pytest.mark.parametrize("kind", ["filled8", "sparse64"])
+def test_soul_series_bit_identical_to_linear_combine(kind, rng, monkeypatch):
+    calls = [invert, *(lambda z, k=k: kth_root(z, k) for k in (2, 3, 4)),
+             lambda z: analytic_apply(geometric, z * 0.3), lambda z: analytic_apply(exp_negative_zero, z)]
+    for z in soul_series_inputs(kind, rng):
+        got = [hex_terms(call(z)) for call in calls]
+        with monkeypatch.context() as patch:
+            patch.setattr(ga, "_soul_series", ref_soul_series)
+            want = [hex_terms(call(z)) for call in calls]
+        assert got == want
+
+
+def test_mul_sign_matches_merge_swap_count():
+    """mul's scalar loop takes the sign of i_a i_b from a prefix-parity mask of b: checked
+    on 105,000 random disjoint pairs of N = 64 keys, bit 63 in a or b half the time.  One
+    left key meets 150 right keys per product (below the vectorized path's pair count),
+    and each disjoint b lands on its own key a | b."""
+    ctx = AlgebraContext(generators=64)
+    rng = np.random.default_rng(64)
+    assert 150 < ga._FAST_PATH_MIN_PAIRS
+    checked = 0
+    for i in range(700):
+        a = int(rng.integers(0, 1 << 64, dtype=np.uint64, endpoint=False))
+        a = a | 1 << 63 if i % 4 == 0 else a & ~(1 << 63)
+        top = 1 << 63 if i % 4 == 1 else 0
+        bs = {(int(b) | top) & ~a for b in rng.integers(0, 1 << 64, size=150, dtype=np.uint64, endpoint=False)}
+        product = mul(Supernumber(ctx, {a: 1.0}), Supernumber(ctx, {b: 1.0 for b in bs}))
+        assert product.terms == {a | b: -1.0 if merge_swap_count(a, b) & 1 else 1.0 for b in bs}
+        checked += len(bs)
+    assert checked >= 100_000

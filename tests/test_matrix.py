@@ -23,6 +23,9 @@ from grasschur import (
     positive_factorize,
     quadratic_form,
 )
+import grasschur.algebra as ga
+import grasschur.matrix as gm
+import grasschur.series as gse
 from grasschur.errors import BodySingular, BodyZero, NotRegular, NotSuperpositive, ShapeMismatch
 from grasschur.matrix import sandwich_solve
 from grasschur.sampling import (
@@ -31,7 +34,7 @@ from grasschur.sampling import (
     random_supernumber,
     random_superpositive_matrix,
 )
-from grasschur.series import LaurentSeries, SeriesMatrix
+from grasschur.series import LaurentSeries, SeriesMatrix, star_inverse, wiener_invert
 
 
 def residual(a, b):
@@ -483,3 +486,113 @@ def test_stacked_containers_share_one_layout(ctx, rng, cls):
             hash(x)
     else:
         assert hash(twin) == hash(x) and len({x, twin, y}) == 2
+
+
+# -- matrix._inverse, solved by grade, against the power-sum reference -----------------------
+
+
+def ref_inverse(context, keys, stack, body_inv, op):
+    """Σ_k (−B⁻¹S)^k B⁻¹ with one whole pair product per power: each power holds every
+    grade >= k, so a disjoint pair is formed once per power that contains it."""
+    step = -op(body_inv[None], stack[1:])
+    power = total = keys[:1], body_inv[None]
+    for _ in range(context.generators):
+        power = ga._pair_product(context.generators, keys[1:], step, *power, op)
+        if not len(power[0]):
+            break
+        total = gm._add(*total, *power)
+    return total
+
+
+def by_reference(monkeypatch, fn, *args):
+    """fn(*args) with every supermatrix inverse taken by ``ref_inverse``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(gm, "_inverse", ref_inverse)
+        patch.setattr(gse, "_inverse", ref_inverse)
+        return fn(*args)
+
+
+SPREAD64 = (1, 9, 17, 25, 33, 41, 57, 64)  # generator slots of the sparse N = 64 souls: bit 63, few keys
+
+
+def soul_entry(ctx, rng, body, filled):
+    """``body`` plus every soul monomial of the context when ``filled``, else plus two
+    monomials of grade 1-2 (at N = 64 on the generators SPREAD64)."""
+    if filled:
+        return Supernumber(ctx, {k: body if k == 0 else 0.1 * complex(*rng.normal(size=2))
+                                 for k in range(1 << ctx.generators)})
+    slots = np.array(SPREAD64 if ctx.generators == 64 else range(1, ctx.generators + 1))
+    raw = {0: body}
+    for _ in range(2):
+        gens = sorted(rng.choice(slots, size=int(rng.integers(1, 3)), replace=False).tolist())
+        raw[index_from_generators(gens)] = 0.3 * complex(*rng.normal(size=2))
+    return Supernumber(ctx, raw)
+
+
+def soul_matrix(ctx, rng, body, filled):
+    return SuperMatrix.from_rows([[soul_entry(ctx, rng, complex(body[i, j]), filled)
+                                   for j in range(body.shape[1])] for i in range(body.shape[0])])
+
+
+INVERSE_FIELDS = {"filled6": (6, True), "filled8": (8, True), "sparse8": (8, False), "sparse64": (64, False)}
+
+
+def within_reference(got, want):
+    return (got - want).norm1() <= 1e-13 * max(1.0, want.norm1())
+
+
+class TestGradeInverse:
+    @pytest.fixture(params=INVERSE_FIELDS)
+    def field(self, request):
+        generators, filled = INVERSE_FIELDS[request.param]
+        return AlgebraContext(generators=generators, max_series_degree=7), filled
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_matrix_matches_power_sum(self, field, rng, monkeypatch, n):
+        ctx, filled = field
+        m = soul_matrix(ctx, rng, 2 * np.eye(n) + 0.3 * rng.normal(size=(n, n)), filled)
+        got, want = mat_invert(m), by_reference(monkeypatch, mat_invert, m)
+        assert within_reference(got, want)
+        assert residual(mat_mul(m, got), SuperMatrix.identity(ctx, n)) <= 1e-12 * max(1.0, m.norm1() * got.norm1())
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_star_inverse_matches_power_sum(self, field, rng, monkeypatch, exact):
+        ctx, filled = field
+        lead = {0: 2 * np.eye(2)}
+        f = SeriesMatrix.from_coeffs([soul_matrix(ctx, rng, lead.get(d, 0) + 0.3 * rng.normal(size=(2, 2)), filled)
+                                      for d in range(8)], exact=exact)
+        got, want = star_inverse(f), by_reference(monkeypatch, star_inverse, f)
+        assert (got.degree, got.exact) == (want.degree, want.exact) == (7, False)
+        assert within_reference(got, want)
+
+    def test_wiener_invert_matches_power_sum(self, field, rng, monkeypatch):
+        ctx, filled = field
+        lead = {0: 2 * np.eye(2)}
+        f = LaurentSeries(1, {n: soul_matrix(ctx, rng, lead.get(n, 0) + 0.3 * rng.normal(size=(2, 2)), filled)
+                              for n in (-1, 0, 1)})
+        got, want = wiener_invert(f), by_reference(monkeypatch, wiener_invert, f)
+        assert (got.window, got.low) == (want.window, want.low)
+        assert within_reference(got, want)
+
+
+def test_filled_n8_inverse_forms_each_pair_once(ctx, rng, monkeypatch):
+    """Inverting a 2 x 2 matrix whose entries hold all 256 monomials pairs each of the 255
+    soul keys of T = -B⁻¹S with each key of W once: 3^8 - 2^8 disjoint pairs, in at most
+    N + 1 pair products (one per grade of W).  The power sum forms 16,727."""
+    m = filled_matrix(ctx, rng, 2, 2 * np.eye(2) + 0.3 * rng.normal(size=(2, 2)))
+    pairs, products = [], []
+    real_pairs, real_product = ga._disjoint_pairs, gm._pair_product
+
+    def counted_pairs(*args):
+        out = real_pairs(*args)
+        pairs.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(ga, "_disjoint_pairs", counted_pairs)
+    monkeypatch.setattr(gm, "_pair_product", lambda *args: products.append(args) or real_product(*args))
+    mat_invert(m)
+    assert sum(pairs) == 3 ** 8 - 2 ** 8 == 6305
+    assert len(products) <= ctx.generators + 1
+    pairs.clear()
+    by_reference(monkeypatch, mat_invert, m)
+    assert sum(pairs) == 16727
