@@ -519,17 +519,16 @@ def _soul_series(u: Supernumber, coeffs: Iterator[complex]) -> Supernumber:
     """
     context = u.context
     acc = {0: complex(next(coeffs))}
-    power = context.one()
+    power = u  # a zero part's sign never reaches the result: every sum here and in mul starts at +0.0
     for _ in range(context.generators):
-        power = mul(power, u)
         if power.is_zero():
             break
         acc[0] += 0j  # a -0.0 part of c_0 reads +0.0 once a power is added, as in linear_combine
         c = complex(next(coeffs))
-        if c == 0:
-            continue
-        for key, value in power._terms.items():
-            acc[key] = acc.get(key, 0j) + c * value
+        if c != 0:
+            for key, value in power._terms.items():
+                acc[key] = acc.get(key, 0j) + c * value
+        power = mul(power, u)
     return Supernumber(context, acc)
 
 

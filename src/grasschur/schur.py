@@ -421,17 +421,18 @@ def _lft_realization(r: Realization, sigma: SuperMatrix) -> Realization:
 
 
 def schur_section(rho: Supernumber) -> SeriesMatrix:
-    """The degree-one elementary section M(z) = I - (1-z) K with
-    K = col(1,rho†) g row(1,-rho) and g = (1 - rho rho†)^{-1}: M(0) = I - K
-    and M_1 = K.
+    """The degree-one elementary section M(z) = I - (1-z) CK, the Theta of one node at 0:
+    A = 0, C = col(1,rho†), P = 1 - rho rho† and J = diag(1,-1) give K = g row(1,-rho),
+    g = P⁻¹, and the exact series (D, CB) = (I - CK, CK) of _theta_realization.
 
     M(0) is singular by construction; both b - sigma⋆d and sigma⋆c - a vanish
     at z = 0 whenever rho = sigma(0).
     """
     one = rho.context.one()
     g = invert(one - mul(rho, dagger(rho)))
-    k = mat_mul(SuperMatrix.column([one, dagger(rho)]), SuperMatrix.row([one, -rho]).scale_left(g))
-    return SeriesMatrix((SuperMatrix.identity(rho.context, 2) - k, k), exact=True)
+    r = _theta_realization(SuperMatrix.column([one, dagger(rho)]), SuperMatrix.zeros(rho.context, 1, 1),
+                           SuperMatrix.row([one, -rho]).scale_left(g))
+    return SeriesMatrix((r.d, mat_mul(r.c, r.b)), exact=True)
 
 
 def _require_scalar(sigma: SeriesMatrix) -> None:

@@ -8,8 +8,8 @@ admissible next symbols form a superdisk
 
 with center c_N = a_N T_{N-1}⁻¹ b_N, left radius alpha^{-1/2} where
 alpha = (r_0 - a_N T_{N-1}⁻¹ a_N*)⁻¹, and right radius xi the superreal square
-root of r_0 - b_N* T_{N-1}⁻¹ b_N.  (The two radii are the leading and trailing
-Schur complements of T_N.)
+root of r_0 - b_N* T_{N-1}⁻¹ b_N.  T_{N-1} leads and trails T_N, so all three are
+entries of one 2x2 Schur complement r_0 I - X T_{N-1}⁻¹ X*, X = [a_N; b_N*].
 """
 from __future__ import annotations
 
@@ -58,28 +58,27 @@ def assemble(spec: ToeplitzSpec) -> SuperMatrix:
     """The (N+1)x(N+1) self-adjoint Toeplitz supermatrix of the spec."""
     r = spec.r
     n = len(r)
-    rows = []
-    for j in range(n):
-        rows.append([r[k - j] if k >= j else dagger(r[j - k]) for k in range(n)])
-    return SuperMatrix.from_rows(rows)
+    lower = [dagger(z) for z in r]
+    return SuperMatrix.from_rows([[r[k - j] if k >= j else lower[j - k] for k in range(n)] for j in range(n)])
 
 
 def extension_params(spec: ToeplitzSpec) -> SuperdiskParams:
-    """Superdisk of admissible r_{N+1}; requires a superpositive T_N."""
-    report = is_superpositive(assemble(spec))
+    """Superdisk of admissible r_{N+1}; requires a superpositive T_N.
+
+    With X = [a_N; b_N*], the rest of T_N's first and last rows, S = X T_{N-1}⁻¹ X* gives
+    alpha⁻¹ = r_0 - S_00, c_N = S_01 and xi² = r_0 - S_11 (Dym and Gohberg, LAA 36, 1981).
+    """
+    t = assemble(spec)
+    report = is_superpositive(t)
     if not report:
         raise NotSuperpositive(report.reason or "Toeplitz matrix is not superpositive")
-    r = spec.r
-    if spec.order == 0:
-        center, alpha_inv, xi_sq = spec.context.zero(), r[0], r[0]
+    r0, n = spec.r[0], spec.order
+    if n == 0:
+        center, alpha_inv, xi_sq = spec.context.zero(), r0, r0
     else:
-        inner = mat_invert(assemble(ToeplitzSpec(r[:-1])))  # T_{N-1}^{-1}
-        a = SuperMatrix.row(list(r[1:]))                     # (r_1 .. r_N)
-        b = SuperMatrix.column(list(r[:0:-1]))               # (r_N .. r_1)^T
-        a_inner = mat_mul(a, inner)
-        alpha_inv = r[0] - mat_mul(a_inner, adjoint(a))[0, 0]
-        center = mat_mul(a_inner, b)[0, 0]
-        xi_sq = r[0] - mat_mul(mat_mul(adjoint(b), inner), b)[0, 0]
+        x = SuperMatrix.block([[t.submatrix([0], range(1, n + 1))], [t.submatrix([n], range(n))]])
+        s = mat_mul(mat_mul(x, mat_invert(t.submatrix(range(n), range(n)))), adjoint(x))
+        center, alpha_inv, xi_sq = s[0, 1], r0 - s[0, 0], r0 - s[1, 1]
     return SuperdiskParams(
         center=center,
         left_radius=kth_root(alpha_inv, 2),

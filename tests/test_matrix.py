@@ -63,6 +63,22 @@ class TestAdjoint:
             rhs = mat_mul(adjoint(l), adjoint(m))
             assert residual(lhs, rhs) <= 1e-12 * m.norm1() * l.norm1()
 
+    @pytest.mark.parametrize("generators", [8, 64])
+    def test_entries_are_daggers(self, generators):
+        ctx = AlgebraContext(generators=generators)
+        rng = np.random.default_rng(generators)
+        # one monomial of each grade 1-4 on the last generators, so every grade mod 4 and bit N - 1 occur
+        monomials = [ctx.basis(tuple(range(generators - t + 1, generators + 1))) for t in (1, 2, 3, 4)]
+        for _ in range(10):
+            extra = [[linear_combine((complex(*rng.normal(size=2)), e) for e in monomials) for _ in range(3)]
+                     for _ in range(2)]
+            m = random_supermatrix(ctx, rng, 2, 3) + SuperMatrix.from_rows(extra)
+            star = adjoint(m)
+            assert star.shape == (3, 2)
+            for j in range(2):
+                for k in range(3):
+                    assert star[k, j] == dagger(m[j, k])
+
 
 class TestMatMul:
     def test_identity_neutral(self, ctx, rng):

@@ -1,11 +1,17 @@
 """Toeplitz one-step extension and the superdisk parametrization."""
+import json
+
 import numpy as np
 import pytest
 
-from grasschur import SuperMatrix, classify, dagger, invert, mul
+import grasschur.toeplitz as toeplitz
+from grasschur import AlgebraContext, SuperMatrix, Supernumber, classify, dagger, invert, kth_root, mul
+from grasschur.cli import main
 from grasschur.errors import EtaNotContractive, NotSuperpositive
+from grasschur.matrix import adjoint, is_superpositive, mat_invert, mat_mul
 from grasschur.oracle import classical_toeplitz_extension, classical_toeplitz_is_pd
 from grasschur.sampling import random_soul, random_supernumber
+from grasschur.serialization import dumps, supernumber_from_obj, supernumber_to_obj, toeplitz_spec_to_obj
 from grasschur.toeplitz import (
     SuperdiskParams,
     ToeplitzSpec,
@@ -92,8 +98,6 @@ class TestExtensionParams:
             spec = random_superpositive_spec(ctx, rng, 2)
             params = extension_params(spec)
             t_prev = assemble(ToeplitzSpec(spec.r[:-1]))
-            from grasschur.matrix import adjoint, mat_invert, mat_mul
-
             inner = mat_invert(t_prev)
             b = SuperMatrix.column(list(spec.r[:0:-1]))
             xi = params.right_radius
@@ -122,8 +126,6 @@ class TestExtend:
             eta = random_admissible_eta(ctx, rng, modulus=0.9)
             extended = extend(spec, eta)
             assert verify_extension(extended)
-            from grasschur.matrix import is_superpositive
-
             assert is_superpositive(assemble(extended))
 
     def test_classical_agreement(self, ctx, rng):
@@ -162,8 +164,6 @@ class TestVerify:
 
 def schur_complement_verdict(spec):
     """Reference route: T_{N-1} superpositive and r_0 - b* T_{N-1}⁻¹ b a positive supernumber."""
-    from grasschur.matrix import adjoint, is_superpositive, mat_invert, mat_mul
-
     if spec.order == 0:
         return classify(spec.r[0]).is_superpositive
     leading = assemble(ToeplitzSpec(spec.r[:-1]))
@@ -177,8 +177,6 @@ def schur_complement_verdict(spec):
 class TestVerifyAgainstSchurComplement:
     @pytest.mark.parametrize("generators", [8, 64])
     def test_random_specs_agree(self, generators):
-        from grasschur import AlgebraContext
-
         ctx = AlgebraContext(generators=generators)
         rng = np.random.default_rng(generators)
         verdicts = []
@@ -194,3 +192,95 @@ class TestVerifyAgainstSchurComplement:
             assert verdict == schur_complement_verdict(spec)
             verdicts.append(verdict)
         assert any(verdicts) and not all(verdicts)
+
+
+def ref_extension_params(spec):
+    """The superdisk from T_{N-1} assembled on its own and four separate products."""
+    report = is_superpositive(assemble(spec))
+    if not report:
+        raise NotSuperpositive(report.reason or "Toeplitz matrix is not superpositive")
+    r = spec.r
+    if spec.order == 0:
+        center, alpha_inv, xi_sq = spec.context.zero(), r[0], r[0]
+    else:
+        inner = mat_invert(assemble(ToeplitzSpec(r[:-1])))
+        a = SuperMatrix.row(list(r[1:]))
+        b = SuperMatrix.column(list(r[:0:-1]))
+        a_inner = mat_mul(a, inner)
+        alpha_inv = r[0] - mat_mul(a_inner, adjoint(a))[0, 0]
+        center = mat_mul(a_inner, b)[0, 0]
+        xi_sq = r[0] - mat_mul(mat_mul(adjoint(b), inner), b)[0, 0]
+    return SuperdiskParams(center, kth_root(alpha_inv, 2), kth_root(xi_sq, 2))
+
+
+def filled_soul(ctx, rng, scale):
+    """A soul on every monomial of ctx (N = 8: 255 terms)."""
+    return Supernumber(ctx, {k: scale * complex(*rng.normal(size=2)) for k in range(1, 1 << ctx.generators)})
+
+
+def block_complement_specs(generators, order, count):
+    """Superpositive specs of one order: filled souls at N = 8, 2-term souls at N = 64."""
+    ctx = AlgebraContext(generators=generators)
+    rng = np.random.default_rng([generators, order])
+    specs = []
+    for _ in range(count):
+        if generators == 8:
+            s = filled_soul(ctx, rng, 0.02)
+            spec = ToeplitzSpec((ctx.scalar(1.0 + rng.random()) + s + dagger(s),))
+            for _ in range(order):
+                eta = ctx.scalar(0.7 * rng.random() * np.exp(2j * np.pi * rng.random()))
+                spec = extend(spec, eta + filled_soul(ctx, rng, 0.01))
+        else:
+            spec = random_superpositive_spec(ctx, rng, order)
+        specs.append(spec)
+    return specs
+
+
+def assert_params_close(got, want, tol=1e-12):
+    for name in ("center", "left_radius", "right_radius"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g - w).norm1() <= tol * max(1.0, w.norm1()), name
+
+
+class TestBlockComplement:
+    """The superdisk as one 2x2 Schur complement matches the four-product reference."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("generators", [8, 64])
+    def test_matches_reference(self, generators, order):
+        for spec in block_complement_specs(generators, order, 4):
+            assert spec.order == order
+            assert_params_close(extension_params(spec), ref_extension_params(spec))
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_cli_params_match_reference(self, tmp_path, order):
+        spec = block_complement_specs(8, order, 1)[0]
+        ctx = spec.context
+        spec_file = tmp_path / "spec.json"
+        eta_file = tmp_path / "eta.json"
+        out_file = tmp_path / "out.json"
+        spec_file.write_text(dumps(toeplitz_spec_to_obj(spec)))
+        eta_file.write_text(dumps(supernumber_to_obj(ctx.scalar(0.3))))
+        assert main(["toeplitz", "extend", "--spec", str(spec_file), "--eta", str(eta_file),
+                     "--out", str(out_file)]) == 0
+        got = json.loads(out_file.read_text())["superdisk"]
+        want = ref_extension_params(spec)
+        assert_params_close(SuperdiskParams(*(supernumber_from_obj(got[name], ctx)
+                                              for name in ("center", "left_radius", "right_radius"))), want)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_one_assembly_one_inverse(self, monkeypatch, order):
+        spec = block_complement_specs(64, order, 1)[0]
+        calls = {"assemble": 0, "mat_invert": 0, "ToeplitzSpec": 0}
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(toeplitz, "assemble", counted("assemble", toeplitz.assemble))
+        monkeypatch.setattr(toeplitz, "mat_invert", counted("mat_invert", toeplitz.mat_invert))
+        monkeypatch.setattr(ToeplitzSpec, "__post_init__", counted("ToeplitzSpec", ToeplitzSpec.__post_init__))
+        extension_params(spec)
+        assert calls == {"assemble": 1, "mat_invert": 1, "ToeplitzSpec": 0}
