@@ -93,12 +93,6 @@ def basis_mul(alpha: MultiIndex, beta: MultiIndex) -> tuple[int, MultiIndex] | N
     return sign, alpha | beta
 
 
-def dagger_sign(index: MultiIndex) -> int:
-    """Sign (-1)**(t(t-1)/2) applied to a grade-t coefficient by conjugation."""
-    # t(t-1)/2 is odd exactly when t = 2, 3 (mod 4), i.e. when bit 1 of t is set.
-    return -1 if grade(index) & 2 else 1
-
-
 @dataclass(frozen=True)
 class AlgebraContext:
     """Shared configuration: generator count, tolerances, series truncation.
@@ -376,8 +370,6 @@ def _disjoint_pairs(generators: int, ka, kb):
     del flat
     # Bit k of prefix_xor(b) << 1 is the parity of b's bits below k, so the
     # parity of merge_swap_count(a, b) is that of popcount(a & (prefix_xor(b) << 1)).
-    # That parity is the low bit left by XOR-folding the word with the prefix
-    # loop's shifts in reverse.
     prefix = kb.copy()
     shift = 1
     while shift < generators:
@@ -386,12 +378,8 @@ def _disjoint_pairs(generators: int, ka, kb):
     gamma = ka[ia]  # a for now; a | b below
     fold = (prefix << 1)[ib]
     fold &= gamma
-    while shift > 1:
-        shift >>= 1
-        fold ^= fold >> shift
-    fold &= 1
     gamma |= kb[ib]
-    return ia, ib, fold.astype(bool), gamma
+    return ia, ib, (np.bitwise_count(fold) & 1).astype(bool), gamma
 
 
 def _cmul(x, y):
@@ -468,7 +456,8 @@ def dagger(z: Supernumber) -> Supernumber:
 
     Involutive antiautomorphism: (z†)† = z and (zw)† = w† z†.
     """
-    out = {k: (v.conjugate() if dagger_sign(k) > 0 else -v.conjugate()) for k, v in z._terms.items()}
+    # t(t-1)/2 is odd exactly when t = 2, 3 (mod 4), i.e. when bit 1 of the grade t is set.
+    out = {k: (-v.conjugate() if k.bit_count() & 2 else v.conjugate()) for k, v in z._terms.items()}
     return Supernumber._canonical(z.context, out)
 
 

@@ -90,7 +90,8 @@ class NotInvertible(GrasschurError):
 
 
 class WindowTooSmall(GrasschurError):
-    """No grid up to max_grid certifies the Wiener inverse: ‖F ⋆ G − I‖₁ stays above tol_eq."""
+    """No grid up to ``series._MAX_GRID`` points (2¹⁶) certifies the Wiener inverse:
+    ‖F ⋆ G − I‖₁ stays above tol_eq on every grid tried."""
 
     code = "window-too-small"
 

@@ -294,7 +294,7 @@ def _inverse(context: AlgebraContext, keys, stack, body_inv, op) -> tuple[np.nda
 
 def adjoint(m: SuperMatrix) -> SuperMatrix:
     """Conjugate transpose under dagger: M* = (m_kj†); (ML)* = L*M*."""
-    flip = (np.bitwise_count(m.keys) & 2).astype(bool)[:, None, None]  # dagger_sign(k) < 0
+    flip = (np.bitwise_count(m.keys) & 2).astype(bool)[:, None, None]  # grade t = 2, 3 (mod 4)
     stack = m.stack.conj().transpose(0, 2, 1)
     return SuperMatrix._of(m.context, m.keys, np.where(flip, -stack, stack))
 

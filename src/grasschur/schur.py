@@ -75,13 +75,16 @@ def geometric_sandwich_sum(x: Supernumber, u: Supernumber, y: Supernumber) -> Su
 # ---------------------------------------------------------------------------
 
 
-def is_schur_grassmann(s: SeriesMatrix, depth: int | None = None) -> bool:
+def is_schur_grassmann(s: SeriesMatrix) -> bool:
     """Contractivity test: I - L_N* L_N supernonnegative for all N <= depth, L_N the block
-    lower-triangular Toeplitz matrix of s_0..s_N.  Each L_N is a leading block of L_depth,
-    so ‖L_N‖ ≤ ‖L_depth‖ and the one test at N = depth decides them all.  The verdict
-    depends only on the body (body Schur <=> Schur-Grassmann), so it is decided on the
-    body series."""
-    depth = min(s.degree, 8) if depth is None else min(depth, s.degree)
+    lower-triangular Toeplitz matrix of s_0..s_N, at the depth schur_algorithm reads: the
+    degree of a truncated series, max_series_degree for an exact one of degree >= 1, 0 for
+    an exact constant.  Each L_N is a leading block of L_depth, so ‖L_N‖ ≤ ‖L_depth‖ and the
+    one test at N = depth decides them all: Schur's criterion for s_0..s_depth, and only a
+    necessary one for an exact polynomial.  The verdict depends only on the body (body
+    Schur <=> Schur-Grassmann), so it is decided on the body series."""
+    depth = s.context.max_series_degree if s.exact and s.degree else s.degree
+    s = s.truncated(depth)
     (p, q), lag = s.shape, np.subtract.outer(np.arange(depth + 1), np.arange(depth + 1))
     blocks = np.where((lag >= 0)[..., None, None], s._body()[np.maximum(lag, 0)], 0)
     l = blocks.transpose(0, 2, 1, 3).reshape((depth + 1) * p, (depth + 1) * q)

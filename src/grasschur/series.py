@@ -269,24 +269,25 @@ def backward_shift(f: SeriesMatrix) -> SeriesMatrix:
 class LaurentSeries(Stacked):
     """Two-sided finitely supported series sum_{|n|<=window} z^n f_n: ``stack[s, n - low]``
     holds monomial ``keys[s]`` of f_n, with no all-zero end power; ``coeffs`` views the
-    nonzero f_n by ascending power.  The zero series keeps its shape and has no context.  A
-    stack of more than ``algebra._MAX_ENTRIES`` entries raises TooLarge before it is allocated."""
+    nonzero f_n by ascending power.  Context and shape come from the coefficients given (at
+    least one, zero ones included); the zero series keeps them as no key over one power at
+    ``low`` 0.  A stack of more than ``algebra._MAX_ENTRIES`` entries raises TooLarge before it is allocated."""
 
     __slots__ = ("window", "low")
     _own = ("window", "low")
     __hash__ = None
 
-    def __new__(cls, window: int, coeffs: Mapping[int, SuperMatrix], shape: tuple[int, int] = (0, 0)):
-        coeffs = {int(n): c for n, c in coeffs.items() if not c.is_zero()}
-        if not coeffs and shape == (0, 0):
-            raise ValueError("empty Laurent series needs an explicit shape")
-        if any(abs(n) > window for n in coeffs):
-            raise ValueError(f"coefficient at power {max(coeffs, key=abs)} outside window {window}")
-        first = next(iter(coeffs.values())) if coeffs else SuperMatrix.zeros(None, *shape)
+    def __new__(cls, window: int, coeffs: Mapping[int, SuperMatrix]):
+        if not coeffs:
+            raise ValueError("a Laurent series needs at least one coefficient")
+        first = next(iter(coeffs.values()))
         if any(c.shape != first.shape for c in coeffs.values()):
             raise ShapeMismatch("Laurent coefficients must share one shape")
         if any(c.context != first.context for c in coeffs.values()):
             raise ContextMismatch("Laurent coefficients must share one context")
+        coeffs = {int(n): c for n, c in coeffs.items() if not c.is_zero()}
+        if any(abs(n) > window for n in coeffs):
+            raise ValueError(f"coefficient at power {max(coeffs, key=abs)} outside window {window}")
         low = min(coeffs, default=0)
         keys = np.unique(np.concatenate([first.keys, *(c.keys for c in coeffs.values())]))
         span = max(coeffs, default=-1) - low + 1
@@ -299,12 +300,12 @@ class LaurentSeries(Stacked):
         return cls._of(first.context, keys, stack, window, low)
 
     @classmethod
-    def _of(cls, context: AlgebraContext | None, keys, stack, window: int, low: int) -> "LaurentSeries":
+    def _of(cls, context: AlgebraContext, keys, stack, window: int, low: int) -> "LaurentSeries":
         """The series of a key array, a (keys, span, rows, cols) stack from power ``low``
         and its window; drops all-zero end powers."""
         powers = np.flatnonzero(stack.any(axis=(0, 2, 3)))
         if not len(powers):
-            return super()._of(None, keys[:0], stack[:0, :0], window, 0)
+            return super()._of(context, keys[:0], np.zeros((0, 1, *stack.shape[2:]), dtype=complex), window, 0)
         return super()._of(context, keys, stack[:, powers[0]:powers[-1] + 1], window, low + int(powers[0]))
 
     @property
@@ -313,8 +314,6 @@ class LaurentSeries(Stacked):
                 for j in np.flatnonzero(self.stack.any(axis=(0, 2, 3))).tolist()}
 
     def coefficient(self, n: int) -> SuperMatrix:
-        if self.context is None:
-            raise ValueError("empty series has no context")
         if 0 <= n - self.low < self.stack.shape[1]:
             return SuperMatrix._of(self.context, self.keys, self.stack[:, n - self.low])
         return SuperMatrix.zeros(self.context, *self.shape)
@@ -324,17 +323,15 @@ class LaurentSeries(Stacked):
             return NotImplemented
         if self.shape != other.shape:
             raise ShapeMismatch(f"cannot combine {self.shape} and {other.shape}")
-        if self.context and other.context:
-            _require_same_context(self, other)
+        context = _require_same_context(self, other)
         low, end = min(self.low, other.low), max(h.low + h.stack.shape[1] for h in (self, other))
         x, y = (np.pad(h.stack, ((0, 0), (h.low - low, end - h.low - h.stack.shape[1]), (0, 0), (0, 0)))
                 for h in (self, other))  # both stacks over the powers low..end-1
-        return LaurentSeries._of(self.context or other.context, *_add(self.keys, x, other.keys, y),
-                                 max(self.window, other.window), low)
+        return LaurentSeries._of(context, *_add(self.keys, x, other.keys, y), max(self.window, other.window), low)
 
     @classmethod
     def constant(cls, value: SuperMatrix) -> "LaurentSeries":
-        return cls(0, {0: value}, shape=value.shape)
+        return cls(0, {0: value})
 
 
 def laurent_star_mul(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
@@ -342,8 +339,6 @@ def laurent_star_mul(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
     Grassmann product with the untruncated degree convolution as payload."""
     if f.shape[1] != g.shape[0]:
         raise ShapeMismatch(f"cannot star-multiply {f.shape} by {g.shape}")
-    if f.context is None or g.context is None:
-        return LaurentSeries(f.window + g.window, {}, shape=(f.shape[0], g.shape[1]))
     context = _require_same_context(f, g)
     return LaurentSeries._of(context, *_pair_product(
         context.generators, f.keys, f.stack, g.keys, g.stack,
@@ -398,35 +393,34 @@ def wiener_is_invertible(f: LaurentSeries) -> bool:
     """
     if f.shape[0] != f.shape[1]:
         raise ShapeMismatch("invertibility needs square coefficients")
-    if f.context is None:
-        return False
     points = f.shape[0] * (f.stack.shape[1] - 1) + 1
     dets = np.linalg.det(_on_circle(f._body()[None], 0, points)[0])
     return _zero_free(np.fft.fft(dets) / points, f.context, inside=False)
 
 
 _KEPT = 1e-5  # cut for keeping a coefficient of the inverse, relative to tol_eq; what it drops is inside the certificate
+_MAX_GRID = 1 << 16  # largest grid wiener_invert tries before WindowTooSmall
 
 
-def wiener_invert(f: LaurentSeries, grid_points: int | None = None,
-                  max_grid: int = 1 << 16) -> LaurentSeries:
+def wiener_invert(f: LaurentSeries) -> LaurentSeries:
     """Inverse G in the Wiener-Grassmann algebra, pointwise on the circle, certified by
     ‖F ⋆ G − I‖₁ ≤ tol_eq over every power.
 
     A point e^{it} is a scalar, so F(e^{it})⁻¹ is G's value there: with F = B + S,
     the W with W = B⁻¹ − B⁻¹S W, solved grade by grade on the (monomial, grid
     point) stack by matrix._inverse, which ends within N grades; then one FFT
-    along the grid.  The grid doubles until G certifies; WindowTooSmall if no
-    grid up to max_grid does.
+    along the grid.  The grid starts at 8 points per stored power on either side
+    (at least 64) and doubles until G certifies; WindowTooSmall if no grid up to
+    ``_MAX_GRID`` points does.
     """
     if not wiener_is_invertible(f):
         raise NotInvertible("body determinant vanishes on the circle")
     context = f.context
     identity = LaurentSeries.constant(SuperMatrix.identity(context, f.shape[0]))
-    points = grid_points or max(64, 8 * (2 * max(-f.low, f.low + f.stack.shape[1] - 1) + 1))
+    points = max(64, 8 * (2 * max(-f.low, f.low + f.stack.shape[1] - 1) + 1))
     on_keys = np.union1d(np.zeros(1, dtype=np.uint64), f.keys)  # f's monomials and the body, on every grid
     spread = _spread(on_keys, f.keys, f.stack)
-    while points <= max_grid:
+    while points <= _MAX_GRID:
         stack = _on_circle(spread, f.low, points)
         keys, total = _inverse(context, on_keys, stack, np.linalg.inv(stack[0]), _matmul)
         half = points // 2
@@ -438,7 +432,7 @@ def wiener_invert(f: LaurentSeries, grid_points: int | None = None,
         if (laurent_star_mul(f, g) - identity).norm1() <= context.tol_eq:
             return g
         points *= 2
-    raise WindowTooSmall("no grid up to max_grid certifies the inverse")
+    raise WindowTooSmall(f"no grid up to {_MAX_GRID} points certifies the inverse")
 
 
 def weak_plus_invertibility(f: SeriesMatrix) -> bool:

@@ -295,6 +295,15 @@ class TestSchurCommand:
         rhos = [supernumber_from_obj(r, ctx) for r in got["rhos"]]
         assert rhos[0] == rho and rhos[1].is_zero() and rhos[2].is_zero()
 
+    def test_non_schur_series_exit_code(self, ctx, tmp_path, capsys):
+        # 0.6 + 0.6 z^5 truncated at degree 16: |s(1)| = 1.2, seen only past s_8
+        bodies = [0.6, 0.0, 0.0, 0.0, 0.0, 0.6] + [0.0] * 11
+        series = SeriesMatrix.from_coeffs([SuperMatrix.from_body(ctx, [[b]]) for b in bodies])
+        series_file = write(tmp_path / "s.json", series_to_obj(series))
+        assert main(["schur", "run", "--series", series_file, "--max-steps", "20"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[error]")
+
     @pytest.mark.parametrize("steps", ["-1", "-3"])
     def test_negative_max_steps_exit_code(self, steps, ctx, tmp_path, capsys):
         series = SeriesMatrix.from_coeffs([SuperMatrix.from_body(ctx, [[b]]) for b in (0.5, 0.25)])

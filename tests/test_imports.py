@@ -1,11 +1,17 @@
 """Every name a src/grasschur module imports is used in that module: read as a
 name, as the root of an attribute, in a quoted annotation, or listed in
 ``__all__``.  No module but ``sampling`` names numpy's random generator, and none
-imports the test-support modules ``sampling`` and ``oracle``."""
+imports the test-support modules ``sampling`` and ``oracle``.  The series layer
+and the Schur membership test take no tuning parameter, and no object is built
+without a context."""
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+from grasschur.schur import is_schur_grassmann
+from grasschur.series import LaurentSeries, wiener_invert
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "grasschur"
 
@@ -93,3 +99,16 @@ def test_no_runtime_randomness():
 def test_runtime_randomness_is_caught(source):
     assert _randomness(ast.parse(source))
     assert not _randomness(ast.parse("from .algebra import mul\nx = np.linalg.eigvals(a)"))
+
+
+@pytest.mark.parametrize("function, parameters", [
+    (wiener_invert, ["f"]), (is_schur_grassmann, ["s"]), (LaurentSeries.__new__, ["cls", "window", "coeffs"]),
+], ids=["wiener_invert", "is_schur_grassmann", "LaurentSeries"])
+def test_tuning_options_are_gone(function, parameters):
+    assert list(inspect.signature(function).parameters) == parameters
+
+
+def test_no_context_less_object():
+    found = [f"{path.name}:{n}" for path in sorted(PACKAGE.rglob("*.py"))
+             for n, line in enumerate(path.read_text().splitlines(), 1) if "zeros(None" in line]
+    assert not found, f"objects built with context None in src/grasschur: {found}"

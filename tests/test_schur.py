@@ -100,7 +100,7 @@ def make_np_data(ctx, rng, n_nodes, node_radius=0.45, souls=True):
 
 def toeplitz_body(s, depth):
     """The body of L_depth, the block lower-triangular Toeplitz matrix of s_0..s_depth."""
-    (p, q), bodies = s.shape, [c.body() for c in s.coeffs]
+    (p, q), bodies = s.shape, [s.coefficient(n).body() for n in range(depth + 1)]
     l = np.zeros(((depth + 1) * p, (depth + 1) * q), dtype=complex)
     for i in range(depth + 1):
         for j in range(i + 1):
@@ -108,9 +108,15 @@ def toeplitz_body(s, depth):
     return l
 
 
-def ref_is_schur_grassmann(s, depth=None):
+def read_depth(s):
+    """The degree schur_algorithm reads: s's own when truncated, max_series_degree when
+    exact of degree >= 1, 0 for an exact constant."""
+    return s.context.max_series_degree if s.exact and s.degree else s.degree
+
+
+def ref_is_schur_grassmann(s):
     """The loop over every leading block: I - L_n* L_n supernonnegative for n = 1..depth+1."""
-    depth = min(s.degree, 8) if depth is None else min(depth, s.degree)
+    depth = read_depth(s)
     (p, q), l = s.shape, toeplitz_body(s, depth)
     for n in range(1, depth + 2):
         top = l[:n * p, :n * q]
@@ -121,19 +127,20 @@ def ref_is_schur_grassmann(s, depth=None):
 
 class TestIsSchurGrassmann:
     def test_one_test_at_full_depth_matches_every_leading_block(self, ctx, rng):
-        cases = [(scalar_series(ctx, bodies), depth) for bodies in ([0.5] + [0.0] * 4, [2.0] + [0.0] * 4,
-                 [0.6, 0.3, 0.05], [0.8, 0.7], [1.0], [1.0, 0.0, 0.0], [0.6, 0.8], [0.5, 0.2]) for depth in (None, 1)]
+        cases = [scalar_series(ctx, bodies, exact) for bodies in ([0.5] + [0.0] * 4, [2.0] + [0.0] * 4,
+                 [0.6, 0.3, 0.05], [0.8, 0.7], [1.0], [1.0, 0.0, 0.0], [0.6, 0.8], [0.5, 0.2], [0.6] + [0.0] * 11 + [0.6])
+                 for exact in (False, True)]
         for trial in range(400):
             n, degree = int(rng.integers(1, 3)), int(rng.integers(0, 12))
             s = SeriesMatrix.from_coeffs([SuperMatrix.from_body(ctx, 0.7 ** k * rng.normal(size=(n, n, 2)) @ [1, 1j])
-                                          for k in range(degree + 1)])
+                                          for k in range(degree + 1)], exact=bool(trial % 4 >= 2))
             if trial % 2:  # scaled to ‖L_depth‖ = 1 + eps, where the verdict turns
                 scale = (1 + rng.choice([-1e-8, -1e-12, 0.0, 1e-12, 1e-8])) / np.linalg.norm(
-                    toeplitz_body(s, min(degree, 8)), 2)
+                    toeplitz_body(s, read_depth(s)), 2)
             else:
                 scale = rng.uniform(0.1, 1.2) / n
-            cases.append((s * scale, None))
-        verdicts = [(is_schur_grassmann(s, depth), ref_is_schur_grassmann(s, depth)) for s, depth in cases]
+            cases.append(s * scale)
+        verdicts = [(is_schur_grassmann(s), ref_is_schur_grassmann(s)) for s in cases]
         assert all(got == want for got, want in verdicts)
         assert 0 < sum(got for got, _ in verdicts) < len(verdicts)
 
@@ -153,6 +160,16 @@ class TestIsSchurGrassmann:
     def test_tight_contraction_with_tail(self, ctx):
         assert is_schur_grassmann(scalar_series(ctx, [0.6, 0.3, 0.05]))
         assert not is_schur_grassmann(scalar_series(ctx, [0.8, 0.7]))
+
+    @pytest.mark.parametrize("bodies, exact", [([0.6] + [0.0] * 4 + [0.6] + [0.0] * 11, False),
+                                               ([0.6] + [0.0] * 11 + [0.6], True)], ids=["z5-truncated", "z12-exact"])
+    def test_rejects_a_boundary_excess_past_s8(self, ctx, bodies, exact):
+        # |s(1)| = 1.2, but I - L_8* L_8 is positive: only the coefficients read past s_8 show it
+        s = scalar_series(ctx, bodies, exact)
+        assert np.linalg.norm(toeplitz_body(s, 8), 2) < 1
+        assert not is_schur_grassmann(s)
+        with pytest.raises(GrasschurError, match="not a Schur-Grassmann function"):
+            schur_algorithm(s, 20)
 
 
 class TestKYP:
@@ -467,7 +484,7 @@ class TestLFT:
         sigma = scalar_series(ctx, [0.5, 0.2])
         assert is_schur_grassmann(sigma)
         out = lft_apply(theta, sigma)
-        assert is_schur_grassmann(out, depth=6)
+        assert is_schur_grassmann(out)
 
 
 class TestNPSolve:

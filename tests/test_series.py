@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import grasschur
+from grasschur import series
 from grasschur import AlgebraContext, Supernumber, SuperMatrix, classify, dagger, index_from_generators, invert, mul
 from grasschur.errors import ConstantTermSingular, ContextMismatch, NotInvertible, ShapeMismatch, WindowTooSmall
 from grasschur.matrix import mat_invert, mat_mul
@@ -372,29 +373,30 @@ class TestWiener:
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_zero_series_is_not_invertible(self, ctx, p):
-        f = LaurentSeries(1, {}, shape=(p, p))
-        assert wiener_is_invertible(f) is False
+        f = LaurentSeries(1, {0: SuperMatrix.zeros(ctx, p, p)})
+        assert f.context is ctx and wiener_is_invertible(f) is False
         with pytest.raises(NotInvertible):
             wiener_invert(f)
 
+    def test_grid_doubles_from_the_default_start(self, ctx, monkeypatch):
+        # the coefficients 0.9^n alias on the 64-point start grid: the grid doubles until G certifies
+        grids, on_circle = [], series._on_circle
+        monkeypatch.setattr(series, "_on_circle", lambda stack, low, points: grids.append(points) or on_circle(
+            stack, low, points))
+        f = self.make_scalar(ctx, {0: 1.0, 1: -0.9})
+        g = wiener_invert(f)
+        tried = grids[1:]  # grids[0] is wiener_is_invertible's determinant grid
+        assert len(grids) >= 3 and tried[:2] == [64, 128]
+        assert tried == [64 << k for k in range(len(tried))] and tried[-1] <= series._MAX_GRID
+        eye = LaurentSeries.constant(SuperMatrix.identity(ctx, 1))
+        assert (laurent_star_mul(f, g) - eye).norm1() <= ctx.tol_eq
+
     def test_window_too_small(self, ctx):
-        # the coefficients 0.999^n need far more than 1024 grid points to settle
-        f = self.make_scalar(ctx, {0: 1.0, 1: -0.999})
+        # the coefficients 0.9995^n need more than the 2^16 grid points of the cap to settle
+        f = self.make_scalar(ctx, {0: 1.0, 1: -0.9995})
         assert wiener_is_invertible(f)
         with pytest.raises(WindowTooSmall):
-            wiener_invert(f, max_grid=1024)
-
-    def test_grid_points_do_not_change_the_inverse(self, ctx4, rng):
-        ctx = ctx4
-        f = LaurentSeries(1, {
-            -1: random_supermatrix(ctx, rng, 2, 2, scale=0.2, terms=3, max_grade=2),
-            0: SuperMatrix.identity(ctx, 2) * 2 + random_supermatrix(
-                ctx, rng, 2, 2, scale=0.3, body=0.0, terms=3, max_grade=2),
-            1: random_supermatrix(ctx, rng, 2, 2, scale=0.2, terms=3, max_grade=2),
-        })
-        g = wiener_invert(f)
-        h = wiener_invert(f, grid_points=200)
-        assert (g - h).norm1() <= 1e-12
+            wiener_invert(f)
 
     @pytest.mark.parametrize("call", ["wiener_is_invertible", "wiener_invert"])
     def test_far_apart_powers_end_in_too_large(self, call):
@@ -441,12 +443,9 @@ def wiener_inputs(ctx, ctx4, rng):
 
 
 class TestWienerCertificate:
-    @pytest.mark.parametrize("start", [None, 8])
-    def test_residual_over_every_power(self, ctx, ctx4, rng, start):
-        # a start at 8 points doubles until the certificate holds; what is promised is the
-        # certificate, not bit-equality with the default start
+    def test_residual_over_every_power(self, ctx, ctx4, rng):
         for f in wiener_inputs(ctx, ctx4, rng):
-            g = wiener_invert(f, grid_points=start)
+            g = wiener_invert(f)
             eye = LaurentSeries.constant(SuperMatrix.identity(f.context, f.shape[0]))
             assert (laurent_star_mul(f, g) - eye).norm1() <= f.context.tol_eq
             assert g.window == max(f.window, *map(abs, g.coeffs))
@@ -698,12 +697,12 @@ def ref_laurent_star_mul(f, g):
         for ng, b in g.coeffs.items():
             term = mat_mul(a, b)
             out[nf + ng] = out[nf + ng] + term if nf + ng in out else term
-    return LaurentSeries(f.window + g.window, out, shape=(f.shape[0], g.shape[1]))
+    return LaurentSeries(f.window + g.window, out or {0: SuperMatrix.zeros(f.context, f.shape[0], g.shape[1])})
 
 
 def random_laurent(ctx, rng, powers, window, p, q):
     return LaurentSeries(window, {n: random_supermatrix(ctx, rng, p, q, scale=0.5, terms=3, max_grade=3)
-                                  for n in powers}, shape=(p, q))
+                                  for n in powers} or {0: SuperMatrix.zeros(ctx, p, q)})
 
 
 class TestLaurentLayout:
@@ -733,8 +732,21 @@ class TestLaurentLayout:
         assert (trimmed.low, trimmed.stack.shape[1]) == (1, 1) and trimmed == LaurentSeries(4, {1: b})
         assert project_plus(f) == trimmed and project_minus(f) == LaurentSeries(4, {-2: a})
         zero = f - f
-        assert zero.context is None and zero.shape == (2, 2) and zero.coeffs == {} and zero.norm1() == 0.0
-        assert zero == LaurentSeries(4, {}, shape=(2, 2)) and zero + f == f and f + zero == f
+        assert zero.context is ctx and zero.shape == (2, 2) and zero.coeffs == {} and zero.norm1() == 0.0
+        assert zero == LaurentSeries(4, {0: SuperMatrix.zeros(ctx, 2, 2)}) and zero + f == f and f + zero == f
+
+    def test_zero_series_keeps_its_context(self, ctx, rng):
+        f = random_laurent(ctx, rng, (-1, 2), 3, 2, 2)
+        g = random_laurent(ctx, rng, (0, 1), 2, 2, 3)
+        zero = f - f
+        assert zero.context is ctx and zero.shape == (2, 2) and (zero.low, zero.stack.shape[1]) == (0, 1)
+        assert zero.coefficient(-1) == SuperMatrix.zeros(ctx, 2, 2) and zero + f == f
+        product = laurent_star_mul(zero, g)
+        assert product.context is ctx and product.shape == (2, 3) and product.is_zero()
+        assert product.window == zero.window + g.window == 5
+        assert wiener_is_invertible(zero) is False
+        with pytest.raises(NotInvertible):
+            wiener_invert(zero)
 
     def test_far_apart_powers_end_in_too_large(self):
         # Without the budget numpy is asked for 596 GiB.  The child caps its own address
