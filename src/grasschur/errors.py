@@ -37,8 +37,9 @@ class BranchCut(GrasschurError):
 
 
 class DomainViolation(GrasschurError):
-    """An argument lies outside a function's domain: a root order below 2, or
-    an expansion point a derivative oracle refused."""
+    """An argument lies outside a function's domain: a root order below 2, a
+    Schur step count or a series degree that is not an integer in range, or an
+    expansion point a derivative oracle refused."""
 
     code = "domain-violation"
 
@@ -75,12 +76,6 @@ class ConstantTermSingular(GrasschurError):
     """Star inversion of a series whose constant term has singular body."""
 
     code = "constant-term-singular"
-
-
-class TailTooLarge(GrasschurError):
-    """Truncated-series evaluation tail exceeds the tolerance in strict mode."""
-
-    code = "tail-too-large"
 
 
 class NotInvertible(GrasschurError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _REAL_TOL, AlgebraContext, Supernumber, _pair_apply, _pair_plan, _require_same_context
-from .errors import BodySingular, DSingular, JInvalid, ShapeMismatch
+from .errors import BodySingular, DomainViolation, DSingular, JInvalid, ShapeMismatch
 from .matrix import SuperMatrix, _matmul, _self_adjoint, _spread, adjoint, mat_invert, mat_mul, sandwich_solve
 from .series import SeriesMatrix
 
@@ -65,7 +65,9 @@ class Realization:
 
 def to_series(r: Realization, degree: int | None = None) -> SeriesMatrix:
     """Taylor coefficients D, CB, CAB, CA^2B, ... through the given degree
-    (the context's max_series_degree by default).
+    (the context's max_series_degree by default).  A degree that is not an
+    integer in 0..max_series_degree (a bool included) raises DomainViolation
+    before any product.
 
     One loop over key/stack arrays: the power A^{n-1}B is multiplied by A and by C
     on pair plans of its keys (``algebra._pair_plan``), each rebuilt only when
@@ -75,7 +77,10 @@ def to_series(r: Realization, degree: int | None = None) -> SeriesMatrix:
     context = r.context
     for m in (r.a, r.b, r.c):
         _require_same_context(m, r.d)
-    degree = context.max_series_degree if degree is None else degree
+    if degree is None:
+        degree = context.max_series_degree
+    elif isinstance(degree, bool) or not isinstance(degree, int) or not 0 <= degree <= context.max_series_degree:
+        raise DomainViolation(f"degree must be an integer in 0..{context.max_series_degree}, got {degree!r}")
     by_a, by_c = _planned_product(r.a), _planned_product(r.c)
     power = r.b.keys, r.b.stack  # A^{n-1} B, accumulated left-to-right
     coeffs = [(r.d.keys, r.d.stack)]

@@ -144,21 +144,21 @@ def stein_residual(p: SuperMatrix, c: SuperMatrix, a: SuperMatrix, j: SuperMatri
 @dataclass(frozen=True)
 class ThetaFunction:
     """Theta as its certified realization (A, (I-A)K, C, I - CK), with the Stein
-    data P and J, the normalization K and the truncation degree of its series.
+    data P and J and the normalization K.
 
-    ``series`` is to_series of the realization at that degree, computed when it
-    is first read and then kept: np_solve with a constant sigma never reads it.
+    ``series`` is to_series of the realization, cut at the context's
+    max_series_degree, computed when it is first read and then kept: np_solve
+    with a constant sigma never reads it.
     """
 
     realization: Realization
     p: SuperMatrix
     j: SuperMatrix
     k: SuperMatrix
-    degree: int
 
     @cached_property
     def series(self) -> SeriesMatrix:
-        return to_series(self.realization, self.degree)
+        return to_series(self.realization)
 
     @property
     def context(self) -> AlgebraContext:
@@ -178,7 +178,6 @@ def build_theta(
     a: SuperMatrix,
     p: SuperMatrix,
     j: SuperMatrix,
-    degree: int | None = None,
     *,
     verify_samples: int = 0,  # ignored; bench/workloads.py still passes verify_samples=0
 ) -> ThetaFunction:
@@ -208,8 +207,7 @@ def build_theta(
     if max(off_diagonal, corner) > context.tol_eq:
         raise SteinViolated(f"colligation residuals {off_diagonal:.3e} (A*PB + C*JD), "
                             f"{corner:.3e} (B*PB + D*JD - J) at their scales")
-    degree = context.max_series_degree if degree is None else degree
-    return ThetaFunction(realization=r, p=p, j=j, k=k, degree=degree)
+    return ThetaFunction(realization=r, p=p, j=j, k=k)
 
 
 def _theta_realization(c: SuperMatrix, a: SuperMatrix, k: SuperMatrix) -> Realization:
@@ -333,13 +331,12 @@ def np_interpolation_check(data: InterpolationData, theta: ThetaFunction) -> boo
     return all(r <= tol for r in np_node_residuals(data, theta))
 
 
-def lft_apply(theta, sigma: SeriesMatrix) -> SeriesMatrix:
+def lft_apply(block: SeriesMatrix, sigma: SeriesMatrix) -> SeriesMatrix:
     """Linear fractional map (a⋆sigma + b) ⋆ (c⋆sigma + d)^{-star}.
 
-    ``theta`` is a ThetaFunction or a square SeriesMatrix whose blocks are
-    split by sigma's shape.
+    ``block`` is a square series, such as a ThetaFunction's ``series``, split
+    into the blocks [[a, b], [c, d]] by sigma's shape.
     """
-    block = theta.series if isinstance(theta, ThetaFunction) else theta
     p, q = sigma.shape
     if block.shape != (p + q, p + q):
         raise ShapeMismatch(f"theta {block.shape} incompatible with sigma {sigma.shape}")
@@ -365,8 +362,7 @@ class NPSolution:
     node_residuals: tuple[float, ...]
 
 
-def np_solve(data: InterpolationData, sigma: SeriesMatrix | None = None,
-             degree: int | None = None) -> NPSolution:
+def np_solve(data: InterpolationData, sigma: SeriesMatrix | None = None) -> NPSolution:
     """Solve the Nevanlinna-Pick problem: S = T_Theta(sigma) with Schur sigma.
 
     sigma defaults to 0 (the central solution).  An exact constant sigma goes
@@ -375,7 +371,8 @@ def np_solve(data: InterpolationData, sigma: SeriesMatrix | None = None,
     is the state-n realization (A - B_G D_2⁻¹C_2, B_G D_2⁻¹, C_1 - D_1 D_2⁻¹C_2,
     D_1 D_2⁻¹), expanded by to_series; Theta's series is not built.  A sigma of
     degree >= 1 is a truncated series with no realization here and goes through
-    lft_apply.  Either way a singular body of the denominator (D_2, the constant
+    lft_apply on Theta's series.  Either way the solution is cut at the context's
+    max_series_degree, and a singular body of the denominator (D_2, the constant
     term of c⋆sigma + d) raises DenominatorSingular.  Node residuals are reported,
     not asserted: they carry the series truncation tail |z_B|^degree.
     """
@@ -388,11 +385,11 @@ def np_solve(data: InterpolationData, sigma: SeriesMatrix | None = None,
     p = stein_solve(c, a, j)  # the Pick matrix; build_theta certifies its Stein residual
     if not is_superpositive(p):
         raise SteinViolated("Pick matrix is not superpositive")
-    theta = build_theta(c, a, p, j, degree)
+    theta = build_theta(c, a, p, j)
     if sigma.exact and not sigma.degree:
-        series = to_series(_lft_realization(theta.realization, sigma.coeffs[0]), theta.degree)
+        series = to_series(_lft_realization(theta.realization, sigma.coeffs[0]))
     else:
-        series = lft_apply(theta, sigma)
+        series = lft_apply(theta.series, sigma)
     residuals = tuple(
         (evaluate(series, z) - SuperMatrix.from_scalar(s)).norm1()
         for z, s in zip(data.nodes, data.values)
@@ -629,28 +626,27 @@ class BlaschkeFactor:
         """|b_a(omega)| as a 1-norm; the defining vanishing property."""
         return self.eval_at(self.omega).norm1()
 
-    def factorized_series(self, degree: int | None = None) -> SeriesMatrix:
+    def factorized_series(self) -> SeriesMatrix:
         """The explicit factorization through (z - omega) as a series.
 
         b_a(z) = (z-omega) [1 + (omega-1) c^{-†} p c^{-1} omega†]
-                 ⋆ (1 - z omega†)^{-star} c p^{-1} (1-a)^{-†} c†.
+                 ⋆ (1 - z omega†)^{-star} c p^{-1} (1-a)^{-†} c†,
+
+        formed as z w - omega w for the series w after (z-omega): no degree-1 polynomial, which
+        a degree-0 context cannot hold.
         """
-        context = self.context
-        one = context.one()
+        one = self.context.one()
         c_inv_dag = invert(dagger(self.c))
         c_inv = invert(self.c)
         u = one + mul(self.omega - one, mul(c_inv_dag, mul(self.p, mul(c_inv, dagger(self.omega)))))
         v = mul(self.c, self.theta.k[0, 0])
         o = SuperMatrix.from_scalar(dagger(self.omega))  # w_n = u (omega†)^n v
         w = to_series(Realization(o, o.scale_right(v), SuperMatrix.from_scalar(u),
-                                  SuperMatrix.from_scalar(mul(u, v))), degree)
-        z_minus_omega = SeriesMatrix((SuperMatrix.from_scalar(-self.omega), SuperMatrix.identity(context, 1)),
-                                     exact=True)
-        return star_mul(z_minus_omega, w)
+                                  SuperMatrix.from_scalar(mul(u, v))))
+        return w.shift_up() - w.scale_left(self.omega)
 
 
-def blaschke_factor(a: Supernumber, c: Supernumber, p: Supernumber,
-                    degree: int | None = None) -> BlaschkeFactor:
+def blaschke_factor(a: Supernumber, c: Supernumber, p: Supernumber) -> BlaschkeFactor:
     """Blaschke factor from constraint-satisfying data p - a†pa = c†c.
 
     p must be superreal and invertible, (1-a) body-invertible; the constraint
@@ -669,13 +665,12 @@ def blaschke_factor(a: Supernumber, c: Supernumber, p: Supernumber,
     if abs(c.body) <= context.tol_body:
         raise ConstraintViolated("c must have a nonzero body for the zero formula")
     theta = build_theta(SuperMatrix.from_scalar(c), SuperMatrix.from_scalar(a), SuperMatrix.from_scalar(p),
-                        SuperMatrix.from_body(context, [[1.0]]), degree)
+                        SuperMatrix.from_body(context, [[1.0]]))
     omega = mul(invert(dagger(c)), mul(dagger(a), dagger(c)))
     return BlaschkeFactor(a=a, c=c, p=p, omega=omega, theta=theta)
 
 
-def brune_section(c: SuperMatrix, a: Supernumber, p: Supernumber, j: SuperMatrix,
-                  degree: int | None = None) -> SeriesMatrix:
+def brune_section(c: SuperMatrix, a: Supernumber, p: Supernumber, j: SuperMatrix) -> SeriesMatrix:
     """Degenerate (isotropic) section Theta_BP(z) = Theta(z) M^{-1}.
 
     Requires c*Jc = 0, a unimodular (a†a = 1, which also makes p even and
@@ -699,7 +694,7 @@ def brune_section(c: SuperMatrix, a: Supernumber, p: Supernumber, j: SuperMatrix
         raise ConstraintViolated("p must be superreal, even and invertible")
     if abs(1.0 - a.body) <= context.tol_body:
         raise ConstraintViolated("(1 - a) must have a nonzero body")
-    theta = build_theta(c, SuperMatrix.from_scalar(a), SuperMatrix.from_scalar(p), j, degree)
+    theta = build_theta(c, SuperMatrix.from_scalar(a), SuperMatrix.from_scalar(p), j)
     chain = mul(dagger(one + a), mul(invert(p), invert(dagger(one - a))))
     m = SuperMatrix.identity(context, c.rows) - mat_mul(
         mat_mul(c.scale_right(chain), adjoint(c)), j) * 0.5
@@ -711,18 +706,17 @@ def brune_section(c: SuperMatrix, a: Supernumber, p: Supernumber, j: SuperMatrix
 # ---------------------------------------------------------------------------
 
 
-def kernel_eval(w: Supernumber, xi: SuperMatrix, degree: int | None = None) -> SeriesMatrix:
+def kernel_eval(w: Supernumber, xi: SuperMatrix) -> SeriesMatrix:
     """K(., w) xi = sum_n z^n (w†)^n xi as a column series."""
     if xi.cols != 1:
         raise ShapeMismatch("xi must be a column")
     if abs(w.body) >= 1.0:
         raise NotConvergent(f"|w_B| = {abs(w.body):.6f} >= 1")
     w_dag = SuperMatrix.diagonal([dagger(w)] * xi.rows)
-    return to_series(Realization(w_dag, xi, w_dag, xi), degree)
+    return to_series(Realization(w_dag, xi, w_dag, xi))
 
 
-def h_theta_kernel(theta: ThetaFunction, w: Supernumber, xi: SuperMatrix,
-                   degree: int | None = None) -> SeriesMatrix:
+def h_theta_kernel(theta: ThetaFunction, w: Supernumber, xi: SuperMatrix) -> SeriesMatrix:
     """K_{H(Theta)}(., w) xi via the resolvent form of the kernel identity.
 
     Coefficient n is C A^n P^{-1} V with V = sum_m (A*)^m C* (w†)^m xi = Y xi,
@@ -735,17 +729,17 @@ def h_theta_kernel(theta: ThetaFunction, w: Supernumber, xi: SuperMatrix,
     wd = SuperMatrix.diagonal([dagger(w)] * c.rows)
     y = sandwich_solve(adjoint(a), adjoint(c), wd)
     pinv_v = mat_mul(mat_invert(theta.p), mat_mul(y, xi))
-    return to_series(Realization(a, mat_mul(a, pinv_v), c, mat_mul(c, pinv_v)), degree)
+    return to_series(Realization(a, mat_mul(a, pinv_v), c, mat_mul(c, pinv_v)))
 
 
-def kernel_decomposition_residual(theta: ThetaFunction, w: Supernumber, xi: SuperMatrix,
-                                  through: int = 8) -> float:
-    """Coefficientwise residual of K = Theta Theta*-part + K_{H(Theta)} (J = I).
+def kernel_decomposition_residual(theta: ThetaFunction, w: Supernumber, xi: SuperMatrix) -> float:
+    """Coefficientwise residual of K = Theta Theta*-part + K_{H(Theta)} (J = I)
+    through the context's max_series_degree.
 
     ``w`` must be even so Theta(w) is exact.
     """
-    k_full = kernel_eval(w, xi, degree=through)
-    k_heta = h_theta_kernel(theta, w, xi, degree=through)
+    k_full = kernel_eval(w, xi)
+    k_heta = h_theta_kernel(theta, w, xi)
     middle = star_mul(theta.series, star_mul(SeriesMatrix.constant(adjoint(theta.eval_at(w))), k_full))
     return max(c.norm1() for c in (k_full - middle - k_heta).coeffs)
 
@@ -760,7 +754,7 @@ class ModuleInterpolation:
 
 
 def module_interpolate(c: SuperMatrix, a: SuperMatrix, x: SuperMatrix,
-                       h: SeriesMatrix | None = None, degree: int | None = None) -> ModuleInterpolation:
+                       h: SeriesMatrix | None = None) -> ModuleInterpolation:
     """Interpolation in the one-sided Wiener-Grassmann module with J = I.
 
     P solves P - A*PA = C*C; the particular solution is
@@ -768,9 +762,9 @@ def module_interpolate(c: SuperMatrix, a: SuperMatrix, x: SuperMatrix,
     """
     eye_p = SuperMatrix.identity(c.context, c.rows)
     p = stein_solve(c, a, eye_p)
-    theta = build_theta(c, a, p, eye_p, degree)
+    theta = build_theta(c, a, p, eye_p)
     pinv_x = mat_mul(mat_invert(p), x)
-    minimal = to_series(Realization(a, mat_mul(a, pinv_x), c, mat_mul(c, pinv_x)), degree)
+    minimal = to_series(Realization(a, mat_mul(a, pinv_x), c, mat_mul(c, pinv_x)))
     series = minimal if h is None else minimal + star_mul(theta.series, h)
     return ModuleInterpolation(series=series, minimal=minimal, theta=theta)
 

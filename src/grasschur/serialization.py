@@ -183,9 +183,10 @@ def series_from_obj(obj: Any, context: AlgebraContext) -> SeriesMatrix:
 
 
 def laurent_to_obj(f: LaurentSeries) -> dict:
+    """Nonzero coefficients by power; the zero series writes its zero one at power 0, with its shape."""
     return {
         "window": f.window,
-        "coeffs": {str(n): matrix_to_obj(c) for n, c in f.coeffs.items()},
+        "coeffs": {str(n): matrix_to_obj(c) for n, c in (f.coeffs or {0: f.coefficient(0)}).items()},
     }
 
 

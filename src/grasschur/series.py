@@ -28,7 +28,6 @@ from .errors import (
     ContextMismatch,
     NotInvertible,
     ShapeMismatch,
-    TailTooLarge,
     TooLarge,
     WindowTooSmall,
 )
@@ -197,7 +196,8 @@ def star_inverse(f: SeriesMatrix) -> SeriesMatrix:
 
 
 def evaluation_tail_bound(f: SeriesMatrix, z0: Supernumber) -> float:
-    """Crude geometric tail estimate for evaluating a truncated series.
+    """Crude geometric tail estimate for evaluating a truncated series: the
+    report on what evaluate and evaluate_right leave out.
 
     Zero for exact polynomials; otherwise assumes the unseen coefficients stay
     below the last stored one and sums the geometric envelope in ||z0||_1.
@@ -211,13 +211,10 @@ def evaluation_tail_bound(f: SeriesMatrix, z0: Supernumber) -> float:
     return last * q ** (f.degree + 1) / (1.0 - q)
 
 
-def _powers(f: SeriesMatrix, z0: Supernumber, strict: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _powers(f: SeriesMatrix, z0: Supernumber) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Keys and (keys, m+1, 1, 1) stack of z0^0..z0^m, m stopping before the first
     vanishing power or at f's degree, and the stack of f_0..f_m."""
     _require_same_context(f, z0)
-    bound = evaluation_tail_bound(f, z0) if strict else 0.0
-    if bound > f.context.tol_eq:
-        raise TailTooLarge(f"tail estimate {bound:.3e} exceeds tol_eq")
     powers = [z0.context.one()]
     while len(powers) <= f.degree and not (power := mul(powers[-1], z0)).is_zero():
         powers.append(power)
@@ -230,19 +227,20 @@ def _degree_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _cmul(x, y).sum(axis=1)
 
 
-def evaluate(f: SeriesMatrix, z0: Supernumber, strict: bool = False) -> SuperMatrix:
-    """Left evaluation sum_n z0^n f_n: the product of the z0-power stack with f.
+def evaluate(f: SeriesMatrix, z0: Supernumber) -> SuperMatrix:
+    """Left evaluation sum_n z0^n f_n over the stored coefficients: the product of
+    the z0-power stack with f.
 
-    With ``strict`` the geometric tail estimate must stay below tol_eq, else
-    TailTooLarge.
+    A truncated series drops its tail without a check; evaluation_tail_bound
+    reports an estimate of it.
     """
-    keys, powers, coeffs = _powers(f, z0, strict)
+    keys, powers, coeffs = _powers(f, z0)
     return SuperMatrix._of(f.context, *_pair_product(f.context.generators, keys, powers, f.keys, coeffs, _degree_dot))
 
 
-def evaluate_right(f: SeriesMatrix, z0: Supernumber, strict: bool = False) -> SuperMatrix:
-    """Right evaluation sum_n f_n z0^n (for right-sided series); ``strict`` as in evaluate."""
-    keys, powers, coeffs = _powers(f, z0, strict)
+def evaluate_right(f: SeriesMatrix, z0: Supernumber) -> SuperMatrix:
+    """Right evaluation sum_n f_n z0^n (for right-sided series); the tail as in evaluate."""
+    keys, powers, coeffs = _powers(f, z0)
     return SuperMatrix._of(f.context, *_pair_product(f.context.generators, f.keys, coeffs, keys, powers, _degree_dot))
 
 

@@ -392,7 +392,7 @@ class TestThetaCommand:
         assert len(err) == 1 and err[0].startswith("error[serialization-error]")
 
 
-def test_no_runtime_path_samples_the_kernel_identity(ctx, tmp_path, monkeypatch):
+def test_no_runtime_path_samples_the_kernel_identity(tmp_path, monkeypatch):
     from grasschur import schur
     from grasschur.schur import InterpolationData, build_theta, np_solve, stein_solve
 
@@ -400,11 +400,12 @@ def test_no_runtime_path_samples_the_kernel_identity(ctx, tmp_path, monkeypatch)
         raise AssertionError("kernel_identity_residual called at runtime")
 
     monkeypatch.setattr(schur, "kernel_identity_residual", sampled)
+    ctx = AlgebraContext(generators=8, max_series_degree=8)
     data = InterpolationData((ctx.scalar(0.3) + ctx.generator(1), ctx.scalar(-0.2j)),
                              (ctx.scalar(0.1), ctx.scalar(0.25) + ctx.generator(2)))
-    np_solve(data, degree=8)
+    np_solve(data)
     c, a, j = data.output_matrix(), data.state_matrix(), data.signature()
-    build_theta(c, a, stein_solve(c, a, j), j, degree=8)
+    build_theta(c, a, stein_solve(c, a, j), j)
     files = [write(tmp_path / f"{name}.json", matrix_to_obj(m)) for name, m in (("c", c), ("a", a), ("j", j))]
     assert main(["theta", "build", "--C", files[0], "--A", files[1], "--J", files[2],
                  "--out", str(tmp_path / "theta.json")]) == 0

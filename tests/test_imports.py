@@ -1,17 +1,19 @@
 """Every name a src/grasschur module imports is used in that module: read as a
 name, as the root of an attribute, in a quoted annotation, or listed in
 ``__all__``.  No module but ``sampling`` names numpy's random generator, and none
-imports the test-support modules ``sampling`` and ``oracle``.  The series layer
-and the Schur membership test take no tuning parameter, and no object is built
-without a context."""
+imports the test-support modules ``sampling`` and ``oracle``.  The series layer,
+the Schur membership test and the L3 series builders take no tuning parameter
+(their truncation degree is the context's), and no object is built without a
+context."""
 import ast
 import inspect
 from pathlib import Path
 
 import pytest
 
+from grasschur import schur
 from grasschur.schur import is_schur_grassmann
-from grasschur.series import LaurentSeries, wiener_invert
+from grasschur.series import LaurentSeries, evaluate, evaluate_right, wiener_invert
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "grasschur"
 
@@ -101,9 +103,26 @@ def test_runtime_randomness_is_caught(source):
     assert not _randomness(ast.parse("from .algebra import mul\nx = np.linalg.eigvals(a)"))
 
 
-@pytest.mark.parametrize("function, parameters", [
-    (wiener_invert, ["f"]), (is_schur_grassmann, ["s"]), (LaurentSeries.__new__, ["cls", "window", "coeffs"]),
-], ids=["wiener_invert", "is_schur_grassmann", "LaurentSeries"])
+_SIGNATURES = {
+    "wiener_invert": (wiener_invert, ["f"]),
+    "is_schur_grassmann": (is_schur_grassmann, ["s"]),
+    "LaurentSeries": (LaurentSeries.__new__, ["cls", "window", "coeffs"]),
+    "evaluate": (evaluate, ["f", "z0"]),
+    "evaluate_right": (evaluate_right, ["f", "z0"]),
+    "np_solve": (schur.np_solve, ["data", "sigma"]),
+    "build_theta": (schur.build_theta, ["c", "a", "p", "j", "verify_samples"]),
+    "lft_apply": (schur.lft_apply, ["block", "sigma"]),
+    "blaschke_factor": (schur.blaschke_factor, ["a", "c", "p"]),
+    "factorized_series": (schur.BlaschkeFactor.factorized_series, ["self"]),
+    "brune_section": (schur.brune_section, ["c", "a", "p", "j"]),
+    "kernel_eval": (schur.kernel_eval, ["w", "xi"]),
+    "h_theta_kernel": (schur.h_theta_kernel, ["theta", "w", "xi"]),
+    "kernel_decomposition_residual": (schur.kernel_decomposition_residual, ["theta", "w", "xi"]),
+    "module_interpolate": (schur.module_interpolate, ["c", "a", "x", "h"]),
+}
+
+
+@pytest.mark.parametrize("function, parameters", _SIGNATURES.values(), ids=_SIGNATURES)
 def test_tuning_options_are_gone(function, parameters):
     assert list(inspect.signature(function).parameters) == parameters
 

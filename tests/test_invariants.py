@@ -84,15 +84,15 @@ def test_evaluate_morphism_extends_to_even_souls(ctx):
     assert (lhs - rhs).norm1() <= 1e-10 * max(1.0, f.norm1() * g.norm1())
 
 
-def test_theta_is_J_unitary_at_samples(ctx):
+def test_theta_is_J_unitary_at_samples():
+    ctx = AlgebraContext(generators=8, max_series_degree=8)
     rng = np.random.default_rng(11)
     data = InterpolationData(
         (ctx.scalar(0.3) + random_soul(ctx, rng, terms=2, scale=0.05),
          ctx.scalar(-0.2j) + random_soul(ctx, rng, terms=2, scale=0.05)),
         (ctx.scalar(0.25), ctx.scalar(0.1 + 0.1j)),
     )
-    theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data),
-                        data.signature(), degree=8)
+    theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data), data.signature())
     r = theta.realization
     # the realization reproduces the series
     f = to_series(r, degree=8)

@@ -9,7 +9,7 @@ import pytest
 
 import grasschur.algebra as ga
 from grasschur import AlgebraContext, SuperMatrix, mat_invert, mat_mul
-from grasschur.errors import DSingular, JInvalid, ShapeMismatch
+from grasschur.errors import DomainViolation, DSingular, JInvalid, ShapeMismatch
 from grasschur.realization import (
     Realization,
     backward_shift_span_dimension,
@@ -55,6 +55,15 @@ class TestToSeries:
         f = to_series(r, degree=5)
         assert f.coeffs[0] == d
         assert all(c.is_zero() for c in f.coeffs[1:])
+
+    @pytest.mark.parametrize("degree", [-1, True, 2.0, 33, 40], ids=["negative", "bool", "float", "33", "40"])
+    def test_degree_outside_the_context_is_a_domain_violation(self, ctx, rng, monkeypatch, degree):
+        def no_product(*args):
+            raise AssertionError("a product ran before the degree was checked")
+
+        monkeypatch.setattr("grasschur.realization._planned_product", no_product)
+        with pytest.raises(DomainViolation, match="degree must be an integer in 0..32"):
+            to_series(random_realization(ctx, rng, 2, 1, 1), degree)
 
     def test_monomial(self, ctx, rng):
         m = random_supermatrix(ctx, rng, 2, 3)
@@ -364,7 +373,7 @@ class TestJUnitary:
             ctx, rng, parity="even", terms=2, scale=0.05) for k in range(nodes)]
         data = InterpolationData(tuple(zs), tuple(c0 + c1 * z for z in zs))
         j = data.signature()
-        return build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data), j, degree=0).realization, j
+        return build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data), j).realization, j
 
     @pytest.mark.parametrize("nodes", [1, 2, 3, 4])
     def test_theta_products_and_extensions(self, ctx, nodes):

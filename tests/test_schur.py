@@ -55,6 +55,11 @@ from grasschur.schur import (
 from grasschur.series import SeriesMatrix, backward_shift, evaluate, hermitian_form, star_inverse, star_mul
 
 
+def degree_context(degree):
+    """The ``ctx`` fixture's algebra with series cut at ``degree``."""
+    return AlgebraContext(generators=8, max_series_degree=degree)
+
+
 def scalar_series(ctx, bodies, exact=False):
     return SeriesMatrix(tuple(SuperMatrix.from_body(ctx, [[b]]) for b in bodies), exact=exact)
 
@@ -237,7 +242,7 @@ class TestStein:
         rng = np.random.default_rng(7)
         for _ in range(8):
             c, a, p, j = random_stein_data(ctx, rng, spectral=0.9999)
-            build_theta(c, a, p, j, degree=4)
+            build_theta(c, a, p, j)
             assert (p - adjoint(p)).norm1() == 0.0
             assert stein_residual(p, c, a, j) <= 1e-12 * p.norm1()
 
@@ -249,20 +254,21 @@ class TestStein:
 
 
 class TestBuildTheta:
-    def test_zero_c_gives_identity(self, ctx):
+    def test_zero_c_gives_identity(self):
         # C = 0 forces P = A*PA; unimodular a keeps P invertible
+        ctx = degree_context(6)
         c = SuperMatrix.zeros(ctx, 2, 1)
         a = SuperMatrix.from_body(ctx, [[1j]])
         p = SuperMatrix.identity(ctx, 1)
         j = SuperMatrix.from_body(ctx, np.diag([1.0, -1.0]))
-        theta = build_theta(c, a, p, j, degree=6)
+        theta = build_theta(c, a, p, j)
         assert (theta.series.coeffs[0] - SuperMatrix.identity(ctx, 2)).norm1() <= 1e-12
         assert all(co.is_zero() for co in theta.series.coeffs[1:])
 
     def test_kernel_identity_random_data(self, ctx, rng):
         for _ in range(3):
             c, a, p, j = random_stein_data(ctx, rng)
-            theta = build_theta(c, a, p, j, degree=8)
+            theta = build_theta(c, a, p, j)
             for _ in range(4):
                 z = random_even_unit(ctx, rng, body_modulus=0.4, soul_scale=0.05)
                 w = random_even_unit(ctx, rng, body_modulus=0.4, soul_scale=0.05)
@@ -271,7 +277,7 @@ class TestBuildTheta:
     @pytest.mark.parametrize("q,p,spectral", [(1, 3, 0.9), (3, 2, 0.7), (2, 3, 0.95)])
     def test_certified_data_pass_sampled_identity(self, q, p, spectral, ctx, rng):
         c, a, pmat, j = random_stein_data(ctx, rng, q=q, p=p, spectral=spectral)
-        theta = build_theta(c, a, pmat, j, degree=4)
+        theta = build_theta(c, a, pmat, j)
         assert max(colligation_residuals(theta.realization, pmat, j)) <= ctx.tol_eq
         for _ in range(4):
             z = random_even_unit(ctx, rng, body_modulus=0.4, soul_scale=0.05)
@@ -282,7 +288,7 @@ class TestBuildTheta:
         # every entry of K moved by 1e-6 of its 1-norm: the Stein residual cannot
         # see K, so only the colligation blocks and the kernel identity can
         c, a, pmat, j = random_stein_data(ctx, rng)
-        theta = build_theta(c, a, pmat, j, degree=4)
+        theta = build_theta(c, a, pmat, j)
         shift = SuperMatrix.from_body(ctx, np.full(theta.k.shape, 1e-6 * theta.k.norm1()))
         realize = schur._theta_realization
         bad = dataclasses.replace(theta, realization=realize(c, a, theta.k + shift), k=theta.k + shift)
@@ -294,7 +300,7 @@ class TestBuildTheta:
         assert kernel_identity_residual(theta, z, w) <= ctx.tol_eq * max(1.0, pmat.norm1() ** 2)
         monkeypatch.setattr(schur, "_theta_realization", lambda c, a, k: realize(c, a, k + shift))
         with pytest.raises(SteinViolated, match="colligation"):
-            build_theta(c, a, pmat, j, degree=4)
+            build_theta(c, a, pmat, j)
 
     def test_stein_violation_rejected(self, ctx, rng):
         c, a, p, j = random_stein_data(ctx, rng)
@@ -310,9 +316,10 @@ class TestBuildTheta:
         with pytest.raises(ISubASingular):
             build_theta(c, a, SuperMatrix.identity(ctx, 1), j)
 
-    def test_normalization_is_the_series_k(self, ctx, rng):
+    def test_normalization_is_the_series_k(self, rng):
+        ctx = degree_context(4)
         c, a, p, j = random_stein_data(ctx, rng)
-        theta = build_theta(c, a, p, j, degree=4)
+        theta = build_theta(c, a, p, j)
         eye = SuperMatrix.identity(ctx, a.rows)
         k = mat_mul(mat_invert(p), mat_mul(mat_invert(adjoint(eye - a)), mat_mul(adjoint(c), j)))
         assert theta.normalization() == k
@@ -320,7 +327,7 @@ class TestBuildTheta:
 
     def test_series_matches_rational_evaluation(self, ctx, rng):
         c, a, p, j = random_stein_data(ctx, rng)
-        theta = build_theta(c, a, p, j, degree=32)
+        theta = build_theta(c, a, p, j)
         lam = ctx.scalar(0.3 + 0.2j)
         via_series = evaluate(theta.series, lam)
         exact = theta.eval_at(lam)
@@ -329,7 +336,7 @@ class TestBuildTheta:
     def test_odd_soul_argument_matches_series(self, ctx, rng):
         # the left value is exact off the centre too: sum_n z^n Theta_n with z^n ordered first
         c, a, p, j = random_stein_data(ctx, rng)
-        theta = build_theta(c, a, p, j, degree=32)
+        theta = build_theta(c, a, p, j)
         z = ctx.scalar(0.3 - 0.1j) + random_soul(ctx, rng, terms=2, scale=0.05, parity="odd")
         assert not classify(z).is_even
         exact = theta.eval_at(z)
@@ -376,22 +383,19 @@ class TestNPInterpolationCheck:
     def test_single_node_at_zero(self, ctx, rng):
         s = ctx.scalar(0.3) + random_soul(ctx, rng, scale=0.1)
         data = InterpolationData((ctx.zero(),), (s,))
-        theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data),
-                            data.signature(), degree=8)
+        theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data), data.signature())
         residuals = np_node_residuals(data, theta)
         assert max(residuals) <= 1e-10
 
     def test_random_superdisk_data(self, ctx, rng):
         data = make_np_data(ctx, rng, 3, souls=True)
-        theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data),
-                            data.signature(), degree=8)
+        theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data), data.signature())
         assert np_interpolation_check(data, theta)
         assert max(np_node_residuals(data, theta)) <= 1e-8
 
     def test_perturbed_value_fails(self, ctx, rng):
         data = make_np_data(ctx, rng, 2, souls=True)
-        theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data),
-                            data.signature(), degree=8)
+        theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data), data.signature())
         wrong = InterpolationData(data.nodes, (data.values[0] + ctx.scalar(0.25), data.values[1]))
         assert max(np_node_residuals(wrong, theta)) > 1e-4
 
@@ -441,8 +445,7 @@ class TestBlockFormulasMatchEntrywise:
         bodies = make_np_data(ctx, rng, n, souls=False)
         data = InterpolationData(tuple(z + block_test_soul(ctx, rng, 0.02) for z in bodies.nodes),
                                  tuple(s + block_test_soul(ctx, rng, 0.02) for s in bodies.values))
-        theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data),
-                            data.signature(), degree=2)
+        theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data), data.signature())
         wrong = InterpolationData(data.nodes, (data.values[0] + ctx.scalar(0.25),) + data.values[1:])
         for d in (data, wrong):
             got, want = np_node_residuals(d, theta), ref_np_node_residuals(d, theta)
@@ -465,25 +468,25 @@ class TestLFT:
         got = lft_apply(eye, sigma)
         assert series_dist(got, sigma) <= 1e-12
 
-    def test_zero_sigma(self, ctx, rng):
+    def test_zero_sigma(self, rng):
+        ctx = degree_context(10)
         data = make_np_data(ctx, rng, 2)
-        theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data),
-                            data.signature(), degree=10)
+        theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data), data.signature())
         zero = SeriesMatrix.zero(ctx, 1, 1)
-        got = lft_apply(theta, zero)
+        got = lft_apply(theta.series, zero)
         b = theta.series.block(0, 1, 1, 2)
         d = theta.series.block(1, 2, 1, 2)
         from grasschur.series import star_inverse
 
         assert series_dist(got, star_mul(b, star_inverse(d))) <= 1e-10
 
-    def test_schur_in_schur_out(self, ctx, rng):
+    def test_schur_in_schur_out(self, rng):
+        ctx = degree_context(10)
         data = make_np_data(ctx, rng, 2)
-        theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data),
-                            data.signature(), degree=10)
+        theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data), data.signature())
         sigma = scalar_series(ctx, [0.5, 0.2])
         assert is_schur_grassmann(sigma)
-        out = lft_apply(theta, sigma)
+        out = lft_apply(theta.series, sigma)
         assert is_schur_grassmann(out)
 
 
@@ -551,7 +554,7 @@ class TestConstantSigmaRoute:
             assert is_schur_grassmann(sigma)
             solution = np_solve(data, sigma)
             assert "series" not in vars(solution.theta)  # theta's series was never built
-            want = lft_apply(solution.theta, sigma)
+            want = lft_apply(solution.theta.series, sigma)
             got = solution.series
             assert (got.degree, got.exact) == (want.degree, want.exact) == (ctx.max_series_degree, False)
             assert series_dist(got, want) <= 1e-12 * max(1.0, want.norm1())
@@ -565,23 +568,25 @@ class TestConstantSigmaRoute:
             schur._lft_realization(r, SuperMatrix.zeros(ctx, 1, 1))
 
     @pytest.mark.parametrize("exact", [True, False], ids=["polynomial", "truncated"])
-    def test_series_sigma_keeps_lft_apply(self, ctx, rng, exact):
+    def test_series_sigma_keeps_lft_apply(self, rng, exact):
+        ctx = degree_context(12)
         data = make_np_data(ctx, rng, 2)
         sigma = SeriesMatrix.from_coeffs([SuperMatrix.from_scalar(ctx.scalar(0.3) + random_soul(ctx, rng, scale=0.1)),
                                           SuperMatrix.from_body(ctx, [[0.2j]])], exact=exact)
-        solution = np_solve(data, sigma, degree=12)
+        solution = np_solve(data, sigma)
         want = lft_apply(build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data),
-                                     data.signature(), degree=12), sigma)
+                                     data.signature()).series, sigma)
         assert solution.series.degree == want.degree
         assert solution.series.keys.tobytes() == want.keys.tobytes()
         assert solution.series.stack.tobytes() == want.stack.tobytes()
 
-    def test_theta_series_is_built_once(self, ctx, rng):
+    def test_theta_series_is_built_once(self, rng):
+        ctx = degree_context(9)
         data = make_np_data(ctx, rng, 2)
-        theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data), data.signature(),
-                            degree=9)
+        theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data), data.signature())
         first = theta.series
-        assert theta.series is first and first.degree == theta.degree == 9
+        assert theta.series is first and first.degree == 9
+        assert [f.name for f in dataclasses.fields(ThetaFunction)] == ["realization", "p", "j", "k"]
 
 
 class TestSchurStep:
@@ -914,8 +919,9 @@ class TestLazySections:
 
 
 class TestBlaschke:
-    def test_classical_at_origin(self, ctx):
-        b = blaschke_factor(ctx.zero(), ctx.one(), ctx.one(), degree=6)
+    def test_classical_at_origin(self):
+        ctx = degree_context(6)
+        b = blaschke_factor(ctx.zero(), ctx.one(), ctx.one())
         # b(z) = z exactly
         assert b.series.coeffs[0].norm1() <= 1e-12
         assert (b.series.coeffs[1][0, 0] - ctx.one()).norm1() <= 1e-12
@@ -925,7 +931,7 @@ class TestBlaschke:
     def test_classical_complex_body(self, ctx):
         a_val, p_val = 0.5, 1.3
         c_val = np.sqrt(p_val * (1 - a_val**2))
-        b = blaschke_factor(ctx.scalar(a_val), ctx.scalar(c_val), ctx.scalar(p_val), degree=12)
+        b = blaschke_factor(ctx.scalar(a_val), ctx.scalar(c_val), ctx.scalar(p_val))
         # body is (1-a)(z - a̅)/((1-za)(1-a̅)) — a unimodular multiple of the
         # classical Blaschke factor; check pointwise
         for lam in (0.2, -0.3 + 0.1j, 0.4j):
@@ -936,7 +942,7 @@ class TestBlaschke:
     def test_eval_outside_convergence_disk(self, ctx, rng):
         a = ctx.scalar(0.5) + random_soul(ctx, rng, terms=2, scale=0.1)
         p = ctx.scalar(1.5)
-        b = blaschke_factor(a, kth_root(p - mul(dagger(a), mul(p, a)), 2), p, degree=4)
+        b = blaschke_factor(a, kth_root(p - mul(dagger(a), mul(p, a)), 2), p)
         with pytest.raises(NotConvergent):
             b.eval_at(ctx.scalar(2.0) + ctx.generator(1))
 
@@ -961,7 +967,7 @@ class TestBlaschke:
             a = a + random_soul(ctx, rng, terms=2, scale=0.1)
             p = ctx.scalar(1.0 + rng.random())
             c = kth_root(p - mul(dagger(a), mul(p, a)), 2)
-            b = blaschke_factor(a, c, p, degree=4)
+            b = blaschke_factor(a, c, p)
             k = mul(invert(p), mul(invert(dagger(ctx.one() - a)), dagger(c)))
             z = ctx.scalar(complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6)))
             z = z + random_soul(ctx, rng, terms=2, scale=0.1, parity=parity)
@@ -969,13 +975,14 @@ class TestBlaschke:
             want = ctx.one() - mul(ctx.one() - z, total)
             assert (b.eval_at(z) - want).norm1() <= 1e-12 * max(1.0, want.norm1())
 
-    def test_factorized_form_matches_series(self, ctx, rng):
+    def test_factorized_form_matches_series(self, rng):
+        ctx = degree_context(12)
         a = ctx.scalar(0.4 + 0.1j) + random_soul(ctx, rng, terms=2, scale=0.1)
         p = ctx.scalar(1.5)
         target = p - mul(dagger(a), mul(p, a))
         c = kth_root(target, 2)
-        b = blaschke_factor(a, c, p, degree=12)
-        fact = b.factorized_series(degree=12)
+        b = blaschke_factor(a, c, p)
+        fact = b.factorized_series()
         assert series_dist(b.series, fact) <= 1e-8
 
 
@@ -983,20 +990,22 @@ class TestBrune:
     def make_isotropic(self, ctx):
         return SuperMatrix.column([ctx.one(), ctx.one()])
 
-    def test_zero_c_gives_identity(self, ctx):
+    def test_zero_c_gives_identity(self):
+        ctx = degree_context(5)
         c = SuperMatrix.zeros(ctx, 2, 1)
         j = SuperMatrix.from_body(ctx, np.diag([1.0, -1.0]))
-        out = brune_section(c, ctx.scalar(1j), ctx.one(), j, degree=5)
+        out = brune_section(c, ctx.scalar(1j), ctx.one(), j)
         assert (out.coeffs[0] - SuperMatrix.identity(ctx, 2)).norm1() <= 1e-12
         assert all(co.is_zero() for co in out.coeffs[1:])
 
-    def test_closed_form(self, ctx):
+    def test_closed_form(self):
         # theta_BP = I - u/2 - sum_{n>=1} z^n a^n u with u = c p^{-1} c* J
+        ctx = degree_context(6)
         c = self.make_isotropic(ctx)
         a = ctx.scalar(1j)
         p = ctx.scalar(2.0)
         j = SuperMatrix.from_body(ctx, np.diag([1.0, -1.0]))
-        got = brune_section(c, a, p, j, degree=6)
+        got = brune_section(c, a, p, j)
         u = mat_mul(mat_mul(c, adjoint(c)), j).scale_left(invert(p))
         expected0 = SuperMatrix.identity(ctx, 2) - u * 0.5
         assert (got.coeffs[0] - expected0).norm1() <= 1e-10
@@ -1005,12 +1014,13 @@ class TestBrune:
             assert (got.coeffs[n] + u.scale_left(apow)).norm1() <= 1e-10
             apow = mul(apow, a)
 
-    def test_scaling_p_consistent(self, ctx):
+    def test_scaling_p_consistent(self):
+        ctx = degree_context(4)
         c = self.make_isotropic(ctx)
         a = ctx.scalar(-1.0)
         j = SuperMatrix.from_body(ctx, np.diag([1.0, -1.0]))
-        one = brune_section(c, a, ctx.scalar(1.0), j, degree=4)
-        two = brune_section(c, a, ctx.scalar(2.0), j, degree=4)
+        one = brune_section(c, a, ctx.scalar(1.0), j)
+        two = brune_section(c, a, ctx.scalar(2.0), j)
         # doubling p halves the correction away from the identity
         eye = SuperMatrix.identity(ctx, 2)
         for n in range(5):
@@ -1018,10 +1028,11 @@ class TestBrune:
             scaled = two.coeffs[n] - (eye if n == 0 else SuperMatrix.zeros(ctx, 2, 2))
             assert (scaled - base * 0.5).norm1() <= 1e-10
 
-    def test_unimodular_soul_case(self, ctx, rng):
+    def test_unimodular_soul_case(self):
         # a = exp(i theta)(1 + superreal odd soul correction) with a†a = 1:
         # build from a superreal odd v via a = phase*(1+v)/sqrt((1+v)†(1+v)) —
         # here (1+v)†(1+v) = 1 + 2v + v² = 1+2v, and a†a = 1 follows
+        ctx = degree_context(4)
         v = ctx.generator(1) * 0.3
         base = ctx.one() + v
         norm = kth_root(mul(dagger(base), base), 2)
@@ -1032,7 +1043,7 @@ class TestBrune:
         assert (p - mul(dagger(a), mul(p, a))).norm1() <= 1e-9
         c = self.make_isotropic(ctx)
         j = SuperMatrix.from_body(ctx, np.diag([1.0, -1.0]))
-        out = brune_section(c, a, p, j, degree=4)
+        out = brune_section(c, a, p, j)
         assert out.shape == (2, 2)
 
     def test_isotropy_violation(self, ctx):
@@ -1048,42 +1059,43 @@ class TestBrune:
 
 
 class TestKernels:
-    def test_kernel_at_zero(self, ctx, rng):
+    def test_kernel_at_zero(self, rng):
+        ctx = degree_context(5)
         xi = random_supermatrix(ctx, rng, 2, 1)
-        k = kernel_eval(ctx.zero(), xi, degree=5)
+        k = kernel_eval(ctx.zero(), xi)
         assert (k.coeffs[0] - xi).norm1() == 0
         assert all(c.is_zero() for c in k.coeffs[1:])
 
-    def test_reproducing_property_polynomial(self, ctx, rng):
+    def test_reproducing_property_polynomial(self, rng):
+        ctx = degree_context(8)
         w = ctx.scalar(0.4 + 0.1j) + random_soul(ctx, rng, terms=2, scale=0.1)
         xi = SuperMatrix.column([ctx.one(), ctx.scalar(0.5)])
         f = SeriesMatrix.from_coeffs(
             [random_supermatrix(ctx, rng, 2, 1, terms=2) for _ in range(4)], exact=True)
-        k = kernel_eval(w, xi, degree=8)
+        k = kernel_eval(w, xi)
         form = hermitian_form(f, k)
         expected = mat_mul(adjoint(xi), evaluate(f, w))
         assert (form - expected).norm1() <= 1e-10 * max(1.0, f.norm1())
 
-    def test_decomposition_residual(self, ctx, rng):
+    def test_decomposition_residual(self, rng):
         # scalar J = I theta data: Blaschke-style
+        ctx = degree_context(6)
         a = ctx.scalar(0.4)
         p = ctx.scalar(1.0)
         c_val = kth_root(p - mul(dagger(a), mul(p, a)), 2)
         theta = build_theta(
             SuperMatrix.from_scalar(c_val), SuperMatrix.from_scalar(a),
-            SuperMatrix.from_scalar(p), SuperMatrix.identity(ctx, 1),
-            degree=16)
+            SuperMatrix.from_scalar(p), SuperMatrix.identity(ctx, 1))
         w = random_even_unit(ctx, rng, body_modulus=0.3, soul_scale=0.05)
         xi = SuperMatrix.from_scalar(ctx.one())
-        assert kernel_decomposition_residual(theta, w, xi, through=6) <= 1e-8
+        assert kernel_decomposition_residual(theta, w, xi) <= 1e-8
 
     def test_h_theta_kernel_outside_convergence_disk(self, ctx):
         a = ctx.scalar(0.4)
         p = ctx.scalar(1.0)
         theta = build_theta(
             SuperMatrix.from_scalar(kth_root(p - mul(dagger(a), mul(p, a)), 2)),
-            SuperMatrix.from_scalar(a), SuperMatrix.from_scalar(p), SuperMatrix.identity(ctx, 1),
-            degree=4)
+            SuperMatrix.from_scalar(a), SuperMatrix.from_scalar(p), SuperMatrix.identity(ctx, 1))
         xi = SuperMatrix.from_scalar(ctx.one())
         with pytest.raises(NotConvergent):
             h_theta_kernel(theta, ctx.scalar(2.5) + ctx.generator(1), xi)
@@ -1101,7 +1113,7 @@ class TestModuleInterpolation:
     def test_minimal_solution_residual(self, ctx, rng):
         c, a = self.make_data(ctx, rng)
         x = random_supermatrix(ctx, rng, 2, 1, terms=2)
-        sol = module_interpolate(c, a, x, degree=32)
+        sol = module_interpolate(c, a, x)
         got = adjoint_state_evaluation(c, a, sol.series)
         assert (got - x).norm1() <= 1e-8 * max(1.0, x.norm1())
 
@@ -1110,7 +1122,7 @@ class TestModuleInterpolation:
         x = SuperMatrix.zeros(ctx, 2, 1)
         h = SeriesMatrix.from_coeffs(
             [random_supermatrix(ctx, rng, 2, 1, terms=2, scale=0.3) for _ in range(3)], exact=True)
-        sol = module_interpolate(c, a, x, h, degree=32)
+        sol = module_interpolate(c, a, x, h)
         # (C* ⋆ G)(A*) = 0 for G in Theta W+
         got = adjoint_state_evaluation(c, a, sol.series)
         assert got.norm1() <= 1e-7 * max(1.0, sol.series.norm1())
@@ -1132,13 +1144,60 @@ class TestModuleInterpolation:
         c_body = SuperMatrix.from_body(ctx, c.body())
         a_body = SuperMatrix.from_body(ctx, a.body())
         x = SuperMatrix.from_body(ctx, rng.normal(size=(2, 1)) + 1j * rng.normal(size=(2, 1)))
-        sol = module_interpolate(c_body, a_body, x, degree=32)
+        sol = module_interpolate(c_body, a_body, x)
         cb, ab, xb = c_body.body(), a_body.body(), x.body()
         pb = np.zeros((2, 2), dtype=complex)
         for n in range(500):
             pb += np.linalg.matrix_power(ab.conj().T, n) @ cb.conj().T @ cb @ np.linalg.matrix_power(ab, n)
         fmin0 = cb @ np.linalg.solve(pb, xb)
         assert np.allclose(sol.minimal.coeffs[0].body(), fmin0, atol=1e-8)
+
+
+class TestOneTruncationDegree:
+    """Every L3 series is cut at the context's max_series_degree: built in a degree-k
+    context it is the degree-32 result cut at k, bit for bit."""
+
+    @staticmethod
+    def results(ctx, k):
+        """The series of each function that takes its degree from the context, on inputs
+        drawn alike in every context; sigma has degree min(1, k), so that it exists at k = 0."""
+        rng = np.random.default_rng(26)
+        c, a, p, j = random_stein_data(ctx, rng)
+        theta = build_theta(c, a, p, j)
+        nodes = [ctx.scalar(0.4 * np.exp(2j * np.pi * (m + 0.3) / 2)) + random_soul(ctx, rng, terms=2, scale=0.05)
+                 for m in range(2)]
+        c0, c1 = (ctx.scalar(b) + random_soul(ctx, rng, terms=2, scale=0.1) for b in (0.3 - 0.2j, 0.25j))
+        data = InterpolationData(tuple(nodes), tuple(c0 + mul(z, c1) for z in nodes))
+        sigma = SeriesMatrix([SuperMatrix.from_scalar(c0), SuperMatrix.from_scalar(c1 * 0.5)][:min(1, k) + 1],
+                             exact=True)
+        b_a = ctx.scalar(0.4 + 0.1j) + random_soul(ctx, rng, terms=2, scale=0.1)
+        b_p = ctx.scalar(1.5)
+        blaschke = blaschke_factor(b_a, kth_root(b_p - mul(dagger(b_a), mul(b_p, b_a)), 2), b_p)
+        w = ctx.scalar(0.3 - 0.2j) + random_soul(ctx, rng, terms=2, scale=0.1)
+        xi, x = (random_supermatrix(ctx, rng, 2, 1, terms=2) for _ in range(2))
+        h = SeriesMatrix.constant(random_supermatrix(ctx, rng, 2, 1, terms=2, scale=0.3))
+        module = module_interpolate(c, a, x, h)
+        return {
+            "np_solve": np_solve(data).series,
+            "np_solve sigma": np_solve(data, sigma).series,
+            "build_theta": theta.series,
+            "blaschke_factor": blaschke.series,
+            "factorized_series": blaschke.factorized_series(),
+            "brune_section": brune_section(SuperMatrix.column([ctx.one(), ctx.one()]), ctx.scalar(1j),
+                                           ctx.scalar(2.0), SuperMatrix.from_body(ctx, np.diag([1.0, -1.0]))),
+            "kernel_eval": kernel_eval(w, xi),
+            "h_theta_kernel": h_theta_kernel(theta, w, xi),
+            "module_interpolate": module.series,
+            "module_interpolate minimal": module.minimal,
+        }
+
+    @pytest.mark.parametrize("k", [0, 4, 12])
+    def test_context_degree_is_the_full_result_truncated(self, ctx, k):
+        got, full = self.results(degree_context(k), k), self.results(ctx, k)
+        for name, f in full.items():
+            want = f.truncated(k)
+            assert (got[name].keys.tobytes(), got[name].stack.tobytes(), got[name].degree, got[name].exact) == (
+                want.keys.tobytes(), want.stack.tobytes(), want.degree, want.exact), name
 
 
 class TestContractivityForm:

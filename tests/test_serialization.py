@@ -170,6 +170,15 @@ class TestContainers:
         text = dumps(laurent_to_obj(laurent_from_obj(signed, ctx)))
         assert text == dumps(signed) and text.count("-0.0") == 2  # -0.0 survives on both powers
 
+    def test_zero_laurent_round_trip(self, ctx, rng):
+        f = LaurentSeries(3, {-1: random_supermatrix(ctx, rng, 2, 2), 2: random_supermatrix(ctx, rng, 2, 2)})
+        zero = f - f
+        obj = laurent_to_obj(zero)
+        assert obj["coeffs"] == {"0": {"rows": 2, "cols": 2, "entries": [[[], []], [[], []]]}}
+        back = laurent_from_obj(json.loads(dumps(obj)), ctx)
+        assert back == zero and back.is_zero()
+        assert (back.shape, back.window, back.context) == ((2, 2), 3, ctx)
+
     # power keys must be canonical decimal integers and the window an int: nothing is coerced
     @pytest.mark.parametrize("field,value", [("coeffs", [1]), ("window", "x"), ("window", 1e400), ("window", 1.7),
                                              ("window", True), ("coeffs", {"00": ONE}), ("coeffs", {"+0": ONE}),

@@ -184,15 +184,7 @@ class TestEvaluate:
         assert evaluation_tail_bound(f, ctx.scalar(0.5)) > 0
         exact = scalar_series(ctx, [1.0, 2.0], exact=True)
         assert evaluation_tail_bound(exact, ctx.scalar(0.5)) == 0.0
-
-    def test_strict_mode_rejects_fat_tail(self, ctx):
-        from grasschur.errors import TailTooLarge
-
-        f = scalar_series(ctx, [1.0] * 5)
-        with pytest.raises(TailTooLarge):
-            evaluate(f, ctx.scalar(0.9), strict=True)
-        exact = scalar_series(ctx, [1.0, 2.0], exact=True)
-        assert evaluate(exact, ctx.scalar(0.9), strict=True)[0, 0].body == pytest.approx(2.8)
+        assert evaluate(exact, ctx.scalar(0.9))[0, 0].body == pytest.approx(2.8)
 
 
 class TestHermitianForm:
