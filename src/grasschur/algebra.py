@@ -546,10 +546,16 @@ def kth_root(z: Supernumber, k: int) -> Supernumber:
         raise BodyZero(f"body modulus {abs(body):.3e} is below tol_body")
     if body.imag == 0.0 and body.real < 0.0:
         raise BranchCut("body lies on the negative real axis")
-    # binomial coefficients of the exponent 1/k: c_{n+1} = c_n (1/k - n) / (n + 1)
-    binomial = itertools.accumulate(itertools.count(), lambda c, n: c * ((1.0 / k - n) / (n + 1)),
+    return _binomial_power(z, 1.0 / k)
+
+
+def _binomial_power(z: Supernumber, exponent: float) -> Supernumber:
+    """Principal z**exponent by the binomial series in z_S/z_B; the caller checks the body."""
+    body = z.body
+    # binomial coefficients: c_{n+1} = c_n (exponent - n) / (n + 1)
+    binomial = itertools.accumulate(itertools.count(), lambda c, n: c * ((exponent - n) / (n + 1)),
                                     initial=1.0)
-    return _soul_series(z.soul * (1.0 / body), binomial) * body ** (1.0 / k)
+    return _soul_series(z.soul * (1.0 / body), binomial) * body ** exponent
 
 
 def analytic_apply(f: Callable[[complex, int], complex], z: Supernumber) -> Supernumber:

@@ -38,8 +38,9 @@ class BranchCut(GrasschurError):
 
 class DomainViolation(GrasschurError):
     """An argument lies outside a function's domain: a root order below 2, a
-    Schur step count or a series degree that is not an integer in range, or an
-    expansion point a derivative oracle refused."""
+    Schur step count or a series degree that is not an integer in range, a
+    series longer than the context's max_series_degree, or an expansion point a
+    derivative oracle refused."""
 
     code = "domain-violation"
 

@@ -15,8 +15,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .algebra import (_REAL_TOL, AlgebraContext, Supernumber, _cmul, _pair_product, _require_same_context,
-                      kth_root, linear_combine)
+from .algebra import (_REAL_TOL, AlgebraContext, Supernumber, _binomial_power, _cmul, _pair_product,
+                      _require_same_context, linear_combine)
 from .errors import BodySingular, BodyZero, ContextMismatch, NotRegular, NotSuperpositive, ShapeMismatch
 
 
@@ -464,13 +464,26 @@ def is_superpositive(m: SuperMatrix) -> PositivityReport:
 
 
 def positive_factorize(m: SuperMatrix) -> SuperMatrix:
-    """Lower-triangular L with M = L L*, via LDU and superreal diagonal roots."""
+    """Lower-triangular L with M = L L* for a superpositive M, else NotSuperpositive."""
     report = is_superpositive(m)
     if not report:
         raise NotSuperpositive(report.reason or "matrix is not superpositive")
-    factors = ldu_factor(m)
-    roots = [kth_root(factors.diagonal[k, k], 2) for k in range(m.rows)]
-    return mat_mul(factors.lower, SuperMatrix.diagonal(roots))
+    return _lower_factor(m)
+
+
+def _lower_factor(m: SuperMatrix) -> SuperMatrix:
+    """The LL* block recursion M = [p c*; c D] = [r 0; l L'] [r 0; l L']*, L' from D − l l*.
+
+    Per pivot one binomial series r⁻¹ = p^(-1/2), and the column [r; l] = [p; c] r⁻¹:
+    p and r⁻¹ commute, so r = p r⁻¹ = p^(1/2) = r*.  The pivots of a superpositive M
+    are the leading body Schur complements of a PD body, all positive."""
+    column = m.submatrix(range(m.rows), [0]).scale_right(_binomial_power(m[0, 0], -0.5))
+    if m.rows == 1:
+        return column
+    rest = range(1, m.rows)
+    l = column.submatrix(rest, [0])
+    inner = _lower_factor(m.submatrix(rest, rest) - mat_mul(l, adjoint(l)))
+    return SuperMatrix.block([[column, SuperMatrix.block([[SuperMatrix.zeros(m.context, 1, len(rest))], [inner]])]])
 
 
 def polarization_reconstruct(

@@ -24,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from .algebra import AlgebraContext, Supernumber, index_from_generators, index_to_generators, term_order
-from .errors import SerializationError
+from .errors import DomainViolation, SerializationError
 from .matrix import SuperMatrix
 from .realization import Realization
 from .series import LaurentSeries, SeriesMatrix
@@ -33,11 +33,12 @@ from .toeplitz import ToeplitzSpec
 
 @contextmanager
 def _malformed(message: str | None = None):
-    """Report a missing key, or a field value of the wrong type, size or range, as
-    SerializationError with ``message`` (by default the error's own text)."""
+    """Report a missing key, or a field value of the wrong type, size or range (a
+    series degree above the context's included), as SerializationError with
+    ``message`` (by default the error's own text)."""
     try:
         yield
-    except (KeyError, AttributeError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, AttributeError, TypeError, ValueError, OverflowError, DomainViolation) as exc:
         raise SerializationError(message or str(exc)) from exc
 
 

@@ -26,6 +26,7 @@ from .errors import (
     BodySingular,
     ConstantTermSingular,
     ContextMismatch,
+    DomainViolation,
     NotInvertible,
     ShapeMismatch,
     TooLarge,
@@ -59,7 +60,7 @@ class SeriesMatrix(Stacked):
         if 0 in stack.shape[2:]:
             raise ValueError("series coefficients need rows, cols >= 1")
         if stack.shape[1] - 1 > context.max_series_degree:
-            raise ValueError(f"degree {stack.shape[1] - 1} exceeds max_series_degree {context.max_series_degree}")
+            raise DomainViolation(f"degree {stack.shape[1] - 1} exceeds max_series_degree {context.max_series_degree}")
         return super()._of(context, keys, stack, bool(exact))
 
     # -- views -----------------------------------------------------------

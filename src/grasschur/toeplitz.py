@@ -42,7 +42,10 @@ class ToeplitzSpec:
         return self.r[0].context
 
     def extended(self, r_next: Supernumber) -> "ToeplitzSpec":
-        return ToeplitzSpec(self.r + (r_next,))
+        """The spec with r_next appended, built without re-checking the unchanged r_0."""
+        spec = object.__new__(ToeplitzSpec)
+        object.__setattr__(spec, "r", self.r + (r_next,))
+        return spec
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Supernumber arithmetic: signs, products, dagger, norms, inverses, roots."""
 import cmath
+import itertools
 import math
 from itertools import combinations
 
@@ -545,6 +546,20 @@ def test_soul_series_bit_identical_to_linear_combine(kind, rng, monkeypatch):
             patch.setattr(ga, "_soul_series", ref_soul_series)
             want = [hex_terms(call(z)) for call in calls]
         assert got == want
+
+
+def ref_kth_root(z, k):
+    """The principal k-th root's binomial series written out inline."""
+    body = z.body
+    binomial = itertools.accumulate(itertools.count(), lambda c, n: c * ((1.0 / k - n) / (n + 1)), initial=1.0)
+    return ga._soul_series(z.soul * (1.0 / body), binomial) * body ** (1.0 / k)
+
+
+@pytest.mark.parametrize("kind", ["filled8", "sparse64"])
+def test_kth_root_is_the_inline_binomial_series_bit_for_bit(kind, rng):
+    for z in soul_series_inputs(kind, rng):
+        for k in (2, 3, 4):
+            assert hex_terms(kth_root(z, k)) == hex_terms(ref_kth_root(z, k))
 
 
 def test_mul_sign_matches_merge_swap_count():

@@ -267,10 +267,48 @@ class TestPositiveFactorize:
             assert residual(ll, m) <= 1e-9 * m.norm1()
             assert is_superpositive(ll)
 
-    def test_rejects_indefinite(self, ctx):
+    def test_rejects_indefinite(self, ctx, rng):
         m = SuperMatrix.from_body(ctx, np.diag([1.0, -1.0]))
         with pytest.raises(NotSuperpositive):
             positive_factorize(m)
+        a = filled_matrix(ctx, rng, 3, np.diag([1.0, -0.5, 2.0]))
+        with pytest.raises(NotSuperpositive, match="not positive definite"):
+            positive_factorize(a + adjoint(a))
+
+    @staticmethod
+    def assert_lower_factor(m):
+        """L is lower triangular, its diagonal superreal (to _REAL_TOL) with positive
+        bodies, and LL* = M to 1e-12 relative."""
+        l = positive_factorize(m)
+        assert not np.triu(np.abs(l.stack).sum(axis=0), 1).any()
+        for k in range(m.rows):
+            r = l[k, k]
+            assert (r - dagger(r)).norm1() <= ga._REAL_TOL * max(1.0, r.norm1())
+            assert r.body.real > 0
+        assert residual(mat_mul(l, adjoint(l)), m) <= 1e-12 * m.norm1()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_filled_n8_lower_factor(self, ctx, rng, n):
+        a = filled_matrix(ctx, rng, n, 2 * np.eye(n) + 0.3 * rng.normal(size=(n, n)))
+        m = mat_mul(a, adjoint(a))
+        assert len(m.keys) == 256
+        self.assert_lower_factor(m)
+
+    def test_sparse_n64_lower_factor(self, rng):
+        a = sparse_matrix(AlgebraContext(generators=64), rng, 3, 3, 2)
+        m = mat_mul(a, adjoint(a))
+        assert int(m.keys[-1]) >= 1 << 63
+        self.assert_lower_factor(m)
+
+    def test_takes_no_ldu_and_no_matrix_inverse(self, ctx, rng, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the LL* recursion needs neither LDU nor a matrix inverse")
+
+        monkeypatch.setattr(gm, "ldu_factor", refused)
+        monkeypatch.setattr(gm, "mat_invert", refused)
+        m = random_superpositive_matrix(ctx, rng, 4)
+        l = positive_factorize(m)
+        assert residual(mat_mul(l, adjoint(l)), m) <= 1e-12 * m.norm1()
 
 
 class TestPolarization:

@@ -608,6 +608,12 @@ class TestSchurStep:
         with pytest.raises(RhoNotContractive):
             schur_step(sigma)
 
+    def test_section_above_the_context_degree_is_a_domain_violation(self):
+        # the degree-one section cannot exist in a degree-0 context
+        sigma = scalar_series(AlgebraContext(generators=4, max_series_degree=0), [0.5])
+        with pytest.raises(DomainViolation, match="degree 1 exceeds max_series_degree 0"):
+            schur_step(sigma)
+
     @pytest.mark.parametrize("degree,exact", [(8, False), (3, True), (0, True)])
     def test_pair_step_from_one_is_the_star_quotient(self, degree, exact, ctx, rng):
         sigma = soulful_series(ctx, rng, degree, exact=exact)

@@ -160,6 +160,11 @@ class TestContainers:
         back = series_from_obj(series_to_obj(f), ctx)
         assert back.coeffs == f.coeffs and back.exact == f.exact
 
+    def test_series_above_the_context_degree_is_a_serialization_error(self, ctx, rng):
+        obj = series_to_obj(SeriesMatrix.from_coeffs([random_supermatrix(ctx, rng, 1, 1) for _ in range(5)]))
+        with pytest.raises(SerializationError, match="degree 4 exceeds max_series_degree 2"):
+            series_from_obj(obj, AlgebraContext(generators=ctx.generators, max_series_degree=2))
+
     def test_laurent_round_trip(self, ctx, rng):
         f = LaurentSeries(2, {-2: random_supermatrix(ctx, rng, 1, 1),
                               1: random_supermatrix(ctx, rng, 1, 1)})

@@ -137,6 +137,20 @@ class TestExtend:
         expected = c + (alpha.real ** -0.5) * eta_val * (xi_sq.real ** 0.5)
         assert extended.r[-1].body == pytest.approx(expected, abs=1e-9)
 
+    def test_chain_checks_r0_once(self, ctx, rng, monkeypatch):
+        calls = []
+
+        def counted(z):
+            calls.append(z)
+            return classify(z)
+
+        monkeypatch.setattr(toeplitz, "classify", counted)
+        spec = random_superpositive_spec(ctx, rng, 3)
+        assert spec.order == 3 and len(calls) == 1 and calls[0] == spec.r[0]
+        assert verify_extension(spec)
+        with pytest.raises(ValueError, match="r_0 must be superreal"):
+            ToeplitzSpec((ctx.scalar(1.0j),))
+
     def test_eta_boundary_rejected(self, ctx, rng):
         spec = random_superpositive_spec(ctx, rng, 1)
         with pytest.raises(EtaNotContractive):
