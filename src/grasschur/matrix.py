@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .algebra import (_REAL_TOL, AlgebraContext, Supernumber, _binomial_power, _cmul, _pair_product,
-                      _require_same_context, linear_combine)
+                      _require_same_context, invert, linear_combine)
 from .errors import BodySingular, BodyZero, ContextMismatch, NotRegular, NotSuperpositive, ShapeMismatch
 
 
@@ -120,6 +120,8 @@ class SuperMatrix(Stacked):
         stack = np.asarray(stack, dtype=complex)
         if stack.ndim != 3 or 0 in stack.shape[1:] or len(keys) != len(stack):
             raise ValueError("a matrix needs one (rows, cols) coefficient matrix per key, rows, cols >= 1")
+        if np.any(keys[1:] <= keys[:-1]) or (len(keys) and int(keys[-1]) >> context.generators):
+            raise ValueError(f"keys must ascend strictly and name generators 1..{context.generators} only")
         return cls._of(context, keys, stack)
 
     # -- constructors ----------------------------------------------------
@@ -175,13 +177,24 @@ class SuperMatrix(Stacked):
         return cls.from_rows([list(entries)])
 
     @classmethod
-    def block(cls, blocks: Sequence[Sequence["SuperMatrix"]]) -> "SuperMatrix":
-        for block_row in blocks:
-            if any(b.rows != block_row[0].rows for b in block_row):
-                raise ShapeMismatch("block heights differ within a block row")
-        keys = np.unique(np.concatenate([b.keys for block_row in blocks for b in block_row]))
-        rows = [np.concatenate([_spread(keys, b.keys, b.stack) for b in row], axis=2) for row in blocks]
-        return cls(blocks[0][0].context, keys, np.concatenate(rows, axis=1))
+    def block(cls, blocks: Sequence[Sequence["SuperMatrix | None"]]) -> "SuperMatrix":
+        """The matrix of a grid of blocks, ``None`` a zero block sized by its block row and
+        column.  An empty, ragged or misaligned grid, or one with an all-``None`` block row
+        or column, raises ShapeMismatch; blocks of two contexts raise ContextMismatch."""
+        heights = [{b.rows for b in row if b is not None} for row in blocks]
+        widths = [{b.cols for b in column if b is not None} for column in zip(*blocks)]
+        if not widths or any(len(row) != len(widths) for row in blocks) or any(len(s) != 1 for s in heights + widths):
+            raise ShapeMismatch("block rows need one length and one height each, block columns one width each")
+        given = [(i, j, b) for i, row in enumerate(blocks) for j, b in enumerate(row) if b is not None]
+        context = given[0][2].context
+        if any(b.context != context for *_, b in given):
+            raise ContextMismatch("blocks use different algebra contexts")
+        keys = np.unique(np.concatenate([b.keys for *_, b in given]))
+        top, left = np.cumsum([0, *map(min, heights)]), np.cumsum([0, *map(min, widths)])  # one size per set
+        stack = np.zeros((len(keys), top[-1], left[-1]), dtype=complex)
+        for i, j, b in given:
+            stack[np.searchsorted(keys, b.keys), top[i]:top[i + 1], left[j]:left[j + 1]] = b.stack
+        return cls._of(context, keys, stack)
 
     # -- views -----------------------------------------------------------
 
@@ -323,8 +336,8 @@ def ldu_factor(m: SuperMatrix) -> LDUFactors:
 
         M = [1 0; l L'] [p 0; 0 D'] [1 u; 0 U']
 
-    with pivot p = M[0, 0], l = M[1:, 0] p⁻¹, u = p⁻¹ M[0, 1:] and L'D'U' the
-    factorization of the Schur complement M[1:, 1:] - l M[0, 1:].
+    with pivot p = M[0, 0], l = M[1:, 0] p⁻¹, u = p⁻¹ M[0, 1:] (p⁻¹ a supernumber) and
+    L'D'U' the factorization of the Schur complement M[1:, 1:] - l M[0, 1:].
 
     Requires a regular body: every leading principal minor of M_B invertible
     (determinant magnitude above tol_body), else NotRegular names the first
@@ -350,13 +363,12 @@ def _ldu(m: SuperMatrix) -> LDUFactors:
     if n == 1:
         return LDUFactors(one, pivot, one)
     rest = range(1, n)
-    pivot_inv, top = mat_invert(pivot), m.submatrix([0], rest)
-    l, u = mat_mul(m.submatrix(rest, [0]), pivot_inv), mat_mul(pivot_inv, top)
+    pivot_inv, top = invert(m[0, 0]), m.submatrix([0], rest)
+    l, u = m.submatrix(rest, [0]).scale_right(pivot_inv), top.scale_left(pivot_inv)
     inner = _ldu(m.submatrix(rest, rest) - mat_mul(l, top))
-    zero_row, zero_col = SuperMatrix.zeros(context, 1, n - 1), SuperMatrix.zeros(context, n - 1, 1)
-    return LDUFactors(SuperMatrix.block([[one, zero_row], [l, inner.lower]]),
-                      SuperMatrix.block([[pivot, zero_row], [zero_col, inner.diagonal]]),
-                      SuperMatrix.block([[one, u], [zero_col, inner.upper]]))
+    return LDUFactors(SuperMatrix.block([[one, None], [l, inner.lower]]),
+                      SuperMatrix.block([[pivot, None], [None, inner.diagonal]]),
+                      SuperMatrix.block([[one, u], [None, inner.upper]]))
 
 
 def mat_invert(m: SuperMatrix) -> SuperMatrix:
@@ -424,7 +436,9 @@ class PositivityReport:
 
 def _self_adjoint(m: SuperMatrix) -> tuple[bool, float]:
     """Whether M* = M to _REAL_TOL relative to max(1, ||M||_1), and ||M - M*||_1."""
-    defect = (m - adjoint(m)).norm1()
+    if m.rows != m.cols:
+        raise ShapeMismatch(f"a {m.shape} matrix cannot be self-adjoint")
+    defect = float(np.abs(m.stack - adjoint(m).stack).sum())  # M* has the keys of M
     return defect <= _REAL_TOL * max(1.0, m.norm1()), defect
 
 
@@ -483,7 +497,7 @@ def _lower_factor(m: SuperMatrix) -> SuperMatrix:
     rest = range(1, m.rows)
     l = column.submatrix(rest, [0])
     inner = _lower_factor(m.submatrix(rest, rest) - mat_mul(l, adjoint(l)))
-    return SuperMatrix.block([[column, SuperMatrix.block([[SuperMatrix.zeros(m.context, 1, len(rest))], [inner]])]])
+    return SuperMatrix.block([[column.submatrix([0], [0]), None], [l, inner]])
 
 
 def polarization_reconstruct(

@@ -125,20 +125,16 @@ def compose(r1: Realization, r2: Realization, mode: str) -> Realization:
     """Block realization of F1*F2, F1+F2, [F1 F2] or [F1; F2]."""
     if mode not in _COMPOSE_MODES:
         raise ValueError(f"mode must be one of {_COMPOSE_MODES}")
-    context = r1.context
-    n1, n2 = r1.state_dim, r2.state_dim
-    z12 = SuperMatrix.zeros(context, n1, n2)
-    z21 = SuperMatrix.zeros(context, n2, n1)
-    block_diag_a = SuperMatrix.block([[r1.a, z12], [z21, r2.a]])
     if mode == "product":
         if r1.shape[1] != r2.shape[0]:
             raise ShapeMismatch(f"cannot multiply {r1.shape} by {r2.shape}")
         return Realization(
-            a=SuperMatrix.block([[r1.a, mat_mul(r1.b, r2.c)], [z21, r2.a]]),
+            a=SuperMatrix.block([[r1.a, mat_mul(r1.b, r2.c)], [None, r2.a]]),
             b=SuperMatrix.block([[mat_mul(r1.b, r2.d)], [r2.b]]),
             c=SuperMatrix.block([[r1.c, mat_mul(r1.d, r2.c)]]),
             d=mat_mul(r1.d, r2.d),
         )
+    block_diag_a = SuperMatrix.block([[r1.a, None], [None, r2.a]])
     if mode == "sum":
         if r1.shape != r2.shape:
             raise ShapeMismatch(f"cannot add {r1.shape} and {r2.shape}")
@@ -151,23 +147,19 @@ def compose(r1: Realization, r2: Realization, mode: str) -> Realization:
     if mode == "concat_cols":  # [F1  F2]
         if r1.shape[0] != r2.shape[0]:
             raise ShapeMismatch("row counts differ")
-        zb12 = SuperMatrix.zeros(context, n1, r2.shape[1])
-        zb21 = SuperMatrix.zeros(context, n2, r1.shape[1])
         return Realization(
             a=block_diag_a,
-            b=SuperMatrix.block([[r1.b, zb12], [zb21, r2.b]]),
+            b=SuperMatrix.block([[r1.b, None], [None, r2.b]]),
             c=SuperMatrix.block([[r1.c, r2.c]]),
             d=SuperMatrix.block([[r1.d, r2.d]]),
         )
     # concat_rows: [F1; F2]
     if r1.shape[1] != r2.shape[1]:
         raise ShapeMismatch("column counts differ")
-    zc12 = SuperMatrix.zeros(context, r1.shape[0], n2)
-    zc21 = SuperMatrix.zeros(context, r2.shape[0], n1)
     return Realization(
         a=block_diag_a,
         b=SuperMatrix.block([[r1.b], [r2.b]]),
-        c=SuperMatrix.block([[r1.c, zc12], [zc21, r2.c]]),
+        c=SuperMatrix.block([[r1.c, None], [None, r2.c]]),
         d=SuperMatrix.block([[r1.d], [r2.d]]),
     )
 

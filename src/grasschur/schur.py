@@ -24,14 +24,17 @@ from .algebra import AlgebraContext, Supernumber, classify, dagger, invert, mul
 from .errors import (
     BodySingular,
     ConstantTermSingular,
+    ConstraintViolated,
     DSingular,
     DenominatorSingular,
     DomainViolation,
     GrasschurError,
     HNotNegative,
     ISubASingular,
+    IsotropyViolated,
     NodeOutsideSuperdisk,
     NotConvergent,
+    NotUnimodular,
     RhoNotContractive,
     ShapeMismatch,
     SteinViolated,
@@ -104,14 +107,8 @@ def kyp_check(r: Realization, h: SuperMatrix) -> bool:
         raise HNotNegative("-H is not superpositive")
     if h.rows != r.state_dim:
         raise ShapeMismatch("H must match the state dimension")
-    context = r.context
-    p, q = r.shape
     m = SuperMatrix.block([[r.a, r.b], [r.c, r.d]])
-    zero_nq = SuperMatrix.zeros(context, r.state_dim, q)
-    weight = SuperMatrix.block([
-        [-h, zero_nq],
-        [SuperMatrix.zeros(context, q, r.state_dim), SuperMatrix.identity(context, q)],
-    ])
+    weight = SuperMatrix.block([[-h, None], [None, SuperMatrix.identity(r.context, r.shape[1])]])
     diff = weight - mat_mul(adjoint(m), mat_mul(weight, m))
     return bool(is_supernonnegative(diff))
 
@@ -652,8 +649,6 @@ def blaschke_factor(a: Supernumber, c: Supernumber, p: Supernumber) -> BlaschkeF
     p must be superreal and invertible, (1-a) body-invertible; the constraint
     residual is checked at tol_eq scale.
     """
-    from .errors import ConstraintViolated
-
     context = a.context
     if not classify(p).is_real or abs(p.body) <= context.tol_body:
         raise ConstraintViolated("p must be superreal and invertible")
@@ -677,8 +672,6 @@ def brune_section(c: SuperMatrix, a: Supernumber, p: Supernumber, j: SuperMatrix
     commuting with a), p superreal even invertible, and a body different
     from 1 so that M = I - ½ c (1+a)† p^{-1} (1-a)^{-†} c* J exists.
     """
-    from .errors import ConstraintViolated, IsotropyViolated, NotUnimodular
-
     context = a.context
     one = context.one()
     if c.cols != 1:

@@ -26,7 +26,7 @@ from grasschur import (
 import grasschur.algebra as ga
 import grasschur.matrix as gm
 import grasschur.series as gse
-from grasschur.errors import BodySingular, BodyZero, NotRegular, NotSuperpositive, ShapeMismatch
+from grasschur.errors import BodySingular, BodyZero, ContextMismatch, NotRegular, NotSuperpositive, ShapeMismatch
 from grasschur.matrix import sandwich_solve
 from grasschur.sampling import (
     random_soul,
@@ -102,6 +102,40 @@ class TestMatMul:
             mat_mul(random_supermatrix(ctx, rng, 2, 3), random_supermatrix(ctx, rng, 2, 3))
 
 
+class TestBlock:
+    def test_none_block_is_the_explicit_zero_block(self, ctx, rng):
+        a, b, c = (random_supermatrix(ctx, rng, *shape) for shape in ((2, 3), (2, 1), (1, 1)))
+        got = SuperMatrix.block([[a, b], [None, c]])
+        want = SuperMatrix.block([[a, b], [SuperMatrix.zeros(ctx, 1, 3), c]])
+        assert got.keys.tobytes() == want.keys.tobytes() and got.stack.tobytes() == want.stack.tobytes()
+        assert got.submatrix(range(2), range(3)) == a and got.submatrix(range(2), [3]) == b
+        assert got.submatrix([2], range(3)).is_zero() and got.submatrix([2], [3]) == c
+
+    def test_width_mismatch_down_a_block_column(self, ctx, rng):
+        with pytest.raises(ShapeMismatch) as err:
+            SuperMatrix.block([[random_supermatrix(ctx, rng, 2, 2)], [random_supermatrix(ctx, rng, 1, 3)]])
+        assert err.value.code == "shape-mismatch"
+
+    def test_height_mismatch_along_a_block_row(self, ctx, rng):
+        with pytest.raises(ShapeMismatch):
+            SuperMatrix.block([[random_supermatrix(ctx, rng, 2, 2), random_supermatrix(ctx, rng, 1, 2)]])
+
+    def test_blocks_of_two_contexts(self, ctx, ctx4):
+        with pytest.raises(ContextMismatch) as err:
+            SuperMatrix.block([[SuperMatrix.identity(ctx, 1), SuperMatrix.identity(ctx4, 1)]])
+        assert err.value.code == "context-mismatch"
+
+    @pytest.mark.parametrize("grid", ["none_row", "none_column", "ragged", "ragged_first_short", "empty", "empty_row"])
+    def test_malformed_grid(self, ctx, grid):
+        one = SuperMatrix.identity(ctx, 1)
+        blocks = {"none_row": [[one, one], [None, None]], "none_column": [[one, None], [one, None]],
+                  "ragged": [[one, one], [one]], "ragged_first_short": [[one], [one, one]],
+                  "empty": [], "empty_row": [[]]}[grid]
+        with pytest.raises(ShapeMismatch) as err:
+            SuperMatrix.block(blocks)
+        assert err.value.code == "shape-mismatch"
+
+
 class TestLDU:
     def test_identity(self, ctx):
         i3 = SuperMatrix.identity(ctx, 3)
@@ -143,6 +177,18 @@ class TestLDU:
         m = SuperMatrix.from_body(ctx, np.diag(bodies)) + random_supermatrix(ctx, rng, n, n, body=0.0)
         with pytest.raises(BodyZero):
             ldu_factor(m)
+
+    def test_pivots_are_supernumbers_and_the_last_is_never_inverted(self, ctx, rng, monkeypatch):
+        def refused(*args):
+            raise AssertionError("LDU pivots need no matrix inverse")
+
+        inverted = []
+        monkeypatch.setattr(gm, "mat_invert", refused)
+        monkeypatch.setattr(gm, "invert", lambda z: inverted.append(z) or invert(z))
+        m = SuperMatrix.identity(ctx, 4) + random_supermatrix(ctx, rng, 4, 4, scale=0.2)
+        f = ldu_factor(m)
+        assert inverted == [f.diagonal[k, k] for k in range(3)]
+        assert residual(f.reconstruct(), m) <= 1e-9 * m.norm1()
 
 
 class TestInvert:
@@ -229,6 +275,14 @@ class TestPositivity:
         report = is_supernonnegative(m)
         assert not report
         assert report.reason == "not self-adjoint"
+
+    def test_self_adjoint_defect_is_the_stack_difference(self, ctx, rng):
+        m = random_supermatrix(ctx, rng, 3, 3)
+        assert gm._self_adjoint(m)[1] == pytest.approx((m - adjoint(m)).norm1(), rel=1e-14)
+        h = m + adjoint(m)
+        assert gm._self_adjoint(h) == (True, 0.0)
+        with pytest.raises(ShapeMismatch):
+            gm._self_adjoint(random_supermatrix(ctx, rng, 2, 3))
 
     def test_psd_vs_pd_thresholds(self, ctx):
         m = SuperMatrix.from_body(ctx, np.diag([1.0, 0.0]))
@@ -460,6 +514,17 @@ class TestStackLayout:
             for j, e in enumerate(row):
                 assert m[i, j] == e and repr(m[i, j]) == repr(e)
         assert m.entries() == tuple(tuple(row) for row in grid)
+
+    @pytest.mark.parametrize("keys", [[2, 1], [1, 1], [1 << 7]], ids=["unsorted", "duplicate", "generator_8"])
+    def test_constructor_rejects_non_canonical_keys(self, ctx4, keys):
+        with pytest.raises(ValueError):
+            SuperMatrix(ctx4, keys, np.ones((len(keys), 1, 1)))
+
+    def test_constructor_takes_ascending_keys_up_to_the_last_generator(self, ctx4):
+        m = SuperMatrix(ctx4, [0, 1, 1 << 3], np.ones((3, 1, 1)))
+        assert m[0, 0] == Supernumber(ctx4, {0: 1, 1: 1, 8: 1})
+        top = SuperMatrix(AlgebraContext(generators=64), [1 << 63], np.ones((1, 1, 1)))
+        assert int(top.keys[0]) == 1 << 63
 
     def test_zero_and_cancelling_sums_have_no_keys(self, ctx, rng):
         zero = SuperMatrix.zeros(ctx, 2, 3)
