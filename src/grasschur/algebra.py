@@ -108,6 +108,10 @@ class AlgebraContext:
     max_series_degree: int = 32
 
     def __post_init__(self):
+        for name in ("generators", "max_series_degree"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if not 1 <= self.generators <= 64:
             raise ValueError(f"generator count must be in 1..64, got {self.generators}")
         if not (0 < self.tol_body < math.inf and 0 < self.tol_eq < math.inf):  # NaN fails too
@@ -384,9 +388,12 @@ def _disjoint_pairs(generators: int, ka, kb):
 
 def _cmul(x, y):
     """x * y, broadcast, each part rounded as in Python's complex product
-    (numpy's complex multiply may differ in the last bit)."""
-    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
+    (numpy's complex multiply may differ in the last bit); the result is laid
+    out in memory as the operands are."""
+    real = x.real * y.real
+    real -= x.imag * y.imag
+    out = np.empty_like(real, dtype=complex)
+    out.real = real
     out.imag = x.real * y.imag + x.imag * y.real
     return out
 
@@ -396,10 +403,15 @@ def _pair_product(generators: int, ka, x, kb, y, op):
 
     ``ka`` and ``kb`` are ascending uint64 key arrays, ``x`` and ``y`` hold one
     coefficient (a number or an array) per key, and ``op`` multiplies them
-    batched over a leading pair axis.  The pairs of each product key are summed
-    by bincount in ascending (a, b) order, as ``mul``'s scalar loop sums them,
-    so with ``_cmul`` on numbers the result is bit-identical to that loop; no
-    pairwise-summing reduction (np.add.reduceat, np.sum) may replace it.
+    batched over a leading pair axis.  The gathered operands are ``.T`` views of
+    pair-last arrays: ``op`` indexes them pairs first, but the pair axis is
+    innermost in memory (stride ``itemsize``), so each elementwise loop of ``op``
+    runs over all pairs, not over one small coefficient.  The pairs of each
+    product key are summed by bincount in ascending (a, b) order, as ``mul``'s
+    scalar loop sums them, so with ``_cmul`` on numbers the result is
+    bit-identical to that loop; no pairwise-summing reduction (np.add.reduceat,
+    np.sum) may replace it.  The layout moves memory only: every element sees
+    the multiplies and adds of a pairs-first layout, in the same order.
     """
     if not (len(ka) and len(kb)):
         return np.zeros(0, dtype=np.uint64), op(x[:0], y[:0])
@@ -408,32 +420,41 @@ def _pair_product(generators: int, ka, x, kb, y, op):
 
 def _pair_plan(generators: int, ka, x, kb) -> list:
     """The part of ``_pair_product`` fixed by ``x`` and the keys, for any ``y`` on the
-    nonempty keys ``kb``: each disjoint pair's b slot, the signed gathered x_a, the
-    product keys a | b, and the output keys and bincount index (set by the first
-    ``_pair_apply``, so every apply of one plan must give coefficients of one shape)."""
+    nonempty keys ``kb``: each disjoint pair's b slot, the signed gathered x_a (taken
+    along the last axis of x.T, which gives a C-ordered array with the pair axis
+    innermost, and viewed pairs first through .T), the product keys a | b, and the
+    output keys and bincount index (set by the first ``_pair_apply``, so every apply
+    of one plan must give coefficients of one shape)."""
     ia, ib, negate, gamma = _disjoint_pairs(generators, ka, kb)
-    # the sign rides on the gather: rows len(ka).. of the doubled x are negated
-    return [ib, np.concatenate((x, -x))[ia + len(ka) * negate], gamma, None]
+    # the sign rides on the gather: entries len(ka).. of the doubled x are negated
+    x = x.T
+    return [ib, np.concatenate((x, -x), axis=-1).take(ia + len(ka) * negate, axis=-1).T, gamma, None]
 
 
 def _pair_apply(generators: int, plan: list, y, op):
-    """Keys and coefficients of ``_pair_product`` for a ``_pair_plan`` and ``y``."""
+    """Keys and coefficients of ``_pair_product`` for a ``_pair_plan`` and ``y``.
+
+    y_b is gathered as x_a is, and the terms are binned pair-last: bin
+    entry·len(keys) + slot (entry counting the coefficient entries of terms.T)
+    receives its pairs in ascending (a, b) order, as in a pairs-first layout.
+    The kept sums are copied back into a C-ordered (keys, ...) stack."""
     ib, left, gamma, buckets = plan
-    terms = op(left, y[ib])
+    terms = op(left, y.T.take(ib, axis=-1).T).T  # the pair axis last
     if buckets is None:
-        width = math.prod(terms.shape[1:])
+        width = math.prod(terms.shape[:-1])
         if width << generators <= _DENSE_SLOTS:  # a bucket per key below 2**N
             keys, slot = np.arange(1 << generators, dtype=np.uint64), gamma.view(np.int64)
         else:
             keys, slot = np.unique(gamma, return_inverse=True)
-        plan[3] = buckets = keys, (slot[:, None] * width + np.arange(width)).ravel()
+        plan[3] = buckets = keys, (np.arange(width)[:, None] * len(keys) + slot).ravel()
     keys, flat = buckets
-    out = np.empty((len(keys), *terms.shape[1:]), dtype=complex)
+    sums = np.empty((*terms.shape[:-1], len(keys)), dtype=complex)
     # fill the parts separately: re + 1j*im would turn a -0.0 real part into +0.0
-    out.real[...] = np.bincount(flat, weights=terms.real.ravel(), minlength=out.size).reshape(out.shape)
-    out.imag[...] = np.bincount(flat, weights=terms.imag.ravel(), minlength=out.size).reshape(out.shape)
+    sums.real = np.bincount(flat, weights=terms.real.ravel(), minlength=sums.size).reshape(sums.shape)
+    sums.imag = np.bincount(flat, weights=terms.imag.ravel(), minlength=sums.size).reshape(sums.shape)
+    out = sums.T
     hit = out.any(axis=tuple(range(1, out.ndim)))
-    return keys[hit], out[hit]
+    return keys[hit], np.ascontiguousarray(out[hit])
 
 
 def _mul_vectorized(context: AlgebraContext, zterms, wterms) -> dict[int, complex]:

@@ -94,10 +94,12 @@ class Stacked:
         return self._with(*_pair_product(s.context.generators, self.keys, self.stack, *self._scalar(s), _cmul))
 
     def _scalar(self, s: Supernumber) -> tuple[np.ndarray, np.ndarray]:
-        """Keys and stack of s, each coefficient shaped to broadcast against a slot of this stack."""
-        z = SuperMatrix.from_scalar(s)
-        _require_same_context(self, z)
-        return z.keys, z.stack.reshape(-1, *[1] * (self.stack.ndim - 1))
+        """Keys and stack of s, each coefficient shaped to broadcast against a slot of this
+        stack, read off its canonical (ascending, zero-free) term map."""
+        _require_same_context(self, s)
+        terms = s._terms
+        return (np.fromiter(terms, dtype=np.uint64, count=len(terms)),
+                np.fromiter(terms.values(), dtype=complex, count=len(terms)).reshape(-1, *[1] * (self.stack.ndim - 1)))
 
     def __eq__(self, other):
         if isinstance(other, type(self)):
@@ -257,8 +259,11 @@ def _add(ka, x, kb, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y over the last two axes, one broadcast multiply-add per inner index
-    (faster than np.matmul on stacks of small complex matrices)."""
+    """x @ y over the last two axes, one broadcast multiply-add per inner index.
+
+    On ``_pair_product``'s operands, whose pair axis is innermost in memory, each
+    multiply-add is one loop over all pairs, which is what makes this faster than
+    np.matmul on stacks of small complex matrices."""
     if x.shape[-1] == 1:
         return _cmul(x, y)
     out = x[..., :, :1] * y[..., :1, :]

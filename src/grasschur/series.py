@@ -151,9 +151,11 @@ def _result_degree(f: SeriesMatrix, g: SeriesMatrix, exact_degree: int) -> tuple
 def _convolve(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
     """The truncated Cauchy product Σ_u x_u y_{n-u}, n = 0..degree, of two stacks
     over a leading (broadcast) axis, the degree on axis 1 and matrix products of
-    the coefficients: the payload operation of star products."""
+    the coefficients: the payload operation of star products.  The accumulator
+    holds the leading axis innermost in memory, as ``algebra._pair_product``
+    gathers its operands."""
     lead = np.broadcast(x[:, 0, 0, 0], y[:, 0, 0, 0]).shape
-    out = np.zeros((*lead, degree + 1, x.shape[2], y.shape[3]), dtype=complex)
+    out = np.zeros((y.shape[3], x.shape[2], degree + 1, *lead), dtype=complex).T
     for u in range(min(x.shape[1], degree + 1)):
         span = min(y.shape[1], degree + 1 - u)
         out[:, u:u + span] += _matmul(x[:, u:u + 1], y[:, :span])
@@ -224,8 +226,13 @@ def _powers(f: SeriesMatrix, z0: Supernumber) -> tuple[np.ndarray, np.ndarray, n
 
 
 def _degree_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Σ_n x_n y_n over the degree axis 1 of two stacks, one of them scalar (1x1)."""
-    return _cmul(x, y).sum(axis=1)
+    """Σ_n x_n y_n over the degree axis 1 of two stacks, one of them scalar (1x1).
+
+    The summation order is pinned: numpy sums pairwise when the reduced axis is
+    innermost in memory and in sequence when it is not, so the products are
+    summed from a C-ordered (pairs, degree, rows, cols) copy, whatever the
+    operands' layout."""
+    return np.ascontiguousarray(_cmul(x, y)).sum(axis=1)
 
 
 def evaluate(f: SeriesMatrix, z0: Supernumber) -> SuperMatrix:

@@ -35,6 +35,29 @@ def dist(a, b):
     return (a - b).norm1()
 
 
+class TestContext:
+    @pytest.mark.parametrize("field,value", [
+        ("generators", 8.0), ("generators", True), ("generators", "8"), ("generators", None),
+        ("max_series_degree", 2.5), ("max_series_degree", True), ("max_series_degree", False),
+        ("max_series_degree", 32.0),
+    ])
+    def test_non_int_counts_rejected(self, field, value):
+        fields = {"generators": 8, field: value}
+        with pytest.raises(ValueError, match=field):
+            AlgebraContext(**fields)
+
+    @pytest.mark.parametrize("fields", [{"generators": 0}, {"generators": 65}, {"max_series_degree": -1}])
+    def test_out_of_range_counts_rejected(self, fields):
+        with pytest.raises(ValueError):
+            AlgebraContext(**{"generators": 8, **fields})
+
+    @pytest.mark.parametrize("generators,degree", [(1, 0), (64, 32), (8, 200)])
+    def test_int_counts_accepted(self, generators, degree):
+        c = AlgebraContext(generators=generators, max_series_degree=degree)
+        top = c.generator(generators)
+        assert mul(top, top).is_zero() and mul(top, c.generator(1)) == -mul(c.generator(1), top)
+
+
 class TestBasisMul:
     def test_adjacent_merge(self):
         assert basis_mul(idx(1), idx(2)) == (1, idx(1, 2))

@@ -1,4 +1,7 @@
 """Supermatrix algebra: adjoint, products, LDU, inversion, positivity."""
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
@@ -607,6 +610,21 @@ def test_stacked_containers_share_one_layout(ctx, rng, cls):
         assert hash(twin) == hash(x) and len({x, twin, y}) == 2
 
 
+@pytest.mark.parametrize("cls", _MAKE, ids=lambda cls: cls.__name__)
+def test_scalar_is_the_one_by_one_matrix_of_its_terms(ctx, ctx4, rng, cls):
+    x = _MAKE[cls](ctx, rng)
+    for s in (random_supernumber(ctx, rng, terms=12), ctx.zero(), ctx.scalar(-0.5j)):
+        keys, stack = x._scalar(s)
+        z = SuperMatrix.from_scalar(s)
+        assert keys.dtype == np.uint64 and np.array_equal(keys, z.keys)
+        assert stack.shape == (len(z.keys), *[1] * (x.stack.ndim - 1))
+        assert stack.tobytes() == z.stack.tobytes()
+    with pytest.raises(ContextMismatch):
+        x.scale_left(ctx4.one())
+    with pytest.raises(ContextMismatch):
+        x.scale_right(ctx4.one())
+
+
 # -- matrix._inverse, solved by grade, against the power-sum reference -----------------------
 
 
@@ -715,3 +733,97 @@ def test_filled_n8_inverse_forms_each_pair_once(ctx, rng, monkeypatch):
     pairs.clear()
     by_reference(monkeypatch, mat_invert, m)
     assert sum(pairs) == 16727
+
+
+# -- the pair kernel's layout: pair axis innermost, results as pairs first ------------------
+
+
+def pairs_first_product(generators, ka, x, kb, y, op):
+    """``algebra._pair_product`` with its operands gathered pairs first in memory, as it was
+    before the pair axis went innermost: terms of slot s, entry e go to bin s·width + e."""
+    ia, ib, negate, gamma = ga._disjoint_pairs(generators, ka, kb)
+    terms = op(np.concatenate((x, -x))[ia + len(ka) * negate], y[ib])
+    width = int(np.prod(terms.shape[1:]))
+    if width << generators <= ga._DENSE_SLOTS:
+        keys, slot = np.arange(1 << generators, dtype=np.uint64), gamma.view(np.int64)
+    else:
+        keys, slot = np.unique(gamma, return_inverse=True)
+    flat = (slot[:, None] * width + np.arange(width)).ravel()
+    out = np.empty((len(keys), *terms.shape[1:]), dtype=complex)
+    out.real[...] = np.bincount(flat, weights=terms.real.ravel(), minlength=out.size).reshape(out.shape)
+    out.imag[...] = np.bincount(flat, weights=terms.imag.ravel(), minlength=out.size).reshape(out.shape)
+    hit = out.any(axis=tuple(range(1, out.ndim)))
+    return keys[hit], out[hit]
+
+
+def layout_keys(rng, generators):
+    """Every monomial at N = 8; at N = 64, 48 distinct keys of grade 1-3 on all 64 slots."""
+    if generators == 8:
+        return np.arange(256, dtype=np.uint64)
+    keys = {sum(1 << int(g) for g in rng.choice(64, size=int(rng.integers(1, 4)), replace=False))
+            for _ in range(48)}
+    return np.array(sorted(keys), dtype=np.uint64)
+
+
+def coefficients(rng, keys, *shape):
+    return rng.normal(size=(len(keys), *shape)) + 1j * rng.normal(size=(len(keys), *shape))
+
+
+def assert_same_product(generators, ka, x, kb, y, op):
+    got_keys, got = ga._pair_product(generators, ka, x, kb, y, op)
+    want_keys, want = pairs_first_product(generators, ka, x, kb, y, op)
+    assert got.flags.c_contiguous and got.shape == want.shape
+    assert np.array_equal(got_keys, want_keys)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestPairLayout:
+    @pytest.fixture(params=[8, 64])
+    def keys(self, request, rng):
+        return request.param, layout_keys(rng, request.param), layout_keys(rng, request.param)
+
+    def test_cmul_numbers(self, keys, rng):
+        generators, ka, kb = keys
+        assert_same_product(generators, ka, coefficients(rng, ka), kb, coefficients(rng, kb), ga._cmul)
+
+    def test_cmul_broadcast_scalar(self, keys, rng):
+        generators, ka, kb = keys
+        s, m = coefficients(rng, ka, 1, 1), coefficients(rng, kb, 3, 2)
+        assert_same_product(generators, ka, s, kb, m, ga._cmul)
+        assert_same_product(generators, kb, m, ka, s, ga._cmul)
+
+    def test_matmul(self, keys, rng):
+        generators, ka, kb = keys
+        for r, k, c in itertools.product(range(1, 5), repeat=3):
+            assert_same_product(generators, ka, coefficients(rng, ka, r, k), kb, coefficients(rng, kb, k, c),
+                                gm._matmul)
+
+    def test_convolve(self, keys, rng):
+        generators, ka, kb = keys
+        x, y = coefficients(rng, ka, 4, 2, 3), coefficients(rng, kb, 3, 3, 2)
+        for degree in (2, 5):
+            assert_same_product(generators, ka, x, kb, y, functools.partial(gse._convolve, degree=degree))
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (2, 3)])
+    def test_degree_dot_keeps_its_summation_order(self, keys, rng, rows, cols):
+        # at 33 powers numpy sums a degree axis innermost in memory pairwise, 8 lanes at a
+        # time, and any other axis in sequence: the two orders differ in the last bits
+        generators, ka, kb = keys
+        powers, coeffs = coefficients(rng, ka, 33, 1, 1), coefficients(rng, kb, 33, rows, cols)
+        assert_same_product(generators, ka, powers, kb, coeffs, gse._degree_dot)
+        assert_same_product(generators, kb, coeffs, ka, powers, gse._degree_dot)
+
+    @pytest.mark.parametrize("shape", [(), (3, 2), (4, 3, 2)])
+    def test_gathered_pair_axis_is_innermost(self, rng, shape):
+        keys, seen = np.arange(256, dtype=np.uint64), []
+
+        def spy(x, y):
+            seen.extend((x, y))
+            return ga._cmul(x, y)
+
+        x = coefficients(rng, keys, *shape)
+        ga._pair_product(8, keys, x, keys, x, spy)
+        assert len(seen) == 2
+        for operand in seen:
+            assert operand.shape == (3 ** 8, *shape)
+            assert operand.strides[0] == operand.itemsize
