@@ -17,6 +17,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -108,10 +109,10 @@ class AlgebraContext:
     max_series_degree: int = 32
 
     def __post_init__(self):
-        for name in ("generators", "max_series_degree"):
+        for name, kind in (("generators", int), ("max_series_degree", int), ("tol_body", Real), ("tol_eq", Real)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {'an int' if kind is int else 'a real number'}, got {value!r}")
         if not 1 <= self.generators <= 64:
             raise ValueError(f"generator count must be in 1..64, got {self.generators}")
         if not (0 < self.tol_body < math.inf and 0 < self.tol_eq < math.inf):  # NaN fails too

@@ -452,23 +452,22 @@ def _body_spectral_radius(m: SuperMatrix) -> float:
     return float(np.abs(np.linalg.eigvals(m.body())).max())
 
 
+def _body_definite(context: AlgebraContext, body, strict: bool) -> tuple[bool, float]:
+    """The body rule for a matrix known to be self-adjoint: whether the least eigenvalue of the Hermitian part H
+    of its array-like body is above tol_body * max(1, ||H||_F) (strict) or not below minus that; and the eigenvalue."""
+    body = np.asarray(body)
+    hermitian = 0.5 * (body + body.conj().T)
+    low = float(np.linalg.eigvalsh(hermitian).min())
+    threshold = context.tol_body * max(1.0, float(np.linalg.norm(hermitian)))
+    return (low > threshold if strict else low >= -threshold), low
+
+
 def _positivity(m: SuperMatrix, strict: bool) -> PositivityReport:
-    if m.rows != m.cols:
-        raise ShapeMismatch("positivity needs a square matrix")
-    self_adjoint, defect = _self_adjoint(m)
+    self_adjoint, defect = _self_adjoint(m)  # ShapeMismatch unless square
     if not self_adjoint:
         return PositivityReport(False, "not self-adjoint", defect, None)
-    body = m.body()
-    hermitian = 0.5 * (body + body.conj().T)
-    eigs = np.linalg.eigvalsh(hermitian)
-    low = float(eigs.min())
-    threshold = m.context.tol_body * max(1.0, float(np.linalg.norm(hermitian)))
-    if strict:
-        ok = low > threshold
-        reason = None if ok else "body not positive definite"
-    else:
-        ok = low >= -threshold
-        reason = None if ok else "body not positive semidefinite"
+    ok, low = _body_definite(m.context, m._body(), strict)
+    reason = None if ok else "body not positive definite" if strict else "body not positive semidefinite"
     return PositivityReport(ok, reason, defect, low)
 
 

@@ -42,11 +42,11 @@ from .errors import (
 )
 from .matrix import (
     SuperMatrix,
+    _body_definite,
     _body_spectral_radius,
     _self_adjoint,
     adjoint,
     is_supernonnegative,
-    is_superpositive,
     mat_invert,
     mat_mul,
     sandwich_solve,
@@ -79,31 +79,31 @@ def geometric_sandwich_sum(x: Supernumber, u: Supernumber, y: Supernumber) -> Su
 
 
 def is_schur_grassmann(s: SeriesMatrix) -> bool:
-    """Contractivity test: I - L_N* L_N supernonnegative for all N <= depth, L_N the block
-    lower-triangular Toeplitz matrix of s_0..s_N, at the depth schur_algorithm reads: the
-    degree of a truncated series, max_series_degree for an exact one of degree >= 1, 0 for
-    an exact constant.  Each L_N is a leading block of L_depth, so ‖L_N‖ ≤ ‖L_depth‖ and the
-    one test at N = depth decides them all: Schur's criterion for s_0..s_depth, and only a
-    necessary one for an exact polynomial.  The verdict depends only on the body (body
-    Schur <=> Schur-Grassmann), so it is decided on the body series."""
+    """Contractivity test: I - L_N* L_N supernonnegative for all N <= depth, L_N the block lower-triangular
+    Toeplitz matrix of s_0..s_N, at the depth schur_algorithm reads: the degree of a truncated series,
+    max_series_degree for an exact one of degree >= 1, 0 for an exact constant.  Each L_N is a leading block
+    of L_depth, so ‖L_N‖ ≤ ‖L_depth‖ and the one test at N = depth decides them all: Schur's criterion for
+    s_0..s_depth, and only a necessary one for an exact polynomial.  The verdict depends only on the body
+    (body Schur <=> Schur-Grassmann), so it is decided on the body series, by the body rule alone: the
+    complex matrix I - L*L is Hermitian by its form, so no self-adjointness scan is needed."""
     depth = s.context.max_series_degree if s.exact and s.degree else s.degree
     s = s.truncated(depth)
     (p, q), lag = s.shape, np.subtract.outer(np.arange(depth + 1), np.arange(depth + 1))
     blocks = np.where((lag >= 0)[..., None, None], s._body()[np.maximum(lag, 0)], 0)
     l = blocks.transpose(0, 2, 1, 3).reshape((depth + 1) * p, (depth + 1) * q)
-    return bool(is_supernonnegative(SuperMatrix.from_body(s.context, np.eye(l.shape[1]) - l.conj().T @ l)))
+    return _body_definite(s.context, np.eye(l.shape[1]) - l.conj().T @ l, strict=False)[0]
 
 
 def kyp_check(r: Realization, h: SuperMatrix) -> bool:
     """Dissipation inequality for an origin-centered realization.
 
-    H must be self-adjoint with -H superpositive; the test is
-    diag(-H, I) - M* diag(-H, I) M ⪰ 0 for M = [[A,B],[C,D]]
-    (matrix ordering taken form-wise, i.e. is_supernonnegative).
+    H must be self-adjoint with -H superpositive, H scanned for self-adjointness once and -H then judged
+    on its body; the test is diag(-H, I) - M* diag(-H, I) M ⪰ 0 for M = [[A,B],[C,D]] (matrix ordering
+    taken form-wise, i.e. is_supernonnegative).
     """
     if not _self_adjoint(h)[0]:
         raise HNotNegative("H is not self-adjoint")
-    if not is_superpositive(-h):
+    if not _body_definite(h.context, -h.body(), strict=True)[0]:  # H = H* was just checked
         raise HNotNegative("-H is not superpositive")
     if h.rows != r.state_dim:
         raise ShapeMismatch("H must match the state dimension")
@@ -121,10 +121,11 @@ def kyp_check(r: Realization, h: SuperMatrix) -> bool:
 def stein_solve(c: SuperMatrix, a: SuperMatrix, j: SuperMatrix) -> SuperMatrix:
     """The P with P - A*PA = C*JC, that is P = sum_n (A*)^n C*JC A^n.
 
-    Solved exactly by sandwich_solve: a body solve plus at most N soul steps,
-    with no truncation, returned as ½(X + X*): the exact P is self-adjoint and
-    the Stein map commutes with the adjoint, so this can only shrink the
-    residual.  Needs the body spectral radius of A below 1, else NotConvergent.
+    Solved exactly by sandwich_solve: a body solve plus at most N soul steps, with no truncation,
+    returned as ½(X + X*): the exact P is self-adjoint and the Stein map commutes with the adjoint,
+    so this can only shrink the residual.  The returned P is self-adjoint bit for bit: entry (i, j)
+    of X + X* at a monomial is x_ij ± conj(x_ji), and its dagger sums the same two numbers.  Needs
+    the body spectral radius of A below 1, else NotConvergent.
     """
     context = a.context
     radius = _body_spectral_radius(a)
@@ -380,7 +381,7 @@ def np_solve(data: InterpolationData, sigma: SeriesMatrix | None = None) -> NPSo
         raise GrasschurError("sigma is not a Schur-Grassmann function")
     c, a, j = data.output_matrix(), data.state_matrix(), data.signature()
     p = stein_solve(c, a, j)  # the Pick matrix; build_theta certifies its Stein residual
-    if not is_superpositive(p):
+    if not _body_definite(context, p.body(), strict=True)[0]:  # stein_solve's P = P* bit for bit
         raise SteinViolated("Pick matrix is not superpositive")
     theta = build_theta(c, a, p, j)
     if sigma.exact and not sigma.degree:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .algebra import Supernumber, classify, dagger, invert, kth_root, mul
 from .errors import EtaNotContractive, NotSuperpositive
-from .matrix import SuperMatrix, adjoint, is_superpositive, mat_invert, mat_mul
+from .matrix import SuperMatrix, _body_definite, adjoint, mat_invert, mat_mul
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,13 @@ def assemble(spec: ToeplitzSpec) -> SuperMatrix:
 def extension_params(spec: ToeplitzSpec) -> SuperdiskParams:
     """Superdisk of admissible r_{N+1}; requires a superpositive T_N.
 
-    With X = [a_N; b_N*], the rest of T_N's first and last rows, S = X T_{N-1}⁻¹ X* gives
-    alpha⁻¹ = r_0 - S_00, c_N = S_01 and xi² = r_0 - S_11 (Dym and Gohberg, LAA 36, 1981).
+    T_N = T_N* by construction up to r_0's own defect, which ToeplitzSpec bounds, so verify_extension decides
+    it on the body before T_N's one assembly.  With X = [a_N; b_N*], the rest of T_N's first and last rows,
+    S = X T_{N-1}⁻¹ X* gives alpha⁻¹ = r_0 - S_00, c_N = S_01 and xi² = r_0 - S_11 (Dym and Gohberg, LAA 36, 1981).
     """
+    if not verify_extension(spec):  # on the body alone: T_N = T_N* by construction
+        raise NotSuperpositive("body not positive definite")
     t = assemble(spec)
-    report = is_superpositive(t)
-    if not report:
-        raise NotSuperpositive(report.reason or "Toeplitz matrix is not superpositive")
     r0, n = spec.r[0], spec.order
     if n == 0:
         center, alpha_inv, xi_sq = spec.context.zero(), r0, r0
@@ -82,11 +82,7 @@ def extension_params(spec: ToeplitzSpec) -> SuperdiskParams:
         x = SuperMatrix.block([[t.submatrix([0], range(1, n + 1))], [t.submatrix([n], range(n))]])
         s = mat_mul(mat_mul(x, mat_invert(t.submatrix(range(n), range(n)))), adjoint(x))
         center, alpha_inv, xi_sq = s[0, 1], r0 - s[0, 0], r0 - s[1, 1]
-    return SuperdiskParams(
-        center=center,
-        left_radius=kth_root(alpha_inv, 2),
-        right_radius=kth_root(xi_sq, 2),
-    )
+    return SuperdiskParams(center, kth_root(alpha_inv, 2), kth_root(xi_sq, 2))
 
 
 def extend(spec: ToeplitzSpec, eta: Supernumber, params: SuperdiskParams | None = None) -> ToeplitzSpec:
@@ -100,15 +96,16 @@ def extend(spec: ToeplitzSpec, eta: Supernumber, params: SuperdiskParams | None 
 
 
 def verify_extension(spec: ToeplitzSpec) -> bool:
-    """Superpositivity of the assembled matrix T_N.
+    """Superpositivity of T_N, decided on its body, read off the symbols' bodies; T_N is not assembled.
 
-    Equivalent to the Schur-complement test (T_{N-1} superpositive and
-    r_0 - b_N* T_{N-1}⁻¹ b_N a positive supernumber): T_N is self-adjoint as
-    far as r_0 is real, and taking bodies is a ring morphism, so body(T_N) is
-    positive definite iff body(T_{N-1}) is and the body Schur complement is
-    positive.
+    T_N = T_N* by construction up to r_0's own defect, which ToeplitzSpec bounds.  Equivalent to the
+    Schur-complement test (T_{N-1} superpositive and r_0 - b_N* T_{N-1}⁻¹ b_N a positive supernumber):
+    taking bodies is a ring morphism, so body(T_N) is the Toeplitz matrix of body(r_0)..body(r_N), and it
+    is positive definite iff body(T_{N-1}) is and the body Schur complement is positive.
     """
-    return bool(is_superpositive(assemble(spec)))
+    b = [z.body for z in spec.r]
+    body = [[b[k - j] if k >= j else b[j - k].conjugate() for k in range(len(b))] for j in range(len(b))]
+    return _body_definite(spec.context, body, strict=True)[0]  # no scan: T_N = T_N* by construction
 
 
 def alpha_from_params(params: SuperdiskParams) -> Supernumber:

@@ -2,6 +2,7 @@
 import cmath
 import itertools
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -45,6 +46,17 @@ class TestContext:
         fields = {"generators": 8, field: value}
         with pytest.raises(ValueError, match=field):
             AlgebraContext(**fields)
+
+    @pytest.mark.parametrize("field", ["tol_body", "tol_eq"])
+    @pytest.mark.parametrize("value", [True, False, "1e-3", None, 1e-3j, [1e-3]])
+    def test_non_real_tolerances_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AlgebraContext(8, **{field: value})
+
+    @pytest.mark.parametrize("value", [1, 1e-3, np.float64(1e-3), np.float32(1e-3), Fraction(1, 1000)])
+    def test_real_tolerances_accepted(self, value):
+        c = AlgebraContext(8, tol_body=value, tol_eq=value)
+        assert c.tol_body == value and c.tol_eq == value
 
     @pytest.mark.parametrize("fields", [{"generators": 0}, {"generators": 65}, {"max_series_degree": -1}])
     def test_out_of_range_counts_rejected(self, fields):

@@ -287,6 +287,11 @@ class TestPositivity:
         with pytest.raises(ShapeMismatch):
             gm._self_adjoint(random_supermatrix(ctx, rng, 2, 3))
 
+    @pytest.mark.parametrize("test", [is_superpositive, is_supernonnegative])
+    def test_non_square_is_a_shape_error(self, ctx, test):
+        with pytest.raises(ShapeMismatch):
+            test(SuperMatrix.zeros(ctx, 2, 3))
+
     def test_psd_vs_pd_thresholds(self, ctx):
         m = SuperMatrix.from_body(ctx, np.diag([1.0, 0.0]))
         assert is_supernonnegative(m)

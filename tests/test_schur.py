@@ -20,6 +20,7 @@ from grasschur.errors import (
     ShapeMismatch,
     SteinViolated,
 )
+from grasschur.matrix import _self_adjoint
 from grasschur.oracle import classical_np_solution, classical_pick_matrix, classical_schur
 from grasschur.realization import Realization
 from grasschur.sampling import random_even_unit, random_soul, random_supermatrix, random_supernumber
@@ -1220,3 +1221,58 @@ class TestContractivityForm:
 
         diff = hermitian_form(f, f) - hermitian_form(msf.truncated(s.degree), msf.truncated(s.degree))
         assert is_supernonnegative(SuperMatrix.from_scalar(diff[0, 0]))
+
+
+def count_scans(monkeypatch):
+    """Count every self-adjointness scan, in whichever module calls matrix._self_adjoint."""
+    import grasschur.matrix as matrix
+    import grasschur.realization as realization
+    calls = {"_self_adjoint": 0}
+    original = matrix._self_adjoint
+
+    def counted(m):
+        calls["_self_adjoint"] += 1
+        return original(m)
+
+    for module in (matrix, realization, schur):
+        monkeypatch.setattr(module, "_self_adjoint", counted)
+    return calls
+
+
+class TestSelfAdjointByConstruction:
+    """Where M = M* is known, only the body rule runs: no scan repeats that proof."""
+
+    def test_stein_solution_is_self_adjoint_bit_for_bit(self, ctx):
+        rng = np.random.default_rng(3001)
+        for _ in range(20):
+            q, p = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            c, a, pmat, j = random_stein_data(ctx, rng, q=q, p=p, spectral=float(rng.uniform(0.1, 0.8)))
+            assert _self_adjoint(pmat) == (True, 0.0)
+
+    @pytest.mark.parametrize("n_nodes", [1, 2, 3, 4])
+    def test_pick_matrix_is_self_adjoint_bit_for_bit_at_n64(self, n_nodes):
+        ctx = AlgebraContext(generators=64)  # sparse souls: two terms per node and value draw
+        rng = np.random.default_rng([64, n_nodes])
+        for _ in range(3):
+            data = make_np_data(ctx, rng, n_nodes)
+            p = stein_solve(data.output_matrix(), data.state_matrix(), data.signature())
+            assert _self_adjoint(p) == (True, 0.0)
+
+    def test_is_schur_grassmann_scans_nothing(self, monkeypatch, ctx):
+        calls = count_scans(monkeypatch)
+        assert is_schur_grassmann(scalar_series(ctx, [0.5, 0.2], exact=True))
+        assert not is_schur_grassmann(scalar_series(ctx, [0.8, 0.7]))
+        assert calls == {"_self_adjoint": 0}
+
+    def test_kyp_check_scans_h_once(self, monkeypatch, ctx):
+        r = Realization.constant(SuperMatrix.from_body(ctx, [[0.5]]))
+        calls = count_scans(monkeypatch)
+        with pytest.raises(HNotNegative, match="-H is not superpositive"):
+            kyp_check(r, SuperMatrix.from_body(ctx, [[1.0]]))
+        assert calls == {"_self_adjoint": 1}
+
+    def test_np_solve_pick_gate_scans_nothing(self, monkeypatch, ctx):
+        data = make_np_data(ctx, np.random.default_rng(3002), 3)
+        calls = count_scans(monkeypatch)
+        np_solve(data)
+        assert calls == {"_self_adjoint": 2}  # build_theta's J and P checks, nothing else

@@ -108,8 +108,9 @@ class TestExtensionParams:
             assert classify(xi).is_real
 
     def test_rejects_indefinite(self, ctx):
-        with pytest.raises(NotSuperpositive):
+        with pytest.raises(NotSuperpositive, match="^body not positive definite$"):  # CLI stderr reads it
             extension_params(spec_from_bodies(ctx, [1.0, 2.0]))
+        assert not verify_extension(spec_from_bodies(ctx, [1.0, 2.0]))
 
 
 class TestExtend:
@@ -298,3 +299,70 @@ class TestBlockComplement:
         monkeypatch.setattr(ToeplitzSpec, "__post_init__", counted("ToeplitzSpec", ToeplitzSpec.__post_init__))
         extension_params(spec)
         assert calls == {"assemble": 1, "mat_invert": 1, "ToeplitzSpec": 0}
+
+
+def with_r0_defect(spec, rng, share=0.2):
+    """The spec with r_0 moved off the reals by `share` of the defect ToeplitzSpec allows."""
+    ctx = spec.context
+    x = random_soul(ctx, rng, terms=2, scale=1.0)
+    anti = x - dagger(x)  # anti-self-adjoint: its defect is 2 ||anti||_1
+    r0 = spec.r[0]
+    step = share * 1e-12 * max(1.0, r0.norm1()) / (2 * anti.norm1())
+    return ToeplitzSpec((r0 + anti * step,) + spec.r[1:])
+
+
+def count_scans_and_assemblies(monkeypatch):
+    """Count every self-adjointness scan (matrix._self_adjoint) and every toeplitz.assemble."""
+    import grasschur.matrix as matrix
+    calls = {"_self_adjoint": 0, "assemble": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(matrix, "_self_adjoint", counted("_self_adjoint", matrix._self_adjoint))
+    monkeypatch.setattr(toeplitz, "assemble", counted("assemble", toeplitz.assemble))
+    return calls
+
+
+class TestSelfAdjointByConstruction:
+    """T_N - T_N* is I ⊗ (r_0 - r_0†), so the body alone decides superpositivity."""
+
+    @pytest.mark.parametrize("generators", [8, 64])
+    def test_defect_is_r0_defect_on_the_diagonal(self, generators):
+        ctx = AlgebraContext(generators=generators)
+        rng = np.random.default_rng([generators, 30])
+        specs = [random_superpositive_spec(ctx, rng, order) for order in (0, 1, 2, 3) for _ in range(3)]
+        if generators == 8:
+            specs += [spec for order in (1, 2, 3) for spec in block_complement_specs(8, order, 2)]
+        specs += [with_r0_defect(spec, rng) for spec in specs]
+        for spec in specs:
+            t = assemble(spec)
+            r0_defect = spec.r[0] - dagger(spec.r[0])
+            assert t - adjoint(t) == SuperMatrix.diagonal([r0_defect] * (spec.order + 1))
+        assert any(not (s.r[0] - dagger(s.r[0])).is_zero() for s in specs)
+
+    def test_r0_defect_within_spec_tolerance_is_accepted(self, ctx):
+        # 8e-13 of defect in r_0 passes ToeplitzSpec; T - T* holds four copies of it, 3.2e-12,
+        # which a scan of T_N against 1e-12 ||T_N||_1 (about 2.1e-12) refused
+        symbols = (ctx.scalar(0.5) + ctx.basis([1, 2]) * 4e-13,) + (ctx.scalar(0.01),) * 3
+        spec = ToeplitzSpec(symbols)
+        clean = ToeplitzSpec((ctx.scalar(0.5),) + symbols[1:])
+        assert verify_extension(spec)
+        assert_params_close(extension_params(spec), extension_params(clean), tol=1e-11)
+
+    @pytest.mark.parametrize("order", [0, 1, 3])
+    def test_verify_extension_neither_assembles_nor_scans(self, monkeypatch, order):
+        spec = block_complement_specs(64, order, 1)[0]
+        calls = count_scans_and_assemblies(monkeypatch)
+        assert verify_extension(spec) is True
+        assert calls == {"_self_adjoint": 0, "assemble": 0}
+
+    @pytest.mark.parametrize("order", [0, 1, 3])
+    def test_extension_params_assembles_once_and_scans_nothing(self, monkeypatch, order):
+        spec = block_complement_specs(64, order, 1)[0]
+        calls = count_scans_and_assemblies(monkeypatch)
+        extension_params(spec)
+        assert calls == {"_self_adjoint": 0, "assemble": 1}
