@@ -320,6 +320,11 @@ def linear_combine(pairs: Iterable[tuple[complex, Supernumber]]) -> Supernumber:
 _FAST_PATH_MIN_PAIRS = 192
 _MASK_BAND = 1 << 16  # entries of the disjoint-pair mask built at once
 _DENSE_SLOTS = 1 << 12  # output numbers (2**N keys x coefficient size) held as dense buckets
+# A soul series takes the dense path at 2**N <= _SERIES_MAX_KEYS.  Beyond it the dense path pays for
+# pairs of keys that no power reaches: at N = 10 to 12 it ran up to 2.9x slower than the loop
+# unless u was nearly filled, while at N = 7 to 9 it was faster from a fill of 1/_SERIES_FILL on.
+_SERIES_MAX_KEYS = 1 << 9
+_SERIES_FILL = 8
 _MAX_ENTRIES = 1 << 26  # complex entries (1 GiB) one array may take before TooLarge is raised
 
 
@@ -525,22 +530,66 @@ def _soul_series(u: Supernumber, coeffs: Iterator[complex]) -> Supernumber:
     """sum_n c_n u^n for a soul u, with c_0, c_1, ... drawn from ``coeffs``.
 
     A coefficient is drawn only for a nonzero power, so the sum stops where
-    u^n = 0: by nilpotency within N + 1 terms.  Each power's terms are added
-    into one term map in place, which is made canonical once at the end.
+    u^n = 0: by nilpotency within N + 1 terms.  Two paths give the same bits:
+
+    - A filled soul plans its pairs once per series: one ``_disjoint_pairs``
+      of all 2**N keys against u's keys, with u gathered once at b.  The
+      power is a dense 2**N vector, and each step is one signed gather of
+      it, one ``_cmul`` against the gathered u and two bincounts over a | b;
+      c_n u^n is added into a dense accumulator.  The plan lives for this
+      series only.  Filled means 2**N <= ``_SERIES_MAX_KEYS``, u holding at
+      least 2**N / ``_SERIES_FILL`` terms, and u·u taking ``mul``'s numpy
+      kernel (``_FAST_PATH_MIN_PAIRS``): below that ``mul`` plans nothing.
+    - Any other soul forms each power by ``mul`` and adds its terms into one
+      term map in place, made canonical once at the end.
+
+    Why the dense path reproduces the loop bit for bit:
+
+    - the pairs are multiplied as power·u and binned in ascending (a, b)
+      order, as ``mul`` sums them;
+    - a pair whose power slot is zero adds an exact zero, and a sum that
+      starts at +0.0 (a bincount's, the accumulator's) never becomes -0.0,
+      so it changes nothing; the same rule makes the sign of a zero part
+      of a term irrelevant, here and in ``mul``;
+    - ``acc[0] += 0j`` comes before each power, so a -0.0 part of c_0 reads
+      +0.0 as in ``linear_combine``; powers with c_n == 0 are skipped, and
+      the sum stops at the first zero power;
+    - ``_cmul`` rounds c_n·u^n as Python's complex product does.
     """
     context = u.context
-    acc = {0: complex(next(coeffs))}
-    power = u  # a zero part's sign never reaches the result: every sum here and in mul starts at +0.0
+    c0 = complex(next(coeffs))
+    size, terms = 1 << context.generators, u._terms
+    if size > _SERIES_MAX_KEYS or len(terms) * _SERIES_FILL < size or len(terms) ** 2 < _FAST_PATH_MIN_PAIRS:
+        acc, power = {0: c0}, u
+        for _ in range(context.generators):
+            if power.is_zero():
+                break
+            acc[0] += 0j  # a -0.0 part of c_0 reads +0.0 once a power is added, as in linear_combine
+            c = complex(next(coeffs))
+            if c != 0:
+                for key, value in power._terms.items():
+                    acc[key] = acc.get(key, 0j) + c * value
+            power = mul(power, u)
+        return Supernumber(context, acc)
+    keys = np.fromiter(terms, dtype=np.uint64, count=len(terms))
+    values = np.fromiter(terms.values(), dtype=complex, count=len(terms))
+    ia, ib, negate, gamma = _disjoint_pairs(context.generators, np.arange(size, dtype=np.uint64), keys)
+    signed, right, slot = ia + size * negate, values[ib], gamma.view(np.int64)
+    acc, power = np.zeros(size, dtype=complex), np.zeros(size, dtype=complex)
+    acc[0], power[keys.view(np.int64)] = c0, values
     for _ in range(context.generators):
-        if power.is_zero():
+        if not power.any():
             break
-        acc[0] += 0j  # a -0.0 part of c_0 reads +0.0 once a power is added, as in linear_combine
+        acc[0] += 0j
         c = complex(next(coeffs))
         if c != 0:
-            for key, value in power._terms.items():
-                acc[key] = acc.get(key, 0j) + c * value
-        power = mul(power, u)
-    return Supernumber(context, acc)
+            acc += _cmul(c, power)
+        # entries size.. of the doubled power are negated, so the sign rides on the gather
+        product = _cmul(np.concatenate((power, -power)).take(signed), right)
+        power.real = np.bincount(slot, weights=product.real, minlength=size)
+        power.imag = np.bincount(slot, weights=product.imag, minlength=size)
+    hit = np.flatnonzero(acc)
+    return Supernumber._canonical(context, dict(zip(hit.tolist(), acc[hit].tolist())))
 
 
 def invert(z: Supernumber) -> Supernumber:

@@ -253,20 +253,26 @@ def evaluate_rational(r: Realization, z: Supernumber) -> SuperMatrix:
 def is_J_unitary(r: Realization, j: SuperMatrix) -> bool:
     """U(z) J U(z^{-dagger})* = J at every central z, decided at 2d + 1 points of the circle.
 
-    With k the generators A's souls use (popcount of the OR of A's keys), products of
-    more than k soul factors vanish, so det(I - zA_B)^{k+1} U(z) is a polynomial of degree
-    d <= n(k + 1) for state dimension n.  On the circle z^{-dagger} = z, and U J U* - J is a
-    Laurent polynomial of degree d over |det(I - zA_B)|^{2(k+1)}: zero at 2d + 1 points, it
-    is zero on the circle, hence at every central argument (Taylor expansion in the even
-    soul).  The points e^{2πi(m + φ)/(2d + 1)}, φ the golden-ratio fraction, miss a pole at
-    a root of unity; each residual must be within tol_eq·max(1, ‖J‖₁)·max(1, ‖U‖₁²).
+    Split A = A_B + A_S into body and soul.  With k the generators A's souls use (popcount
+    of the OR of A's soul keys) and g the lowest grade among those keys, a product of m soul
+    entries has grade at least mg within those k generators, so it vanishes once m exceeds
+    M = floor(k/g).  Hence (I - zA)^{-1} = sum_{m <= M} [(I - zA_B)^{-1} zA_S]^m (I - zA_B)^{-1},
+    and since (I - zA_B)^{-1} = adj(I - zA_B)/det(I - zA_B) with degrees n - 1 and n for state
+    dimension n, det(I - zA_B)^{M+1} U(z) is a polynomial of degree d <= n(M + 1).  On the
+    circle z^{-dagger} = z, and U J U* - J is a Laurent polynomial of degree d over
+    |det(I - zA_B)|^{2(M+1)}: zero at 2d + 1 points, it is zero on the circle, hence at every
+    central argument (Taylor expansion in the even soul).  The points e^{2πi(m + φ)/(2d + 1)},
+    φ the golden-ratio fraction, miss a pole at a root of unity; each residual must be within
+    tol_eq·max(1, ‖J‖₁)·max(1, ‖U‖₁²).
     """
     _check_signature(j)
     if r.shape[0] != j.rows or r.shape[1] != j.rows:
         raise ShapeMismatch("U must be square of J's size")
     tol = r.context.tol_eq * max(1.0, j.norm1())
-    k = int(np.bitwise_or.reduce(r.a.keys, initial=np.uint64(0))).bit_count()
-    points = 2 * r.state_dim * (k + 1) + 1
+    souls = r.a.keys[r.a.keys != 0]
+    k = int(np.bitwise_or.reduce(souls, initial=np.uint64(0))).bit_count()
+    factors = k // int(np.bitwise_count(souls).min()) if len(souls) else 0
+    points = 2 * r.state_dim * (factors + 1) + 1
     for z in np.exp(2j * np.pi * (np.arange(points) + (5 ** 0.5 - 1) / 2) / points):
         u = evaluate_rational(r, r.context.scalar(z))
         residual = mat_mul(mat_mul(u, j), adjoint(u)) - j

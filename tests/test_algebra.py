@@ -544,13 +544,31 @@ def hex_terms(z):
 
 
 def soul_series_inputs(kind, rng):
-    """Filled N = 8 numbers (every monomial) or sparse N = 64 ones of 2-12 terms, some with
-    real coefficients (so products carry -0.0 parts), bodies off the negative real axis."""
+    """Numbers whose souls the series runs on, some with real coefficients (so products carry
+    -0.0 parts), bodies off the negative real axis:
+
+    - ``filled8``: N = 8, every monomial; ``sparse64``: N = 64, 2-12 terms;
+    - ``cut8``: N = 8 souls of 31, 32 and 33 random monomials, around the fill cut 2**N / 8;
+    - ``cut6``: N = 6 souls of 13, 14 and 15 monomials, around the cut where u·u first takes
+      mul's numpy kernel;
+    - ``parity8``: N = 8 souls of every even or every odd monomial;
+    - ``edge``: filled N = 9 souls (the largest N of the dense path) and N = 10 (the loop).
+    """
     out = []
-    for i in range(12):
+    for i in range(4 if kind == "edge" else 12):
         if kind == "filled8":
             ctx = AlgebraContext(generators=8)
             terms = {k: 0.05 * complex(*rng.normal(size=2)) for k in range(1, 256)}
+        elif kind != "sparse64":
+            n = {"cut6": 6, "edge": 9 + i % 2}.get(kind, 8)
+            ctx = AlgebraContext(generators=n)
+            keys = range(1, 1 << n)
+            if kind in ("cut8", "cut6"):
+                size = (31 if kind == "cut8" else 13) + i % 3
+                keys = rng.choice(np.arange(1, 1 << n), size=size, replace=False).tolist()
+            elif kind == "parity8":
+                keys = [k for k in keys if k.bit_count() % 2 == i % 2]
+            terms = {k: 0.05 * complex(*rng.normal(size=2)) for k in keys}
         else:
             ctx = AlgebraContext(generators=64)
             terms = random_soul(ctx, rng, terms=1 + i % 11).terms
@@ -571,16 +589,48 @@ def exp_negative_zero(z0, n):
     return complex(value.real, -0.0) if n == 0 else value
 
 
-@pytest.mark.parametrize("kind", ["filled8", "sparse64"])
+def cubic(z0, n):
+    """f(z) = z**3 - 2, a polynomial: its Taylor coefficients vanish from n = 4 on, and at
+    z0 = 0 also for n = 1 and 2."""
+    return (z0 ** 3 - 2.0, 3.0 * z0 ** 2, 3.0 * z0, 1.0)[n] if n <= 3 else 0.0
+
+
+@pytest.mark.parametrize("kind", ["filled8", "sparse64", "cut8", "cut6", "parity8", "edge"])
 def test_soul_series_bit_identical_to_linear_combine(kind, rng, monkeypatch):
     calls = [invert, *(lambda z, k=k: kth_root(z, k) for k in (2, 3, 4)),
-             lambda z: analytic_apply(geometric, z * 0.3), lambda z: analytic_apply(exp_negative_zero, z)]
+             lambda z: analytic_apply(geometric, z * 0.3), lambda z: analytic_apply(exp_negative_zero, z),
+             lambda z: analytic_apply(cubic, z), lambda z: analytic_apply(cubic, z.soul)]
     for z in soul_series_inputs(kind, rng):
         got = [hex_terms(call(z)) for call in calls]
         with monkeypatch.context() as patch:
             patch.setattr(ga, "_soul_series", ref_soul_series)
             want = [hex_terms(call(z)) for call in calls]
         assert got == want
+
+
+@pytest.mark.parametrize("generators,terms,dense", [
+    (8, 255, True), (8, 32, True), (8, 31, False), (9, 511, True), (10, 1023, False),
+    (6, 14, True), (6, 13, False)])
+def test_soul_series_plans_pairs_once_on_the_dense_path(generators, terms, dense, rng, monkeypatch):
+    """A filled soul plans its pairs once per series and runs no mul; any other soul takes
+    the per-power loop, one mul per nonzero power."""
+    counts = {"pairs": 0, "mul": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(ga, "_disjoint_pairs", counted("pairs", ga._disjoint_pairs))
+    monkeypatch.setattr(ga, "mul", counted("mul", ga.mul))
+    keys = rng.choice(np.arange(1, 1 << generators), size=terms, replace=False)
+    u = Supernumber(AlgebraContext(generators=generators), {int(k): 0.05 * complex(*rng.normal(size=2)) for k in keys})
+    ga._soul_series(u, itertools.repeat(1.0))
+    if dense:
+        assert counts == {"pairs": 1, "mul": 0}
+    else:
+        assert counts["mul"] >= 1
 
 
 def ref_kth_root(z, k):

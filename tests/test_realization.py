@@ -394,6 +394,32 @@ class TestJUnitary:
         r, j = self.np_theta(ctx, nodes)
         assert not is_J_unitary(dataclasses.replace(r, d=r.d * (1 + 1e-6)), j)
 
+    @pytest.mark.parametrize("nodes", [2, 4])
+    def test_even_soul_defect_rejected_at_the_reduced_point_count(self, ctx, nodes, monkeypatch):
+        # A's souls are even, so no product of more than floor(k/2) of them survives, and the
+        # check evaluates 2n(floor(k/2) + 1) + 1 points instead of 2n(k + 1) + 1
+        r, j = self.np_theta(ctx, nodes)
+        souls = r.a.keys[r.a.keys != 0]
+        grades = np.bitwise_count(souls)
+        assert grades.min() == 2 and not (grades % 2).any()
+        k = int(np.bitwise_or.reduce(souls)).bit_count()
+        points = []
+        evaluate = evaluate_rational
+        monkeypatch.setattr("grasschur.realization.evaluate_rational", lambda *args: points.append(1) or evaluate(*args))
+        assert is_J_unitary(r, j)
+        assert len(points) == 2 * r.state_dim * (k // 2 + 1) + 1 < 2 * r.state_dim * (k + 1) + 1
+        # a defect in the souls alone, on a key of lowest grade among A's generators: the body
+        # stays J-unitary, and neither k nor the lowest grade moves
+        key = int(souls[grades == 2][0])
+
+        def bump(rows, cols):
+            return SuperMatrix.from_rows([[ctx.from_terms({key: 1e-3}) if (row, col) == (0, 0) else ctx.zero()
+                                           for col in range(cols)] for row in range(rows)])
+
+        n = r.state_dim
+        for case in (dataclasses.replace(r, d=r.d + bump(2, 2)), dataclasses.replace(r, a=r.a + bump(n, n))):
+            assert not is_J_unitary(case, j)
+
     def test_sampling_options_are_gone(self, ctx, rng):
         j = SuperMatrix.from_body(ctx, np.diag([1.0, -1.0]))
         with pytest.raises(TypeError):
