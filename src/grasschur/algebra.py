@@ -617,12 +617,7 @@ def kth_root(z: Supernumber, k: int) -> Supernumber:
         raise BodyZero(f"body modulus {abs(body):.3e} is below tol_body")
     if body.imag == 0.0 and body.real < 0.0:
         raise BranchCut("body lies on the negative real axis")
-    return _binomial_power(z, 1.0 / k)
-
-
-def _binomial_power(z: Supernumber, exponent: float) -> Supernumber:
-    """Principal z**exponent by the binomial series in z_S/z_B; the caller checks the body."""
-    body = z.body
+    exponent = 1.0 / k
     # binomial coefficients: c_{n+1} = c_n (exponent - n) / (n + 1)
     binomial = itertools.accumulate(itertools.count(), lambda c, n: c * ((exponent - n) / (n + 1)),
                                     initial=1.0)

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .algebra import (_REAL_TOL, AlgebraContext, Supernumber, _binomial_power, _cmul, _pair_product,
+from .algebra import (_REAL_TOL, AlgebraContext, Supernumber, _cmul, _pair_product,
                       _require_same_context, invert, linear_combine)
 from .errors import BodySingular, BodyZero, ContextMismatch, NotRegular, NotSuperpositive, ShapeMismatch
 
@@ -287,34 +287,55 @@ def _body_inverse(context: AlgebraContext, body: np.ndarray) -> np.ndarray:
     return np.linalg.inv(body)
 
 
+def _by_grade(pending, solved: list, solve, feedback) -> tuple[np.ndarray, np.ndarray]:
+    """The loop of ``_inverse`` and ``_lower_factor``: a sum solved one grade at a time
+    (relaxed power-series solving, the grade in the role of the degree).  ``pending``
+    (keys, stack) is what the unsolved grades owe; each round its lowest-grade slice is
+    final, ``solve`` maps that stack to the solved one, which joins the (keys, stack)
+    slices ``solved``, and ``feedback(solved)`` gives, by one pair product, what the new
+    last slice adds to the higher grades.  Returns all solved slices, keys ascending."""
+    while len(pending[0]):
+        grades = np.bitwise_count(pending[0])
+        low = grades == grades.min()
+        solved.append((pending[0][low], solve(pending[1][low])))
+        pending = _add(pending[0][~low], pending[1][~low], *feedback(solved))
+    return _merge(solved)
+
+
+def _merge(slices) -> tuple[np.ndarray, np.ndarray]:
+    """Keys and stack of (keys, stack) slices whose key sets are disjoint, keys ascending."""
+    keys, stacks = map(np.concatenate, zip(*slices))
+    order = np.argsort(keys)
+    return keys[order], stacks[order]
+
+
 def _inverse(context: AlgebraContext, keys, stack, body_inv, op) -> tuple[np.ndarray, np.ndarray]:
     """Keys and stack of (Σ X_α i_α)⁻¹ for body B = stack[0] (keys[0] == 0) and soul S.
 
     The inverse W solves W = B⁻¹ + TW with T = −B⁻¹S.  T raises the grade, so W is
-    solved one grade at a time (relaxed power-series inversion, the grade in the role
-    of the degree): the lowest-grade slice of the pending sum TW is final, joins W,
-    and is multiplied by T once.  Each disjoint (T, W) term pair is formed once, in at
-    most N + 1 pair products.  ``body_inv`` is B⁻¹ and ``op`` the payload product of
-    the coefficients (``_pair_product``)."""
+    solved one grade at a time (``_by_grade``): the lowest-grade slice of the pending
+    sum TW is final, joins W, and is multiplied by T once.  Each disjoint (T, W) term
+    pair is formed once, in at most N + 1 pair products.  ``body_inv`` is B⁻¹ and ``op``
+    the payload product of the coefficients (``_pair_product``)."""
     step = -op(body_inv[None], stack[1:])
     solved = [(keys[:1], body_inv[None])]
-    pending = _pair_product(context.generators, keys[1:], step, *solved[0], op)
-    while len(pending[0]):
-        grades = np.bitwise_count(pending[0])
-        low = grades == grades.min()
-        solved.append((pending[0][low], pending[1][low]))
-        product = _pair_product(context.generators, keys[1:], step, *solved[-1], op)
-        pending = _add(pending[0][~low], pending[1][~low], *product)
-    solved_keys, solved_stacks = map(np.concatenate, zip(*solved))
-    order = np.argsort(solved_keys)
-    return solved_keys[order], solved_stacks[order]
+
+    def feedback(solved):
+        return _pair_product(context.generators, keys[1:], step, *solved[-1], op)
+
+    return _by_grade(feedback(solved), solved, lambda x: x, feedback)
+
+
+def _adjoint_stack(keys, stack) -> np.ndarray:
+    """The stack of (Σ X_α i_α)* on the same keys: each X_αᴴ times the dagger sign."""
+    flip = (np.bitwise_count(keys) & 2).astype(bool)[:, None, None]  # grade t = 2, 3 (mod 4)
+    stack = stack.conj().transpose(0, 2, 1)
+    return np.where(flip, -stack, stack)
 
 
 def adjoint(m: SuperMatrix) -> SuperMatrix:
     """Conjugate transpose under dagger: M* = (m_kj†); (ML)* = L*M*."""
-    flip = (np.bitwise_count(m.keys) & 2).astype(bool)[:, None, None]  # grade t = 2, 3 (mod 4)
-    stack = m.stack.conj().transpose(0, 2, 1)
-    return SuperMatrix._of(m.context, m.keys, np.where(flip, -stack, stack))
+    return SuperMatrix._of(m.context, m.keys, _adjoint_stack(m.keys, m.stack))
 
 
 def mat_mul(m: SuperMatrix, l: SuperMatrix) -> SuperMatrix:
@@ -482,7 +503,8 @@ def is_superpositive(m: SuperMatrix) -> PositivityReport:
 
 
 def positive_factorize(m: SuperMatrix) -> SuperMatrix:
-    """Lower-triangular L with M = L L* for a superpositive M, else NotSuperpositive."""
+    """Lower-triangular L with M = L L* for a superpositive M, else NotSuperpositive; L is
+    unique with a superreal diagonal of positive bodies, solved by grade (``_lower_factor``)."""
     report = is_superpositive(m)
     if not report:
         raise NotSuperpositive(report.reason or "matrix is not superpositive")
@@ -490,18 +512,34 @@ def positive_factorize(m: SuperMatrix) -> SuperMatrix:
 
 
 def _lower_factor(m: SuperMatrix) -> SuperMatrix:
-    """The LL* block recursion M = [p c*; c D] = [r 0; l L'] [r 0; l L']*, L' from D − l l*.
+    """L = L_B + Σ_g X_g (X_g on the keys of grade g) with L L* = M, solved by grade.
 
-    Per pivot one binomial series r⁻¹ = p^(-1/2), and the column [r; l] = [p; c] r⁻¹:
-    p and r⁻¹ commute, so r = p r⁻¹ = p^(1/2) = r*.  The pivots of a superpositive M
-    are the leading body Schur complements of a PD body, all positive."""
-    column = m.submatrix(range(m.rows), [0]).scale_right(_binomial_power(m[0, 0], -0.5))
-    if m.rows == 1:
-        return column
-    rest = range(1, m.rows)
-    l = column.submatrix(rest, [0])
-    inner = _lower_factor(m.submatrix(rest, rest) - mat_mul(l, adjoint(l)))
-    return SuperMatrix.block([[column.submatrix([0], [0]), None], [l, inner]])
+    L_B is the Cholesky factor of the body's Hermitian part, which the gate found
+    positive definite.  Grade g of L L* = M reads L_B X_g* + X_g L_B* = R_g, with
+    R_g = M_g − Σ_{a+b=g; a,b≥1} X_a X_b*; per key of dagger sign s = (−1)^{g(g−1)/2},
+    X = L_B Z turns it into Z + s Zᴴ = Y = L_B⁻¹ R L_B⁻ᴴ, solved by Z = Φ(Y), the strict
+    lower triangle of Y plus half its diagonal.  One Φ serves both signs: Y is Hermitian
+    where s = 1 and skew-Hermitian where s = −1, so Z's diagonal is real, respectively
+    imaginary, and L's diagonal is superreal.  Z's strict lower triangle is forced and
+    a superreal diagonal fixes the rest, so L is unique.  Solving lowest grade first
+    (``_by_grade``, the pending sum starting as M's soul), X_g feeds back through one
+    pair product P = X_g (L_{<g} + ½X_g)*, L_{<g} the soul solved before it: by
+    (AB)* = B*A*, P + P* = X_g L_{<g}* + L_{<g} X_g* + X_g X_g*, all above grade g."""
+    context, body = m.context, m.stack[0]  # keys[0] == 0: the body is positive definite
+    chol = np.linalg.cholesky(0.5 * (body + body.conj().T))
+    chol_inv = np.linalg.inv(chol)
+    phi = np.tril(np.ones(m.shape), -1) + 0.5 * np.eye(m.rows)  # Φ as a mask
+
+    def feedback(solved):
+        keys, x = solved[-1]
+        right_keys, right = _merge([*solved[1:-1], (keys, 0.5 * x)])
+        product_keys, product = _pair_product(context.generators, keys, x,
+                                              right_keys, _adjoint_stack(right_keys, right), _matmul)
+        return product_keys, -(product + _adjoint_stack(product_keys, product))
+
+    return SuperMatrix._of(context, *_by_grade((m.keys[1:], m.stack[1:]), [(m.keys[:1], chol[None])],
+                                               lambda r: chol @ (phi * (chol_inv @ r @ chol_inv.conj().T)),
+                                               feedback))
 
 
 def polarization_reconstruct(

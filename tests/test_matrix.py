@@ -363,14 +363,80 @@ class TestPositiveFactorize:
         self.assert_lower_factor(m)
 
     def test_takes_no_ldu_and_no_matrix_inverse(self, ctx, rng, monkeypatch):
+        """No LDU, no inverse, no product of whole matrices and no soul series: one pair
+        product per soul grade solved."""
         def refused(*args):
-            raise AssertionError("the LL* recursion needs neither LDU nor a matrix inverse")
+            raise AssertionError("the LL* grade solve needs no LDU, inverse, mat_mul or soul series")
 
-        monkeypatch.setattr(gm, "ldu_factor", refused)
-        monkeypatch.setattr(gm, "mat_invert", refused)
         m = random_superpositive_matrix(ctx, rng, 4)
-        l = positive_factorize(m)
+        products, real_product = [], gm._pair_product
+        with monkeypatch.context() as patch:
+            for module, name in ((gm, "ldu_factor"), (gm, "mat_invert"), (gm, "mat_mul"), (gm, "invert"),
+                                 (ga, "invert"), (ga, "kth_root"), (ga, "_soul_series")):
+                patch.setattr(module, name, refused)
+            patch.setattr(gm, "_pair_product", lambda *args: products.append(args) or real_product(*args))
+            l = positive_factorize(m)
+        assert len(products) == len(set(np.bitwise_count(l.keys[1:]).tolist())) <= ctx.generators
         assert residual(mat_mul(l, adjoint(l)), m) <= 1e-12 * m.norm1()
+
+    @staticmethod
+    def with_souls(ctx, rng, n, keys):
+        """A self-adjoint n x n matrix with a positive definite body and a soul on each of
+        ``keys``: A + s Aᴴ at a key whose dagger sign is s."""
+        keys = sorted(keys)
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        stack = [g @ g.conj().T + n * np.eye(n)]
+        for key in keys:
+            a = 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            stack.append(a - a.conj().T if int(key).bit_count() & 2 else a + a.conj().T)
+        return SuperMatrix(ctx, [0, *keys], stack)
+
+    @pytest.mark.parametrize("generators", [8, 64])
+    @pytest.mark.parametrize("pattern", ["grades 2-3", "odd grades", "top grade"])
+    def test_souls_on_some_grades(self, rng, generators, pattern):
+        ctx = AlgebraContext(generators=generators)
+        if pattern == "top grade":
+            keys = [(1 << generators) - 1]
+        elif generators == 8:
+            grades = (2, 3) if pattern == "grades 2-3" else (1, 3, 5, 7)
+            keys = [k for k in range(1, 256) if k.bit_count() in grades]
+        else:  # a few keys on the SPREAD64 slots, every other one holding generator 64
+            sizes = (2, 3) if pattern == "grades 2-3" else (1, 3, 5)
+            keys = {index_from_generators(sorted(rng.choice(SPREAD64[:-1], size=int(rng.choice(sizes)) - t % 2,
+                                                            replace=False).tolist() + [64] * (t % 2)))
+                    for t in range(8)}
+        self.assert_lower_factor(self.with_souls(ctx, rng, 3, keys))
+
+    def test_body_only_is_the_body_cholesky_factor(self, ctx, rng):
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        h = g @ g.conj().T + np.eye(3)
+        h = 0.5 * (h + h.conj().T)  # exactly Hermitian
+        l = positive_factorize(SuperMatrix.from_body(ctx, h))
+        assert np.array_equal(l.keys, [0])
+        assert np.array_equal(l.stack[0], np.linalg.cholesky(h))
+
+    @pytest.mark.parametrize("factor", [1.5, 0.5])
+    def test_least_body_eigenvalue_at_the_gate(self, ctx, rng, factor):
+        """Just above the gate's threshold tol_body·max(1, ‖H‖_F) the body Cholesky factor
+        exists; just below, the gate refuses."""
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        eigenvalues = np.array([0.0, 1.0, 2.0])
+        eigenvalues[0] = factor * ctx.tol_body * np.linalg.norm(eigenvalues)
+        body = self.with_souls(ctx, rng, 3, [1, 6, 7]).stack * 1e-3
+        body[0] = (q * eigenvalues) @ q.conj().T
+        m = SuperMatrix(ctx, [0, 1, 6, 7], body)
+        if factor < 1:
+            with pytest.raises(NotSuperpositive, match="not positive definite"):
+                positive_factorize(m)
+            return
+        l = positive_factorize(m)
+        assert np.isfinite(l.stack).all()
+        assert not np.triu(np.abs(l.stack).sum(axis=0), 1).any()
+
+    def test_repeat_calls_agree(self, ctx, rng):
+        m = random_superpositive_matrix(ctx, rng, 3)
+        first, second = positive_factorize(m), positive_factorize(m)
+        assert first == second and first.stack.tobytes() == second.stack.tobytes()
 
 
 class TestPolarization:
