@@ -1,7 +1,7 @@
 """Seeded random generators for supernumbers and supermatrices.
 
-Used by the library's own sampled identity checks and by the tests; everything
-takes an explicit numpy Generator so runs are reproducible.
+Used by the tests only: no runtime module imports it, and the library samples
+nothing.  Everything takes an explicit numpy Generator so runs are reproducible.
 """
 from __future__ import annotations
 

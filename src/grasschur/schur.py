@@ -332,22 +332,19 @@ def np_interpolation_check(data: InterpolationData, theta: ThetaFunction) -> boo
 def lft_apply(block: SeriesMatrix, sigma: SeriesMatrix) -> SeriesMatrix:
     """Linear fractional map (a⋆sigma + b) ⋆ (c⋆sigma + d)^{-star}.
 
-    ``block`` is a square series, such as a ThetaFunction's ``series``, split
-    into the blocks [[a, b], [c, d]] by sigma's shape.
+    ``block`` is a square series Theta, such as a ThetaFunction's ``series``, and
+    [[a, b], [c, d]] its blocks by sigma's shape: G = Theta ⋆ col(sigma, I) is one star
+    product, and the map is G_1 ⋆ G_2^{-star} for G's top p rows G_1 and last q rows G_2.
     """
     p, q = sigma.shape
     if block.shape != (p + q, p + q):
         raise ShapeMismatch(f"theta {block.shape} incompatible with sigma {sigma.shape}")
-    a = block.block(0, p, 0, p)
-    b = block.block(0, p, p, p + q)
-    c = block.block(p, p + q, 0, p)
-    d = block.block(p, p + q, p, p + q)
-    numerator = star_mul(a, sigma) + b
+    g = star_mul(block.block(0, p + q, 0, p), sigma) + block.block(0, p + q, p, p + q)
     try:
-        denominator_inv = star_inverse(star_mul(c, sigma) + d)
+        denominator_inv = star_inverse(g.block(p, p + q, 0, q))
     except ConstantTermSingular as exc:
         raise DenominatorSingular("c ⋆ sigma + d has a singular constant-term body") from exc
-    return star_mul(numerator, denominator_inv)
+    return star_mul(g.block(0, p, 0, q), denominator_inv)
 
 
 @dataclass(frozen=True)
@@ -490,7 +487,8 @@ def section_step(sigma: SeriesMatrix, step: int = 0) -> tuple[Supernumber, Serie
     denominators and shifting out the common zero at z = 0.
 
     With N = b - sigma⋆d and M = sigma⋆c - a (both vanish at 0),
-    sigma_next = (R0 M)^{-star} ⋆ (R0 N).  M(0) itself is singular, which is
+    sigma_next = (R0 M)^{-star} ⋆ (R0 N), both read off one star product as
+    H = R0(sigma ⋆ [c d] - [a b]) = [R0 M, -R0 N].  M(0) itself is singular, which is
     why the shift, not a naive inversion of M, restores invertibility.
     Note: this parametrization does not preserve classical Schur coefficients
     (the chain of rho's differs from schur_step's by constant J-unitary
@@ -500,18 +498,11 @@ def section_step(sigma: SeriesMatrix, step: int = 0) -> tuple[Supernumber, Serie
     rho = _contractive(_constant_term(sigma), step)
     section = schur_section(rho)
     _verify_section_vanishing(rho, section, step, sigma.norm1())
-    b = section.block(0, 1, 1, 2)
-    a = section.block(0, 1, 0, 1)
-    c = section.block(1, 2, 0, 1)
-    d = section.block(1, 2, 1, 2)
-    n = b - star_mul(sigma, d)
-    m = star_mul(sigma, c) - a
-    n_shift = backward_shift(n)
-    m_shift = backward_shift(m)
-    pivot = m_shift.coeffs[0][0, 0]
-    if abs(pivot.body) <= sigma.context.tol_body:
+    h = backward_shift(star_mul(sigma, section.block(1, 2, 0, 2)) - section.block(0, 1, 0, 2))
+    m_shift = h.block(0, 1, 0, 1)
+    if abs(_constant_term(m_shift).body) <= sigma.context.tol_body:
         raise StepSingular(step)
-    return rho, star_mul(star_inverse(m_shift), n_shift), section
+    return rho, star_mul(star_inverse(m_shift), -h.block(0, 1, 1, 2)), section
 
 
 @dataclass(frozen=True)
@@ -671,7 +662,8 @@ def brune_section(c: SuperMatrix, a: Supernumber, p: Supernumber, j: SuperMatrix
 
     Requires c*Jc = 0, a unimodular (a†a = 1, which also makes p even and
     commuting with a), p superreal even invertible, and a body different
-    from 1 so that M = I - ½ c (1+a)† p^{-1} (1-a)^{-†} c* J exists.
+    from 1 so that M = I - ½ c (1+a)† p^{-1} (1-a)^{-†} c* J exists.  Expands
+    Theta's realization as (A, B M^{-1}, C, D M^{-1}); Theta's series is not built.
     """
     context = a.context
     one = context.one()
@@ -688,11 +680,11 @@ def brune_section(c: SuperMatrix, a: Supernumber, p: Supernumber, j: SuperMatrix
         raise ConstraintViolated("p must be superreal, even and invertible")
     if abs(1.0 - a.body) <= context.tol_body:
         raise ConstraintViolated("(1 - a) must have a nonzero body")
-    theta = build_theta(c, SuperMatrix.from_scalar(a), SuperMatrix.from_scalar(p), j)
+    r = build_theta(c, SuperMatrix.from_scalar(a), SuperMatrix.from_scalar(p), j).realization
     chain = mul(dagger(one + a), mul(invert(p), invert(dagger(one - a))))
-    m = SuperMatrix.identity(context, c.rows) - mat_mul(
-        mat_mul(c.scale_right(chain), adjoint(c)), j) * 0.5
-    return star_mul(theta.series, SeriesMatrix.constant(mat_invert(m)))
+    m_inv = mat_invert(SuperMatrix.identity(context, c.rows) - mat_mul(
+        mat_mul(c.scale_right(chain), adjoint(c)), j) * 0.5)
+    return to_series(Realization(r.a, mat_mul(r.b, m_inv), r.c, mat_mul(r.d, m_inv)))
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,10 @@ class SeriesMatrix(Stacked):
         raise IndexError(f"coefficient {n} beyond truncation degree {self.degree}")
 
     def truncated(self, degree: int) -> "SeriesMatrix":
-        """f_0..f_degree; an exact series is zero-padded and stays exact up to its own degree."""
+        """f_0..f_degree; an exact series is zero-padded and stays exact up to its own degree.
+        A degree below 0 raises DomainViolation."""
+        if degree < 0:
+            raise DomainViolation(f"degree must be >= 0, got {degree!r}")
         if degree >= self.degree and not self.exact:
             return self
         stack = self.stack[:, :degree + 1]

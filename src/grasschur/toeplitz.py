@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Supernumber, classify, dagger, invert, kth_root, mul
-from .errors import EtaNotContractive, NotSuperpositive
+from .errors import ContextMismatch, EtaNotContractive, NotSuperpositive
 from .matrix import SuperMatrix, _body_definite, adjoint, mat_invert, mat_mul
 
 
@@ -30,6 +30,8 @@ class ToeplitzSpec:
         if not self.r:
             raise ValueError("a Toeplitz spec needs at least r_0")
         object.__setattr__(self, "r", tuple(self.r))
+        if any(z.context != self.context for z in self.r):
+            raise ContextMismatch("Toeplitz symbols use different algebra contexts")
         if not classify(self.r[0]).is_real:
             raise ValueError("r_0 must be superreal")
 
@@ -43,6 +45,8 @@ class ToeplitzSpec:
 
     def extended(self, r_next: Supernumber) -> "ToeplitzSpec":
         """The spec with r_next appended, built without re-checking the unchanged r_0."""
+        if r_next.context != self.context:
+            raise ContextMismatch("Toeplitz symbols use different algebra contexts")
         spec = object.__new__(ToeplitzSpec)
         object.__setattr__(spec, "r", self.r + (r_next,))
         return spec

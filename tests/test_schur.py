@@ -18,6 +18,7 @@ from grasschur.errors import (
     NotUnimodular,
     RhoNotContractive,
     ShapeMismatch,
+    StepSingular,
     SteinViolated,
 )
 from grasschur.matrix import _self_adjoint
@@ -652,6 +653,164 @@ class TestSectionStep:
         sigma2 = scalar_series(ctx, [0.5, 0.25] + [0.0] * 8)
         _, nxt2, _ = section_step(sigma2)
         assert nxt2.coeffs[0][0, 0].body == pytest.approx(5.0 / 7.0, abs=1e-12)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["polynomial", "truncated"])
+    def test_vanishing_shifted_pivot_raises_step_singular(self, ctx, exact):
+        # rho = 1/2 and g = 4/3 give (R0 M)(0) = g(|rho|^2 - sigma_1 rho† - 1) = 0 for sigma_1 = -3/2
+        sigma = scalar_series(ctx, [0.5, -1.5, 0.2], exact=exact)
+        with pytest.raises(StepSingular) as caught:
+            section_step(sigma, step=3)
+        assert caught.value.step == 3
+
+
+# -- one star product per linear-fractional map ---------------------------------
+
+
+def ref_lft_apply(block, sigma):
+    """lft_apply from the four blocks of theta: three star products, two sums."""
+    p, q = sigma.shape
+    a, b = block.block(0, p, 0, p), block.block(0, p, p, p + q)
+    c, d = block.block(p, p + q, 0, p), block.block(p, p + q, p, p + q)
+    return star_mul(star_mul(a, sigma) + b, star_inverse(star_mul(c, sigma) + d))
+
+
+def ref_section_step(sigma, step=0):
+    """section_step with N = b - sigma⋆d and M = sigma⋆c - a formed and shifted one by one."""
+    rho = sigma.coeffs[0][0, 0]
+    section = schur_section(rho)
+    a, b = section.block(0, 1, 0, 1), section.block(0, 1, 1, 2)
+    c, d = section.block(1, 2, 0, 1), section.block(1, 2, 1, 2)
+    m_shift, n_shift = backward_shift(star_mul(sigma, c) - a), backward_shift(b - star_mul(sigma, d))
+    if abs(m_shift.coeffs[0][0, 0].body) <= sigma.context.tol_body:
+        raise StepSingular(step)
+    return rho, star_mul(star_inverse(m_shift), n_shift), section
+
+
+def ref_brune_section(c, a, p, j):
+    """brune_section as theta's series star-multiplied by the constant M^{-1}."""
+    one = a.context.one()
+    theta = build_theta(c, SuperMatrix.from_scalar(a), SuperMatrix.from_scalar(p), j)
+    chain = mul(dagger(one + a), mul(invert(p), invert(dagger(one - a))))
+    m = SuperMatrix.identity(a.context, c.rows) - mat_mul(mat_mul(c.scale_right(chain), adjoint(c)), j) * 0.5
+    return star_mul(theta.series, SeriesMatrix.constant(mat_invert(m)))
+
+
+def same_values(f, g):
+    """Same degree, flag, keys and stack values; == takes -0.0 for 0.0, the one difference allowed."""
+    return ((f.degree, f.exact, f.keys.tobytes()) == (g.degree, g.exact, g.keys.tobytes())
+            and f.stack.shape == g.stack.shape and bool((f.stack == g.stack).all()))
+
+
+def soulful_coefficients(ctx, rng, bodies, rows, cols):
+    """One coefficient per body matrix, every entry with a one_map_soul."""
+    return [SuperMatrix.from_rows([[ctx.scalar(complex(x)) + one_map_soul(ctx, rng, 0.02) for x in row]
+                                   for row in np.reshape(body, (rows, cols))]) for body in bodies]
+
+
+def one_map_soul(ctx, rng, scale):
+    """At N = 8 block_test_soul's filled soul; at N = 64 an odd generator of 1, 9, 33 and 57 plus
+    that pool's other generators times generator 64, so that products stay within 32 monomials
+    (block_test_soul's free draws make a degree-32 star inverse run for minutes)."""
+    if ctx.generators == 8:
+        return block_test_soul(ctx, rng, scale)
+    first, second, third = rng.choice([1, 9, 33, 57], size=3, replace=False).tolist()
+    return (ctx.basis((first,)) * (scale * complex(*rng.normal(size=2)))
+            + ctx.basis(tuple(sorted((second, third))) + (64,)) * (scale * complex(*rng.normal(size=2))))
+
+
+def lft_case(generators, shape, exact):
+    """(theta, sigma): a 2x2 Theta series of three nodes and a scalar sigma, or a 3x3
+    truncated block series and a 2x1 sigma (p = 2, q = 1); filled souls at N = 8,
+    sparse ones at N = 64; sigma of degree 3, exact or truncated."""
+    ctx = AlgebraContext(generators=generators)
+    rng = np.random.default_rng([33, generators, shape[0]])
+    p, q = shape
+    if (p, q) == (1, 1):
+        bodies = make_np_data(ctx, rng, 3, souls=False)
+        data = InterpolationData(tuple(z + one_map_soul(ctx, rng, 0.02) for z in bodies.nodes),
+                                 tuple(s + one_map_soul(ctx, rng, 0.02) for s in bodies.values))
+        theta = build_theta(data.output_matrix(), data.state_matrix(), pick_matrix(data), data.signature()).series
+    else:
+        bodies = [np.eye(p + q) + 0.2 * rng.normal(size=(p + q, p + q))] + [
+            0.3 ** n * rng.normal(size=(p + q, p + q)) for n in range(1, 6)]
+        theta = SeriesMatrix(soulful_coefficients(ctx, rng, bodies, p + q, p + q))
+    sigma = SeriesMatrix(soulful_coefficients(ctx, rng, [0.4 ** n * rng.normal(size=(p, q)) for n in range(4)], p, q),
+                         exact=exact)
+    return theta, sigma
+
+
+def section_case(generators, exact):
+    """A scalar sigma with a soul on every coefficient: degree 3 exact or degree 32 truncated."""
+    ctx = AlgebraContext(generators=generators)
+    rng = np.random.default_rng([34, generators, exact])
+    degree = 3 if exact else ctx.max_series_degree
+    bodies = [0.5 - 0.2j] + [0.6 ** n * complex(*rng.normal(size=2)) * 0.3 for n in range(1, degree + 1)]
+    return SeriesMatrix(soulful_coefficients(ctx, rng, bodies, 1, 1), exact=exact)
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls schur makes to each named function."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(schur, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(schur, name, counted)
+    return calls
+
+
+def brune_cases(ctx, rng):
+    """(c, a, p, J): the closed-form case, and an isotropic c = col(u, u) with a soul on u,
+    a unimodular a = e^{0.7i}(1 + v)/|1 + v| with an odd soul v and p = 1.5."""
+    j = SuperMatrix.from_body(ctx, np.diag([1.0, -1.0]))
+    base = ctx.one() + ctx.generator(1) * 0.3
+    a = mul(base, invert(kth_root(mul(dagger(base), base), 2))) * np.exp(0.7j)
+    u = ctx.scalar(0.8) + one_map_soul(ctx, rng, 0.05)
+    return [(SuperMatrix.column([ctx.one(), ctx.one()]), ctx.scalar(1j), ctx.scalar(2.0), j),
+            (SuperMatrix.column([u, u]), a, ctx.scalar(1.5), j)]
+
+
+class TestOneProductPerMap:
+    """lft_apply and section_step form their composite in one star product, brune_section
+    expands theta's realization: each against the formula it replaced."""
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "truncated"])
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 1)], ids=["theta 2x2", "block 3x3"])
+    @pytest.mark.parametrize("generators", [8, 64])
+    def test_lft_apply_matches_the_four_block_formula(self, monkeypatch, generators, shape, exact):
+        theta, sigma = lft_case(generators, shape, exact)
+        want = ref_lft_apply(theta, sigma)
+        calls = count_calls(monkeypatch, "star_mul", "star_inverse")
+        got = lft_apply(theta, sigma)
+        assert calls == {"star_mul": 2, "star_inverse": 1}
+        assert same_values(got, want)
+        assert got.shape == shape and len(got.keys) > 1
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "truncated"])
+    @pytest.mark.parametrize("generators", [8, 64])
+    def test_section_step_matches_the_two_shift_formula(self, monkeypatch, generators, exact):
+        sigma = section_case(generators, exact)
+        ref_rho, ref_next, ref_section = ref_section_step(sigma, 2)
+        calls = count_calls(monkeypatch, "star_mul", "star_inverse")
+        rho, nxt, section = section_step(sigma, 2)
+        assert calls == {"star_mul": 2, "star_inverse": 1}
+        assert rho == ref_rho and section == ref_section
+        assert same_values(nxt, ref_next) and len(nxt.keys) > 1
+
+    @pytest.mark.parametrize("generators", [8, 64])
+    def test_brune_section_expands_the_realization(self, monkeypatch, rng, generators):
+        ctx = AlgebraContext(generators=generators)
+        reads = []
+        for c, a, p, j in brune_cases(ctx, rng):
+            want = ref_brune_section(c, a, p, j)
+            calls = count_calls(monkeypatch, "star_mul")
+            monkeypatch.setattr(ThetaFunction, "series", property(reads.append))
+            got = brune_section(c, a, p, j)
+            monkeypatch.undo()
+            assert calls == {"star_mul": 0} and reads == []
+            assert (got.degree, got.exact) == (want.degree, want.exact) == (ctx.max_series_degree, False)
+            assert series_dist(got, want) <= 1e-12 * max(1.0, want.norm1())
 
 
 class TestSchurAlgorithm:

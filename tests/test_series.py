@@ -11,7 +11,8 @@ import pytest
 import grasschur
 from grasschur import series
 from grasschur import AlgebraContext, Supernumber, SuperMatrix, classify, dagger, index_from_generators, invert, mul
-from grasschur.errors import ConstantTermSingular, ContextMismatch, NotInvertible, ShapeMismatch, WindowTooSmall
+from grasschur.errors import (ConstantTermSingular, ContextMismatch, DomainViolation, NotInvertible, ShapeMismatch,
+                              WindowTooSmall)
 from grasschur.matrix import mat_invert, mat_mul
 from grasschur.realization import Realization, to_series
 from grasschur.sampling import random_soul, random_supermatrix, random_supernumber
@@ -92,6 +93,21 @@ class TestStarMul:
         left = evaluate(f, z0)
         right = evaluate_right(f, z0)
         assert (left - right).norm1() <= 1e-10 * max(1.0, f.norm1())
+
+
+class TestTruncated:
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "truncated"])
+    @pytest.mark.parametrize("degree", [-1, -3])
+    def test_negative_degree_is_a_domain_violation(self, ctx, rng, degree, exact):
+        # -1 once gave a degree -1 series with no coefficient, -3 numpy's "negative dimensions"
+        f = random_series(ctx, rng, 1, 1, 2)
+        f = SeriesMatrix(f.coeffs, exact=exact)
+        with pytest.raises(DomainViolation, match=f"degree must be >= 0, got {degree}"):
+            f.truncated(degree)
+
+    def test_degree_zero_keeps_the_constant(self, ctx, rng):
+        f = random_series(ctx, rng, 2, 2, 3)
+        assert f.truncated(0).coeffs == (f.coeffs[0],) and f.truncated(0).degree == 0
 
 
 class TestStarInverse:

@@ -7,7 +7,7 @@ import pytest
 import grasschur.toeplitz as toeplitz
 from grasschur import AlgebraContext, SuperMatrix, Supernumber, classify, dagger, invert, kth_root, mul
 from grasschur.cli import main
-from grasschur.errors import EtaNotContractive, NotSuperpositive
+from grasschur.errors import ContextMismatch, EtaNotContractive, NotSuperpositive
 from grasschur.matrix import adjoint, is_superpositive, mat_invert, mat_mul
 from grasschur.oracle import classical_toeplitz_extension, classical_toeplitz_is_pd
 from grasschur.sampling import random_soul, random_supernumber
@@ -156,6 +156,18 @@ class TestExtend:
         spec = random_superpositive_spec(ctx, rng, 1)
         with pytest.raises(EtaNotContractive):
             extend(spec, ctx.scalar(1.0))
+
+    def test_symbols_of_two_contexts_are_refused(self):
+        # verify_extension reads bodies only and would pass such a spec; extension_params would not
+        ctx8, ctx64 = AlgebraContext(8), AlgebraContext(64)
+        with pytest.raises(ContextMismatch):
+            ToeplitzSpec((ctx8.scalar(1.0), ctx64.scalar(0.3)))
+        spec = ToeplitzSpec((ctx8.scalar(1.0), ctx8.scalar(0.3)))
+        with pytest.raises(ContextMismatch):
+            spec.extended(ctx64.scalar(0.1))
+        with pytest.raises(ContextMismatch):
+            extend(spec, ctx64.scalar(0.1))
+        assert spec.extended(ctx8.scalar(0.1)).order == 2
 
 
 class TestVerify:
