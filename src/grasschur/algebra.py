@@ -529,8 +529,7 @@ def classify(z: Supernumber) -> Classification:
 def _soul_series(u: Supernumber, coeffs: Iterator[complex]) -> Supernumber:
     """sum_n c_n u^n for a soul u, with c_0, c_1, ... drawn from ``coeffs``.
 
-    A coefficient is drawn only for a nonzero power, so the sum stops where
-    u^n = 0: by nilpotency within N + 1 terms.  Two paths give the same bits:
+    Two paths; the sum stops by nilpotency within N + 1 terms on both:
 
     - A filled soul plans its pairs once per series: one ``_disjoint_pairs``
       of all 2**N keys against u's keys, with u gathered once at b.  The
@@ -540,10 +539,26 @@ def _soul_series(u: Supernumber, coeffs: Iterator[complex]) -> Supernumber:
       series only.  Filled means 2**N <= ``_SERIES_MAX_KEYS``, u holding at
       least 2**N / ``_SERIES_FILL`` terms, and u·u taking ``mul``'s numpy
       kernel (``_FAST_PATH_MIN_PAIRS``): below that ``mul`` plans nothing.
-    - Any other soul forms each power by ``mul`` and adds its terms into one
-      term map in place, made canonical once at the end.
+    - Any other soul is split into its even part e and odd part o.  In the
+      supercommutative algebra e is central and o·o = 0, so
+      u^n = e^n + n e^(n-1) o and the sum is F(e) + F'(e)·o, with
+      F(e) = sum_n c_n e^n and F'(e) = sum_n n c_n e^(n-1).  Only the
+      powers e², e³, ... are formed by ``mul``; both sums take their terms
+      in place, and one product F'(e)·o (a scaling of o when e = 0) is added
+      into F's term map, made canonical once at the end.  With o = 0 this
+      is the power-by-power loop on u itself; with o != 0 the sum is taken
+      in another order than over the powers of u and agrees with that sum
+      within rounding.
 
-    Why the dense path reproduces the loop bit for bit:
+    A coefficient is drawn only where it multiplies a nonzero term: c_0
+    alone for u = 0; with o = 0, c_n for each nonzero u^n; otherwise c_0 ..
+    c_m for the first zero power e^m, F'(e) needing c_m for m e^(m-1).
+    That is at most one more than the nonzero powers of u, since u^m =
+    m e^(m-1) o may vanish.  The filled path keeps its dense power vector
+    of u: there F'(e)·o of two filled halves costs what the shorter run of
+    powers saves.
+
+    Why the dense path reproduces the power-by-power loop on u bit for bit:
 
     - the pairs are multiplied as power·u and binned in ascending (a, b)
       order, as ``mul`` sums them;
@@ -560,16 +575,34 @@ def _soul_series(u: Supernumber, coeffs: Iterator[complex]) -> Supernumber:
     c0 = complex(next(coeffs))
     size, terms = 1 << context.generators, u._terms
     if size > _SERIES_MAX_KEYS or len(terms) * _SERIES_FILL < size or len(terms) ** 2 < _FAST_PATH_MIN_PAIRS:
-        acc, power = {0: c0}, u
-        for _ in range(context.generators):
-            if power.is_zero():
+        odd = {key: value for key, value in terms.items() if key.bit_count() & 1}
+        e = Supernumber._canonical(context, {key: value for key, value in terms.items()
+                                             if not key.bit_count() & 1}) if odd else u
+        acc, deriv, previous, power = {0: c0}, {}, {0: 1.0 + 0.0j}, e
+        for n in range(1, context.generators + 1):  # power = e^n, previous = e^(n-1)'s terms
+            if power.is_zero() and not odd:
                 break
-            acc[0] += 0j  # a -0.0 part of c_0 reads +0.0 once a power is added, as in linear_combine
+            acc[0] += 0j  # a -0.0 part of c_0 reads +0.0 once a term is added, as in linear_combine
             c = complex(next(coeffs))
             if c != 0:
                 for key, value in power._terms.items():
                     acc[key] = acc.get(key, 0j) + c * value
-            power = mul(power, u)
+                if odd:
+                    c *= n
+                    for key, value in previous.items():
+                        deriv[key] = deriv.get(key, 0j) + c * value
+            if power.is_zero():  # F'(e) took m c_m e^(m-1) at the first zero power e^m
+                break
+            previous, power = power._terms, mul(power, e)
+        if odd:
+            if e._terms:
+                deriv = {key: deriv[key] for key in sorted(deriv) if deriv[key]}
+                product = mul(Supernumber._canonical(context, deriv), Supernumber._canonical(context, odd))._terms
+            else:  # F'(e) = c_1: the product is mul's by a scalar
+                d = deriv.get(0, 0j)
+                product = {key: 0j + d * value for key, value in odd.items()}
+            for key, value in product.items():
+                acc[key] = acc.get(key, 0j) + value
         return Supernumber(context, acc)
     keys = np.fromiter(terms, dtype=np.uint64, count=len(terms))
     values = np.fromiter(terms.values(), dtype=complex, count=len(terms))
@@ -629,7 +662,9 @@ def analytic_apply(f: Callable[[complex, int], complex], z: Supernumber) -> Supe
 
     ``f(z0, n)`` must return the n-th derivative of the underlying complex
     function at z0, and should raise DomainViolation for points outside the
-    analyticity domain.
+    analyticity domain.  A zero soul draws ``f(z0, 0)`` only; a soul whose
+    terms are all even draws ``f(z0, n)`` for each nonzero z_S^n, and any
+    other soul at most one order more (see ``_soul_series``).
     """
     body = z.body
     coeffs = itertools.chain([f(body, 0)], (f(body, n) / math.factorial(n) for n in itertools.count(1)))

@@ -663,7 +663,9 @@ def brune_section(c: SuperMatrix, a: Supernumber, p: Supernumber, j: SuperMatrix
     Requires c*Jc = 0, a unimodular (a†a = 1, which also makes p even and
     commuting with a), p superreal even invertible, and a body different
     from 1 so that M = I - ½ c (1+a)† p^{-1} (1-a)^{-†} c* J exists.  Expands
-    Theta's realization as (A, B M^{-1}, C, D M^{-1}); Theta's series is not built.
+    Theta's realization as (A, B, C, D M^{-1}); Theta's series is not built.
+    B M^{-1} = B, up to the c*Jc checked below: B = (I - A) K with K c = P^{-1}(I - A)^{-*} c*Jc = 0, and
+    M^{-1} = I + ½ c (...) c* J.
     """
     context = a.context
     one = context.one()
@@ -684,7 +686,7 @@ def brune_section(c: SuperMatrix, a: Supernumber, p: Supernumber, j: SuperMatrix
     chain = mul(dagger(one + a), mul(invert(p), invert(dagger(one - a))))
     m_inv = mat_invert(SuperMatrix.identity(context, c.rows) - mat_mul(
         mat_mul(c.scale_right(chain), adjoint(c)), j) * 0.5)
-    return to_series(Realization(r.a, mat_mul(r.b, m_inv), r.c, mat_mul(r.d, m_inv)))
+    return to_series(Realization(r.a, r.b, r.c, mat_mul(r.d, m_inv)))
 
 
 # ---------------------------------------------------------------------------

@@ -80,13 +80,12 @@ def extension_params(spec: ToeplitzSpec) -> SuperdiskParams:
         raise NotSuperpositive("body not positive definite")
     t = assemble(spec)
     r0, n = spec.r[0], spec.order
-    if n == 0:
-        center, alpha_inv, xi_sq = spec.context.zero(), r0, r0
-    else:
-        x = SuperMatrix.block([[t.submatrix([0], range(1, n + 1))], [t.submatrix([n], range(n))]])
-        s = mat_mul(mat_mul(x, mat_invert(t.submatrix(range(n), range(n)))), adjoint(x))
-        center, alpha_inv, xi_sq = s[0, 1], r0 - s[0, 0], r0 - s[1, 1]
-    return SuperdiskParams(center, kth_root(alpha_inv, 2), kth_root(xi_sq, 2))
+    if n == 0:  # alpha⁻¹ = xi² = r_0: one root serves both radii
+        root = kth_root(r0, 2)
+        return SuperdiskParams(spec.context.zero(), root, root)
+    x = SuperMatrix.block([[t.submatrix([0], range(1, n + 1))], [t.submatrix([n], range(n))]])
+    s = mat_mul(mat_mul(x, mat_invert(t.submatrix(range(n), range(n)))), adjoint(x))
+    return SuperdiskParams(s[0, 1], kth_root(r0 - s[0, 0], 2), kth_root(r0 - s[1, 1], 2))
 
 
 def extend(spec: ToeplitzSpec, eta: Supernumber, params: SuperdiskParams | None = None) -> ToeplitzSpec:

@@ -539,6 +539,54 @@ def ref_soul_series(u, coeffs):
     return acc
 
 
+def ref_parity_series(u, coeffs):
+    """sum_n c_n u^n = F(e) + F'(e) o for u = e + o (even e central, o·o = 0), with F(e) = sum_n c_n e^n
+    and F'(e) = sum_n n c_n e^(n-1) rebuilt by linear_combine after every power of e."""
+    context = u.context
+    e, o = parity_parts(u)
+    acc, deriv, previous = context.scalar(next(coeffs)), context.zero(), context.one()
+    for n in range(1, context.generators + 1):
+        power = mul(previous, e)
+        if power.is_zero():
+            break
+        c = complex(next(coeffs))
+        acc = linear_combine([(1.0, acc), (c, power)])
+        deriv = linear_combine([(1.0, deriv), (c * n, previous)])
+        previous = power
+    deriv = linear_combine([(1.0, deriv), (complex(next(coeffs)) * n, previous)])
+    return linear_combine([(1.0, acc), (1.0, mul(deriv, o))])
+
+
+def parity_parts(u):
+    """The even and the odd part of u."""
+    return [Supernumber(u.context, {k: v for k, v in u.terms.items() if k.bit_count() % 2 == p}) for p in (0, 1)]
+
+
+def first_zero_power(e):
+    return next(m for m in itertools.count(1) if (e ** m).is_zero())
+
+
+def takes_dense_path(u):
+    size, count = 1 << u.context.generators, len(u.terms)
+    return size <= ga._SERIES_MAX_KEYS and count * ga._SERIES_FILL >= size and count ** 2 >= ga._FAST_PATH_MIN_PAIRS
+
+
+def mixed_parity(u):
+    return {k.bit_count() % 2 for k in u.terms} == {0, 1}
+
+
+def has_odd_part_on_loop(u):
+    return any(k.bit_count() % 2 for k in u.terms) and not takes_dense_path(u)
+
+
+def ref_series(u, coeffs):
+    """The reference each soul's arithmetic follows: the parity split for a soul with an odd part on
+    the per-power loop, the power-by-power sum for an even soul and on the dense path.  (A purely odd
+    soul's split result is c_0 + c_1 o exactly; the power-by-power sum agrees unless its o·o leaves a
+    rounding residue.)"""
+    return (ref_parity_series if has_odd_part_on_loop(u) else ref_soul_series)(u, coeffs)
+
+
 def hex_terms(z):
     return [(k, v.real.hex(), v.imag.hex()) for k, v in z.terms.items()]
 
@@ -601,11 +649,15 @@ def test_soul_series_bit_identical_to_linear_combine(kind, rng, monkeypatch):
              lambda z: analytic_apply(geometric, z * 0.3), lambda z: analytic_apply(exp_negative_zero, z),
              lambda z: analytic_apply(cubic, z), lambda z: analytic_apply(cubic, z.soul)]
     for z in soul_series_inputs(kind, rng):
-        got = [hex_terms(call(z)) for call in calls]
+        got = [call(z) for call in calls]
         with monkeypatch.context() as patch:
+            patch.setattr(ga, "_soul_series", ref_series)
+            want = [call(z) for call in calls]
             patch.setattr(ga, "_soul_series", ref_soul_series)
-            want = [hex_terms(call(z)) for call in calls]
-        assert got == want
+            loop = [call(z) for call in calls]
+        assert [hex_terms(w) for w in got] == [hex_terms(w) for w in want]
+        for g, w in zip(got, loop):
+            assert dist(g, w) <= 1e-14 * max(1.0, w.norm1())
 
 
 @pytest.mark.parametrize("generators,terms,dense", [
@@ -631,6 +683,78 @@ def test_soul_series_plans_pairs_once_on_the_dense_path(generators, terms, dense
         assert counts == {"pairs": 1, "mul": 0}
     else:
         assert counts["mul"] >= 1
+
+
+def mixed_soul_64(rng, terms):
+    """An N = 64 soul of both parities on the per-power loop."""
+    ctx = AlgebraContext(generators=64)
+    while True:
+        u = random_soul(ctx, rng, terms=terms)
+        if mixed_parity(u):
+            return u
+
+
+def test_soul_series_of_an_odd_soul_is_its_linear_part(rng):
+    """o·o = 0, so sum_n c_n o^n = c_0 + c_1 o, with only c_0 and c_1 drawn."""
+    ctx = AlgebraContext(generators=64)
+    # i1·i2i3i4 and i2·i1i3i4 land on one key, where the power-by-power sum of o·o can leave a residue
+    keys = [idx(*g) for g in ((1,), (2,), (2, 3, 4), (1, 3, 4), (64,), (7, 9, 64), (10, 11, 12, 13, 14))]
+    o = Supernumber(ctx, {k: complex(*rng.normal(size=2)) for k in keys})
+    drawn = []
+    coeffs = (drawn.append(n) or complex(n + 2, -n) for n in itertools.count())
+    got = ga._soul_series(o, coeffs)
+    assert drawn == [0, 1]
+    assert hex_terms(got) == hex_terms(linear_combine([(2.0, ctx.one()), (3.0 - 1.0j, o)]))
+
+
+@pytest.mark.parametrize("terms", [2, 4, 6, 12, 40])
+def test_soul_series_multiplies_powers_of_the_even_part_only(terms, rng, monkeypatch):
+    """One mul per power of e beyond e itself (the last one zero), one for F'(e)·o, no power of u."""
+    u = mixed_soul_64(rng, terms)
+    e, o = parity_parts(u)
+    powers = first_zero_power(e)  # e², ..., e^m
+    rights = []
+
+    def counted(z, w):
+        rights.append(w)
+        return mul(z, w)
+
+    monkeypatch.setattr(ga, "mul", counted)
+    ga._soul_series(u, itertools.repeat(1.0))
+    assert rights.count(e) == powers - 1 and rights.count(o) == 1 and len(rights) == powers
+    assert u not in rights
+
+
+@pytest.mark.parametrize("terms", [2, 3, 5, 8, 12])
+def test_analytic_apply_draws_at_most_one_more_derivative(terms, rng, monkeypatch):
+    """A zero soul draws f(z_B, 0) only; an even soul draws what the power-by-power sum draws.  A
+    soul with an odd part draws c_0..c_m for the first zero power e^m, at most one more than that
+    sum, which runs on while rounding leaves u^n nonzero."""
+    ctx = AlgebraContext(generators=64)
+
+    def draws(z, series):
+        seen = []
+
+        def f(z0, n):
+            seen.append(n)
+            return cmath.exp(z0)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ga, "_soul_series", series)
+            analytic_apply(f, z)
+        return seen
+
+    assert draws(ctx.scalar(0.5), ga._soul_series) == [0]
+    mixed = mixed_soul_64(rng, terms)
+    for u in (mixed, *parity_parts(mixed)):
+        z = u + 0.5
+        got, loop = draws(z, ga._soul_series), draws(z, ref_soul_series)
+        e, o = parity_parts(u)
+        if o.is_zero():
+            assert got == loop
+        else:
+            assert got == list(range(first_zero_power(e) + 1))
+            assert len(got) <= len(loop) + 1
 
 
 def ref_kth_root(z, k):
