@@ -544,8 +544,8 @@ def _soul_series(u: Supernumber, coeffs: Iterator[complex]) -> Supernumber:
       u^n = e^n + n e^(n-1) o and the sum is F(e) + F'(e)·o, with
       F(e) = sum_n c_n e^n and F'(e) = sum_n n c_n e^(n-1).  Only the
       powers e², e³, ... are formed by ``mul``; both sums take their terms
-      in place, and one product F'(e)·o (a scaling of o when e = 0) is added
-      into F's term map, made canonical once at the end.  With o = 0 this
+      in place, and one product F'(e)·o is added into F's term map, made
+      canonical once at the end.  With o = 0 this
       is the power-by-power loop on u itself; with o != 0 the sum is taken
       in another order than over the powers of u and agrees with that sum
       within rounding.
@@ -595,12 +595,8 @@ def _soul_series(u: Supernumber, coeffs: Iterator[complex]) -> Supernumber:
                 break
             previous, power = power._terms, mul(power, e)
         if odd:
-            if e._terms:
-                deriv = {key: deriv[key] for key in sorted(deriv) if deriv[key]}
-                product = mul(Supernumber._canonical(context, deriv), Supernumber._canonical(context, odd))._terms
-            else:  # F'(e) = c_1: the product is mul's by a scalar
-                d = deriv.get(0, 0j)
-                product = {key: 0j + d * value for key, value in odd.items()}
+            deriv = {key: deriv[key] for key in sorted(deriv) if deriv[key]}
+            product = mul(Supernumber._canonical(context, deriv), Supernumber._canonical(context, odd))._terms
             for key, value in product.items():
                 acc[key] = acc.get(key, 0j) + value
         return Supernumber(context, acc)

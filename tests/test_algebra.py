@@ -580,11 +580,15 @@ def has_odd_part_on_loop(u):
 
 
 def ref_series(u, coeffs):
-    """The reference each soul's arithmetic follows: the parity split for a soul with an odd part on
-    the per-power loop, the power-by-power sum for an even soul and on the dense path.  (A purely odd
-    soul's split result is c_0 + c_1 o exactly; the power-by-power sum agrees unless its o·o leaves a
-    rounding residue.)"""
-    return (ref_parity_series if has_odd_part_on_loop(u) else ref_soul_series)(u, coeffs)
+    """The reference each soul's arithmetic follows: the power-by-power sum for an even soul, on the
+    dense path, and for a purely odd soul whose u·u cancels exactly (every 1-term soul among them);
+    the parity split for any other soul with an odd part on the per-power loop.
+
+    The one single-parity exception: a purely odd soul whose u·u leaves a rounding residue is pinned
+    to the split.  Its split result is c_0 + c_1 o exactly, while the power-by-power sum carries that
+    residue on; the two still agree within 1e-14, which the test checks as well."""
+    odd_residue = has_odd_part_on_loop(u) and (mixed_parity(u) or not mul(u, u).is_zero())
+    return (ref_parity_series if odd_residue else ref_soul_series)(u, coeffs)
 
 
 def hex_terms(z):
