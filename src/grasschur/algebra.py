@@ -320,11 +320,6 @@ def linear_combine(pairs: Iterable[tuple[complex, Supernumber]]) -> Supernumber:
 _FAST_PATH_MIN_PAIRS = 192
 _MASK_BAND = 1 << 16  # entries of the disjoint-pair mask built at once
 _DENSE_SLOTS = 1 << 12  # output numbers (2**N keys x coefficient size) held as dense buckets
-# A soul series takes the dense path at 2**N <= _SERIES_MAX_KEYS.  Beyond it the dense path pays for
-# pairs of keys that no power reaches: at N = 10 to 12 it ran up to 2.9x slower than the loop
-# unless u was nearly filled, while at N = 7 to 9 it was faster from a fill of 1/_SERIES_FILL on.
-_SERIES_MAX_KEYS = 1 << 9
-_SERIES_FILL = 8
 _MAX_ENTRIES = 1 << 26  # complex entries (1 GiB) one array may take before TooLarge is raised
 
 
@@ -529,96 +524,50 @@ def classify(z: Supernumber) -> Classification:
 def _soul_series(u: Supernumber, coeffs: Iterator[complex]) -> Supernumber:
     """sum_n c_n u^n for a soul u, with c_0, c_1, ... drawn from ``coeffs``.
 
-    Two paths; the sum stops by nilpotency within N + 1 terms on both:
-
-    - A filled soul plans its pairs once per series: one ``_disjoint_pairs``
-      of all 2**N keys against u's keys, with u gathered once at b.  The
-      power is a dense 2**N vector, and each step is one signed gather of
-      it, one ``_cmul`` against the gathered u and two bincounts over a | b;
-      c_n u^n is added into a dense accumulator.  The plan lives for this
-      series only.  Filled means 2**N <= ``_SERIES_MAX_KEYS``, u holding at
-      least 2**N / ``_SERIES_FILL`` terms, and u·u taking ``mul``'s numpy
-      kernel (``_FAST_PATH_MIN_PAIRS``): below that ``mul`` plans nothing.
-    - Any other soul is split into its even part e and odd part o.  In the
-      supercommutative algebra e is central and o·o = 0, so
-      u^n = e^n + n e^(n-1) o and the sum is F(e) + F'(e)·o, with
-      F(e) = sum_n c_n e^n and F'(e) = sum_n n c_n e^(n-1).  Only the
-      powers e², e³, ... are formed by ``mul``; both sums take their terms
-      in place, and one product F'(e)·o is added into F's term map, made
-      canonical once at the end.  With o = 0 this
-      is the power-by-power loop on u itself; with o != 0 the sum is taken
-      in another order than over the powers of u and agrees with that sum
-      within rounding.
+    u is split into its even part e and odd part o.  In the supercommutative
+    algebra e is central and o·o = 0, so u^n = e^n + n e^(n-1) o and the sum
+    is F(e) + F'(e)·o, with F(e) = sum_n c_n e^n and F'(e) = sum_n n c_n
+    e^(n-1).  Only the powers e², e³, ... are formed by ``mul``; both sums
+    take their terms in place, and one product F'(e)·o is added into F's
+    term map, made canonical once at the end.  The sum stops by nilpotency
+    within N + 1 terms.  With o = 0 this is the power-by-power loop on u
+    itself, bit for bit; with o != 0 the sum is taken in another order than
+    over the powers of u and agrees with that sum within rounding.
 
     A coefficient is drawn only where it multiplies a nonzero term: c_0
     alone for u = 0; with o = 0, c_n for each nonzero u^n; otherwise c_0 ..
     c_m for the first zero power e^m, F'(e) needing c_m for m e^(m-1).
     That is at most one more than the nonzero powers of u, since u^m =
-    m e^(m-1) o may vanish.  The filled path keeps its dense power vector
-    of u: there F'(e)·o of two filled halves costs what the shorter run of
-    powers saves.
-
-    Why the dense path reproduces the power-by-power loop on u bit for bit:
-
-    - the pairs are multiplied as power·u and binned in ascending (a, b)
-      order, as ``mul`` sums them;
-    - a pair whose power slot is zero adds an exact zero, and a sum that
-      starts at +0.0 (a bincount's, the accumulator's) never becomes -0.0,
-      so it changes nothing; the same rule makes the sign of a zero part
-      of a term irrelevant, here and in ``mul``;
-    - ``acc[0] += 0j`` comes before each power, so a -0.0 part of c_0 reads
-      +0.0 as in ``linear_combine``; powers with c_n == 0 are skipped, and
-      the sum stops at the first zero power;
-    - ``_cmul`` rounds c_n·u^n as Python's complex product does.
+    m e^(m-1) o may vanish.
     """
     context = u.context
     c0 = complex(next(coeffs))
-    size, terms = 1 << context.generators, u._terms
-    if size > _SERIES_MAX_KEYS or len(terms) * _SERIES_FILL < size or len(terms) ** 2 < _FAST_PATH_MIN_PAIRS:
-        odd = {key: value for key, value in terms.items() if key.bit_count() & 1}
-        e = Supernumber._canonical(context, {key: value for key, value in terms.items()
-                                             if not key.bit_count() & 1}) if odd else u
-        acc, deriv, previous, power = {0: c0}, {}, {0: 1.0 + 0.0j}, e
-        for n in range(1, context.generators + 1):  # power = e^n, previous = e^(n-1)'s terms
-            if power.is_zero() and not odd:
-                break
-            acc[0] += 0j  # a -0.0 part of c_0 reads +0.0 once a term is added, as in linear_combine
-            c = complex(next(coeffs))
-            if c != 0:
-                for key, value in power._terms.items():
-                    acc[key] = acc.get(key, 0j) + c * value
-                if odd:
-                    c *= n
-                    for key, value in previous.items():
-                        deriv[key] = deriv.get(key, 0j) + c * value
-            if power.is_zero():  # F'(e) took m c_m e^(m-1) at the first zero power e^m
-                break
-            previous, power = power._terms, mul(power, e)
-        if odd:
-            deriv = {key: deriv[key] for key in sorted(deriv) if deriv[key]}
-            product = mul(Supernumber._canonical(context, deriv), Supernumber._canonical(context, odd))._terms
-            for key, value in product.items():
-                acc[key] = acc.get(key, 0j) + value
-        return Supernumber(context, acc)
-    keys = np.fromiter(terms, dtype=np.uint64, count=len(terms))
-    values = np.fromiter(terms.values(), dtype=complex, count=len(terms))
-    ia, ib, negate, gamma = _disjoint_pairs(context.generators, np.arange(size, dtype=np.uint64), keys)
-    signed, right, slot = ia + size * negate, values[ib], gamma.view(np.int64)
-    acc, power = np.zeros(size, dtype=complex), np.zeros(size, dtype=complex)
-    acc[0], power[keys.view(np.int64)] = c0, values
-    for _ in range(context.generators):
-        if not power.any():
+    terms = u._terms
+    odd = {key: value for key, value in terms.items() if key.bit_count() & 1}
+    e = Supernumber._canonical(context, {key: value for key, value in terms.items()
+                                         if not key.bit_count() & 1}) if odd else u
+    acc, deriv, previous, power = {0: c0}, {}, {0: 1.0 + 0.0j}, e
+    for n in range(1, context.generators + 1):  # power = e^n, previous = e^(n-1)'s terms
+        if power.is_zero() and not odd:
             break
-        acc[0] += 0j
+        acc[0] += 0j  # a -0.0 part of c_0 reads +0.0 once a term is added, as in linear_combine
         c = complex(next(coeffs))
         if c != 0:
-            acc += _cmul(c, power)
-        # entries size.. of the doubled power are negated, so the sign rides on the gather
-        product = _cmul(np.concatenate((power, -power)).take(signed), right)
-        power.real = np.bincount(slot, weights=product.real, minlength=size)
-        power.imag = np.bincount(slot, weights=product.imag, minlength=size)
-    hit = np.flatnonzero(acc)
-    return Supernumber._canonical(context, dict(zip(hit.tolist(), acc[hit].tolist())))
+            for key, value in power._terms.items():
+                acc[key] = acc.get(key, 0j) + c * value
+            if odd:
+                c *= n
+                for key, value in previous.items():
+                    deriv[key] = deriv.get(key, 0j) + c * value
+        if power.is_zero():  # F'(e) took m c_m e^(m-1) at the first zero power e^m
+            break
+        previous, power = power._terms, mul(power, e)
+    if odd:
+        deriv = {key: deriv[key] for key in sorted(deriv) if deriv[key]}
+        product = mul(Supernumber._canonical(context, deriv), Supernumber._canonical(context, odd))._terms
+        for key, value in product.items():
+            acc[key] = acc.get(key, 0j) + value
+    return Supernumber(context, acc)
 
 
 def invert(z: Supernumber) -> Supernumber:
@@ -658,9 +607,11 @@ def analytic_apply(f: Callable[[complex, int], complex], z: Supernumber) -> Supe
 
     ``f(z0, n)`` must return the n-th derivative of the underlying complex
     function at z0, and should raise DomainViolation for points outside the
-    analyticity domain.  A zero soul draws ``f(z0, 0)`` only; a soul whose
-    terms are all even draws ``f(z0, n)`` for each nonzero z_S^n, and any
-    other soul at most one order more (see ``_soul_series``).
+    analyticity domain.  The soul z_S is summed as F(e) + F'(e)·o over its
+    even part e and odd part o (see ``_soul_series``).  A zero soul draws
+    ``f(z0, 0)`` only; a soul whose terms are all even draws ``f(z0, n)``
+    for each nonzero z_S^n; any other soul draws orders 0..m for the first
+    zero power e^m, at most one more than the nonzero powers of z_S.
     """
     body = z.body
     coeffs = itertools.chain([f(body, 0)], (f(body, n) / math.factorial(n) for n in itertools.count(1)))

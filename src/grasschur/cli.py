@@ -3,7 +3,9 @@
 Every pipeline reads and writes the canonical JSON formats.  Exit codes:
 0 success, 1 usage error, 2 domain error (body zero, not superpositive, ...).
 Every check is deterministic, so identical inputs produce byte-identical
-outputs; ``--seed`` is accepted for compatibility and changes nothing.
+outputs on one numpy/OpenBLAS build and CPU (another SIMD level or BLAS build
+may round the last bits differently); ``--seed`` is accepted for
+compatibility and changes nothing.
 """
 from __future__ import annotations
 

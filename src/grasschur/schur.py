@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraContext, Supernumber, classify, dagger, invert, mul
+from .algebra import _MAX_ENTRIES, AlgebraContext, Supernumber, classify, dagger, invert, mul
 from .errors import (
     BodySingular,
     ConstantTermSingular,
@@ -39,6 +39,7 @@ from .errors import (
     ShapeMismatch,
     SteinViolated,
     StepSingular,
+    TooLarge,
 )
 from .matrix import (
     SuperMatrix,
@@ -85,10 +86,13 @@ def is_schur_grassmann(s: SeriesMatrix) -> bool:
     of L_depth, so ‖L_N‖ ≤ ‖L_depth‖ and the one test at N = depth decides them all: Schur's criterion for
     s_0..s_depth, and only a necessary one for an exact polynomial.  The verdict depends only on the body
     (body Schur <=> Schur-Grassmann), so it is decided on the body series, by the body rule alone: the
-    complex matrix I - L*L is Hermitian by its form, so no self-adjointness scan is needed."""
-    depth = s.context.max_series_degree if s.exact and s.degree else s.degree
-    s = s.truncated(depth)
-    (p, q), lag = s.shape, np.subtract.outer(np.arange(depth + 1), np.arange(depth + 1))
+    complex matrix I - L*L is Hermitian by its form, so no self-adjointness scan is needed.  An L or L*L of
+    more than ``algebra._MAX_ENTRIES`` entries raises TooLarge before either is allocated."""
+    depth, (p, q) = s.context.max_series_degree if s.exact and s.degree else s.degree, s.shape
+    if (depth + 1) ** 2 * max(p, q) * q > _MAX_ENTRIES:
+        raise TooLarge(f"the block Toeplitz matrix of s_0..s_{depth} ({p}x{q} blocks) or its Gram matrix "
+                       f"exceeds {_MAX_ENTRIES} entries")
+    s, lag = s.truncated(depth), np.subtract.outer(np.arange(depth + 1), np.arange(depth + 1))
     blocks = np.where((lag >= 0)[..., None, None], s._body()[np.maximum(lag, 0)], 0)
     l = blocks.transpose(0, 2, 1, 3).reshape((depth + 1) * p, (depth + 1) * q)
     return _body_definite(s.context, np.eye(l.shape[1]) - l.conj().T @ l, strict=False)[0]
@@ -542,15 +546,16 @@ def schur_algorithm(s: SeriesMatrix, max_steps: int) -> SchurChain:
     1 up to rounding, so invert's absolute tol_body test cannot trip before the
     boundary test does.  No section is built (see SchurChain.sections).
 
-    Stops at max_steps, at the contractivity boundary |rho_B| = 1, or when sigma's
-    truncation degree, as schur_step's star_mul and star_inverse set it, is
-    exhausted: a truncated s loses one degree per step; after the first step of an
-    exact non-constant s, sigma is cut at max_series_degree and then loses one per
-    step; an exact constant never runs out.  The step is lower-triangular in degree,
-    so rho_k reads s_0..s_k only, and before each step both series are cut to the
-    degree max_steps - step that the steps left read.  A max_steps that is not an
-    integer >= 0 (a bool included) raises DomainViolation, and a series that is not
-    1x1 ShapeMismatch, both before any step.
+    Stops at max_steps, at the contractivity boundary |rho_B| = 1, or when the
+    coefficients that determine the next rho are exhausted.  The step is
+    lower-triangular in degree, so rho_k reads s_0..s_k only: a truncated s of
+    degree d yields rho_0..rho_d.  After the first step of an exact non-constant s,
+    sigma is cut at max_series_degree, as schur_step's star_inverse sets it, and the
+    chain stops after step max_series_degree; an exact constant never runs out.
+    Before each step both series are cut to the degree max_steps - step that the
+    steps left read.  A max_steps that is not an integer >= 0 (a bool included)
+    raises DomainViolation, and a series that is not 1x1 ShapeMismatch, both before
+    any step.
     """
     if isinstance(max_steps, bool) or not isinstance(max_steps, int) or max_steps < 0:
         raise DomainViolation(f"max_steps must be an integer >= 0, got {max_steps!r}")
@@ -558,7 +563,7 @@ def schur_algorithm(s: SeriesMatrix, max_steps: int) -> SchurChain:
     if not is_schur_grassmann(s):
         raise GrasschurError("input is not a Schur-Grassmann function")
     if not s.exact:
-        readable = s.degree
+        readable = s.degree + 1
     elif s.degree:
         readable = s.context.max_series_degree + 1
     else:

@@ -566,28 +566,20 @@ def first_zero_power(e):
     return next(m for m in itertools.count(1) if (e ** m).is_zero())
 
 
-def takes_dense_path(u):
-    size, count = 1 << u.context.generators, len(u.terms)
-    return size <= ga._SERIES_MAX_KEYS and count * ga._SERIES_FILL >= size and count ** 2 >= ga._FAST_PATH_MIN_PAIRS
-
-
 def mixed_parity(u):
     return {k.bit_count() % 2 for k in u.terms} == {0, 1}
 
 
-def has_odd_part_on_loop(u):
-    return any(k.bit_count() % 2 for k in u.terms) and not takes_dense_path(u)
-
-
 def ref_series(u, coeffs):
-    """The reference each soul's arithmetic follows: the power-by-power sum for an even soul, on the
-    dense path, and for a purely odd soul whose u·u cancels exactly (every 1-term soul among them);
-    the parity split for any other soul with an odd part on the per-power loop.
+    """The reference each soul's arithmetic follows: the power-by-power sum for an even soul and for
+    a purely odd soul whose u·u cancels exactly (every 1-term soul among them); the parity split for
+    any other soul, filled or sparse.
 
     The one single-parity exception: a purely odd soul whose u·u leaves a rounding residue is pinned
     to the split.  Its split result is c_0 + c_1 o exactly, while the power-by-power sum carries that
     residue on; the two still agree within 1e-14, which the test checks as well."""
-    odd_residue = has_odd_part_on_loop(u) and (mixed_parity(u) or not mul(u, u).is_zero())
+    has_odd_part = any(k.bit_count() % 2 for k in u.terms)
+    odd_residue = has_odd_part and (mixed_parity(u) or not mul(u, u).is_zero())
     return (ref_parity_series if odd_residue else ref_soul_series)(u, coeffs)
 
 
@@ -600,11 +592,11 @@ def soul_series_inputs(kind, rng):
     -0.0 parts), bodies off the negative real axis:
 
     - ``filled8``: N = 8, every monomial; ``sparse64``: N = 64, 2-12 terms;
-    - ``cut8``: N = 8 souls of 31, 32 and 33 random monomials, around the fill cut 2**N / 8;
-    - ``cut6``: N = 6 souls of 13, 14 and 15 monomials, around the cut where u·u first takes
+    - ``cut8``: N = 8 souls of 31, 32 and 33 random monomials, an eighth of 2**N;
+    - ``cut6``: N = 6 souls of 13, 14 and 15 monomials, around the size where u·u first takes
       mul's numpy kernel;
     - ``parity8``: N = 8 souls of every even or every odd monomial;
-    - ``edge``: filled N = 9 souls (the largest N of the dense path) and N = 10 (the loop).
+    - ``edge``: filled N = 9 and N = 10 souls, the largest the tests sum.
     """
     out = []
     for i in range(4 if kind == "edge" else 12):
@@ -664,33 +656,8 @@ def test_soul_series_bit_identical_to_linear_combine(kind, rng, monkeypatch):
             assert dist(g, w) <= 1e-14 * max(1.0, w.norm1())
 
 
-@pytest.mark.parametrize("generators,terms,dense", [
-    (8, 255, True), (8, 32, True), (8, 31, False), (9, 511, True), (10, 1023, False),
-    (6, 14, True), (6, 13, False)])
-def test_soul_series_plans_pairs_once_on_the_dense_path(generators, terms, dense, rng, monkeypatch):
-    """A filled soul plans its pairs once per series and runs no mul; any other soul takes
-    the per-power loop, one mul per nonzero power."""
-    counts = {"pairs": 0, "mul": 0}
-
-    def counted(name, function):
-        def wrapper(*args):
-            counts[name] += 1
-            return function(*args)
-        return wrapper
-
-    monkeypatch.setattr(ga, "_disjoint_pairs", counted("pairs", ga._disjoint_pairs))
-    monkeypatch.setattr(ga, "mul", counted("mul", ga.mul))
-    keys = rng.choice(np.arange(1, 1 << generators), size=terms, replace=False)
-    u = Supernumber(AlgebraContext(generators=generators), {int(k): 0.05 * complex(*rng.normal(size=2)) for k in keys})
-    ga._soul_series(u, itertools.repeat(1.0))
-    if dense:
-        assert counts == {"pairs": 1, "mul": 0}
-    else:
-        assert counts["mul"] >= 1
-
-
 def mixed_soul_64(rng, terms):
-    """An N = 64 soul of both parities on the per-power loop."""
+    """An N = 64 soul of both parities."""
     ctx = AlgebraContext(generators=64)
     while True:
         u = random_soul(ctx, rng, terms=terms)
@@ -711,10 +678,19 @@ def test_soul_series_of_an_odd_soul_is_its_linear_part(rng):
     assert hex_terms(got) == hex_terms(linear_combine([(2.0, ctx.one()), (3.0 - 1.0j, o)]))
 
 
-@pytest.mark.parametrize("terms", [2, 4, 6, 12, 40])
+@pytest.mark.parametrize("terms", [2, 4, 6, 12, 40, *(pytest.param(shape, id="{}-{}".format(*shape))
+                                                      for shape in ((6, 63), (8, 255), (9, 511), (8, 32)))])
 def test_soul_series_multiplies_powers_of_the_even_part_only(terms, rng, monkeypatch):
-    """One mul per power of e beyond e itself (the last one zero), one for F'(e)·o, no power of u."""
-    u = mixed_soul_64(rng, terms)
+    """One mul per power of e beyond e itself (the last one zero), one for F'(e)·o, no power of u:
+    for N = 64 souls of ``terms`` terms, and for (N, count) souls of ``count`` random monomials,
+    the filled N = 6, 8 and 9 souls and an N = 8 soul holding an eighth of 2**N."""
+    if isinstance(terms, int):
+        u = mixed_soul_64(rng, terms)
+    else:
+        generators, count = terms
+        keys = rng.choice(np.arange(1, 1 << generators), size=count, replace=False).tolist()
+        u = Supernumber(AlgebraContext(generators=generators), {k: 0.05 * complex(*rng.normal(size=2)) for k in keys})
+        assert mixed_parity(u)
     e, o = parity_parts(u)
     powers = first_zero_power(e)  # e², ..., e^m
     rights = []

@@ -1,9 +1,15 @@
 """CLI golden round-trips, byte-stable outputs, and exit codes."""
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import grasschur
 from grasschur import AlgebraContext, SuperMatrix, mul
 from grasschur.cli import _context, build_parser, main
 from grasschur.sampling import random_soul, random_supernumber
@@ -319,6 +325,26 @@ class TestSchurCommand:
         assert main(["schur", "run", "--series", series_file, "--max-steps", "3"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error[shape-mismatch]")
+
+    def test_deep_membership_test_ends_in_too_large(self, tmp_path):
+        # An exact series is tested through max_series_degree = 20000: the Toeplitz matrix
+        # alone would take 6 GiB.  The child caps its own address space at 2 GiB, so a
+        # missing check ends there in MemoryError, not in the host's memory.
+        ctx = AlgebraContext(generators=4, max_series_degree=20000)
+        series = SeriesMatrix.from_coeffs([SuperMatrix.from_body(ctx, [[b]]) for b in (0.5, 0.25)], exact=True)
+        series_file = write(tmp_path / "exact.json", series_to_obj(series))
+        script = textwrap.dedent("""
+            import resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+            from grasschur.cli import main
+            sys.exit(main(sys.argv[1:]))
+        """)
+        argv = ["schur", "run", "--series", series_file, "--max-steps", "3", "--generators", "4", "--degree", "20000"]
+        path = os.pathsep.join([str(Path(grasschur.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
+        err = done.stderr.splitlines()
+        assert done.returncode == 2 and len(err) == 1 and err[0].startswith("error[too-large]"), done.stderr
 
     def test_run_builds_no_section(self, ctx, tmp_path, monkeypatch):
         from grasschur import schur

@@ -886,12 +886,14 @@ def ref_schur_step(sigma, step=0):
 def ref_schur_algorithm(s, max_steps):
     """The chain of iterated star-quotient steps, sigma cut before each step to the degree
     max_steps - step that the steps left read (the step is lower-triangular in degree, so
-    the cut moves no rho): the reference the pair recursion must match to rounding."""
+    the cut moves no rho): the reference the pair recursion must match to rounding.  A
+    truncated s stops after step s.degree, since rho_k reads s_0..s_k; an exact non-constant
+    s once sigma, cut at max_series_degree by its first step, is down to degree 0."""
     if not is_schur_grassmann(s):
         raise GrasschurError("input is not a Schur-Grassmann function")
     sigma, rhos, termination = s, [], "max_steps"
     for step in range(max_steps):
-        if sigma.degree < 1 and not sigma.exact:
+        if (step > s.degree) if not s.exact else (sigma.degree < 1 and not sigma.exact):
             termination = "degree_exhausted"
             break
         if sigma.degree > max_steps - step:
@@ -908,13 +910,15 @@ def ref_schur_algorithm(s, max_steps):
 def uncut_pair_chain(s, max_steps):
     """The pair recursion carried at the input's full degree (no cut), with sigma's degree
     and exact flag stepped as star_mul and star_inverse set them: the chain the degree-cut
-    schur_algorithm must match bit for bit."""
+    schur_algorithm must match bit for bit.  A truncated s is read down to its last
+    coefficient (rho_k reads s_0..s_k); an exact non-constant s stops once sigma, cut at
+    max_series_degree by its first step, is down to degree 0."""
     if not is_schur_grassmann(s):
         raise GrasschurError("input is not a Schur-Grassmann function")
     a, b, degree, exact = SeriesMatrix.identity(s.context, 1), s, s.degree, s.exact
     rhos, termination = [], "max_steps"
     for step in range(max_steps):
-        if degree < 1 and not exact:
+        if degree < (1 if s.exact else 0) and not exact:
             termination = "degree_exhausted"
             break
         try:
@@ -1005,6 +1009,16 @@ class TestSchurAlgorithmReadsOnlyWhatItNeeds:
     def test_matches_uncut_reference_at_n64(self, degree, max_steps, exact, termination, rng):
         s = soulful_series(AlgebraContext(generators=64), rng, degree, exact=exact)
         assert self.check_cut_chain(s, max_steps).termination == termination
+
+    @pytest.mark.parametrize("generators", [8, 64])
+    @pytest.mark.parametrize("degree", [0, 1, 3, 8])
+    def test_truncated_series_yields_every_determined_rho(self, degree, generators, rng):
+        """rho_k reads s_0..s_k, so a truncated s of degree d determines rho_0..rho_d."""
+        s = soulful_series(AlgebraContext(generators=generators), rng, degree)
+        got = self.check_cut_chain(s, degree + 3)
+        expected, boundary = classical_schur([c[0, 0].body for c in s.coeffs], steps=degree + 1)
+        assert not boundary and (got.steps, got.termination) == (degree + 1, "degree_exhausted")
+        assert max(abs(r.body - w) for r, w in zip(got.rhos, expected)) <= 1e-12
 
     @pytest.mark.parametrize("exact,degree", [(False, 8), (True, 2)])
     def test_max_steps_beyond_max_series_degree(self, exact, degree, rng):
