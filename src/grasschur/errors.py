@@ -146,6 +146,18 @@ class DenominatorSingular(GrasschurError):
     code = "denominator-singular"
 
 
+class NotSchur(GrasschurError):
+    """A function required to be Schur-Grassmann (contractive on the unit superdisk) is not."""
+
+    code = "not-schur"
+
+
+class SectionResidual(GrasschurError):
+    """The identities a Schur section must satisfy at z = 0 fail to vanish within tol_eq."""
+
+    code = "section-residual"
+
+
 class RhoNotContractive(GrasschurError):
     """Schur coefficient hit the unit boundary; the recursion stops."""
 

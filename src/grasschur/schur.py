@@ -28,14 +28,15 @@ from .errors import (
     DSingular,
     DenominatorSingular,
     DomainViolation,
-    GrasschurError,
     HNotNegative,
     ISubASingular,
     IsotropyViolated,
     NodeOutsideSuperdisk,
     NotConvergent,
+    NotSchur,
     NotUnimodular,
     RhoNotContractive,
+    SectionResidual,
     ShapeMismatch,
     SteinViolated,
     StepSingular,
@@ -379,7 +380,7 @@ def np_solve(data: InterpolationData, sigma: SeriesMatrix | None = None) -> NPSo
     if sigma is None:
         sigma = SeriesMatrix.zero(context, 1, 1)
     if not is_schur_grassmann(sigma):
-        raise GrasschurError("sigma is not a Schur-Grassmann function")
+        raise NotSchur("sigma is not a Schur-Grassmann function")
     c, a, j = data.output_matrix(), data.state_matrix(), data.signature()
     p = stein_solve(c, a, j)  # the Pick matrix; build_theta certifies its Stein residual
     if not _body_definite(context, p.body(), strict=True)[0]:  # stein_solve's P = P* bit for bit
@@ -452,7 +453,7 @@ def _verify_section_vanishing(rho: Supernumber, section: SeriesMatrix, step: int
     row = SuperMatrix.row([context.one(), -rho])
     residuals = np.abs(mat_mul(row, section.coeffs[0]).stack).sum(axis=(0, 1))
     if (residuals > context.tol_eq * max(1.0, norm)).any():
-        raise GrasschurError(f"section identities fail to vanish at step {step}")
+        raise SectionResidual(f"section identities fail to vanish at step {step}")
 
 
 def _constant_term(f: SeriesMatrix) -> Supernumber:
@@ -561,7 +562,7 @@ def schur_algorithm(s: SeriesMatrix, max_steps: int) -> SchurChain:
         raise DomainViolation(f"max_steps must be an integer >= 0, got {max_steps!r}")
     _require_scalar(s)
     if not is_schur_grassmann(s):
-        raise GrasschurError("input is not a Schur-Grassmann function")
+        raise NotSchur("input is not a Schur-Grassmann function")
     if not s.exact:
         readable = s.degree + 1
     elif s.degree:

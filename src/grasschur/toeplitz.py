@@ -8,16 +8,32 @@ admissible next symbols form a superdisk
 
 with center c_N = a_N T_{N-1}⁻¹ b_N, left radius alpha^{-1/2} where
 alpha = (r_0 - a_N T_{N-1}⁻¹ a_N*)⁻¹, and right radius xi the superreal square
-root of r_0 - b_N* T_{N-1}⁻¹ b_N.  T_{N-1} leads and trails T_N, so all three are
-entries of one 2x2 Schur complement r_0 I - X T_{N-1}⁻¹ X*, X = [a_N; b_N*].
+root of r_0 - b_N* T_{N-1}⁻¹ b_N.  All three come from the noncommutative
+Levinson recursion on supernumbers alone: predictor rows f, g with
+f T_N = [P, 0, …, 0], g T_N = [0, …, 0, Q] and f_0 = g_N = 1 give alpha⁻¹ = P,
+xi² = Q and c_N = -Σ_{k≥1} f_k r_{N+1-k}.  A spec built by `extend` carries
+its parent's predictors, so the recursion resumes one step from them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .algebra import Supernumber, classify, dagger, invert, kth_root, mul
+from .algebra import Supernumber, classify, dagger, invert, kth_root, linear_combine, mul
 from .errors import ContextMismatch, EtaNotContractive, NotSuperpositive
-from .matrix import SuperMatrix, _body_definite, adjoint, mat_invert, mat_mul
+from .matrix import SuperMatrix, _body_definite
+
+
+class _Levinson(NamedTuple):
+    """Predictors of T_m, f = (f_1..f_m) and g = (g_0..g_{m-1}) with f T_m = [P, 0, …, 0], g T_m = [0, …, 0, Q]
+    and f_0 = g_m = 1 left implicit, and the center c = c_m; r is the symbol tuple they were computed for."""
+
+    r: tuple[Supernumber, ...]
+    f: tuple[Supernumber, ...]
+    g: tuple[Supernumber, ...]
+    p: Supernumber
+    q: Supernumber
+    c: Supernumber
 
 
 @dataclass(frozen=True)
@@ -25,6 +41,8 @@ class ToeplitzSpec:
     """Symbols r_0..r_N of a self-adjoint Toeplitz supermatrix."""
 
     r: tuple[Supernumber, ...]
+    # the predictors of r[:-1], when `extend` built this spec from params computed on exactly those symbols
+    _levinson: _Levinson | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.r:
@@ -59,6 +77,7 @@ class SuperdiskParams:
     center: Supernumber
     left_radius: Supernumber   # alpha^{-1/2}, superreal
     right_radius: Supernumber  # xi, superreal
+    _levinson: _Levinson | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def assemble(spec: ToeplitzSpec) -> SuperMatrix:
@@ -69,33 +88,59 @@ def assemble(spec: ToeplitzSpec) -> SuperMatrix:
     return SuperMatrix.from_rows([[r[k - j] if k >= j else lower[j - k] for k in range(n)] for j in range(n)])
 
 
+def _levinson_step(state: _Levinson, r: tuple[Supernumber, ...]) -> _Levinson:
+    """The predictors of T_{m+1} from those of T_m; r starts with r_0..r_{m+1}.
+
+    With Δ_f = r_{m+1} - c_m, the last entry of [f, 0] T_{m+1}, and Δ_g = Δ_f† its first by T = T*:
+    f ← [f, 0] - Δ_f Q⁻¹ [0, g], g ← [0, g] - Δ_g P⁻¹ [f, 0], P ← P - Δ_f Q⁻¹ Δ_g, Q ← Q - Δ_g P⁻¹ Δ_f
+    (Levinson, J. Math. Phys. 25, 1947; Delsarte, Genin and Kamp, IEEE Trans. Circuits Syst. 25, 1978).
+    """
+    m = len(state.f)
+    delta_f = r[m + 1] - state.c
+    delta_g = dagger(delta_f)
+    kf, kg = mul(delta_f, invert(state.q)), mul(delta_g, invert(state.p))
+    f = tuple(fk - mul(kf, gk) for fk, gk in zip(state.f, state.g)) + (-kf,)
+    g = (-kg,) + tuple(gk - mul(kg, fk) for gk, fk in zip(state.g, state.f))
+    c = linear_combine((-1.0, mul(fk, r[m + 1 - k])) for k, fk in enumerate(f))
+    return _Levinson(r, f, g, state.p - mul(kf, delta_g), state.q - mul(kg, delta_f), c)
+
+
 def extension_params(spec: ToeplitzSpec) -> SuperdiskParams:
     """Superdisk of admissible r_{N+1}; requires a superpositive T_N.
 
     T_N = T_N* by construction up to r_0's own defect, which ToeplitzSpec bounds, so verify_extension decides
-    it on the body before T_N's one assembly.  With X = [a_N; b_N*], the rest of T_N's first and last rows,
-    S = X T_{N-1}⁻¹ X* gives alpha⁻¹ = r_0 - S_00, c_N = S_01 and xi² = r_0 - S_11 (Dym and Gohberg, LAA 36, 1981).
+    it on the body.  The Levinson recursion then runs from the predictors the spec carries (those of
+    r_0..r_{N-1}, when `extend` built it) or else from r_0, one `_levinson_step` per symbol, and gives
+    alpha⁻¹ = P, xi² = Q and the center c_N.  The predictors of T_N go on the returned params; the spec is
+    not written to.
     """
     if not verify_extension(spec):  # on the body alone: T_N = T_N* by construction
         raise NotSuperpositive("body not positive definite")
-    t = assemble(spec)
-    r0, n = spec.r[0], spec.order
-    if n == 0:  # alpha⁻¹ = xi² = r_0: one root serves both radii
-        root = kth_root(r0, 2)
-        return SuperdiskParams(spec.context.zero(), root, root)
-    x = SuperMatrix.block([[t.submatrix([0], range(1, n + 1))], [t.submatrix([n], range(n))]])
-    s = mat_mul(mat_mul(x, mat_invert(t.submatrix(range(n), range(n)))), adjoint(x))
-    return SuperdiskParams(s[0, 1], kth_root(r0 - s[0, 0], 2), kth_root(r0 - s[1, 1], 2))
+    r0 = spec.r[0]
+    state = spec._levinson or _Levinson(spec.r, (), (), r0, r0, spec.context.zero())
+    for _ in range(len(state.f), spec.order):
+        state = _levinson_step(state, spec.r)
+    left = kth_root(state.p, 2)
+    params = SuperdiskParams(state.c, left, left if spec.order == 0 else kth_root(state.q, 2))  # order 0: P = Q
+    object.__setattr__(params, "_levinson", state)
+    return params
 
 
 def extend(spec: ToeplitzSpec, eta: Supernumber, params: SuperdiskParams | None = None) -> ToeplitzSpec:
-    """Append r_{N+1} = c_N + alpha^{-1/2} eta xi; eta must satisfy |eta_B| < 1."""
+    """Append r_{N+1} = c_N + alpha^{-1/2} eta xi; eta must satisfy |eta_B| < 1.
+
+    When params were computed from this very spec (the same symbol tuple), the extended spec carries their
+    Levinson predictors, so its own extension_params takes one recursion step; otherwise it carries none.
+    """
     if abs(eta.body) >= 1.0:
         raise EtaNotContractive(f"|eta body| = {abs(eta.body):.6f} >= 1")
     if params is None:
         params = extension_params(spec)
     r_next = params.center + mul(mul(params.left_radius, eta), params.right_radius)
-    return spec.extended(r_next)
+    extended = spec.extended(r_next)
+    if params._levinson is not None and params._levinson.r is spec.r:
+        object.__setattr__(extended, "_levinson", params._levinson)
+    return extended
 
 
 def verify_extension(spec: ToeplitzSpec) -> bool:

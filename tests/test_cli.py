@@ -255,6 +255,17 @@ class TestNPCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_non_schur_sigma_exit_code(self, ctx, tmp_path, capsys):
+        from grasschur.schur import InterpolationData
+
+        data = InterpolationData((ctx.scalar(0.2),), (ctx.scalar(0.3),))
+        data_file = write(tmp_path / "d.json", interpolation_data_to_obj(data))
+        sigma = SeriesMatrix.from_coeffs([SuperMatrix.from_body(ctx, [[1.2]])])  # |sigma| = 1.2 everywhere
+        sigma_file = write(tmp_path / "sigma.json", series_to_obj(sigma))
+        assert main(["np", "solve", "--data", data_file, "--sigma", sigma_file]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[not-schur]")
+
     def test_count_mismatch_exit_code(self, ctx, tmp_path, capsys):
         nodes = [supernumber_to_obj(ctx.scalar(0.2)), supernumber_to_obj(ctx.scalar(-0.3j))]
         data = write(tmp_path / "d.json",
@@ -308,7 +319,7 @@ class TestSchurCommand:
         series_file = write(tmp_path / "s.json", series_to_obj(series))
         assert main(["schur", "run", "--series", series_file, "--max-steps", "20"]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error[error]")
+        assert len(err) == 1 and err[0].startswith("error[not-schur]")
 
     @pytest.mark.parametrize("steps", ["-1", "-3"])
     def test_negative_max_steps_exit_code(self, steps, ctx, tmp_path, capsys):

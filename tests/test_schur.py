@@ -15,8 +15,10 @@ from grasschur.errors import (
     IsotropyViolated,
     NodeOutsideSuperdisk,
     NotConvergent,
+    NotSchur,
     NotUnimodular,
     RhoNotContractive,
+    SectionResidual,
     ShapeMismatch,
     StepSingular,
     SteinViolated,
@@ -495,7 +497,7 @@ class TestLFT:
 class TestNPSolve:
     def test_rejects_non_schur_sigma(self, ctx, rng):
         data = make_np_data(ctx, rng, 2)
-        with pytest.raises(GrasschurError):
+        with pytest.raises(NotSchur):
             np_solve(data, scalar_series(ctx, [2.0, 0.0]))
 
     def test_denominator_singularity_detected(self, ctx):
@@ -624,6 +626,11 @@ class TestSchurStep:
         assert rho == ref_rho and section == ref_section
         assert (nxt.degree, nxt.exact) == (ref_nxt.degree, ref_nxt.exact)
         assert series_dist(nxt, ref_nxt) <= 1e-12 * max(1.0, ref_nxt.norm1())
+
+    def test_section_of_another_rho_is_a_section_residual(self, ctx):
+        with pytest.raises(SectionResidual, match="fail to vanish at step 3") as info:
+            schur._verify_section_vanishing(ctx.scalar(0.4), schur_section(ctx.scalar(-0.4)), 3, 1.0)
+        assert info.value.code == "section-residual"
 
     def test_section_vanishing_identities(self, ctx, rng):
         rho = ctx.scalar(0.4 + 0.2j) + random_soul(ctx, rng, scale=0.1)
@@ -852,7 +859,7 @@ class TestSchurAlgorithm:
         assert cl_boundary
 
     def test_rejects_non_schur(self, ctx):
-        with pytest.raises(GrasschurError):
+        with pytest.raises(NotSchur):
             schur_algorithm(scalar_series(ctx, [2.0, 0.0]), max_steps=2)
 
     @pytest.mark.parametrize("max_steps", [-1, -3, 1.5, "2", True, False])

@@ -295,10 +295,11 @@ class TestBlockComplement:
         assert_params_close(SuperdiskParams(*(supernumber_from_obj(got[name], ctx)
                                               for name in ("center", "left_radius", "right_radius"))), want)
 
-    @pytest.mark.parametrize("order", [1, 2, 3])
-    def test_one_assembly_one_inverse(self, monkeypatch, order):
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_no_assembly_no_inverse_no_product_no_scan(self, monkeypatch, order):
+        import grasschur.matrix as matrix
         spec = block_complement_specs(64, order, 1)[0]
-        calls = {"assemble": 0, "mat_invert": 0, "ToeplitzSpec": 0}
+        calls = {"assemble": 0, "mat_invert": 0, "mat_mul": 0, "_self_adjoint": 0, "ToeplitzSpec": 0}
 
         def counted(name, f):
             def wrapper(*args):
@@ -307,10 +308,89 @@ class TestBlockComplement:
             return wrapper
 
         monkeypatch.setattr(toeplitz, "assemble", counted("assemble", toeplitz.assemble))
-        monkeypatch.setattr(toeplitz, "mat_invert", counted("mat_invert", toeplitz.mat_invert))
+        for name in ("mat_invert", "mat_mul", "_self_adjoint"):
+            monkeypatch.setattr(matrix, name, counted(name, getattr(matrix, name)))
         monkeypatch.setattr(ToeplitzSpec, "__post_init__", counted("ToeplitzSpec", ToeplitzSpec.__post_init__))
         extension_params(spec)
-        assert calls == {"assemble": 1, "mat_invert": 1, "ToeplitzSpec": 0}
+        extension_params(ToeplitzSpec(spec.r))
+        assert calls == {"assemble": 0, "mat_invert": 0, "mat_mul": 0, "_self_adjoint": 0, "ToeplitzSpec": 1}
+
+
+def grown_specs(generators, top, count):
+    """block_complement_specs of every order 0..top: each spec grown from r_0 by extend."""
+    return [spec for order in range(top + 1) for spec in block_complement_specs(generators, order, count)]
+
+
+def count_levinson_steps(monkeypatch):
+    steps, step = [], toeplitz._levinson_step
+
+    def counted(state, r):
+        steps.append(len(state.f))
+        return step(state, r)
+
+    monkeypatch.setattr(toeplitz, "_levinson_step", counted)
+    return steps
+
+
+class TestLevinsonCarry:
+    """extend hands T_N's predictors to the spec it builds, and the recursion resumes from them."""
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 5])
+    def test_chain_of_extends_takes_one_step_each(self, monkeypatch, length):
+        ctx = AlgebraContext(generators=64)
+        rng = np.random.default_rng([64, length])
+        spec = random_superpositive_spec(ctx, rng, 0)
+        steps = count_levinson_steps(monkeypatch)
+        for _ in range(length):
+            spec = extend(spec, random_admissible_eta(ctx, rng), extension_params(spec))
+        extension_params(spec)
+        assert steps == list(range(length))
+        steps.clear()
+        extension_params(ToeplitzSpec(spec.r))  # the same symbols, built directly: the whole recursion
+        assert steps == list(range(spec.order))
+
+    @pytest.mark.parametrize("generators", [8, 64])
+    def test_carried_params_equal_recomputed_bit_for_bit(self, generators):
+        for spec in grown_specs(generators, 5, 2):
+            assert (spec._levinson is None) == (spec.order == 0)
+            fresh = ToeplitzSpec(spec.r)
+            assert fresh._levinson is None
+            carried, recomputed = extension_params(spec), extension_params(fresh)
+            for name in ("center", "left_radius", "right_radius"):
+                assert getattr(carried, name) == getattr(recomputed, name), (spec.order, name)
+            assert carried == recomputed and hash(carried) == hash(recomputed)
+            assert repr(carried) == repr(recomputed)
+            assert spec == fresh and hash(spec) == hash(fresh) and repr(spec) == repr(fresh)
+            assert dumps(toeplitz_spec_to_obj(spec)) == dumps(toeplitz_spec_to_obj(fresh))
+            assert fresh._levinson is None  # extension_params writes nothing onto its argument
+
+    @pytest.mark.parametrize("generators", [8, 64])
+    def test_params_of_another_spec_carry_nothing(self, generators):
+        a, b = block_complement_specs(generators, 3, 2)
+        eta = b.context.scalar(0.3j)
+        foreign = extend(b, eta, extension_params(a))
+        assert foreign._levinson is None
+        assert extension_params(foreign) == extension_params(ToeplitzSpec(foreign.r))
+        twin = extend(b, eta, extension_params(ToeplitzSpec(list(b.r))))  # equal symbols, another tuple
+        assert twin._levinson is None and twin == extend(b, eta)
+
+    @pytest.mark.parametrize("generators", [8, 64])
+    def test_bodies_match_the_classical_recursion(self, generators):
+        for spec in grown_specs(generators, 6, 2):
+            params = extension_params(spec)
+            b = [z.body for z in spec.r]
+            center, alpha, xi_sq = classical_toeplitz_extension(b)
+            xi = params.right_radius
+            assert abs(params.center.body - center) <= 1e-12
+            assert abs(alpha_from_params(params).body - alpha) <= 1e-12 * abs(alpha)
+            assert abs(mul(xi, xi).body - xi_sq) <= 1e-12 * abs(xi_sq)
+            # the predictor rows' bodies solve f T = [P, 0, …, 0] and g T = [0, …, 0, Q] on the bodies
+            n, state = len(b), params._levinson
+            t = np.array([[b[k - j] if k >= j else np.conj(b[j - k]) for k in range(n)] for j in range(n)])
+            f = np.array([1.0] + [z.body for z in state.f])
+            g = np.array([z.body for z in state.g] + [1.0])
+            assert np.abs(f @ t - np.eye(n)[0] * state.p.body).max() <= 1e-12
+            assert np.abs(g @ t - np.eye(n)[-1] * state.q.body).max() <= 1e-12
 
 
 def with_r0_defect(spec, rng, share=0.2):
@@ -371,10 +451,3 @@ class TestSelfAdjointByConstruction:
         calls = count_scans_and_assemblies(monkeypatch)
         assert verify_extension(spec) is True
         assert calls == {"_self_adjoint": 0, "assemble": 0}
-
-    @pytest.mark.parametrize("order", [0, 1, 3])
-    def test_extension_params_assembles_once_and_scans_nothing(self, monkeypatch, order):
-        spec = block_complement_specs(64, order, 1)[0]
-        calls = count_scans_and_assemblies(monkeypatch)
-        extension_params(spec)
-        assert calls == {"_self_adjoint": 0, "assemble": 1}
