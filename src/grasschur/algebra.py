@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import BodyZero, BranchCut, ContextMismatch, DomainViolation
+from .errors import BodyZero, BranchCut, ContextMismatch, DomainViolation, TooLarge
 
 # A multi-index is an int bit set over generator slots 1..64.
 MultiIndex = int
@@ -248,12 +248,7 @@ class Supernumber:
             return Supernumber(self.context, {k: v * c for k, v in self._terms.items()})
         return NotImplemented
 
-    def __rmul__(self, other):
-        # complex scalars are central, so left and right scaling agree
-        if isinstance(other, (int, float, complex)):
-            c = complex(other)
-            return Supernumber(self.context, {k: c * v for k, v in self._terms.items()})
-        return NotImplemented
+    __rmul__ = __mul__  # complex scalars are central, and a complex product commutes bit for bit
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -321,6 +316,17 @@ _FAST_PATH_MIN_PAIRS = 192
 _MASK_BAND = 1 << 16  # entries of the disjoint-pair mask built at once
 _DENSE_SLOTS = 1 << 12  # output numbers (2**N keys x coefficient size) held as dense buckets
 _MAX_ENTRIES = 1 << 26  # complex entries (1 GiB) one array may take before TooLarge is raised
+
+
+def _within_budget(entries: int, what: str) -> None:
+    """TooLarge, before allocation, when ``what`` would take more than ``_MAX_ENTRIES`` entries."""
+    if entries > _MAX_ENTRIES:
+        raise TooLarge(f"{what}: more than {_MAX_ENTRIES} entries")
+
+
+def _in_unit_disk(modulus: float, context: AlgebraContext) -> bool:
+    """Whether a body modulus, or a product of them, lies in the open unit disk: below 1 - tol_body."""
+    return modulus < 1.0 - context.tol_body
 
 
 def mul(z: Supernumber, w: Supernumber) -> Supernumber:

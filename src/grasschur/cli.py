@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--A", dest="afile", type=Path, required=True, help="state matrix A")
     build.add_argument("--J", dest="jfile", type=Path, required=True, help="signature matrix J")
     build.add_argument("--P", dest="pfile", type=Path, default=None,
-                       help="Gram matrix P (default: Stein fixed point)")
+                       help="Gram matrix P (default: the exact stein_solve solution)")
     _add_common(build)
     return parser
 

@@ -99,7 +99,7 @@ class TooLarge(GrasschurError):
 
 
 class NotConvergent(GrasschurError):
-    """An iterative sum/fixed point failed to converge."""
+    """The series a result stands for diverges: a body modulus is not inside the open unit disk."""
 
     code = "not-convergent"
 

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import _MAX_ENTRIES, AlgebraContext, Supernumber, classify, dagger, invert, mul
+from .algebra import AlgebraContext, Supernumber, _in_unit_disk, _within_budget, classify, dagger, invert, mul
 from .errors import (
     BodySingular,
     ConstantTermSingular,
@@ -40,7 +40,6 @@ from .errors import (
     ShapeMismatch,
     SteinViolated,
     StepSingular,
-    TooLarge,
 )
 from .matrix import (
     SuperMatrix,
@@ -65,11 +64,11 @@ from .series import SeriesMatrix, backward_shift, evaluate, star_inverse, star_m
 def geometric_sandwich_sum(x: Supernumber, u: Supernumber, y: Supernumber) -> Supernumber:
     """sum_n x^n u y^n, solved exactly as the X with X - x X y = u.
 
-    Converges when |x_B||y_B| < 1, else NotConvergent.  The scalar reference
-    for entrywise checks of Pick rows and Blaschke values.
+    Needs |x_B||y_B| in the open unit disk, else NotConvergent.  The scalar
+    reference for entrywise checks of Pick rows and Blaschke values.
     """
     ratio = abs(x.body) * abs(y.body)
-    if ratio >= 1.0:
+    if not _in_unit_disk(ratio, x.context):
         raise NotConvergent(f"|x_B||y_B| = {ratio:.6f} >= 1")
     return sandwich_solve(SuperMatrix.from_scalar(x), SuperMatrix.from_scalar(u),
                           SuperMatrix.from_scalar(y))[0, 0]
@@ -82,17 +81,16 @@ def geometric_sandwich_sum(x: Supernumber, u: Supernumber, y: Supernumber) -> Su
 
 def is_schur_grassmann(s: SeriesMatrix) -> bool:
     """Contractivity test: I - L_N* L_N supernonnegative for all N <= depth, L_N the block lower-triangular
-    Toeplitz matrix of s_0..s_N, at the depth schur_algorithm reads: the degree of a truncated series,
-    max_series_degree for an exact one of degree >= 1, 0 for an exact constant.  Each L_N is a leading block
-    of L_depth, so ‖L_N‖ ≤ ‖L_depth‖ and the one test at N = depth decides them all: Schur's criterion for
-    s_0..s_depth, and only a necessary one for an exact polynomial.  The verdict depends only on the body
+    Toeplitz matrix of s_0..s_N, at a depth: the degree of a truncated series, max_series_degree for an exact one
+    of degree >= 1, 0 for an exact constant.  Each L_N is a leading block of L_depth, so ‖L_N‖ ≤ ‖L_depth‖ and
+    the one test at N = depth decides them all: Schur's criterion for s_0..s_depth, and only a necessary one
+    for an exact polynomial, whose Schur chain runs on past that depth.  The verdict depends only on the body
     (body Schur <=> Schur-Grassmann), so it is decided on the body series, by the body rule alone: the
     complex matrix I - L*L is Hermitian by its form, so no self-adjointness scan is needed.  An L or L*L of
     more than ``algebra._MAX_ENTRIES`` entries raises TooLarge before either is allocated."""
     depth, (p, q) = s.context.max_series_degree if s.exact and s.degree else s.degree, s.shape
-    if (depth + 1) ** 2 * max(p, q) * q > _MAX_ENTRIES:
-        raise TooLarge(f"the block Toeplitz matrix of s_0..s_{depth} ({p}x{q} blocks) or its Gram matrix "
-                       f"exceeds {_MAX_ENTRIES} entries")
+    _within_budget((depth + 1) ** 2 * max(p, q) * q,
+                   f"the block Toeplitz matrix of s_0..s_{depth} ({p}x{q} blocks) or its Gram matrix")
     s, lag = s.truncated(depth), np.subtract.outer(np.arange(depth + 1), np.arange(depth + 1))
     blocks = np.where((lag >= 0)[..., None, None], s._body()[np.maximum(lag, 0)], 0)
     l = blocks.transpose(0, 2, 1, 3).reshape((depth + 1) * p, (depth + 1) * q)
@@ -134,7 +132,7 @@ def stein_solve(c: SuperMatrix, a: SuperMatrix, j: SuperMatrix) -> SuperMatrix:
     """
     context = a.context
     radius = _body_spectral_radius(a)
-    if radius >= 1.0 - context.tol_body:
+    if not _in_unit_disk(radius, context):
         raise NotConvergent(f"body spectral radius {radius:.6f} not below 1")
     x = sandwich_solve(adjoint(a), mat_mul(adjoint(c), mat_mul(j, c)), a)
     return (x + adjoint(x)) * 0.5
@@ -273,7 +271,7 @@ class InterpolationData:
             raise ValueError("need equally many nodes and values, at least one")
         context = self.nodes[0].context
         for z in self.nodes:
-            if abs(z.body) >= 1.0 - context.tol_body:
+            if not _in_unit_disk(abs(z.body), context):
                 raise NodeOutsideSuperdisk(f"|z_B| = {abs(z.body):.6f}")
 
     @property
@@ -441,8 +439,8 @@ def _require_scalar(sigma: SeriesMatrix) -> None:
 
 
 def _contractive(rho: Supernumber, step: int) -> Supernumber:
-    """rho, or RhoNotContractive at the boundary |rho_B| >= 1 - tol_body."""
-    if abs(rho.body) >= 1.0 - rho.context.tol_body:
+    """rho, or RhoNotContractive when rho_B is not in the open unit disk."""
+    if not _in_unit_disk(abs(rho.body), rho.context):
         raise RhoNotContractive(step, f"|rho_B| = {abs(rho.body):.6f} at step {step}")
     return rho
 
@@ -504,10 +502,11 @@ def section_step(sigma: SeriesMatrix, step: int = 0) -> tuple[Supernumber, Serie
     section = schur_section(rho)
     _verify_section_vanishing(rho, section, step, sigma.norm1())
     h = backward_shift(star_mul(sigma, section.block(1, 2, 0, 2)) - section.block(0, 1, 0, 2))
-    m_shift = h.block(0, 1, 0, 1)
-    if abs(_constant_term(m_shift).body) <= sigma.context.tol_body:
-        raise StepSingular(step)
-    return rho, star_mul(star_inverse(m_shift), -h.block(0, 1, 1, 2)), section
+    try:
+        m_shift_inv = star_inverse(h.block(0, 1, 0, 1))
+    except ConstantTermSingular as exc:
+        raise StepSingular(step) from exc
+    return rho, star_mul(m_shift_inv, -h.block(0, 1, 1, 2)), section
 
 
 @dataclass(frozen=True)
@@ -521,7 +520,7 @@ class SchurChain:
     """
 
     rhos: tuple[Supernumber, ...]
-    termination: str  # max_steps | rho_boundary | degree_exhausted
+    termination: str  # max_steps | rho_boundary | degree_exhausted (a truncated s only)
 
     @property
     def steps(self) -> int:
@@ -547,32 +546,24 @@ def schur_algorithm(s: SeriesMatrix, max_steps: int) -> SchurChain:
     1 up to rounding, so invert's absolute tol_body test cannot trip before the
     boundary test does.  No section is built (see SchurChain.sections).
 
-    Stops at max_steps, at the contractivity boundary |rho_B| = 1, or when the
-    coefficients that determine the next rho are exhausted.  The step is
-    lower-triangular in degree, so rho_k reads s_0..s_k only: a truncated s of
-    degree d yields rho_0..rho_d.  After the first step of an exact non-constant s,
-    sigma is cut at max_series_degree, as schur_step's star_inverse sets it, and the
-    chain stops after step max_series_degree; an exact constant never runs out.
-    Before each step both series are cut to the degree max_steps - step that the
-    steps left read.  A max_steps that is not an integer >= 0 (a bool included)
-    raises DomainViolation, and a series that is not 1x1 ShapeMismatch, both before
-    any step.
+    Stops at max_steps or at the contractivity boundary |rho_B| = 1; rho_k reads
+    s_0..s_k only, so a truncated s of degree d also stops after rho_d
+    (degree_exhausted).  Before each step both series are cut to the degree
+    max_steps - step that the steps left read.  An s that fails is_schur_grassmann
+    raises NotSchur; for an exact polynomial that test is a necessary condition only.
+    A max_steps that is not an integer >= 0 (a bool included) raises
+    DomainViolation, and a series that is not 1x1 ShapeMismatch, both before any step.
     """
     if isinstance(max_steps, bool) or not isinstance(max_steps, int) or max_steps < 0:
         raise DomainViolation(f"max_steps must be an integer >= 0, got {max_steps!r}")
     _require_scalar(s)
     if not is_schur_grassmann(s):
         raise NotSchur("input is not a Schur-Grassmann function")
-    if not s.exact:
-        readable = s.degree + 1
-    elif s.degree:
-        readable = s.context.max_series_degree + 1
-    else:
-        readable = max_steps
+    readable = max_steps if s.exact else min(max_steps, s.degree + 1)
     a, b = SeriesMatrix.identity(s.context, 1), s
     rhos: list[Supernumber] = []
-    termination = "max_steps" if readable >= max_steps else "degree_exhausted"
-    for step in range(min(max_steps, readable)):
+    termination = "max_steps" if readable == max_steps else "degree_exhausted"
+    for step in range(readable):
         cut = max_steps - step
         a, b = (f.truncated(cut) if f.degree > cut else f for f in (a, b))
         try:
@@ -611,9 +602,9 @@ class BlaschkeFactor:
         return self.theta.series
 
     def eval_at(self, z: Supernumber) -> Supernumber:
-        """Exact left value 1 - (1-z) sum z^n c a^n k of theta; needs |z_B||a_B| < 1."""
+        """Exact left value 1 - (1-z) sum z^n c a^n k of theta; needs |z_B||a_B| in the open unit disk."""
         ratio = abs(z.body) * abs(self.a.body)
-        if ratio >= 1.0:
+        if not _in_unit_disk(ratio, self.context):
             raise NotConvergent(f"|z_B||a_B| = {ratio:.6f} >= 1")
         return self.theta.eval_at(z)[0, 0]
 
@@ -704,7 +695,7 @@ def kernel_eval(w: Supernumber, xi: SuperMatrix) -> SeriesMatrix:
     """K(., w) xi = sum_n z^n (w†)^n xi as a column series."""
     if xi.cols != 1:
         raise ShapeMismatch("xi must be a column")
-    if abs(w.body) >= 1.0:
+    if not _in_unit_disk(abs(w.body), w.context):
         raise NotConvergent(f"|w_B| = {abs(w.body):.6f} >= 1")
     w_dag = SuperMatrix.diagonal([dagger(w)] * xi.rows)
     return to_series(Realization(w_dag, xi, w_dag, xi))
@@ -718,7 +709,7 @@ def h_theta_kernel(theta: ThetaFunction, w: Supernumber, xi: SuperMatrix) -> Ser
     """
     a, c = theta.realization.a, theta.realization.c
     ratio = abs(w.body) * _body_spectral_radius(a)
-    if ratio >= 1.0:
+    if not _in_unit_disk(ratio, w.context):
         raise NotConvergent("the kernel sum needs |w_B| rho(A_B) < 1")
     wd = SuperMatrix.diagonal([dagger(w)] * c.rows)
     y = sandwich_solve(adjoint(a), adjoint(c), wd)

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import _MAX_ENTRIES, AlgebraContext, Supernumber, _cmul, _pair_product, _require_same_context, mul
+from .algebra import AlgebraContext, Supernumber, _cmul, _pair_product, _require_same_context, _within_budget, mul
 from .errors import (
     BodySingular,
     ConstantTermSingular,
@@ -29,7 +29,6 @@ from .errors import (
     DomainViolation,
     NotInvertible,
     ShapeMismatch,
-    TooLarge,
     WindowTooSmall,
 )
 from .matrix import Stacked, SuperMatrix, _add, _body_inverse, _inverse, _matmul, _spread, adjoint, mat_mul
@@ -300,9 +299,8 @@ class LaurentSeries(Stacked):
         low = min(coeffs, default=0)
         keys = np.unique(np.concatenate([first.keys, *(c.keys for c in coeffs.values())]))
         span = max(coeffs, default=-1) - low + 1
-        if len(keys) * span * first.rows * first.cols > _MAX_ENTRIES:
-            raise TooLarge(f"{len(keys)} keys over {span} powers of {first.rows}x{first.cols} coefficients "
-                           f"exceed {_MAX_ENTRIES} stack entries")
+        _within_budget(len(keys) * span * first.rows * first.cols,
+                       f"{len(keys)} keys over {span} powers of {first.rows}x{first.cols} coefficients")
         stack = np.zeros((len(keys), span, *first.shape), dtype=complex)
         for n, c in coeffs.items():  # placed, not added: a -0.0 entry stays -0.0
             stack[np.searchsorted(keys, c.keys), n - low] = c.stack
@@ -369,9 +367,8 @@ def _on_circle(stack: np.ndarray, low: int, points: int) -> np.ndarray:
     powers from ``low``: the phase matrix times the stack.  TooLarge before the phase
     matrix or the values would exceed ``algebra._MAX_ENTRIES`` entries."""
     keys, span, p, q = stack.shape
-    if points * max(span, keys * p * q) > _MAX_ENTRIES:
-        raise TooLarge(f"{points} grid points over {span} powers of {keys} monomials of {p}x{q} "
-                       f"coefficients exceed {_MAX_ENTRIES} entries")
+    _within_budget(points * max(span, keys * p * q),
+                   f"{points} grid points over {span} powers of {keys} monomials of {p}x{q} coefficients")
     phases = np.exp(2j * np.pi * np.outer(np.arange(points) / points, np.arange(span) + low))
     return np.einsum("mn,knpq->kmpq", phases, stack)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .algebra import Supernumber, classify, dagger, invert, kth_root, linear_combine, mul
+from .algebra import Supernumber, _in_unit_disk, classify, dagger, invert, kth_root, linear_combine, mul
 from .errors import ContextMismatch, EtaNotContractive, NotSuperpositive
 from .matrix import SuperMatrix, _body_definite
 
@@ -127,12 +127,12 @@ def extension_params(spec: ToeplitzSpec) -> SuperdiskParams:
 
 
 def extend(spec: ToeplitzSpec, eta: Supernumber, params: SuperdiskParams | None = None) -> ToeplitzSpec:
-    """Append r_{N+1} = c_N + alpha^{-1/2} eta xi; eta must satisfy |eta_B| < 1.
+    """Append r_{N+1} = c_N + alpha^{-1/2} eta xi; eta_B must lie in the open unit disk.
 
     When params were computed from this very spec (the same symbol tuple), the extended spec carries their
     Levinson predictors, so its own extension_params takes one recursion step; otherwise it carries none.
     """
-    if abs(eta.body) >= 1.0:
+    if not _in_unit_disk(abs(eta.body), eta.context):
         raise EtaNotContractive(f"|eta body| = {abs(eta.body):.6f} >= 1")
     if params is None:
         params = extension_params(spec)

@@ -9,6 +9,7 @@ from grasschur import (AlgebraContext, SuperMatrix, Supernumber, adjoint, classi
 from grasschur import schur
 from grasschur.errors import (
     DomainViolation,
+    EtaNotContractive,
     GrasschurError,
     HNotNegative,
     ISubASingular,
@@ -57,6 +58,7 @@ from grasschur.schur import (
     stein_solve,
 )
 from grasschur.series import SeriesMatrix, backward_shift, evaluate, hermitian_form, star_inverse, star_mul
+from grasschur.toeplitz import ToeplitzSpec, extend
 
 
 def degree_context(degree):
@@ -894,8 +896,9 @@ def ref_schur_algorithm(s, max_steps):
     """The chain of iterated star-quotient steps, sigma cut before each step to the degree
     max_steps - step that the steps left read (the step is lower-triangular in degree, so
     the cut moves no rho): the reference the pair recursion must match to rounding.  A
-    truncated s stops after step s.degree, since rho_k reads s_0..s_k; an exact non-constant
-    s once sigma, cut at max_series_degree by its first step, is down to degree 0."""
+    truncated s stops after step s.degree, since rho_k reads s_0..s_k.  An exact non-constant
+    s stops once sigma, cut at max_series_degree by star_inverse in its first step, is down
+    to degree 0, so this serves exact input for at most max_series_degree + 1 steps only."""
     if not is_schur_grassmann(s):
         raise GrasschurError("input is not a Schur-Grassmann function")
     sigma, rhos, termination = s, [], "max_steps"
@@ -915,17 +918,15 @@ def ref_schur_algorithm(s, max_steps):
 
 
 def uncut_pair_chain(s, max_steps):
-    """The pair recursion carried at the input's full degree (no cut), with sigma's degree
-    and exact flag stepped as star_mul and star_inverse set them: the chain the degree-cut
-    schur_algorithm must match bit for bit.  A truncated s is read down to its last
-    coefficient (rho_k reads s_0..s_k); an exact non-constant s stops once sigma, cut at
-    max_series_degree by its first step, is down to degree 0."""
+    """The pair recursion carried at the input's full degree (no cut): the chain the
+    degree-cut schur_algorithm must match bit for bit.  A truncated s is read down to its
+    last coefficient (rho_k reads s_0..s_k); an exact s runs to max_steps or the boundary."""
     if not is_schur_grassmann(s):
         raise GrasschurError("input is not a Schur-Grassmann function")
-    a, b, degree, exact = SeriesMatrix.identity(s.context, 1), s, s.degree, s.exact
+    a, b = SeriesMatrix.identity(s.context, 1), s
     rhos, termination = [], "max_steps"
     for step in range(max_steps):
-        if degree < (1 if s.exact else 0) and not exact:
+        if step > s.degree and not s.exact:
             termination = "degree_exhausted"
             break
         try:
@@ -934,10 +935,6 @@ def uncut_pair_chain(s, max_steps):
             termination = "rho_boundary"
             break
         rhos.append(rho)
-        if not exact:
-            degree -= 1
-        elif degree:  # (1 - rho† sigma)^{-star} of an exact non-constant sigma stops at max_series_degree
-            degree, exact = s.context.max_series_degree, False
     return schur.SchurChain(rhos=tuple(rhos), termination=termination)
 
 
@@ -1004,7 +1001,9 @@ class TestSchurAlgorithmReadsOnlyWhatItNeeds:
     def check_cut_chain(s, max_steps):
         got = schur_algorithm(s, max_steps)
         assert chain_bits(got) == chain_bits(uncut_pair_chain(s, max_steps))
-        assert_rhos_match(got, ref_schur_algorithm(s, max_steps))
+        # the star-quotient reference follows an exact s through max_series_degree + 1 steps only
+        steps = min(max_steps, s.context.max_series_degree + 1) if s.exact else max_steps
+        assert_rhos_match(got if steps == max_steps else schur_algorithm(s, steps), ref_schur_algorithm(s, steps))
         return got
 
     @pytest.mark.parametrize("degree,max_steps,exact,termination", CUT_CASES)
@@ -1030,12 +1029,38 @@ class TestSchurAlgorithmReadsOnlyWhatItNeeds:
     @pytest.mark.parametrize("exact,degree", [(False, 8), (True, 2)])
     def test_max_steps_beyond_max_series_degree(self, exact, degree, rng):
         s = soulful_series(AlgebraContext(generators=8, max_series_degree=8), rng, degree, exact=exact)
-        assert self.check_cut_chain(s, 12).termination == "degree_exhausted"
+        got = self.check_cut_chain(s, 12)
+        assert (got.steps, got.termination) == ((12, "max_steps") if exact else (9, "degree_exhausted"))
 
     @pytest.mark.parametrize("exact,degree", [(False, 8), (True, 2)])
     def test_max_steps_beyond_max_series_degree_at_n64(self, exact, degree, rng):
         s = soulful_series(AlgebraContext(generators=64, max_series_degree=8), rng, degree, exact=exact)
-        assert self.check_cut_chain(s, 12).termination == "degree_exhausted"
+        got = self.check_cut_chain(s, 12)
+        assert (got.steps, got.termination) == ((12, "max_steps") if exact else (9, "degree_exhausted"))
+
+    @pytest.mark.parametrize("generators", [8, 64])
+    def test_exact_polynomial_runs_past_max_series_degree(self, generators, monkeypatch):
+        """0.3 + 0.4z + 0.2z² with 2-term souls: the pair of an exact s keeps the degrees (2, 1), so the
+        chain runs to max_steps; its first max_series_degree + 1 rhos are those of a chain stopped there."""
+        ctx = AlgebraContext(generators=generators)
+        rng = np.random.default_rng([39, generators])
+        s = SeriesMatrix.from_coeffs([SuperMatrix.from_scalar(ctx.scalar(b) + random_soul(ctx, rng, terms=2, scale=0.1))
+                                      for b in (0.3, 0.4, 0.2)], exact=True)
+        degrees, step_fn = [], schur._pair_step
+
+        def recording_step(a, b, step):
+            degrees.append((a.degree, b.degree))
+            return step_fn(a, b, step)
+
+        monkeypatch.setattr(schur, "_pair_step", recording_step)
+        schur_algorithm(s, 100)
+        monkeypatch.undo()
+        assert degrees == [(0, 2)] + [(2, 1)] * 98 + [(1, 1)]  # the last step reads degree 1
+        got = self.check_cut_chain(s, 100)
+        assert (got.steps, got.termination) == (100, "max_steps")
+        assert got.rhos[:33] == schur_algorithm(s, 33).rhos
+        expected, boundary = classical_schur([0.3, 0.4, 0.2] + [0.0] * 99, steps=100)
+        assert not boundary and max(abs(r.body - w) for r, w in zip(got.rhos, expected)) <= 1e-12
 
     @pytest.mark.parametrize("max_steps", [3, 6])
     def test_mid_chain_rho_boundary(self, max_steps, ctx):
@@ -1456,3 +1481,44 @@ class TestSelfAdjointByConstruction:
         calls = count_scans(monkeypatch)
         np_solve(data)
         assert calls == {"_self_adjoint": 2}  # build_theta's J and P checks, nothing else
+
+
+def extend_cli(ctx, eta, tmp_path, capsys):
+    """`grasschur toeplitz extend` of the order-0 spec (1) by eta: raises what the CLI reports on exit 2."""
+    from grasschur.cli import main
+    from grasschur.serialization import dumps, supernumber_to_obj, toeplitz_spec_to_obj
+
+    (tmp_path / "spec.json").write_text(dumps(toeplitz_spec_to_obj(ToeplitzSpec((ctx.one(),)))))
+    (tmp_path / "eta.json").write_text(dumps(supernumber_to_obj(eta)))
+    code = main(["toeplitz", "extend", "--spec", str(tmp_path / "spec.json"), "--eta", str(tmp_path / "eta.json"),
+                 "--out", str(tmp_path / "out.json")])
+    assert code in (0, 2)
+    if code:
+        assert capsys.readouterr().err.startswith("error[eta-not-contractive]")
+        raise EtaNotContractive("the CLI exited 2")
+
+
+UNIT_DISK_SITES = {  # name: (error, call at body modulus m)
+    "extend": (EtaNotContractive, lambda ctx, m, *_: extend(ToeplitzSpec((ctx.one(),)), ctx.scalar(m))),
+    "cli toeplitz extend": (EtaNotContractive, lambda ctx, m, *fixtures: extend_cli(ctx, ctx.scalar(m), *fixtures)),
+    "kernel_eval": (NotConvergent, lambda ctx, m, *_: kernel_eval(ctx.scalar(m), SuperMatrix.from_scalar(ctx.one()))),
+    # y = -1 keeps the sandwich solve 1 + m away from singular
+    "geometric_sandwich_sum": (NotConvergent,
+                               lambda ctx, m, *_: geometric_sandwich_sum(ctx.scalar(m), ctx.one(), ctx.scalar(-1.0))),
+    # |z_B||a_B| = m at z = -2m, a = 1/2, away from the pole z = 1/a
+    "BlaschkeFactor.eval_at": (NotConvergent, lambda ctx, m, *_: blaschke_factor(
+        ctx.scalar(0.5), ctx.scalar(0.75 ** 0.5), ctx.one()).eval_at(ctx.scalar(-2.0 * m))),
+}
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["1 - tol_body/2", "1 - 2 tol_body"])
+@pytest.mark.parametrize("site", list(UNIT_DISK_SITES))
+def test_open_unit_disk_ends_tol_body_below_one(site, inside, ctx, tmp_path, capsys):
+    """One rule decides the open unit disk everywhere: a body modulus below 1 - tol_body."""
+    error, call = UNIT_DISK_SITES[site]
+    modulus = 1.0 - (2.0 if inside else 0.5) * ctx.tol_body
+    if inside:
+        call(ctx, modulus, tmp_path, capsys)
+    else:
+        with pytest.raises(error):
+            call(ctx, modulus, tmp_path, capsys)
