@@ -190,6 +190,9 @@ class Supernumber:
     def __setattr__(self, name, value):  # immutable by construction
         raise AttributeError("Supernumber is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the checking constructor
+        return type(self), (self.context, self._terms)
+
     # -- views ---------------------------------------------------------
 
     @property
@@ -245,7 +248,7 @@ class Supernumber:
             return mul(self, other)
         if isinstance(other, (int, float, complex)):
             c = complex(other)
-            return Supernumber(self.context, {k: v * c for k, v in self._terms.items()})
+            return Supernumber._canonical(self.context, {k: p for k, v in self._terms.items() if (p := v * c)})
         return NotImplemented
 
     __rmul__ = __mul__  # complex scalars are central, and a complex product commutes bit for bit
@@ -309,7 +312,7 @@ def linear_combine(pairs: Iterable[tuple[complex, Supernumber]]) -> Supernumber:
             continue
         for key, value in z._terms.items():
             acc[key] = acc.get(key, 0j) + c * value
-    return Supernumber(context, acc)
+    return Supernumber._canonical(context, {k: acc[k] for k in sorted(acc) if acc[k]})
 
 
 _FAST_PATH_MIN_PAIRS = 192
@@ -327,6 +330,18 @@ def _within_budget(entries: int, what: str) -> None:
 def _in_unit_disk(modulus: float, context: AlgebraContext) -> bool:
     """Whether a body modulus, or a product of them, lies in the open unit disk: below 1 - tol_body."""
     return modulus < 1.0 - context.tol_body
+
+
+def _settled(z: Supernumber) -> Supernumber:
+    """z without its terms of modulus at most 2⁻⁴⁶‖z‖₁ / len(z), which lie below the rounding error of the
+    product or sum that made z; the dropped part has 1-norm at most 2⁻⁴⁶‖z‖₁ (128 units of roundoff).  Each
+    monomial is its own image under †, so a superreal z stays superreal."""
+    terms = z._terms
+    if len(terms) < 2:
+        return z
+    floor = 2.0 ** -46 * z.norm1() / len(terms)
+    kept = {key: value for key, value in terms.items() if abs(value) > floor}
+    return z if len(kept) == len(terms) else Supernumber._canonical(z.context, kept)
 
 
 def mul(z: Supernumber, w: Supernumber) -> Supernumber:
@@ -361,7 +376,7 @@ def mul(z: Supernumber, w: Supernumber) -> Supernumber:
                 t = -t
             g = a | b
             acc[g] = acc.get(g, 0j) + t
-    return Supernumber(context, acc)
+    return Supernumber._canonical(context, {k: acc[k] for k in sorted(acc) if acc[k]})
 
 
 def _disjoint_pairs(generators: int, ka, kb):
@@ -573,7 +588,7 @@ def _soul_series(u: Supernumber, coeffs: Iterator[complex]) -> Supernumber:
         product = mul(Supernumber._canonical(context, deriv), Supernumber._canonical(context, odd))._terms
         for key, value in product.items():
             acc[key] = acc.get(key, 0j) + value
-    return Supernumber(context, acc)
+    return Supernumber._canonical(context, {k: acc[k] for k in sorted(acc) if acc[k]})
 
 
 def invert(z: Supernumber) -> Supernumber:

@@ -56,6 +56,9 @@ class Stacked:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the checking constructor of each layout class
+        return type(self), (self.context, self.keys, self.stack)
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.stack.shape[-2:]

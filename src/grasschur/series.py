@@ -62,6 +62,9 @@ class SeriesMatrix(Stacked):
             raise DomainViolation(f"degree {stack.shape[1] - 1} exceeds max_series_degree {context.max_series_degree}")
         return super()._of(context, keys, stack, bool(exact))
 
+    def __reduce__(self):
+        return type(self), (self.coeffs, self.exact)
+
     # -- views -----------------------------------------------------------
 
     @property
@@ -314,6 +317,9 @@ class LaurentSeries(Stacked):
         if not len(powers):
             return super()._of(context, keys[:0], np.zeros((0, 1, *stack.shape[2:]), dtype=complex), window, 0)
         return super()._of(context, keys, stack[:, powers[0]:powers[-1] + 1], window, low + int(powers[0]))
+
+    def __reduce__(self):  # the zero series keeps its context and shape on a zero coefficient
+        return type(self), (self.window, self.coeffs or {0: self.coefficient(0)})
 
     @property
     def coeffs(self) -> dict[int, SuperMatrix]:

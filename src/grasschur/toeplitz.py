@@ -13,13 +13,18 @@ Levinson recursion on supernumbers alone: predictor rows f, g with
 f T_N = [P, 0, …, 0], g T_N = [0, …, 0, Q] and f_0 = g_N = 1 give alpha⁻¹ = P,
 xi² = Q and c_N = -Σ_{k≥1} f_k r_{N+1-k}.  A spec built by `extend` carries
 its parent's predictors, so the recursion resumes one step from them.
+
+Every quantity of the chain is settled where it is made (`algebra._settled`):
+the terms of modulus at most 2⁻⁴⁶‖z‖₁ / len(z) are dropped, at most 2⁻⁴⁶‖z‖₁
+in all.  They are the rounding residues that mixed-parity products leave on
+monomials whose exact coefficient is zero, so the chain keeps its exact support.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .algebra import Supernumber, _in_unit_disk, classify, dagger, invert, kth_root, linear_combine, mul
+from .algebra import Supernumber, _in_unit_disk, _settled, classify, dagger, invert, kth_root, linear_combine, mul
 from .errors import ContextMismatch, EtaNotContractive, NotSuperpositive
 from .matrix import SuperMatrix, _body_definite
 
@@ -98,11 +103,11 @@ def _levinson_step(state: _Levinson, r: tuple[Supernumber, ...]) -> _Levinson:
     m = len(state.f)
     delta_f = r[m + 1] - state.c
     delta_g = dagger(delta_f)
-    kf, kg = mul(delta_f, invert(state.q)), mul(delta_g, invert(state.p))
-    f = tuple(fk - mul(kf, gk) for fk, gk in zip(state.f, state.g)) + (-kf,)
-    g = (-kg,) + tuple(gk - mul(kg, fk) for gk, fk in zip(state.g, state.f))
-    c = linear_combine((-1.0, mul(fk, r[m + 1 - k])) for k, fk in enumerate(f))
-    return _Levinson(r, f, g, state.p - mul(kf, delta_g), state.q - mul(kg, delta_f), c)
+    kf, kg = _settled(mul(delta_f, invert(state.q))), _settled(mul(delta_g, invert(state.p)))
+    f = tuple(_settled(fk - mul(kf, gk)) for fk, gk in zip(state.f, state.g)) + (-kf,)
+    g = (-kg,) + tuple(_settled(gk - mul(kg, fk)) for gk, fk in zip(state.g, state.f))
+    c = _settled(linear_combine((-1.0, mul(fk, r[m + 1 - k])) for k, fk in enumerate(f)))
+    return _Levinson(r, f, g, _settled(state.p - mul(kf, delta_g)), _settled(state.q - mul(kg, delta_f)), c)
 
 
 def extension_params(spec: ToeplitzSpec) -> SuperdiskParams:
@@ -112,7 +117,8 @@ def extension_params(spec: ToeplitzSpec) -> SuperdiskParams:
     it on the body.  The Levinson recursion then runs from the predictors the spec carries (those of
     r_0..r_{N-1}, when `extend` built it) or else from r_0, one `_levinson_step` per symbol, and gives
     alpha⁻¹ = P, xi² = Q and the center c_N.  The predictors of T_N go on the returned params; the spec is
-    not written to.
+    not written to.  The center, both radii and every predictor are settled: each drops its terms of
+    modulus at most 2⁻⁴⁶‖z‖₁ / len(z), a 1-norm change of at most 2⁻⁴⁶‖z‖₁.
     """
     if not verify_extension(spec):  # on the body alone: T_N = T_N* by construction
         raise NotSuperpositive("body not positive definite")
@@ -120,14 +126,16 @@ def extension_params(spec: ToeplitzSpec) -> SuperdiskParams:
     state = spec._levinson or _Levinson(spec.r, (), (), r0, r0, spec.context.zero())
     for _ in range(len(state.f), spec.order):
         state = _levinson_step(state, spec.r)
-    left = kth_root(state.p, 2)
-    params = SuperdiskParams(state.c, left, left if spec.order == 0 else kth_root(state.q, 2))  # order 0: P = Q
+    left = _settled(kth_root(state.p, 2))
+    right = left if spec.order == 0 else _settled(kth_root(state.q, 2))  # order 0: P = Q
+    params = SuperdiskParams(state.c, left, right)
     object.__setattr__(params, "_levinson", state)
     return params
 
 
 def extend(spec: ToeplitzSpec, eta: Supernumber, params: SuperdiskParams | None = None) -> ToeplitzSpec:
-    """Append r_{N+1} = c_N + alpha^{-1/2} eta xi; eta_B must lie in the open unit disk.
+    """Append r_{N+1} = c_N + alpha^{-1/2} eta xi; eta_B must lie in the open unit disk.  r_{N+1} is
+    settled: its terms of modulus at most 2⁻⁴⁶‖r_{N+1}‖₁ / len(r_{N+1}) are dropped, at most 2⁻⁴⁶‖r_{N+1}‖₁ in all.
 
     When params were computed from this very spec (the same symbol tuple), the extended spec carries their
     Levinson predictors, so its own extension_params takes one recursion step; otherwise it carries none.
@@ -136,7 +144,7 @@ def extend(spec: ToeplitzSpec, eta: Supernumber, params: SuperdiskParams | None 
         raise EtaNotContractive(f"|eta body| = {abs(eta.body):.6f} >= 1")
     if params is None:
         params = extension_params(spec)
-    r_next = params.center + mul(mul(params.left_radius, eta), params.right_radius)
+    r_next = _settled(params.center + mul(mul(params.left_radius, eta), params.right_radius))
     extended = spec.extended(r_next)
     if params._levinson is not None and params._levinson.r is spec.r:
         object.__setattr__(extended, "_levinson", params._levinson)

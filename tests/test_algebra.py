@@ -403,6 +403,45 @@ class TestNorm:
             assert mul(z, w).norm1() <= z.norm1() * w.norm1() * (1 + 1e-12)
 
 
+def with_residues(ctx, rng, z, count, size):
+    """z plus ``count`` terms on fresh monomials of modulus about ``size``·‖z‖₁."""
+    extra = {k: v * size * z.norm1() for k, v in random_soul(ctx, rng, terms=count).terms.items() if k not in z.terms}
+    return z + Supernumber(ctx, extra)
+
+
+class TestSettled:
+    """algebra._settled drops the terms of modulus at most 2⁻⁴⁶‖z‖₁ / len(z)."""
+
+    def test_dropped_mass_within_bound(self):
+        ctx = AlgebraContext(generators=64)
+        rng = np.random.default_rng(46)
+        for size in (1e-18, 1e-16, 2.0 ** -46 / 64, 1e-13):
+            for _ in range(20):
+                z = with_residues(ctx, rng, random_supernumber(ctx, rng, terms=8), 40, size)
+                s = ga._settled(z)
+                floor = 2.0 ** -46 * z.norm1() / len(z.terms)
+                assert s.terms == {k: v for k, v in z.terms.items() if abs(v) > floor}  # kept terms untouched
+                assert (z - s).norm1() <= 2.0 ** -46 * z.norm1()
+
+    def test_drops_a_residue_and_keeps_a_small_term(self, ctx):
+        z = ctx.one() + ctx.generator(1) * 1e-14 + ctx.generator(2) * 1e-16  # floor ≈ 4.7e-15
+        assert ga._settled(z) == ctx.one() + ctx.generator(1) * 1e-14
+
+    def test_superreal_stays_superreal(self):
+        ctx = AlgebraContext(generators=64)
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            w = with_residues(ctx, rng, random_supernumber(ctx, rng, terms=8), 40, 1e-17)
+            z = w + dagger(w)
+            s = ga._settled(z)
+            assert len(s.terms) < len(z.terms)
+            assert dagger(s) == s and classify(s).is_real
+
+    def test_zero_and_single_term_unchanged(self, ctx):
+        for z in (ctx.zero(), ctx.one(), ctx.generator(3) * 1e-300, ctx.basis((1, 2)) * (2 - 1j)):
+            assert ga._settled(z) is z
+
+
 class TestClassify:
     def test_real_without_positivity(self, ctx):
         z = ctx.generator(1) + ctx.generator(2)

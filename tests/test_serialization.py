@@ -1,9 +1,11 @@
-"""Canonical format round-trips and reader validation."""
+"""Canonical format round-trips and reader validation; copy and pickle."""
+import copy
 import json
+import pickle
 
 import pytest
 
-from grasschur import AlgebraContext, SuperMatrix
+from grasschur import AlgebraContext, SuperMatrix, dagger
 from grasschur.errors import SerializationError
 from grasschur.realization import Realization
 from grasschur.sampling import random_supermatrix, random_supernumber
@@ -27,7 +29,7 @@ from grasschur.serialization import (
     toeplitz_spec_to_obj,
 )
 from grasschur.series import LaurentSeries, SeriesMatrix
-from grasschur.toeplitz import ToeplitzSpec
+from grasschur.toeplitz import ToeplitzSpec, extend, extension_params
 
 ONE = {"rows": 1, "cols": 1, "entries": [[[{"idx": [], "re": 1.0, "im": 0.0}]]]}
 
@@ -230,3 +232,35 @@ class TestContainers:
     def test_config_round_trip(self):
         context = AlgebraContext(generators=6, tol_body=1e-9, tol_eq=1e-8, max_series_degree=16)
         assert config_from_obj(config_to_obj(context)) == context
+
+
+class TestCopyAndPickle:
+    """copy.copy, copy.deepcopy and pickle rebuild every value through its checking constructor."""
+
+    @staticmethod
+    def round_trips(x):
+        return copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))
+
+    def values(self, ctx, rng):
+        m = random_supermatrix(ctx, rng, 2, 3)
+        signed = SuperMatrix(ctx, [0, 5], [[[1.0, -0.0, 2j], [0.0, 0.0, 1.0]], [[0.5, 0.0, -1.0], [-0.0, 0.0, 0.0]]])
+        return [random_supernumber(ctx, rng, terms=8), ctx.zero(), m, signed,
+                SeriesMatrix([m, SuperMatrix.zeros(ctx, 2, 3), m * 0.5], exact=True), SeriesMatrix([signed]),
+                LaurentSeries(2, {-2: signed, 1: m}), LaurentSeries(1, {0: SuperMatrix.zeros(ctx, 2, 3)})]
+
+    def test_values(self, ctx, rng):
+        for x in self.values(ctx, rng):
+            for y in self.round_trips(x):
+                assert type(y) is type(x) and y == x
+                if isinstance(x, SuperMatrix | SeriesMatrix | LaurentSeries):
+                    assert y.shape == x.shape and y.stack.tobytes() == x.stack.tobytes()  # -0.0 kept
+                    assert not (y.keys.flags.writeable or y.stack.flags.writeable)
+
+    def test_superdisk_params(self, ctx, rng):
+        s = random_supernumber(ctx, rng, terms=3, body=0.0)
+        spec = ToeplitzSpec((ctx.scalar(2.0) + s + dagger(s),))
+        spec = extend(spec, ctx.scalar(0.4j) + ctx.generator(2) * 0.1, extension_params(spec))
+        params = extension_params(spec)
+        for y in self.round_trips(params):
+            assert y == params and y._levinson == params._levinson
+        assert copy.deepcopy(spec) == spec

@@ -1,11 +1,13 @@
 """Toeplitz one-step extension and the superdisk parametrization."""
 import json
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
 
 import grasschur.toeplitz as toeplitz
-from grasschur import AlgebraContext, SuperMatrix, Supernumber, classify, dagger, invert, kth_root, mul
+from grasschur import (AlgebraContext, SuperMatrix, Supernumber, classify, dagger, invert, kth_root, merge_swap_count,
+                       mul)
 from grasschur.cli import main
 from grasschur.errors import ContextMismatch, EtaNotContractive, NotSuperpositive
 from grasschur.matrix import adjoint, is_superpositive, mat_invert, mat_mul
@@ -451,3 +453,112 @@ class TestSelfAdjointByConstruction:
         calls = count_scans_and_assemblies(monkeypatch)
         assert verify_extension(spec) is True
         assert calls == {"_self_adjoint": 0, "assemble": 0}
+
+
+# A 50-digit reference of the Levinson chain: a supernumber is {key: (re, im)} in Decimal.
+def to_decimal(z):
+    return {k: (Decimal(v.real), Decimal(v.imag)) for k, v in z.terms.items()}
+
+
+def d_sum(*pairs):
+    """Σ c z over the (c, z) pairs."""
+    out = {}
+    for c, z in pairs:
+        for k, (x, y) in z.items():
+            re, im = out.get(k, (0, 0))
+            out[k] = (re + c * x, im + c * y)
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+def d_mul(z, w):
+    out = {}
+    for a, (x, y) in z.items():
+        for b, (u, v) in w.items():
+            if not a & b:
+                s = -1 if merge_swap_count(a, b) & 1 else 1
+                re, im = out.get(a | b, (0, 0))
+                out[a | b] = (re + s * (x * u - y * v), im + s * (x * v + y * u))
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+def d_dagger(z):
+    return {k: (-x, y) if k.bit_count() & 2 else (x, -y) for k, (x, y) in z.items()}
+
+
+def d_series(z, coeffs, scale):
+    """scale · Σ c_n (z_S / z_B)^n, the c_n drawn from coeffs until a power vanishes."""
+    bx, by = z[0]
+    m = bx * bx + by * by
+    u = d_mul({k: v for k, v in z.items() if k}, {0: (bx / m, -by / m)})
+    out, power = {}, {0: (Decimal(1), Decimal(0))}
+    for c in coeffs:
+        if not power:
+            return d_mul(out, {0: scale})
+        out, power = d_sum((1, out), (c, power)), d_mul(power, u)
+
+
+def d_inverse(z):
+    bx, by = z[0]
+    m = bx * bx + by * by
+    return d_series(z, ((-1) ** n for n in range(66)), (bx / m, -by / m))
+
+
+def d_sqrt(z):
+    bx, by = z[0]
+    re = (((bx * bx + by * by).sqrt() + bx) / 2).sqrt()
+    binomial = [Decimal(1)]
+    for n in range(65):
+        binomial.append(binomial[-1] * (Decimal(1) / 2 - n) / (n + 1))
+    return d_series(z, binomial, (re, by / (2 * re)))
+
+
+def d_modulus(v):
+    return (v[0] * v[0] + v[1] * v[1]).sqrt()
+
+
+def reference_chain(r0, etas):
+    """r_1.. and each step's (center, left radius, right radius) of extend's chain from r_0, in 50 digits."""
+    r, f, g, c, steps = [to_decimal(r0)], [], [], {}, []
+    p = q = r[0]
+    for eta in etas:
+        m = len(f)
+        if len(r) > 1:  # the predictors of T_{m+1} from those of T_m
+            df = d_sum((1, r[m + 1]), (-1, c))
+            dg = d_dagger(df)
+            kf, kg = d_mul(df, d_inverse(q)), d_mul(dg, d_inverse(p))
+            f, g = ([d_sum((1, fk), (-1, d_mul(kf, gk))) for fk, gk in zip(f, g)] + [d_sum((-1, kf))],
+                    [d_sum((-1, kg))] + [d_sum((1, gk), (-1, d_mul(kg, fk))) for gk, fk in zip(g, f)])
+            p, q = d_sum((1, p), (-1, d_mul(kf, dg))), d_sum((1, q), (-1, d_mul(kg, df)))
+            c = d_sum(*((-1, d_mul(fk, r[m + 1 - k])) for k, fk in enumerate(f)))
+        left, right = d_sqrt(p), d_sqrt(q)
+        steps.append((c, left, right))
+        r.append(d_sum((1, c), (1, d_mul(d_mul(left, to_decimal(eta)), right))))
+    return r[1:], steps
+
+
+class TestExactSupport:
+    """The chain keeps no term that is zero in exact arithmetic: at N = 64 with mixed-parity souls, rounding
+    leaves residues of about 1e-17 on most keys of an order-3 symbol, and `_settled` drops them."""
+
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_order_three_chain_has_the_exact_support(self, i):
+        ctx = AlgebraContext(generators=64)
+        rng = np.random.default_rng([64, 3, i])  # drawn as the bench's toeplitz_chain inputs are
+        s = random_soul(ctx, rng, terms=3, scale=0.1)
+        r0 = ctx.scalar(1.0 + rng.random()) + s + dagger(s)
+        etas = [ctx.scalar((0.3 + 0.6 * rng.random()) * np.exp(2j * np.pi * rng.random()))
+                + random_soul(ctx, rng, terms=2, scale=0.1) for _ in range(3)]
+        assert {k.bit_count() % 2 for z in (s, *etas) for k in z.terms if k} == {0, 1}
+        spec, steps = ToeplitzSpec((r0,)), []
+        for eta in etas:
+            steps.append(extension_params(spec))
+            spec = extend(spec, eta, steps[-1])
+        with localcontext(Context(prec=50)):
+            symbols, ref_steps = reference_chain(r0, etas)
+            pairs = list(zip(spec.r[1:], symbols))
+            for params, ref in zip(steps, ref_steps):
+                pairs += zip((params.center, params.left_radius, params.right_radius), ref)
+            for z, ref in pairs:
+                norm = sum(map(d_modulus, ref.values()))
+                assert set(z.terms) == {k for k, v in ref.items() if d_modulus(v) > Decimal("1e-30") * norm}
+                assert sum(map(d_modulus, d_sum((1, to_decimal(z)), (-1, ref)).values())) <= Decimal("1e-14") * norm
