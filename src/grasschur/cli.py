@@ -56,17 +56,35 @@ def _context(args) -> AlgebraContext:
 
 def _load(path: Path):
     try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SerializationError(f"cannot read {path}: {exc}") from exc
 
 
+class _Output:
+    """The ``--out`` file, opened at the first write: the writer checks the whole value
+    before it writes, so a value without canonical form leaves no file."""
+
+    def __init__(self, path: Path):
+        self.path, self.file = path, None
+
+    def write(self, piece: str) -> None:
+        if self.file is None:
+            self.file = self.path.open("w", encoding="ascii")
+        self.file.write(piece)
+
+
 def _emit(args, obj) -> None:
-    text = ser.dumps(obj)
+    """Stream the canonical text of ``obj`` into ``--out`` or stdout."""
     if args.out is None:
-        sys.stdout.write(text)
-    else:
-        args.out.write_text(text)
+        ser.dump(obj, sys.stdout)
+        return
+    out = _Output(args.out)
+    try:
+        ser.dump(obj, out)
+    finally:
+        if out.file is not None:
+            out.file.close()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,13 +7,18 @@ duplicate indices.  Matrices, series, Laurent series, realizations, Toeplitz
 specs and interpolation data wrap that term format.
 
 The canonical text is ``json.dumps(obj, indent=2, sort_keys=True)`` of the object
-form.  ``dumps`` writes it without building that form for a ``Supernumber``,
-``SuperMatrix`` or ``SeriesMatrix``: matrices and series are rendered from their
-``keys``/``stack`` in the canonical term order, worked out once per key array.
-NaN and infinity have no canonical form and raise ``SerializationError``.
+form.  ``dump(obj, fp)`` writes it to a file as ``json.dump`` does and ``dumps(obj)``
+returns it; both come from one writer, which never builds that form for a
+``Supernumber``, ``SuperMatrix`` or ``SeriesMatrix``: matrices and series are rendered
+from their ``keys``/``stack`` in the canonical term order, worked out once per key
+array.  ``dump`` passes the text to ``fp.write`` one container item and one series
+coefficient at a time, so it holds one coefficient's text, not the document.  NaN,
+infinity and values of no JSON type have no canonical form: the whole value is checked
+once before the first byte is written, and ``SerializationError`` leaves nothing written.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import sys
@@ -49,9 +54,45 @@ def _number(x: Any, name: str, integer: bool = False):
     return x if integer else float(x)
 
 
+def dump(obj: Any, fp) -> None:
+    """Write the canonical text of ``obj`` to ``fp``, as ``json.dump`` writes to a file:
+    ``dumps(obj)`` in one ``fp.write`` call per container item or series coefficient."""
+    _write(obj, fp.write)
+
+
 def dumps(obj: Any) -> str:
     """Canonical text of ``obj``: ``json.dumps(o, indent=2, sort_keys=True) + "\\n"`` where
     ``o`` is ``obj`` with each package value replaced by its ``*_to_obj`` form."""
+    pieces: list[str] = []
+    _write(obj, pieces.append)
+    return "".join(pieces)
+
+
+def _write(obj: Any, write) -> None:
+    """Pass the canonical text of ``obj`` to ``write`` in pieces: one per item of a dict, list
+    or tuple, a ``Supernumber`` or ``SuperMatrix`` whole, a ``SeriesMatrix`` one coefficient at
+    a time.  ``obj`` is checked whole before the first piece."""
+
+    def check(v: Any) -> None:
+        if isinstance(v, dict):
+            ok = all(isinstance(k, str) for k in v)
+            for x in v.values():
+                check(x)
+        elif isinstance(v, (list, tuple)):
+            ok = True
+            for x in v:
+                check(x)
+        elif isinstance(v, float):
+            ok = math.isfinite(v)
+        elif isinstance(v, Supernumber):
+            ok = all(map(cmath.isfinite, v._terms.values()))
+        elif isinstance(v, (SuperMatrix, SeriesMatrix)):
+            ok = bool(np.isfinite(v.stack).all())
+        else:
+            ok = v is None or isinstance(v, (str, int))
+        if not ok:
+            raise SerializationError(
+                f"{type(v).__name__} value has no canonical JSON form (NaN, infinity or no JSON type)")
 
     def seq(items: list[str], ind: str, brackets: str) -> str:
         inner = ind + "  "
@@ -68,34 +109,53 @@ def dumps(obj: Any) -> str:
         grid = seq([seq(terms(keys, row, i3), i2, "[]") for row in values], i1, "[]")
         return f'{{{i1}"cols": {shape[1]},{i1}"entries": {grid},{i1}"rows": {shape[0]}{ind}}}'
 
-    def text(v: Any, ind: str) -> str:
+    def leaf(v: Any, ind: str) -> str:
+        """The text of a value that is not written in pieces."""
         if isinstance(v, str):
             return encode_basestring_ascii(v)
         if v is None or isinstance(v, bool):
             return {None: "null", True: "true", False: "false"}[v]
         if isinstance(v, int):
             return int.__repr__(v)
-        if isinstance(v, float) and math.isfinite(v):
+        if isinstance(v, float):
             return float.__repr__(v)
-        if isinstance(v, dict):
-            return seq([f"{encode_basestring_ascii(k)}: {text(v[k], ind + '  ')}" for k in sorted(v)], ind, "{}")
-        if isinstance(v, (list, tuple)):
-            return seq([text(x, ind + "  ") for x in v], ind, "[]")
         if isinstance(v, Supernumber):
             keys = sorted(v._terms, key=term_order)
-            values = [v._terms[k] for k in keys]
-            if np.isfinite(values).all():
-                return terms(keys, [values], ind)[0]
-        elif isinstance(v, (SuperMatrix, SeriesMatrix)) and np.isfinite(v.stack).all():
-            keys, values = _ordered(v.keys, v.stack)
-            if isinstance(v, SuperMatrix):
-                return matrix(v.shape, keys, values, ind)
-            i1 = ind + "  "
-            coeffs = seq([matrix(v.shape, keys, c, i1 + "  ") for c in values], i1, "[]")
-            return f'{{{i1}"coeffs": {coeffs},{i1}"degree": {v.degree},{i1}"exact": {text(v.exact, i1)}{ind}}}'
-        raise SerializationError(f"{type(v).__name__} value has no canonical JSON form (NaN, infinity or no JSON type)")
+            return terms(keys, [[v._terms[k] for k in keys]], ind)[0]
+        keys, values = _ordered(v.keys, v.stack)
+        return matrix(v.shape, keys, values.tolist(), ind)
 
-    return text(obj, "\n") + "\n"
+    def node(v: Any, ind: str) -> None:
+        inner = ind + "  "
+        if isinstance(v, (dict, list, tuple)):
+            brackets = "{}" if isinstance(v, dict) else "[]"
+            if not v:
+                write(brackets)
+                return
+            items = (((f"{encode_basestring_ascii(k)}: ", v[k]) for k in sorted(v)) if isinstance(v, dict)
+                     else (("", x) for x in v))
+            sep = brackets[0] + inner
+            for prefix, x in items:
+                if isinstance(x, (dict, list, tuple, SeriesMatrix)):
+                    write(sep + prefix)
+                    node(x, inner)
+                else:
+                    write(sep + prefix + leaf(x, inner))
+                sep = "," + inner
+            write(ind + brackets[1])
+        elif isinstance(v, SeriesMatrix):
+            keys, values = _ordered(v.keys, v.stack)
+            sep = f'{{{inner}"coeffs": [{inner}  '
+            for c in values:
+                write(sep + matrix(v.shape, keys, c.tolist(), inner + "  "))
+                sep = f",{inner}  "
+            write(f'{inner}],{inner}"degree": {v.degree},{inner}"exact": {leaf(v.exact, inner)}{ind}}}')
+        else:
+            write(leaf(v, ind))
+
+    check(obj)
+    node(obj, "\n")
+    write("\n")
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -107,12 +167,13 @@ def _term_template(key: int, ind: str) -> tuple[str, str, str]:
     return f'{{{fields}"idx": {generators},{fields}"im": ', f',{fields}"re": ', f"{ind}}}"
 
 
-def _ordered(keys: np.ndarray, stack: np.ndarray) -> tuple[list[int], list]:
-    """The keys of a (keys, ..., rows, cols) stack in canonical term order, and its values as
-    nested (..., rows, cols, keys) lists in that order: one sort per key array."""
+def _ordered(keys: np.ndarray, stack: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The keys of a (keys, ..., rows, cols) stack in canonical term order, and its values as a
+    (..., rows, cols, keys) array in that order: one sort per key array.  ``tolist`` of the
+    array, or of one coefficient of a series, gives the entries' values."""
     keys = keys.tolist()
     perm = sorted(range(len(keys)), key=lambda s: term_order(keys[s]))
-    return [keys[s] for s in perm], np.moveaxis(stack[perm], 0, -1).tolist()
+    return [keys[s] for s in perm], np.moveaxis(stack[perm], 0, -1)
 
 
 def _terms_obj(keys: list[int], values: list[complex]) -> list[dict]:
@@ -147,7 +208,7 @@ def supernumber_from_obj(obj: Any, context: AlgebraContext) -> Supernumber:
 
 def matrix_to_obj(m: SuperMatrix) -> dict:
     keys, values = _ordered(m.keys, m.stack)
-    return {"rows": m.rows, "cols": m.cols, "entries": [[_terms_obj(keys, e) for e in row] for row in values]}
+    return {"rows": m.rows, "cols": m.cols, "entries": [[_terms_obj(keys, e) for e in row] for row in values.tolist()]}
 
 
 def matrix_from_obj(obj: Any, context: AlgebraContext) -> SuperMatrix:

@@ -1,4 +1,7 @@
 """CLI golden round-trips, byte-stable outputs, and exit codes."""
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -11,8 +14,9 @@ import pytest
 
 import grasschur
 from grasschur import AlgebraContext, SuperMatrix, mul
-from grasschur.cli import _context, build_parser, main
+from grasschur.cli import _context, _emit, build_parser, main
 from grasschur.sampling import random_soul, random_supernumber
+from grasschur.errors import SerializationError
 from grasschur.series import SeriesMatrix
 from grasschur.serialization import (
     dumps,
@@ -36,8 +40,9 @@ def write(path, obj):
 
 
 def run_twice(argv_builder, tmp_path):
-    """Run a command twice into fresh files; outputs must be byte-identical and canonical,
-    that is, unchanged when parsed and written again by ``json.dumps``."""
+    """Run a command twice into fresh files and once without ``--out``; the files and stdout
+    must be byte-identical and canonical, that is, unchanged when parsed and written again
+    by ``json.dumps``."""
     outputs = []
     for tag in ("one", "two"):
         out = tmp_path / f"out_{tag}.json"
@@ -45,6 +50,11 @@ def run_twice(argv_builder, tmp_path):
         assert main(argv) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+    at = argv.index("--out")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv[:at] + argv[at + 2:]) == 0
+    assert stdout.getvalue().encode("ascii") == outputs[0]
     text = outputs[0].decode("ascii")
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
     return json.loads(text)
@@ -130,6 +140,15 @@ class TestAlgebraCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error[serialization-error]")
 
+    @pytest.mark.parametrize("data", [b"\xff\xfe[1]", '[{"idx": [], "re": 1.0, "im": 0.0, "note": "caf\xe9"}]'.encode("latin-1")],
+                             ids=["utf-16-mark", "latin-1"])
+    def test_input_that_is_not_utf8_exit_code(self, data, tmp_path, capsys):
+        infile = tmp_path / "z.json"
+        infile.write_bytes(data)
+        assert main(["algebra", "invert", "--in", str(infile)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[serialization-error]")
+
     @pytest.mark.parametrize("text", ['[{"generators": 4}]', '{"generators": 4',
                                       '{"generators": [4]}', '{"generators": 1e400}',
                                       '{"tol_body": NaN}', '{"tol_eq": 1e400}',
@@ -157,6 +176,23 @@ class TestAlgebraCommands:
         assert main(["algebra", "sqrt", "--in", z_file, "--k", k]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error[domain-violation]")
+
+
+class TestNoPartialOutput:
+    """A value without canonical form is refused before the first byte is written."""
+
+    @pytest.mark.parametrize("where", ["series coefficient", "last dict key"])
+    def test_late_nan_leaves_no_file_and_empty_stdout(self, where, ctx, tmp_path, capsys):
+        eye = SuperMatrix.identity(ctx, 2)
+        nan = SuperMatrix.from_body(ctx, [[1.0, 0.0], [0.0, float("nan")]])
+        value = ({"a": SeriesMatrix.from_coeffs([eye, eye, eye, nan])} if where == "series coefficient"
+                 else {"a": SeriesMatrix.from_coeffs([eye, eye]), "b": [1.0, 2.0], "z": float("nan")})
+        out = tmp_path / "out.json"
+        for target in (out, None):
+            with pytest.raises(SerializationError):
+                _emit(argparse.Namespace(out=target), value)
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
 
 
 class TestToeplitzCommand:

@@ -1,8 +1,11 @@
-"""Canonical format round-trips and reader validation; copy and pickle."""
+"""Canonical format round-trips and reader validation; the streaming writer; copy and pickle."""
 import copy
+import io
 import json
 import pickle
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from grasschur import AlgebraContext, SuperMatrix, dagger
@@ -12,6 +15,7 @@ from grasschur.sampling import random_supermatrix, random_supernumber
 from grasschur.serialization import (
     config_from_obj,
     config_to_obj,
+    dump,
     dumps,
     interpolation_data_from_obj,
     interpolation_data_to_obj,
@@ -143,8 +147,62 @@ class TestWriter:
                 dumps(v)
 
     def test_unknown_type_raises(self):
-        with pytest.raises(SerializationError):
-            dumps({"x": object()})
+        for bad in ({"x": object()}, {1: "int key"}, [1j]):
+            with pytest.raises(SerializationError):
+                dumps(bad)
+
+
+class Pieces:
+    """A file that keeps each ``write`` call's text."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, piece):
+        self.pieces.append(piece)
+
+
+class TestDump:
+    """``dump`` writes ``dumps``'s text in pieces, after checking the whole value."""
+
+    def test_same_text_as_dumps(self, ctx, rng):
+        m = random_supermatrix(ctx, rng, 2, 3)
+        values = [v for v, _ in forms(random_supernumber(ctx, rng, terms=12, max_grade=6))]
+        values += [{}, [], "", None, -0.0, 10**30, {"b": [m, {"z": (1, 2.5)}], "a": []},
+                   SeriesMatrix.from_coeffs([SuperMatrix.zeros(ctx, 2, 3)]), SeriesMatrix.from_coeffs([m, -m, m], exact=True)]
+        for v in values:
+            fp = io.StringIO()
+            dump(v, fp)
+            assert fp.getvalue() == dumps(v)
+
+    def test_a_series_is_written_one_coefficient_a_call(self, ctx, rng):
+        f = SeriesMatrix.from_coeffs([random_supermatrix(ctx, rng, 2, 2) for _ in range(6)])
+        fp = Pieces()
+        dump({"series": f}, fp)
+        assert "".join(fp.pieces) == dumps({"series": f})
+        # the key and the opening bracket, one piece per coefficient, the series' tail, the brace, the newline
+        assert len(fp.pieces) == f.degree + 5
+        assert all(piece.count('"cols"') == 1 for piece in fp.pieces[1:-3])
+
+    def test_memory_of_a_large_series(self, tmp_path):
+        """A filled 2x2 degree-32 series at N = 8 is over 7 MiB of text; the writer holds one
+        coefficient of it, not the document."""
+        ctx8 = AlgebraContext(generators=8)
+        rng = np.random.default_rng(8)
+        keys = list(range(1 << ctx8.generators))
+        f = SeriesMatrix.from_coeffs([SuperMatrix(ctx8, keys, rng.normal(size=(len(keys), 2, 2))
+                                                  + 1j * rng.normal(size=(len(keys), 2, 2))) for _ in range(33)])
+        path = tmp_path / "f.json"
+        tracemalloc.start()
+        try:
+            with path.open("w", encoding="ascii") as fp:
+                dump(f, fp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 7 * 2**20
+        assert peak < size / 2, f"writer peak {peak / size:.2f} x the text"
 
 
 class TestContainers:
